@@ -236,9 +236,6 @@ class ModuleMap:
     def is_surjective(self) -> bool:
         return self.total_rank() == self.dst.total_dim
 
-    def is_isomorphism(self) -> bool:
-        return self.src.dims == self.dst.dims and self.is_injective()
-
 
 def identity_map(m: Module) -> ModuleMap:
     return ModuleMap(m, m, {v: linalg.eye(m.dims[v]) for v in m.dims}, check=False)

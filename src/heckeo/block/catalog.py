@@ -118,9 +118,6 @@ class Catalog:
             "P_e": self.modules["P_e"],
         }[name]
 
-    def iso_class(self, m: Module) -> dict[str, int]:
-        return self.decompose(m)
-
     def is_isomorphic(self, m: Module, n: Module) -> bool:
         return self.decompose(m) == self.decompose(n)
 

@@ -375,7 +375,7 @@ def verify_k0_crosscheck(ctx: RankOneBlock) -> VerificationReport:
             family, which = name.split("_")
             cls = blk.class_of(elts[which], kinds[family])
             flags = cat.verma_flag_multiplicities(cat.modules[name])
-            got = {x: n for x, n in ((x, p.eval_at_one()) for x, p in cls.coords().items()) if n}
+            got = {x: n for x, n in ((x, p.eval_at_one()) for x, p in cls.coeffs().items()) if n}
             want = {k: v for k, v in {e: flags["Delta_e"], s: flags["Delta_s"]}.items() if v}
             if got != want:
                 return False, f"{name}: {got} != {want}"
@@ -395,7 +395,7 @@ def verify_k0_crosscheck(ctx: RankOneBlock) -> VerificationReport:
             cls = blk.wall_crossing(1, blk.class_of(elts[which], kinds[family]))
             module_image = ctx.theta.on_module(cat.modules[name])
             flags = cat.verma_flag_multiplicities(module_image)
-            got = {x: n for x, n in ((x, p.eval_at_one()) for x, p in cls.coords().items()) if n}
+            got = {x: n for x, n in ((x, p.eval_at_one()) for x, p in cls.coeffs().items()) if n}
             want = {k: v for k, v in {e: flags["Delta_e"], s: flags["Delta_s"]}.items() if v}
             if got != want:
                 return False, f"theta({name}): {got} != {want}"
@@ -417,15 +417,6 @@ def verify_k0_crosscheck(ctx: RankOneBlock) -> VerificationReport:
 
     rep.run("block.k0_tilting_switch_crosscheck", switch)
     return rep
-
-
-# op-surface aliases
-def verify_derived_equivalence(ctx: RankOneBlock) -> VerificationReport:
-    return verify_equivalence(ctx)
-
-
-def verify_tilting_switch(ctx: RankOneBlock) -> VerificationReport:
-    return verify_tilting(ctx)
 
 
 def suite(ctx: RankOneBlock, which: str = "all") -> VerificationReport:

@@ -865,10 +865,6 @@ class RankOneBlock:
 
     # -- the two-term complexes and their (co)evaluation --------------------------
 
-    def build_adjunctions(self):
-        """The frozen unit/counit data of both adjunctions."""
-        return self.adj1, self.adj2
-
     def theta_star(self) -> FunctorComplex:
         """0 -> theta -> Id -> 0 with theta in degree 0."""
         return FunctorComplex(

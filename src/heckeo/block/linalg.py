@@ -238,8 +238,3 @@ def std_col(n: int, j: int) -> Mat:
     m = Mat(n, 1)
     m.rows[j][0] = Fraction(1)
     return m
-
-
-def rank_mod(vectors: Mat, subspace: Mat) -> int:
-    """Rank of the given columns modulo the span of the subspace columns."""
-    return rank(hstack([subspace, vectors])) - rank(subspace)

@@ -26,7 +26,6 @@ import sys
 
 from .k0 import BasisKind, K0Block
 from .hecke import HeckeAlgebra
-from .laurent import LaurentPoly
 from .report import VerificationReport, emit
 from .weyl import (
     DEFAULT_ENUMERATION_CAP,
@@ -38,6 +37,7 @@ from .weyl import (
 
 CONFIG_ENV = "HECKEO_CONFIG"
 CONFIG_FILE = "heckeo.cfg"
+FORMATS = ("json", "csv", "table")
 
 
 class UsageError(Exception):
@@ -64,6 +64,9 @@ def load_config() -> dict:
         except ValueError:
             raise UsageError(f"config error: cap must be an integer, got {cfg['cap']!r}")
     if "format" in cfg:
+        if cfg["format"] not in FORMATS:
+            raise UsageError(f"config error: format must be one of "
+                             f"{', '.join(FORMATS)}, got {cfg['format']!r}")
         out["format"] = cfg["format"]
     if "table_width" in cfg:
         try:
@@ -85,10 +88,6 @@ def _parse_word(group, text: str):
         return group.parse_word(text)
     except WeylError as exc:
         raise UsageError(str(exc)) from None
-
-
-def _poly_json(p: LaurentPoly) -> dict:
-    return p.to_json()
 
 
 def _cmd_weyl(args, cfg) -> tuple[int, str]:
@@ -117,7 +116,7 @@ def _cmd_klpoly(args, cfg) -> tuple[int, str]:
             "schema": 1,
             "x": g.name(x),
             "y": g.name(y),
-            "coeff": _poly_json(coeff),
+            "coeff": coeff.to_json(),
         }
         return 0, json.dumps(obj, separators=(",", ":")) + "\n"
     label = "C" if args.variant == "C" else "C'"
@@ -142,7 +141,7 @@ def _cmd_basis_change(args, cfg) -> tuple[int, str]:
             "from": src.value,
             "to": dst.value,
             "x": g.name(x),
-            "coords": {k: _poly_json(p) for k, p in named.items()},
+            "coords": {k: p.to_json() for k, p in named.items()},
         }
         return 0, json.dumps(obj, separators=(",", ":")) + "\n"
     lines = [f"[{src.value}_{g.name(x)}] in the {dst.value} basis:"]
@@ -225,7 +224,7 @@ def _parser(cfg: dict) -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run verification suites for a type")
     p.add_argument("--type", required=True)
     p.add_argument("--suite", choices=("weyl", "hecke", "k0", "all"), default="all")
-    common(p, formats=("json", "csv", "table"))
+    common(p, formats=FORMATS)
     p.set_defaults(fn=_cmd_verify)
 
     p = sub.add_parser("block-check", help="rank-one categorical suites")
@@ -234,7 +233,7 @@ def _parser(cfg: dict) -> argparse.ArgumentParser:
         choices=("all", "catalog", "adjunctions", "equivalence", "tilting"),
         default="all",
     )
-    common(p, formats=("json", "csv", "table"))
+    common(p, formats=FORMATS)
     p.set_defaults(fn=_cmd_block_check)
     return top
 

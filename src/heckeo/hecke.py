@@ -19,6 +19,8 @@ must agree exactly; `verify_kl_oracle` checks that.
 
 from __future__ import annotations
 
+from typing import Iterable
+
 from .laurent import RULE_V_TO_NEG_VINV, LaurentPoly, v
 from .report import VerificationReport
 from .weyl import MixedGroups, WeylElt, WeylGroup
@@ -28,10 +30,48 @@ _V_MINUS_V_INV = LaurentPoly({1: 1, -1: -1})
 
 KL_VARIANTS = ("C", "Cprime")
 DUAL_VARIANTS = ("dual_to_bC", "dual_to_C")
+# the memoized basis views: C_x, C'_x, the two dual bases, and d(H_x)
+VIEWS = KL_VARIANTS + DUAL_VARIANTS + ("d",)
+
+
+def accumulate(
+    out: dict[int, LaurentPoly],
+    terms: Iterable[tuple[int, LaurentPoly]],
+    scal: LaurentPoly | None = None,
+) -> dict[int, LaurentPoly]:
+    """Add each (index, coefficient) pair of `terms`, times `scal` if given,
+    into the sparse vector `out` in place, dropping entries that cancel.
+    Returns `out`."""
+    for k, p in terms:
+        if scal is not None:
+            p = p * scal
+        q = out.get(k)
+        if q is not None:
+            p = q + p
+        if p.is_zero():
+            out.pop(k, None)
+        else:
+            out[k] = p
+    return out
+
+
+def dot(a: dict[int, LaurentPoly], b: dict[int, LaurentPoly]) -> LaurentPoly:
+    """sum_k a_k b_k over two sparse vectors."""
+    out = LaurentPoly.zero()
+    for k, p in a.items():
+        q = b.get(k)
+        if q is not None:
+            out = out + p * q
+    return out
 
 
 class HeckeElt:
-    """A finitely supported Z[v,v^-1]-combination of standard basis elements."""
+    """A finitely supported Z[v,v^-1]-combination of standard basis elements.
+
+    This is the package's one sparse vector type: a class in the
+    Grothendieck-group model (k0.py) is the Hecke element with the same
+    coefficients in the Verma basis, [D_x] <-> H_x.
+    """
 
     __slots__ = ("algebra", "_c")
 
@@ -46,10 +86,6 @@ class HeckeElt:
         g = self.algebra.group
         return {g.element(k): p for k, p in sorted(self._c.items())}
 
-    def support(self) -> list[WeylElt]:
-        g = self.algebra.group
-        return [g.element(k) for k in sorted(self._c)]
-
     def is_zero(self) -> bool:
         return not self._c
 
@@ -59,14 +95,7 @@ class HeckeElt:
 
     def __add__(self, other: "HeckeElt") -> "HeckeElt":
         self._check(other)
-        c = dict(self._c)
-        for k, p in other._c.items():
-            q = c.get(k, LaurentPoly.zero()) + p
-            if q.is_zero():
-                c.pop(k, None)
-            else:
-                c[k] = q
-        return HeckeElt(self.algebra, c)
+        return HeckeElt(self.algebra, accumulate(dict(self._c), other._c.items()))
 
     def __neg__(self) -> "HeckeElt":
         return HeckeElt(self.algebra, {k: -p for k, p in self._c.items()})
@@ -81,8 +110,6 @@ class HeckeElt:
         return HeckeElt(self.algebra, {k: p * scal for k, p in self._c.items()})
 
     def __rmul__(self, other):
-        if isinstance(other, HeckeElt):
-            return self.algebra.mul(other, self)
         return self * other
 
     def __eq__(self, other) -> bool:
@@ -104,17 +131,17 @@ class HeckeElt:
 
 
 class HeckeAlgebra:
-    """The Hecke algebra attached to one WeylGroup, with memoized KL tables.
+    """The Hecke algebra attached to one WeylGroup, with one lazy
+    per-element memo for each basis view in VIEWS.
 
     All tables are write-once per group; every public operation is pure.
     """
 
     def __init__(self, group: WeylGroup):
         self.group = group
-        self._d_std: dict[int, HeckeElt] = {}
-        self._kl: dict[int, HeckeElt] = {}
+        self._views: dict[str, dict[int, HeckeElt]] = {name: {} for name in VIEWS}
         self._kl_solved: dict[int, HeckeElt] = {}
-        self._duals: dict[str, dict[int, HeckeElt]] = {}
+        self._twisted: dict[LaurentPoly, LaurentPoly] = {}
 
     # -- constructors ----------------------------------------------------
 
@@ -137,23 +164,15 @@ class HeckeAlgebra:
 
     def _times_gen(self, coeffs: dict[int, LaurentPoly], i: int) -> dict[int, LaurentPoly]:
         g = self.group
-        out: dict[int, LaurentPoly] = {}
 
-        def bump(k: int, p: LaurentPoly) -> None:
-            q = out.get(k, LaurentPoly.zero()) + p
-            if q.is_zero():
-                out.pop(k, None)
-            else:
-                out[k] = q
+        def terms():
+            for k, p in coeffs.items():
+                ks = g._rmult[k][i - 1]
+                yield ks, p
+                if g._lengths[ks] < g._lengths[k]:
+                    yield k, p * _V_INV_MINUS_V
 
-        for k, p in coeffs.items():
-            ks = g._rmult[k][i - 1]
-            if g._lengths[ks] > g._lengths[k]:
-                bump(ks, p)
-            else:
-                bump(ks, p)
-                bump(k, p * _V_INV_MINUS_V)
-        return out
+        return accumulate({}, terms())
 
     def mul(self, a: HeckeElt, b: HeckeElt) -> HeckeElt:
         if a.algebra is not self or b.algebra is not self:
@@ -164,53 +183,103 @@ class HeckeAlgebra:
             cur = {k: p * cy for k, p in a._c.items()}
             for i in g.reduced_word(g.element(y)):
                 cur = self._times_gen(cur, i)
-            for k, p in cur.items():
-                q = total.get(k, LaurentPoly.zero()) + p
-                if q.is_zero():
-                    total.pop(k, None)
-                else:
-                    total[k] = q
+            accumulate(total, cur.items())
         return HeckeElt(self, total)
 
     # -- involutions ---------------------------------------------------------
 
-    def _d_of_std(self, k: int) -> HeckeElt:
-        """d(H_x) = H_{x^-1}^-1, built along the reduced word of x using
-        H_s^-1 = H_s + (v - v^-1)."""
-        got = self._d_std.get(k)
-        if got is not None:
-            return got
-        g = self.group
-        if k == 0:
-            res = self.unit()
-        else:
-            word = g.reduced_word(g.element(k))
-            prefix = g.element_by_word(word[:-1]).idx
-            j = word[-1]
-            d_gen = HeckeElt(
-                self, {g._rmult[0][j - 1]: LaurentPoly.one(), 0: _V_MINUS_V_INV}
-            )
-            res = self.mul(self._d_of_std(prefix), d_gen)
-        self._d_std[k] = res
-        return res
-
     def bar(self, h: HeckeElt) -> HeckeElt:
         """The ring involution d."""
-        out = self.zero()
+        out: dict[int, LaurentPoly] = {}
         for k, p in h._c.items():
-            out = out + self._d_of_std(k) * p.bar()
-        return out
+            accumulate(out, self._view("d", k)._c.items(), p.bar())
+        return HeckeElt(self, out)
 
     def b_twist(self, h: HeckeElt) -> HeckeElt:
-        """The ring involution b: v -> -v^-1 on coefficients, H_x fixed."""
-        return HeckeElt(
-            self, {k: p.substitute(RULE_V_TO_NEG_VINV) for k, p in h._c.items()}
-        )
+        """The ring involution b: v -> -v^-1 on coefficients, H_x fixed.
+
+        Each distinct coefficient is twisted once per algebra; the KL table
+        has few distinct polynomials, so the C' view shares them."""
+        twisted = self._twisted
+        out = {}
+        for k, p in h._c.items():
+            q = twisted.get(p)
+            if q is None:
+                q = twisted[p] = p.substitute(RULE_V_TO_NEG_VINV)
+            out[k] = q
+        return HeckeElt(self, out)
 
     def iota(self, h: HeckeElt) -> HeckeElt:
         """The anti-automorphism i: coefficients fixed, H_x -> H_{x^-1}."""
         g = self.group
         return HeckeElt(self, {g._inverse[k]: p for k, p in h._c.items()})
+
+    # -- basis views ------------------------------------------------------------
+
+    def view(self, name: str, x: WeylElt) -> HeckeElt:
+        """Element x of a basis view: "C" or "Cprime" (see kl_element), one
+        of the DUAL_VARIANTS (see dual_basis), or "d" for d(H_x).  Every
+        view is memoized per element and built on first use."""
+        if name not in VIEWS:
+            raise ValueError(f"unknown basis view: {name!r}")
+        if x.group is not self.group:
+            raise MixedGroups("element from a different group")
+        return self._view(name, x.idx)
+
+    def _view(self, name: str, k: int) -> HeckeElt:
+        memo = self._views[name]
+        got = memo.get(k)
+        if got is None:
+            if name == "C":
+                got = self._build_C(k)
+            elif name == "Cprime":
+                got = self.b_twist(self._view("C", k))
+            elif name == "d":
+                got = self._build_d(k)
+            else:
+                got = self._build_duals(name)[k]
+            memo[k] = got
+        return got
+
+    def _build_d(self, k: int) -> HeckeElt:
+        """d(H_x) = H_{x^-1}^-1, built along the reduced word of x using
+        H_s^-1 = H_s + (v - v^-1)."""
+        g = self.group
+        if k == 0:
+            return self.unit()
+        word = g.reduced_word(g.element(k))
+        prefix = g.element_by_word(word[:-1]).idx
+        j = word[-1]
+        d_gen = HeckeElt(self, {g._rmult[0][j - 1]: LaurentPoly.one(), 0: _V_MINUS_V_INV})
+        return self.mul(self._view("d", prefix), d_gen)
+
+    def _build_C(self, k: int) -> HeckeElt:
+        g = self.group
+        if k == 0:
+            return self.unit()
+        s = g.reduced_word(g.element(k))[0]
+        sk = g._lmult[k][s - 1]
+        c_s = HeckeElt(self, {g._rmult[0][s - 1]: LaurentPoly.one(), 0: v})
+        c_lower = self._view("C", sk)
+        res = self.mul(c_s, c_lower)
+        # strip mu(y, sx) * C_y for the y below sx with sy < y
+        for y in sorted(c_lower._c, key=lambda t: -g._lengths[t]):
+            if g._lengths[g._lmult[y][s - 1]] < g._lengths[y]:
+                mu = c_lower._c[y].coeff(1)
+                if mu:
+                    res = res - self._view("C", y) * mu
+        return res
+
+    def _build_duals(self, variant: str) -> dict[int, HeckeElt]:
+        """Fills the whole memo of a dual basis by one matrix inversion."""
+        g = self.group
+        kl_variant = "Cprime" if variant == "dual_to_bC" else "C"
+        cols = [self._view(kl_variant, y)._c for y in range(g.order)]
+        # <Q_x, col_y> = delta needs the x-th row of the inverse matrix
+        memo = self._views[variant]
+        for x, row in enumerate(invert_unitriangular(cols, g.order)):
+            memo[x] = HeckeElt(self, row)
+        return memo
 
     # -- Kazhdan-Lusztig elements ---------------------------------------------
 
@@ -219,30 +288,7 @@ class HeckeAlgebra:
         C'_x = b(C_x) (correction terms in v^-1 Z[v^-1])."""
         if variant not in KL_VARIANTS:
             raise ValueError(f"unknown KL variant: {variant!r}")
-        c = self._kl_C(x.idx)
-        return self.b_twist(c) if variant == "Cprime" else c
-
-    def _kl_C(self, k: int) -> HeckeElt:
-        got = self._kl.get(k)
-        if got is not None:
-            return got
-        g = self.group
-        if k == 0:
-            res = self.unit()
-        else:
-            s = g.reduced_word(g.element(k))[0]
-            sk = g._lmult[k][s - 1]
-            c_s = HeckeElt(self, {g._rmult[0][s - 1]: LaurentPoly.one(), 0: v})
-            c_lower = self._kl_C(sk)
-            res = self.mul(c_s, c_lower)
-            # strip mu(y, sx) * C_y for the y below sx with sy < y
-            for y in sorted(c_lower._c, key=lambda t: -g._lengths[t]):
-                if g._lengths[g._lmult[y][s - 1]] < g._lengths[y]:
-                    mu = c_lower._c[y].coeff(1)
-                    if mu:
-                        res = res - self._kl_C(y) * mu
-        self._kl[k] = res
-        return res
+        return self._view(variant, x.idx)
 
     def kl_element_by_bar_solver(self, x: WeylElt) -> HeckeElt:
         """Independent oracle for C_x: starting from H_x, restore bar
@@ -273,7 +319,7 @@ class HeckeAlgebra:
             correction = self.std(g.element(y)) * p
             f = f + correction
             # the defect is linear in f, so update it in place
-            defect = defect + self._d_of_std(y) * p.bar() - correction
+            defect = defect + self._view("d", y) * p.bar() - correction
         if not defect.is_zero() or self.bar(f) != f:
             raise ArithmeticError("bar solver failed to reach a self-dual element")
         self._kl_solved[x.idx] = f
@@ -285,33 +331,14 @@ class HeckeAlgebra:
         """<a, b> = sum over x of a_x * b_x; the H_x are orthonormal."""
         if a.algebra is not self or b.algebra is not self:
             raise MixedGroups("Hecke elements live over different groups")
-        out = LaurentPoly.zero()
-        for k, p in a._c.items():
-            q = b._c.get(k)
-            if q is not None:
-                out = out + p * q
-        return out
+        return dot(a._c, b._c)
 
     def dual_basis(self, variant: str = "dual_to_bC") -> dict[WeylElt, HeckeElt]:
         """The family {Q_x} with <Q_x, b(C_y)> = delta (variant dual_to_bC)
         or <Q_x, C_y> = delta (variant dual_to_C)."""
         if variant not in DUAL_VARIANTS:
             raise ValueError(f"unknown dual-basis variant: {variant!r}")
-        got = self._duals.get(variant)
-        if got is None:
-            g = self.group
-            kl_variant = "Cprime" if variant == "dual_to_bC" else "C"
-            cols = [
-                self.kl_element(g.element(y), kl_variant)._c for y in range(g.order)
-            ]
-            inv = invert_unitriangular(cols, g.order)
-            # <Q_x, col_y> = delta needs the x-th row of the inverse matrix
-            got = {
-                x: HeckeElt(self, dict(inv[x]))
-                for x in range(g.order)
-            }
-            self._duals[variant] = got
-        return {self.group.element(k): h for k, h in got.items()}
+        return {x: self._view(variant, x.idx) for x in self.group.elements()}
 
     # -- verification -----------------------------------------------------------
 
@@ -542,11 +569,8 @@ def invert_unitriangular(
         rows[i][i] = LaurentPoly.one()
         span = range(i - 1, -1, -1) if lower else range(i + 1, n)
         for j in span:
-            s = LaurentPoly.zero()
-            for k, p in rows[i].items():
-                q = cols[j].get(k)
-                if q is not None and k != j:
-                    s = s + p * q
+            # rows[i] has no entry at j yet, so cols[j][j] drops out of the sum
+            s = dot(rows[i], cols[j])
             if not s.is_zero():
                 rows[i][j] = -s
     return rows

@@ -1,15 +1,17 @@
 """A model of the Grothendieck group of the graded principal block as the
 regular module over the Hecke algebra.
 
-Classes are stored in the graded standard (Verma) basis [D_x]; the grading
-convention is  v^n [X] = [X<-n>],  so shift(X, n) multiplies coordinates by
-v^-n.  The class with a single coordinate 1 at x is [D_x], the image of H_x.
+A class is the Hecke element (HeckeElt) of the block's own algebra with the
+same coefficients in the graded standard (Verma) basis: [D_x] is H_x, and
+classes add, scale and compare as Hecke elements.  The grading convention is
+v^n [X] = [X<-n>],  so shift(X, n) multiplies coordinates by v^-n.
 
-Basis views (all unitriangular against the Verma basis):
-  Simple      [L_x] <-> b(C_x)
-  Tilting     [T_x] <-> C_x
-  Projective  [P_x] <-> the basis dual to {b(C_y)} under the Euler form
-  DualVerma   [N_x] <-> d(H_x)
+Basis views (all unitriangular against the Verma basis), each read from the
+matching memoized view of the Hecke algebra:
+  Simple      [L_x] <-> b(C_x)                                    "Cprime"
+  Tilting     [T_x] <-> C_x                                       "C"
+  Projective  [P_x] <-> the basis dual to {b(C_y)} under the form  "dual_to_bC"
+  DualVerma   [N_x] <-> d(H_x)                                    "d"
 
 The Euler form is the Z[v,v^-1]-bilinear form that makes the Verma classes
 orthonormal: <a, b> = sum_x a_x b_x on Verma coordinates.  Projectives are
@@ -27,10 +29,10 @@ from __future__ import annotations
 
 import enum
 
-from .hecke import HeckeAlgebra, HeckeElt, invert_unitriangular
-from .laurent import LaurentPoly, v
+from .hecke import HeckeAlgebra, HeckeElt, accumulate, invert_unitriangular
+from .laurent import LaurentPoly, v, v_pow
 from .report import VerificationReport
-from .weyl import MixedGroups, WeylElt, WeylGroup
+from .weyl import WeylElt, WeylGroup
 
 
 class BasisKind(enum.Enum):
@@ -53,199 +55,110 @@ class BasisKind(enum.Enum):
 WALL_VARIANTS = ("theta", "pi_star_pi", "pi_shriek_pi")
 
 
-class K0Class:
-    """An element of the Grothendieck-group model, in Verma coordinates."""
+class K0Class(HeckeElt):
+    """The class with the given Verma coordinates (index -> coefficient):
+    the Hecke element of block.hecke with those coefficients.  A constructor
+    only; every operation is HeckeElt's."""
 
-    __slots__ = ("block", "_c")
+    __slots__ = ()
 
     def __init__(self, block: "K0Block", coords: dict[int, LaurentPoly]):
-        self.block = block
-        self._c = {k: p for k, p in coords.items() if not p.is_zero()}
+        super().__init__(block.hecke, coords)
 
-    def coord(self, x: WeylElt) -> LaurentPoly:
-        return self._c.get(x.idx, LaurentPoly.zero())
 
-    def coords(self) -> dict[WeylElt, LaurentPoly]:
-        g = self.block.group
-        return {g.element(k): p for k, p in sorted(self._c.items())}
-
-    def is_zero(self) -> bool:
-        return not self._c
-
-    def _check(self, other: "K0Class") -> None:
-        if other.block is not self.block:
-            raise MixedGroups("classes live over different groups")
-
-    def __add__(self, other: "K0Class") -> "K0Class":
-        self._check(other)
-        c = dict(self._c)
-        for k, p in other._c.items():
-            q = c.get(k, LaurentPoly.zero()) + p
-            if q.is_zero():
-                c.pop(k, None)
-            else:
-                c[k] = q
-        return K0Class(self.block, c)
-
-    def __neg__(self) -> "K0Class":
-        return K0Class(self.block, {k: -p for k, p in self._c.items()})
-
-    def __sub__(self, other: "K0Class") -> "K0Class":
-        return self + (-other)
-
-    def __mul__(self, scal) -> "K0Class":
-        s = scal if isinstance(scal, LaurentPoly) else LaurentPoly.const(scal)
-        return K0Class(self.block, {k: p * s for k, p in self._c.items()})
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, K0Class)
-            and other.block is self.block
-            and other._c == self._c
-        )
-
-    def __hash__(self) -> int:
-        return hash((id(self.block), frozenset(self._c.items())))
-
-    def __repr__(self) -> str:
-        if not self._c:
-            return "0"
-        g = self.block.group
-        return " + ".join(
-            f"({self._c[k]})*[D_{g.name(g.element(k))}]" for k in sorted(self._c)
-        )
+# the Hecke-algebra view behind each non-Verma basis
+_VIEW_OF = {
+    BasisKind.Simple: "Cprime",
+    BasisKind.Tilting: "C",
+    BasisKind.Projective: "dual_to_bC",
+    BasisKind.DualVerma: "d",
+}
 
 
 class K0Block:
-    """K_0 of the graded principal block for one Weyl group."""
+    """K_0 of the graded principal block for one Weyl group: a view of the
+    regular module of its own Hecke algebra, so classes of two blocks never
+    mix, even over the same Cartan type."""
 
     def __init__(self, group: WeylGroup):
         self.group = group
         self.hecke = HeckeAlgebra(group)
-        self._basis_cols: dict[BasisKind, list[dict[int, LaurentPoly]]] = {}
+        # per basis kind, column j of the inverse basis matrix: [D_j] in that basis
         self._basis_inv: dict[BasisKind, list[dict[int, LaurentPoly]]] = {}
-
-    # -- transport between K0 coordinates and Hecke coefficients -----------
-
-    def _to_hecke(self, X: K0Class) -> HeckeElt:
-        return HeckeElt(self.hecke, dict(X._c))
-
-    def _from_hecke(self, h: HeckeElt) -> K0Class:
-        return K0Class(self, dict(h._c))
 
     # -- distinguished classes ----------------------------------------------
 
-    def verma(self, x: WeylElt) -> K0Class:
-        return K0Class(self, {x.idx: LaurentPoly.one()})
+    def verma(self, x: WeylElt) -> HeckeElt:
+        return self.hecke.std(x)
 
-    def class_of(self, x: WeylElt, basis) -> K0Class:
+    def class_of(self, x: WeylElt, basis) -> HeckeElt:
         kind = BasisKind.coerce(basis)
-        if x.group is not self.group:
-            raise MixedGroups("element from a different group")
         if kind is BasisKind.Verma:
             return self.verma(x)
-        if kind is BasisKind.Simple:
-            return self._from_hecke(self.hecke.kl_element(x, "Cprime"))
-        if kind is BasisKind.Tilting:
-            return self._from_hecke(self.hecke.kl_element(x, "C"))
-        if kind is BasisKind.Projective:
-            return self._from_hecke(self.hecke.dual_basis("dual_to_bC")[x])
-        return self.dualize(self.verma(x))  # DualVerma
+        return self.hecke.view(_VIEW_OF[kind], x)
 
     # -- operators ------------------------------------------------------------
 
-    def hecke_act(self, h: HeckeElt, X: K0Class) -> K0Class:
-        """The left regular action transported through the standard basis."""
-        if h.algebra is not self.hecke:
-            raise MixedGroups("Hecke element over a different group")
-        if X.block is not self:
-            raise MixedGroups("class over a different group")
-        return self._from_hecke(self.hecke.mul(h, self._to_hecke(X)))
+    def hecke_act(self, h: HeckeElt, X: HeckeElt) -> HeckeElt:
+        """The left regular action."""
+        return self.hecke.mul(h, X)
 
-    def shift(self, X: K0Class, n: int) -> K0Class:
+    def shift(self, X: HeckeElt, n: int) -> HeckeElt:
         """[X<n>]: multiplies every coordinate by v^-n."""
-        return K0Class(self, {k: p.shifted(-n) for k, p in X._c.items()})
+        return X * v_pow(-n)
 
-    def wall_crossing(self, i: int, X: K0Class, variant: str = "theta") -> K0Class:
+    def wall_crossing(self, i: int, X: HeckeElt, variant: str = "theta") -> HeckeElt:
         if variant not in WALL_VARIANTS:
             raise ValueError(f"unknown wall-crossing variant: {variant!r}")
         g = self.group
         if not 1 <= i <= g.rank:
             raise ValueError(f"no simple reflection with index {i}")
-        out: dict[int, LaurentPoly] = {}
 
-        def bump(k: int, p: LaurentPoly) -> None:
-            q = out.get(k, LaurentPoly.zero()) + p
-            if q.is_zero():
-                out.pop(k, None)
-            else:
-                out[k] = q
+        def terms():
+            for k, c in X._c.items():
+                sk = g._lmult[k][i - 1]
+                yield sk, c
+                yield k, c * (v_pow(-1) if g._lengths[sk] < g._lengths[k] else v)
 
-        for k, c in X._c.items():
-            sk = g._lmult[k][i - 1]
-            if g._lengths[sk] < g._lengths[k]:
-                bump(k, c * LaurentPoly({-1: 1}))
-                bump(sk, c)
-            else:
-                bump(sk, c)
-                bump(k, c * v)
-        res = K0Class(self, out)
+        res = HeckeElt(self.hecke, accumulate({}, terms()))
         if variant == "pi_star_pi":
-            return res * LaurentPoly({-1: 1})
+            return res * v_pow(-1)
         if variant == "pi_shriek_pi":
             return res * v
         return res
 
-    def dualize(self, X: K0Class) -> K0Class:
+    def dualize(self, X: HeckeElt) -> HeckeElt:
         """phi . d . phi^-1; fixes every simple class."""
-        return self._from_hecke(self.hecke.bar(self._to_hecke(X)))
+        return self.hecke.bar(X)
 
-    def ext_pairing(self, X: K0Class, Y: K0Class) -> LaurentPoly:
+    def ext_pairing(self, X: HeckeElt, Y: HeckeElt) -> LaurentPoly:
         """Euler form: the Verma classes are an orthonormal basis."""
-        if X.block is not self or Y.block is not self:
-            raise MixedGroups("classes over different groups")
-        out = LaurentPoly.zero()
-        for k, p in X._c.items():
-            q = Y._c.get(k)
-            if q is not None:
-                out = out + p * q
-        return out
+        return self.hecke.pairing(X, Y)
 
     # -- basis matrices ---------------------------------------------------------
 
-    def _columns(self, kind: BasisKind) -> list[dict[int, LaurentPoly]]:
-        cols = self._basis_cols.get(kind)
-        if cols is None:
-            g = self.group
-            cols = [dict(self.class_of(g.element(j), kind)._c) for j in range(g.order)]
-            self._basis_cols[kind] = cols
-        return cols
-
-    def coords_in_basis(self, X: K0Class, basis) -> dict[WeylElt, LaurentPoly]:
+    def coords_in_basis(self, X: HeckeElt, basis) -> dict[WeylElt, LaurentPoly]:
         """Coordinates of X in a basis view, by exact unitriangular inversion."""
         kind = BasisKind.coerce(basis)
         g = self.group
         if kind is BasisKind.Verma:
-            return X.coords()
+            return X.coeffs()
         inv = self._basis_inv.get(kind)
         if inv is None:
-            # projectives have their Verma flags above x, the other views below
-            inv = invert_unitriangular(
-                self._columns(kind), g.order, lower=kind is BasisKind.Projective
-            )
+            # invert the transpose of the basis matrix: its columns are the
+            # matrix's rows, and its inverse's rows are the columns wanted
+            rows: list[dict[int, LaurentPoly]] = [{} for _ in range(g.order)]
+            for j in range(g.order):
+                for i, p in self.class_of(g.element(j), kind)._c.items():
+                    rows[i][j] = p
+            # projectives have their Verma flags above x, the other views
+            # below, so the transpose is lower unitriangular for all but them
+            inv = invert_unitriangular(rows, g.order, lower=kind is not BasisKind.Projective)
             self._basis_inv[kind] = inv
-        out: dict[WeylElt, LaurentPoly] = {}
-        for i in range(g.order):
-            s = LaurentPoly.zero()
-            for j, p in X._c.items():
-                q = inv[i].get(j)
-                if q is not None:
-                    s = s + q * p
-            if not s.is_zero():
-                out[g.element(i)] = s
-        return out
+        out: dict[int, LaurentPoly] = {}
+        for j, p in X._c.items():
+            accumulate(out, inv[j].items(), p)
+        return {g.element(i): s for i, s in sorted(out.items())}
 
     # -- verifiers ------------------------------------------------------------
 
@@ -281,7 +194,7 @@ class K0Block:
         def weyl_character():
             lw0 = self.class_of(w0, BasisKind.Simple)
             for x in g.elements():
-                got = lw0.coord(x).eval_at_one()
+                got = lw0.coeff(x).eval_at_one()
                 expect = (-1) ** g.length(g.multiply(x, w0))
                 if got != expect:
                     return False, f"v=1 coefficient at {g.name(x)} is {got}, wanted {expect}"
@@ -294,7 +207,7 @@ class K0Block:
                 t = self.class_of(x, BasisKind.Tilting)
                 p = self.class_of(g.multiply(w0, x), BasisKind.Projective)
                 for y in g.elements():
-                    if t.coord(y) != p.coord(g.multiply(w0, y)).bar():
+                    if t.coeff(y) != p.coeff(g.multiply(w0, y)).bar():
                         return False, f"fails at (x,y)=({g.name(x)}, {g.name(y)})"
             return True, f"{g.order}^2 coefficients"
 
@@ -307,7 +220,7 @@ class K0Block:
                     mult = verma_in_simples[g.multiply(w0, y)].get(
                         w0x, LaurentPoly.zero()
                     )
-                    if t.coord(y).eval_at_one() != mult.eval_at_one():
+                    if t.coeff(y).eval_at_one() != mult.eval_at_one():
                         return False, f"fails at (x,y)=({g.name(x)}, {g.name(y)})"
             return True, f"{g.order}^2 multiplicities"
 
@@ -318,7 +231,7 @@ class K0Block:
                 p = self.class_of(a, BasisKind.Projective)
                 for z in g.elements():
                     u = verma_in_simples[z].get(a, LaurentPoly.zero())
-                    if p.coord(z) != u:
+                    if p.coeff(z) != u:
                         return False, f"fails at (P_{g.name(a)}, D_{g.name(z)})"
             return True, f"{g.order}^2 entries"
 
@@ -347,8 +260,8 @@ class K0Block:
             tot_p = 0
             tot_t = 0
             for x in g.elements():
-                qx = self._to_hecke(self.class_of(x, BasisKind.Projective))
-                cx = self._to_hecke(self.class_of(g.multiply(w0, x), BasisKind.Tilting))
+                qx = self.class_of(x, BasisKind.Projective)
+                cx = self.class_of(g.multiply(w0, x), BasisKind.Tilting)
                 dp = self.hecke.pairing(qx, qx).eval_at_one()
                 dt = self.hecke.pairing(cx, cx).eval_at_one()
                 if dp != dt:
@@ -459,11 +372,11 @@ class K0Block:
         def check():
             for kind in (BasisKind.Simple, BasisKind.Projective, BasisKind.Tilting,
                          BasisKind.DualVerma):
-                cols = self._columns(kind)
                 for j in range(g.order):
-                    if cols[j].get(j) != LaurentPoly.one():
+                    col = self.class_of(g.element(j), kind)._c
+                    if col.get(j) != LaurentPoly.one():
                         return False, f"{kind.value} diagonal not 1 at {j}"
-                    for i in cols[j]:
+                    for i in col:
                         # projectives sit above x in the Bruhat order,
                         # every other view sits below
                         if kind is BasisKind.Projective:

@@ -50,10 +50,6 @@ class LaurentPoly:
         return cls({0: 1})
 
     @classmethod
-    def term(cls, coeff: int, exp: int) -> "LaurentPoly":
-        return cls({exp: coeff})
-
-    @classmethod
     def const(cls, n: int) -> "LaurentPoly":
         return cls({0: n})
 

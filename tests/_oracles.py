@@ -23,9 +23,32 @@ def bruhat_leq_bruteforce(W: WeylGroup, x: WeylElt, y: WeylElt) -> bool:
     return x.idx in reachable
 
 
+def _reflect_root(cartan: list[list[int]], i: int, beta: tuple[int, ...]) -> tuple[int, ...]:
+    """s_i(beta) = beta - (sum_j beta_j A[i][j]) alpha_i, in simple-root coordinates."""
+    pairing = sum(c * a for c, a in zip(beta, cartan[i]))
+    return tuple(c - pairing if j == i else c for j, c in enumerate(beta))
+
+
 def lengths_by_inversions(W: WeylGroup) -> dict[int, int]:
-    """Length of every element recomputed as the size of its inversion set,
-    walking reduced words letter by letter from scratch."""
+    """Length of every element recomputed as the size of its inversion set:
+    the number of positive roots that x sends to negative roots.
+
+    The positive roots are rebuilt here from the Cartan matrix alone, as the
+    closure of the simple roots under the simple reflections, and x acts by
+    integer reflections along a word for it, so neither the length table nor
+    the length of any word is ever read.
+    """
+    cartan = W.datum.cartan_matrix()
+    n = len(cartan)
+    simple = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+    positive, todo = set(simple), list(simple)
+    while todo:
+        beta = todo.pop()
+        for i in range(n):
+            image = _reflect_root(cartan, i, beta)
+            if min(image) >= 0 and image not in positive:
+                positive.add(image)
+                todo.append(image)
     out = {}
     for x in W.elements():
         word = W.reduced_word(x)
@@ -33,5 +56,11 @@ def lengths_by_inversions(W: WeylGroup) -> dict[int, int]:
         for i in word:
             cur = W.right_multiply_gen(cur, i)
         assert cur == x
-        out[x.idx] = len(word)
+        inversions = 0
+        for beta in positive:
+            # x(beta) = s_{w_1}(s_{w_2}(... s_{w_k}(beta)))
+            for i in reversed(word):
+                beta = _reflect_root(cartan, i - 1, beta)
+            inversions += min(beta) < 0
+        out[x.idx] = inversions
     return out

@@ -128,7 +128,7 @@ def test_criterion_5_weyl_character_formula():
         g = blk.group
         lw0 = blk.class_of(g.w0, BasisKind.Simple)
         for x in g.elements():
-            got = lw0.coord(x).eval_at_one()
+            got = lw0.coeff(x).eval_at_one()
             assert got == (-1) ** g.length(g.multiply(x, g.w0))
     _announce(5, "[L_w0] specializes to the alternating Verma sum in A2 and A3")
 
@@ -144,12 +144,12 @@ def test_criterion_6_tilting_characters_and_positivity():
             simple_coords = blk.coords_in_basis(blk.verma(x), BasisKind.Simple)
             for y in g.elements():
                 # graded tilting character formula
-                assert t.coord(y) == p.coord(g.multiply(w0, y)).bar()
+                assert t.coeff(y) == p.coeff(g.multiply(w0, y)).bar()
                 # its v=1 shadow is a composition multiplicity
                 mult = blk.coords_in_basis(
                     blk.verma(g.multiply(w0, y)), BasisKind.Simple
                 ).get(g.multiply(w0, x), LaurentPoly.zero())
-                assert t.coord(y).eval_at_one() == mult.eval_at_one()
+                assert t.coeff(y).eval_at_one() == mult.eval_at_one()
             # positivity of the Verma-in-simple expansion
             assert simple_coords.get(x) == LaurentPoly.one()
             for y, poly in simple_coords.items():

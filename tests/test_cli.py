@@ -109,6 +109,13 @@ def test_config_file(tmp_path, monkeypatch):
     cfg.write_text("cap = banana\n", encoding="utf-8")
     code, text = run(["weyl", "--type", "A2"])
     assert code == 2 and "config error" in text
+    # an unknown format is an error; one only some commands take is not
+    cfg.write_text("format = xml\n", encoding="utf-8")
+    code, text = run(["weyl", "--type", "A2"])
+    assert code == 2 and "config error" in text and "'xml'" in text
+    cfg.write_text("format = csv\n", encoding="utf-8")
+    code, text = run(["weyl", "--type", "A2", "--info"])
+    assert code == 0 and text.startswith("type A2\n")
 
 
 def test_missing_config_is_fine(monkeypatch, tmp_path):
@@ -127,6 +134,7 @@ def test_missing_config_is_fine(monkeypatch, tmp_path):
     ("verify_A2_k0.csv", ["verify", "--type", "A2", "--suite", "k0", "--format", "csv"]),
     ("block_check_tilting.json", ["block-check", "--suite", "tilting", "--format", "json"]),
     ("block_check_homology.csv", ["block-check", "--format", "csv"]),
+    ("verify_B2_all.json", ["verify", "--type", "B2", "--suite", "all", "--format", "json"]),
 ])
 def test_golden_outputs(fname, argv, monkeypatch, tmp_path):
     monkeypatch.setenv("HECKEO_CONFIG", str(tmp_path / "absent.cfg"))

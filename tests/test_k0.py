@@ -1,8 +1,8 @@
 import pytest
 
-from heckeo.k0 import BasisKind, K0Block
+from heckeo.k0 import BasisKind, K0Block, K0Class
 from heckeo.laurent import LaurentPoly, v, v_pow
-from heckeo.weyl import CartanDatum, build_group
+from heckeo.weyl import CartanDatum, MixedGroups, build_group
 
 ONE = LaurentPoly.one()
 ZERO = LaurentPoly.zero()
@@ -156,7 +156,7 @@ def test_ext_pairing_simple_at_w0(a2):
 def test_weyl_character_a1(a1):
     g = a1.group
     ls = a1.class_of(g.simple(1), BasisKind.Simple)
-    coords = {x: p.eval_at_one() for x, p in ls.coords().items()}
+    coords = {x: p.eval_at_one() for x, p in ls.coeffs().items()}
     assert coords == {g.simple(1): 1, g.identity: -1}
 
 
@@ -165,10 +165,47 @@ def test_tilting_vs_projective_a1(a1):
     e, s = g.identity, g.simple(1)
     t_s = a1.class_of(s, BasisKind.Tilting)
     p_e = a1.class_of(e, BasisKind.Projective)
-    assert t_s.coord(s) == ONE and t_s.coord(e) == v
-    assert p_e.coord(e) == ONE and p_e.coord(s) == v_pow(-1)
+    assert t_s.coeff(s) == ONE and t_s.coeff(e) == v
+    assert p_e.coeff(e) == ONE and p_e.coeff(s) == v_pow(-1)
     # graded correspondence: t at y = bar(p at w0 y)
-    assert t_s.coord(e) == p_e.coord(s).bar()
+    assert t_s.coeff(e) == p_e.coeff(s).bar()
+
+
+# -- classes are Hecke elements of the block's own algebra -------------------------
+
+def test_classes_of_two_blocks_never_mix():
+    one, other = block("A2"), block("A2")
+    X = one.verma(one.group.simple(1))
+    Y = other.verma(other.group.simple(1))
+    with pytest.raises(MixedGroups):
+        X + Y
+    with pytest.raises(MixedGroups):
+        one.ext_pairing(X, Y)
+    with pytest.raises(MixedGroups):
+        one.hecke_act(one.hecke.gen(1), Y)
+    with pytest.raises(MixedGroups):
+        one.hecke_act(other.hecke.gen(1), X)
+    assert X != Y
+
+
+def test_k0class_from_verma_coordinates(a2):
+    g = a2.group
+    e, s1, w0 = g.identity, g.simple(1), g.w0
+    X = K0Class(a2, {s1.idx: ONE, w0.idx: v, e.idx: ZERO})
+    assert X == a2.verma(s1) + a2.verma(w0) * v
+    assert hash(X) == hash(a2.verma(s1) + a2.verma(w0) * v)
+    assert X.coeffs() == {s1: ONE, w0: v}
+    for kind in BasisKind:
+        for x in g.elements():
+            cls = a2.class_of(x, kind)
+            assert K0Class(a2, {y.idx: p for y, p in cls.coeffs().items()}) == cls
+            # a class summed from its coordinates in another basis, as the
+            # benchmark checks each basis-change answer
+            other = BasisKind.Simple if kind is not BasisKind.Simple else BasisKind.Projective
+            total = K0Class(a2, {})
+            for y, p in a2.coords_in_basis(cls, other).items():
+                total = total + a2.class_of(y, other) * p
+            assert total == cls
 
 
 # -- verifier suites ---------------------------------------------------------------
