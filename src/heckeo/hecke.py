@@ -15,6 +15,15 @@ C_x is computed two independent ways: the product recursion (C_s * C_{sx}
 minus integer multiples of lower C_y), and a solver that enforces
 self-duality coefficient by coefficient down the length order.  The two
 must agree exactly; `verify_kl_oracle` checks that.
+
+The recursion never forms a general product.  C_s * C_{sx} is the left
+action of C_s = H_s + v term by term (`left_cs`):
+
+    C_s H_y = H_{sy} + v H_y        when sy > y,
+    C_s H_y = H_{sy} + v^-1 H_y     when sy < y,
+
+one pass over the support in which v^{+-1} is an exponent shift; the
+mu(y, sx) C_y are then subtracted from the same vector in place.
 """
 
 from __future__ import annotations
@@ -37,16 +46,19 @@ VIEWS = KL_VARIANTS + DUAL_VARIANTS + ("d",)
 def accumulate(
     out: dict[int, LaurentPoly],
     terms: Iterable[tuple[int, LaurentPoly]],
-    scal: LaurentPoly | None = None,
+    scal: LaurentPoly | int = 1,
 ) -> dict[int, LaurentPoly]:
-    """Add each (index, coefficient) pair of `terms`, times `scal` if given,
-    into the sparse vector `out` in place, dropping entries that cancel.
-    Returns `out`."""
+    """Add each (index, coefficient) pair of `terms`, times `scal`, into the
+    sparse vector `out` in place, dropping entries that cancel.  An integer
+    `scal` costs no polynomial product.  Returns `out`."""
+    if isinstance(scal, LaurentPoly):
+        poly, scal = scal, 1
+        terms = ((k, p * poly) for k, p in terms)
     for k, p in terms:
-        if scal is not None:
-            p = p * scal
         q = out.get(k)
-        if q is not None:
+        if scal != 1:
+            p = p * scal if q is None else q.plus_multiple(p, scal)
+        elif q is not None:
             p = q + p
         if p.is_zero():
             out.pop(k, None)
@@ -89,12 +101,8 @@ class HeckeElt:
     def is_zero(self) -> bool:
         return not self._c
 
-    def _check(self, other: "HeckeElt") -> None:
-        if other.algebra is not self.algebra:
-            raise MixedGroups("Hecke elements live over different groups")
-
     def __add__(self, other: "HeckeElt") -> "HeckeElt":
-        self._check(other)
+        self.algebra.check_own(other)
         return HeckeElt(self.algebra, accumulate(dict(self._c), other._c.items()))
 
     def __neg__(self) -> "HeckeElt":
@@ -160,6 +168,11 @@ class HeckeAlgebra:
     def gen(self, i: int) -> HeckeElt:
         return self.std(self.group.simple(i))
 
+    def check_own(self, *elts: HeckeElt) -> None:
+        """Raise MixedGroups unless every element lives in this algebra."""
+        if any(h.algebra is not self for h in elts):
+            raise MixedGroups("Hecke elements live over different groups")
+
     # -- multiplication ----------------------------------------------------
 
     def _times_gen(self, coeffs: dict[int, LaurentPoly], i: int) -> dict[int, LaurentPoly]:
@@ -175,8 +188,7 @@ class HeckeAlgebra:
         return accumulate({}, terms())
 
     def mul(self, a: HeckeElt, b: HeckeElt) -> HeckeElt:
-        if a.algebra is not self or b.algebra is not self:
-            raise MixedGroups("Hecke elements live over different groups")
+        self.check_own(a, b)
         g = self.group
         total: dict[int, LaurentPoly] = {}
         for y, cy in b._c.items():
@@ -185,6 +197,29 @@ class HeckeAlgebra:
                 cur = self._times_gen(cur, i)
             accumulate(total, cur.items())
         return HeckeElt(self, total)
+
+    def left_cs(self, i: int, h: HeckeElt) -> HeckeElt:
+        """C_s h for C_s = H_s + v, s the i-th simple reflection.
+
+        C_s H_y = H_{sy} + v^{+-1} H_y (+ when sy > y), so entry y of the
+        result is v^{+-1} h_y + h_{sy}: one pass over the support."""
+        self.check_own(h)
+        if not 1 <= i <= self.group.rank:
+            raise ValueError(f"no simple reflection with index {i}")
+        lmult, lengths = self.group._lmult, self.group._lengths
+        coeffs = h._c
+        out: dict[int, LaurentPoly] = {}
+        for k, p in coeffs.items():
+            sk = lmult[k][i - 1]
+            q = p.shifted(1 if lengths[sk] > lengths[k] else -1)
+            r = coeffs.get(sk)
+            if r is None:
+                out[sk] = p
+            else:
+                q = q + r
+            if q:
+                out[k] = q
+        return HeckeElt(self, out)
 
     # -- involutions ---------------------------------------------------------
 
@@ -258,16 +293,15 @@ class HeckeAlgebra:
         if k == 0:
             return self.unit()
         s = g.reduced_word(g.element(k))[0]
-        sk = g._lmult[k][s - 1]
-        c_s = HeckeElt(self, {g._rmult[0][s - 1]: LaurentPoly.one(), 0: v})
-        c_lower = self._view("C", sk)
-        res = self.mul(c_s, c_lower)
-        # strip mu(y, sx) * C_y for the y below sx with sy < y
-        for y in sorted(c_lower._c, key=lambda t: -g._lengths[t]):
+        c_lower = self._view("C", g._lmult[k][s - 1])
+        res = self.left_cs(s, c_lower)
+        # strip mu(y, sx) * C_y for the y below sx with sy < y, in place:
+        # res is not shared yet
+        for y, p in c_lower._c.items():
             if g._lengths[g._lmult[y][s - 1]] < g._lengths[y]:
-                mu = c_lower._c[y].coeff(1)
+                mu = p.coeff(1)
                 if mu:
-                    res = res - self._view("C", y) * mu
+                    accumulate(res._c, self._view("C", y)._c.items(), -mu)
         return res
 
     def _build_duals(self, variant: str) -> dict[int, HeckeElt]:
@@ -303,34 +337,34 @@ class HeckeAlgebra:
         if got is not None:
             return got
         g = self.group
-        f = self.std(x)
-        defect = self.bar(f) - f
+        f = {x.idx: LaurentPoly.one()}
+        defect = accumulate(dict(self.bar(self.std(x))._c), f.items(), -1)
         order = sorted(
             (k for k in range(g.order) if g._lengths[k] < g.length(x)),
             key=lambda t: -g._lengths[t],
         )
         for y in order:
-            c = defect._c.get(y, LaurentPoly.zero())
-            if c.is_zero():
+            c = defect.get(y)
+            if c is None:
                 continue
             if c.bar() != -c:
                 raise ArithmeticError("bar defect is not antisymmetric; solver broken")
             p = LaurentPoly({e: n for e, n in c.items() if e > 0})
-            correction = self.std(g.element(y)) * p
-            f = f + correction
+            accumulate(f, [(y, p)])
             # the defect is linear in f, so update it in place
-            defect = defect + self._view("d", y) * p.bar() - correction
-        if not defect.is_zero() or self.bar(f) != f:
+            accumulate(defect, self._view("d", y)._c.items(), p.bar())
+            accumulate(defect, [(y, p)], -1)
+        got = HeckeElt(self, f)
+        if defect or self.bar(got) != got:
             raise ArithmeticError("bar solver failed to reach a self-dual element")
-        self._kl_solved[x.idx] = f
-        return f
+        self._kl_solved[x.idx] = got
+        return got
 
     # -- bilinear form and dual bases ---------------------------------------
 
     def pairing(self, a: HeckeElt, b: HeckeElt) -> LaurentPoly:
         """<a, b> = sum over x of a_x * b_x; the H_x are orthonormal."""
-        if a.algebra is not self or b.algebra is not self:
-            raise MixedGroups("Hecke elements live over different groups")
+        self.check_own(a, b)
         return dot(a._c, b._c)
 
     def dual_basis(self, variant: str = "dual_to_bC") -> dict[WeylElt, HeckeElt]:

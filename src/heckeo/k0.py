@@ -30,7 +30,7 @@ from __future__ import annotations
 import enum
 
 from .hecke import HeckeAlgebra, HeckeElt, accumulate, invert_unitriangular
-from .laurent import LaurentPoly, v, v_pow
+from .laurent import LaurentPoly, v
 from .report import VerificationReport
 from .weyl import WeylElt, WeylGroup
 
@@ -105,26 +105,19 @@ class K0Block:
 
     def shift(self, X: HeckeElt, n: int) -> HeckeElt:
         """[X<n>]: multiplies every coordinate by v^-n."""
-        return X * v_pow(-n)
+        self.hecke.check_own(X)
+        return HeckeElt(self.hecke, {k: p.shifted(-n) for k, p in X._c.items()})
 
     def wall_crossing(self, i: int, X: HeckeElt, variant: str = "theta") -> HeckeElt:
+        """theta_s is the left action of C_s on Verma coordinates; the
+        pi* pi_* and pi! pi_* variants are theta_s shifted by <1> and <-1>."""
         if variant not in WALL_VARIANTS:
             raise ValueError(f"unknown wall-crossing variant: {variant!r}")
-        g = self.group
-        if not 1 <= i <= g.rank:
-            raise ValueError(f"no simple reflection with index {i}")
-
-        def terms():
-            for k, c in X._c.items():
-                sk = g._lmult[k][i - 1]
-                yield sk, c
-                yield k, c * (v_pow(-1) if g._lengths[sk] < g._lengths[k] else v)
-
-        res = HeckeElt(self.hecke, accumulate({}, terms()))
+        res = self.hecke.left_cs(i, X)
         if variant == "pi_star_pi":
-            return res * v_pow(-1)
+            return self.shift(res, 1)
         if variant == "pi_shriek_pi":
-            return res * v
+            return self.shift(res, -1)
         return res
 
     def dualize(self, X: HeckeElt) -> HeckeElt:
@@ -140,6 +133,7 @@ class K0Block:
     def coords_in_basis(self, X: HeckeElt, basis) -> dict[WeylElt, LaurentPoly]:
         """Coordinates of X in a basis view, by exact unitriangular inversion."""
         kind = BasisKind.coerce(basis)
+        self.hecke.check_own(X)
         g = self.group
         if kind is BasisKind.Verma:
             return X.coeffs()

@@ -87,7 +87,7 @@ class LaurentPoly:
         return None
 
     def __add__(self, other) -> "LaurentPoly":
-        o = self._coerce(other)
+        o = other if isinstance(other, LaurentPoly) else self._coerce(other)
         if o is None:
             return NotImplemented
         c = dict(self._c)
@@ -103,6 +103,20 @@ class LaurentPoly:
 
     __radd__ = __add__
 
+    def plus_multiple(self, other: "LaurentPoly", k: int) -> "LaurentPoly":
+        """self + k * other for an integer k, in one pass: no product and
+        no intermediate polynomial."""
+        c = dict(self._c)
+        for e, n in other._c.items():
+            m = c.get(e, 0) + n * k
+            if m:
+                c[e] = m
+            elif e in c:
+                del c[e]
+        out = LaurentPoly.__new__(LaurentPoly)
+        out._c = c
+        return out
+
     def __neg__(self) -> "LaurentPoly":
         out = LaurentPoly.__new__(LaurentPoly)
         out._c = {e: -n for e, n in self._c.items()}
@@ -112,21 +126,25 @@ class LaurentPoly:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return self + (-o)
+        return self.plus_multiple(o, -1)
 
     def __rsub__(self, other) -> "LaurentPoly":
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return o + (-self)
+        return o.plus_multiple(self, -1)
 
     def __mul__(self, other) -> "LaurentPoly":
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
+        if not isinstance(other, LaurentPoly):
+            if not isinstance(other, int):
+                return NotImplemented
+            # scaling by an integer needs no convolution
+            out = LaurentPoly.__new__(LaurentPoly)
+            out._c = {e: n * other for e, n in self._c.items()} if other else {}
+            return out
         c: dict[int, int] = {}
         for e1, n1 in self._c.items():
-            for e2, n2 in o._c.items():
+            for e2, n2 in other._c.items():
                 e = e1 + e2
                 m = c.get(e, 0) + n1 * n2
                 if m:
@@ -182,7 +200,9 @@ class LaurentPoly:
 
     def shifted(self, n: int) -> "LaurentPoly":
         """Multiply by v^n."""
-        return LaurentPoly({e + n: c for e, c in self._c.items()})
+        out = LaurentPoly.__new__(LaurentPoly)
+        out._c = {e + n: c for e, c in self._c.items()}
+        return out
 
     def eval_at_one(self) -> int:
         return sum(self._c.values())

@@ -7,6 +7,8 @@ closed formulas, and Hecke products are re-derived from scratch where needed.
 
 from __future__ import annotations
 
+from heckeo.hecke import HeckeAlgebra, HeckeElt
+from heckeo.laurent import v
 from heckeo.weyl import WeylElt, WeylGroup
 
 
@@ -64,3 +66,29 @@ def lengths_by_inversions(W: WeylGroup) -> dict[int, int]:
             inversions += min(beta) < 0
         out[x.idx] = inversions
     return out
+
+
+def kl_by_product_recursion(alg: HeckeAlgebra) -> dict[int, HeckeElt]:
+    """C_x for every x by the classical recursion with full Hecke products:
+    C_x = C_s * C_{sx} - sum of mu(y, sx) C_y over y < sx with sy < y,
+    for the first letter s of a reduced word of x (Kazhdan-Lusztig 1979).
+
+    C_s * C_{sx} goes through the general `HeckeAlgebra.mul`, one `H_s` at
+    a time along reduced words, and the table is kept here, so neither the
+    left C_s action nor the algebra's own KL memo is ever used.
+    """
+    g = alg.group
+    table = {g.identity.idx: alg.unit()}
+    for x in sorted(g.elements(), key=g.length):
+        if x == g.identity:
+            continue
+        s = g.reduced_word(x)[0]
+        sx = g.left_multiply_gen(s, x)
+        lower = table[sx.idx]
+        c = alg.mul(alg.gen(s) + alg.unit() * v, lower)
+        for y, p in lower.coeffs().items():
+            mu = p.coeff(1)
+            if mu and g.length(g.left_multiply_gen(s, y)) < g.length(y):
+                c = c - table[y.idx] * mu
+        table[x.idx] = c
+    return table

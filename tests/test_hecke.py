@@ -1,5 +1,6 @@
 import pytest
 
+from _oracles import kl_by_product_recursion
 from heckeo.hecke import HeckeAlgebra, invert_unitriangular
 from heckeo.laurent import LaurentPoly, v, v_pow
 from heckeo.weyl import CartanDatum, MixedGroups, build_group
@@ -131,6 +132,93 @@ def test_kl_oracle_agreement(label):
     alg = algebra(label)
     for x in alg.group.elements():
         assert alg.kl_element(x, "C") == alg.kl_element_by_bar_solver(x)
+
+
+def test_left_cs_matches_general_product(b2):
+    g = b2.group
+    sample = b2._sample_elements() + [b2.std(x) * (v + 2) for x in g.elements()]
+    sample.append(b2.gen(1) - b2.unit() * v_pow(-1))  # C'_s, killed by C_s
+    for i in range(1, g.rank + 1):
+        c_s = b2.gen(i) + b2.unit() * v
+        for h in sample:
+            assert b2.left_cs(i, h) == b2.mul(c_s, h)
+    assert b2.left_cs(1, sample[-1]).is_zero()
+
+
+def test_left_cs_rejects_bad_input(a2):
+    other = algebra("A2")
+    with pytest.raises(MixedGroups):
+        a2.left_cs(1, other.unit())
+    with pytest.raises(ValueError):
+        a2.left_cs(3, a2.unit())
+
+
+@pytest.mark.parametrize("label", ["A3", "B3", "G2", "D4"])
+def test_kl_table_matches_product_recursion_oracle(label):
+    alg = algebra(label)
+    oracle = kl_by_product_recursion(alg)
+    for x in alg.group.elements():
+        assert alg.kl_element(x, "C") == oracle[x.idx], (label, x)
+
+
+def test_kl_table_never_calls_general_product(monkeypatch):
+    # building C_x must stay on the left C_s action; a silent fallback to
+    # HeckeAlgebra.mul would still give the right table, only slowly
+    calls = []
+    for name in ("mul", "_times_gen"):
+        original = getattr(HeckeAlgebra, name)
+
+        def counted(self, *args, _original=original, _name=name):
+            calls.append(_name)
+            return _original(self, *args)
+
+        monkeypatch.setattr(HeckeAlgebra, name, counted)
+    alg = algebra("B3")
+    for x in alg.group.elements():
+        alg.kl_element(x, "C")
+        alg.kl_element(x, "Cprime")
+    assert calls == []
+    alg.mul(alg.gen(1), alg.gen(2))  # the counter itself works
+    assert calls[0] == "mul" and "_times_gen" in calls
+
+
+@pytest.fixture(scope="module")
+def kl_tables():
+    """label -> (group, {(y, w): coefficient of H_y in C_w})."""
+    tables = {}
+    for label in ("A1", "A2", "A3", "A4", "A5", "B3", "G2", "D4"):
+        alg = algebra(label)
+        g = alg.group
+        tables[label] = g, {
+            (y.idx, w.idx): p
+            for w in g.elements()
+            for y, p in alg.kl_element(w, "C").coeffs().items()
+        }
+    return tables
+
+
+@pytest.mark.parametrize("label", ["A3", "B3", "G2", "D4"])
+def test_kl_table_inverse_symmetry(kl_tables, label):
+    # P_{y,w} = P_{y^-1,w^-1}: C_w and C_{w^-1} are swapped by iota
+    g, table = kl_tables[label]
+    inv = [g.inverse(g.element(k)).idx for k in range(g.order)]
+    assert {(inv[y], inv[w]): p for (y, w), p in table.items()} == table
+
+
+@pytest.mark.parametrize("label", ["A3", "B3", "G2", "D4"])
+def test_kl_table_w0_conjugation_symmetry(kl_tables, label):
+    # conjugation by w0 permutes the simple reflections, so it fixes the table
+    g, table = kl_tables[label]
+    conj = [g.multiply(g.multiply(g.w0, g.element(k)), g.w0).idx for k in range(g.order)]
+    assert {(conj[y], conj[w]): p for (y, w), p in table.items()} == table
+
+
+@pytest.mark.parametrize("label", ["A1", "A2", "A3", "A4", "A5"])
+def test_kl_mu_is_zero_or_one_in_type_a(kl_tables, label):
+    # McLarnan-Warrington: every mu(y, w) lies in {0, 1} for A_n, n <= 8
+    g, table = kl_tables[label]
+    mus = {p.coeff(1) for (y, w), p in table.items() if y != w}
+    assert 1 in mus and mus <= {0, 1}
 
 
 # -- pairing and dual bases ---------------------------------------------------

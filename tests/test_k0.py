@@ -188,6 +188,24 @@ def test_classes_of_two_blocks_never_mix():
     assert X != Y
 
 
+def test_block_operators_reject_another_blocks_class():
+    one, other = block("A2"), block("A2")
+    Y = other.verma(other.group.simple(1))
+    for variant in ("theta", "pi_star_pi", "pi_shriek_pi"):
+        with pytest.raises(MixedGroups):
+            one.wall_crossing(1, Y, variant)
+    with pytest.raises(MixedGroups):
+        one.shift(Y, 1)
+    for kind in BasisKind:
+        with pytest.raises(MixedGroups):
+            one.coords_in_basis(Y, kind)
+    # the same calls on the block's own class still answer
+    X = one.verma(one.group.simple(1))
+    assert one.wall_crossing(1, X) == X * v_pow(-1) + one.verma(one.group.identity)
+    assert one.shift(X, 1) == X * v_pow(-1)
+    assert one.coords_in_basis(X, BasisKind.Verma) == {one.group.simple(1): ONE}
+
+
 def test_k0class_from_verma_coordinates(a2):
     g = a2.group
     e, s1, w0 = g.identity, g.simple(1), g.w0

@@ -85,6 +85,17 @@ def test_ring_axioms(a, b, c):
     assert a * (b + c) == a * b + a * c
 
 
+@given(polys, polys, st.integers(-3, 3), st.integers(-4, 4))
+def test_scalar_fast_paths_match_general_product(a, b, k, n):
+    # integer scaling, a + k b and the v^n shift skip the general product
+    # and the normalising constructor; each must still give canonical form
+    assert a * k == a * LaurentPoly.const(k)
+    assert a.plus_multiple(b, k) == a + LaurentPoly.const(k) * b
+    assert a - b == a + LaurentPoly.const(-1) * b
+    assert a.shifted(n) == a * v_pow(n)
+    assert a.shifted(n).shifted(-n) == a
+
+
 @given(polys, st.sampled_from([RULE_V_TO_VINV, RULE_V_TO_NEG_VINV]))
 def test_substitute_is_involution(p, rule):
     assert p.substitute(rule).substitute(rule) == p
