@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import enum
 
-from .hecke import HeckeAlgebra, HeckeElt, accumulate, invert_unitriangular
+from .hecke import HeckeAlgebra, HeckeElt, accumulate
 from .laurent import LaurentPoly, v
 from .report import VerificationReport
 from .weyl import WeylElt, WeylGroup
@@ -83,8 +83,6 @@ class K0Block:
     def __init__(self, group: WeylGroup):
         self.group = group
         self.hecke = HeckeAlgebra(group)
-        # per basis kind, column j of the inverse basis matrix: [D_j] in that basis
-        self._basis_inv: dict[BasisKind, list[dict[int, LaurentPoly]]] = {}
 
     # -- distinguished classes ----------------------------------------------
 
@@ -131,27 +129,32 @@ class K0Block:
     # -- basis matrices ---------------------------------------------------------
 
     def coords_in_basis(self, X: HeckeElt, basis) -> dict[WeylElt, LaurentPoly]:
-        """Coordinates of X in a basis view, by exact unitriangular inversion."""
+        """Coordinates of X in a basis view, by exact back-substitution
+        against the view's own columns: the top Verma coordinate of what is
+        left is the next coordinate (the bottom one for Projective, whose
+        columns sit above their element), and its column is subtracted.
+        Raises ValueError on a column that has no unit diagonal or that
+        reaches the wrong side of it."""
         kind = BasisKind.coerce(basis)
         self.hecke.check_own(X)
         g = self.group
         if kind is BasisKind.Verma:
             return X.coeffs()
-        inv = self._basis_inv.get(kind)
-        if inv is None:
-            # invert the transpose of the basis matrix: its columns are the
-            # matrix's rows, and its inverse's rows are the columns wanted
-            rows: list[dict[int, LaurentPoly]] = [{} for _ in range(g.order)]
-            for j in range(g.order):
-                for i, p in self.class_of(g.element(j), kind)._c.items():
-                    rows[i][j] = p
-            # projectives have their Verma flags above x, the other views
-            # below, so the transpose is lower unitriangular for all but them
-            inv = invert_unitriangular(rows, g.order, lower=kind is not BasisKind.Projective)
-            self._basis_inv[kind] = inv
+        # projectives have their Verma flags above x, the other views below
+        upward = kind is BasisKind.Projective
+        left = dict(X._c)
         out: dict[int, LaurentPoly] = {}
-        for j, p in X._c.items():
-            accumulate(out, inv[j].items(), p)
+        for j in range(g.order) if upward else range(g.order - 1, -1, -1):
+            c = left.get(j)
+            if c is None:
+                continue
+            col = self.class_of(g.element(j), kind)._c
+            if col.get(j) != LaurentPoly.one():
+                raise ValueError(f"{kind.value} column {j} has no unit diagonal")
+            if any((i < j if upward else i > j) for i in col):
+                raise ValueError(f"{kind.value} column {j} is not unitriangular")
+            accumulate(left, col.items(), -c)
+            out[j] = c
         return {g.element(i): s for i, s in sorted(out.items())}
 
     # -- verifiers ------------------------------------------------------------

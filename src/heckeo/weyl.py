@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import itemgetter
 
 DEFAULT_ENUMERATION_CAP = 40320  # 8!, keeps full Bruhat tables in memory
 
@@ -414,28 +415,37 @@ class WeylGroup:
 
     # -- Bruhat order ------------------------------------------------------
 
+    def _level_starts(self) -> list[int]:
+        """starts[l] = the first id of length l, for l = 0 .. l(w0) + 1:
+        ids are breadth-first, so the elements of length l are the ids in
+        range(starts[l], starts[l + 1])."""
+        starts = [0] * (self._lengths[-1] + 2)
+        for l in self._lengths:
+            starts[l + 1] += 1
+        for l in range(1, len(starts)):
+            starts[l] += starts[l - 1]
+        return starts
+
     def _bruhat_table(self) -> list[int]:
-        # row y = bitmask of {x : x <= y}; built through the lifting property
+        # row y = bitmask of {x : x <= y}.  For a left descent s of y the
+        # lifting property gives x <= y iff min(x, sx) <= sy, so row y is
+        # the row of sy gathered through x -> min(x, sx): one C-level
+        # itemgetter over the row's bit string (most significant bit first,
+        # so bit x sits at position N - 1 - x).
         if self._bruhat is not None:
             return self._bruhat
-        rows: list[int] = [0] * self.order
+        N = self.order
+        lengths, lmult = self._lengths, self._lmult
+        gathers = [
+            itemgetter(*[N - 1 - min(x, lmult[x][i]) for x in range(N - 1, -1, -1)])
+            for i in range(self.rank)
+        ]
+        rows: list[int] = [0] * N
         rows[0] = 1
-        for y in range(1, self.order):
-            i = min(
-                i
-                for i in range(self.rank)
-                if self._lengths[self._lmult[y][i]] < self._lengths[y]
-            )
-            sy_row = rows[self._lmult[y][i]]
-            acc = 0
-            for x in range(self.order):
-                sx = self._lmult[x][i]
-                if self._lengths[sx] < self._lengths[x]:
-                    bit = (sy_row >> sx) & 1
-                else:
-                    bit = ((sy_row >> x) | (sy_row >> sx)) & 1
-                acc |= bit << x
-            rows[y] = acc
+        for y in range(1, N):
+            i = min(i for i in range(self.rank) if lengths[lmult[y][i]] < lengths[y])
+            bits = format(rows[lmult[y][i]], f"0{N}b")
+            rows[y] = int("".join(gathers[i](bits)), 2)
         self._bruhat = rows
         return rows
 
@@ -444,32 +454,36 @@ class WeylGroup:
         return bool((self._bruhat_table()[y.idx] >> x.idx) & 1)
 
     def bruhat_covers(self) -> list[tuple[WeylElt, WeylElt]]:
-        """All pairs (x, y) with x < y and l(y) = l(x) + 1."""
+        """All pairs (x, y) with x < y and l(y) = l(x) + 1, ordered by y,
+        then x.
+
+        >>> len(build_group(CartanDatum("A", 2)).bruhat_covers())
+        8
+        """
         rows = self._bruhat_table()
+        starts = self._level_starts()
         out = []
-        for y in range(self.order):
-            for x in range(self.order):
-                if (
-                    x != y
-                    and (rows[y] >> x) & 1
-                    and self._lengths[y] == self._lengths[x] + 1
-                ):
-                    out.append((WeylElt(self, x), WeylElt(self, y)))
+        for y in range(1, self.order):
+            lo, hi = starts[self._lengths[y] - 1], starts[self._lengths[y]]
+            below = (rows[y] >> lo) & ((1 << (hi - lo)) - 1)
+            while below:
+                low = below & -below
+                out.append((WeylElt(self, lo + low.bit_length() - 1), WeylElt(self, y)))
+                below ^= low
         return out
 
     # -- export ------------------------------------------------------------
 
     def to_json_dict(self) -> dict:
-        lengths = {self.name(x): self.length(x) for x in self.elements()}
-        covers = sorted(
-            [self.name(a), self.name(b)] for a, b in self.bruhat_covers()
-        )
+        names = [self.name(x) for x in self.elements()]
+        lengths = dict(zip(names, self._lengths))
+        covers = sorted([names[a.idx], names[b.idx]] for a, b in self.bruhat_covers())
         return {
             "schema": 1,
             "type": self.datum.label,
             "order": self.order,
             "positive_roots": self.n_positive_roots,
-            "longest": self.name(self.w0),
+            "longest": names[self._w0],
             "lengths": lengths,
             "covers": covers,
         }
@@ -538,11 +552,12 @@ def weyl_suite(g: WeylGroup):
         for x in range(g.order):
             if not (rows[x] >> x) & 1:
                 return False, "not reflexive"
+        # ids are sorted by length, so the ids shorter than length l are
+        # one prefix mask: besides y itself, row y may hold nothing else
+        shorter = [(1 << start) - 1 for start in g._level_starts()]
         for y in range(g.order):
-            for x in range(g.order):
-                if x != y and (rows[y] >> x) & 1:
-                    if g._lengths[x] >= g._lengths[y]:
-                        return False, "does not refine length"
+            if rows[y] & ~shorter[g._lengths[y]] != 1 << y:
+                return False, "does not refine length"
         if g.order <= 1152:
             for y in range(g.order):
                 for z in range(g.order):

@@ -2,27 +2,33 @@
 
 Everything in here deliberately avoids the production code paths it is used
 to check: Bruhat order comes from the subword property, orders come from
-closed formulas, and Hecke products are re-derived from scratch where needed.
+closed formulas, Hecke products are re-derived from scratch where needed,
+and basis coordinates come from a whole-matrix inversion.
 """
 
 from __future__ import annotations
 
-from heckeo.hecke import HeckeAlgebra, HeckeElt
-from heckeo.laurent import v
+from heckeo.hecke import HeckeAlgebra, HeckeElt, accumulate, invert_unitriangular
+from heckeo.k0 import BasisKind, K0Block
+from heckeo.laurent import LaurentPoly, v
 from heckeo.weyl import WeylElt, WeylGroup
 
 
-def bruhat_leq_bruteforce(W: WeylGroup, x: WeylElt, y: WeylElt) -> bool:
-    """x <= y iff x is a product of some subword of a reduced word of y.
+def bruhat_rows_by_subwords(W: WeylGroup, ys=None) -> dict[int, int]:
+    """Row y of the Bruhat table, the bitmask of {x : x <= y}, for each id
+    y in `ys` (default: every element).
 
-    The set of all subword products of a fixed reduced word of y is exactly
-    the Bruhat interval [e, y], so membership is a faithful oracle.
+    The products of the subwords of one fixed reduced word of y are exactly
+    the Bruhat interval [e, y], so one subword closure per y gives the whole
+    row, with no lifting property and no choice of descent.
     """
-    word = W.reduced_word(y)
-    reachable = {W.identity.idx}
-    for i in word:
-        reachable |= {W.right_multiply_gen(W.element(k), i).idx for k in reachable}
-    return x.idx in reachable
+    rows = {}
+    for y in range(W.order) if ys is None else ys:
+        reachable = {W.identity.idx}
+        for i in W.reduced_word(W.element(y)):
+            reachable |= {W.right_multiply_gen(W.element(k), i).idx for k in reachable}
+        rows[y] = sum(1 << k for k in reachable)
+    return rows
 
 
 def _reflect_root(cartan: list[list[int]], i: int, beta: tuple[int, ...]) -> tuple[int, ...]:
@@ -92,3 +98,30 @@ def kl_by_product_recursion(alg: HeckeAlgebra) -> dict[int, HeckeElt]:
                 c = c - table[y.idx] * mu
         table[x.idx] = c
     return table
+
+
+def coords_by_inversion(blk: K0Block, classes: list[HeckeElt], basis) -> list[dict[WeylElt, LaurentPoly]]:
+    """Coordinates of each class in a basis view through the whole inverse
+    basis matrix: the transpose of the matrix of the view's columns is
+    inverted once, and each class is one mat-vec against the inverse.
+    Never solves for a single vector."""
+    kind = BasisKind.coerce(basis)
+    g = blk.group
+    if kind is BasisKind.Verma:
+        return [X.coeffs() for X in classes]
+    # the transpose's columns are the matrix's rows, and its inverse's rows
+    # are the inverse's columns: inv[j] = [D_j] in the basis
+    rows: list[dict[int, LaurentPoly]] = [{} for _ in range(g.order)]
+    for j in range(g.order):
+        for i, p in blk.class_of(g.element(j), kind)._c.items():
+            rows[i][j] = p
+    # projectives have their Verma flags above x, the other views below,
+    # so the transpose is lower unitriangular for all but them
+    inv = invert_unitriangular(rows, g.order, lower=kind is not BasisKind.Projective)
+    out = []
+    for X in classes:
+        coords: dict[int, LaurentPoly] = {}
+        for j, p in X._c.items():
+            accumulate(coords, inv[j].items(), p)
+        out.append({g.element(i): c for i, c in sorted(coords.items())})
+    return out

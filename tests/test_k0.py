@@ -1,8 +1,11 @@
 import pytest
 
+from heckeo import cli, hecke
 from heckeo.k0 import BasisKind, K0Block, K0Class
 from heckeo.laurent import LaurentPoly, v, v_pow
 from heckeo.weyl import CartanDatum, MixedGroups, build_group
+
+from _oracles import coords_by_inversion
 
 ONE = LaurentPoly.one()
 ZERO = LaurentPoly.zero()
@@ -59,6 +62,73 @@ def test_coords_in_basis_roundtrip(a2):
         a2.verma(g.identity) * 0,
     )
     assert rebuilt == X
+
+
+@pytest.mark.parametrize("label", ["G2", "A3", "B3"])
+def test_coords_in_basis_matches_inversion_oracle(label):
+    blk = block(label)
+    g = blk.group
+    for src in BasisKind:
+        classes = [blk.class_of(x, src) for x in g.elements()]
+        for dst in BasisKind:
+            expected = coords_by_inversion(blk, classes, dst)
+            for x, X, want in zip(g.elements(), classes, expected):
+                got = blk.coords_in_basis(X, dst)
+                assert got == want, f"{src.value} -> {dst.value} at {g.name(x)}"
+                assert list(got) == list(want)
+
+
+def test_coords_in_basis_rejects_a_column_without_unit_diagonal(monkeypatch):
+    blk = block("A2")
+    g = blk.group
+    view = blk.hecke.view
+
+    def doubled(name, x):
+        col = view(name, x)
+        return col * 2 if x == g.simple(1) else col
+
+    monkeypatch.setattr(blk.hecke, "view", doubled)
+    X = blk.verma(g.w0)
+    for kind in (BasisKind.Simple, BasisKind.Tilting, BasisKind.DualVerma):
+        with pytest.raises(ValueError, match="unit diagonal"):
+            blk.coords_in_basis(X, kind)
+    with pytest.raises(ValueError, match="unit diagonal"):
+        blk.coords_in_basis(blk.verma(g.identity), BasisKind.Projective)
+    assert blk.coords_in_basis(X, BasisKind.Verma) == {g.w0: ONE}
+
+
+def test_coords_in_basis_rejects_a_column_on_the_wrong_side(monkeypatch):
+    blk = block("A2")
+    g = blk.group
+    view = blk.hecke.view
+
+    def raised(name, x):
+        col = view(name, x)
+        return col + blk.verma(g.w0) if x == g.simple(1) else col
+
+    monkeypatch.setattr(blk.hecke, "view", raised)
+    with pytest.raises(ValueError, match="not unitriangular"):
+        blk.coords_in_basis(blk.verma(g.w0), BasisKind.Simple)
+
+
+def test_basis_change_query_never_inverts_a_matrix(monkeypatch):
+    # one Verma -> Simple answer is one back-substitution; a fallback to the
+    # whole inverse matrix would still print the right coordinates, slowly
+    calls = []
+    original = hecke.invert_unitriangular
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(hecke, "invert_unitriangular", counted)
+    code, _ = cli.run(["basis-change", "--type", "D4", "--from", "Verma", "--to", "Simple",
+                       "--x", "w0", "--format", "json"])
+    assert code == 0
+    assert calls == []
+    blk = block("A2")
+    blk.class_of(blk.group.identity, BasisKind.Projective)  # the counter itself works
+    assert calls == [1]
 
 
 # -- Hecke action and wall crossing ----------------------------------------------

@@ -9,9 +9,10 @@ from heckeo.weyl import (
     MalformedWord,
     MixedGroups,
     build_group,
+    weyl_suite,
 )
 
-from _oracles import bruhat_leq_bruteforce, lengths_by_inversions
+from _oracles import bruhat_rows_by_subwords, lengths_by_inversions
 
 
 def W(label):
@@ -168,9 +169,52 @@ def test_bruhat_extremes():
 @pytest.mark.parametrize("label", ["A2", "B2", "A3", "G2"])
 def test_bruhat_matches_subword_oracle(label):
     g = W(label)
+    rows = bruhat_rows_by_subwords(g)
     for x in g.elements():
         for y in g.elements():
-            assert g.bruhat_leq(x, y) == bruhat_leq_bruteforce(g, x, y)
+            assert g.bruhat_leq(x, y) == bool((rows[y.idx] >> x.idx) & 1)
+
+
+@pytest.mark.parametrize("label", ["G2", "B3", "C3", "A4", "D4"])
+def test_bruhat_rows_match_subword_oracle(label):
+    g = W(label)
+    rows = bruhat_rows_by_subwords(g)
+    assert g._bruhat_table() == [rows[y] for y in range(g.order)]
+
+
+@pytest.mark.parametrize("label", ["A5", "F4"])
+def test_bruhat_sampled_rows_match_subword_oracle(label):
+    g = W(label)
+    ys = random.Random(f"bruhat:{label}").sample(range(g.order), 50)
+    rows = g._bruhat_table()
+    for y, row in bruhat_rows_by_subwords(g, ys).items():
+        assert rows[y] == row, f"row {g.name(g.element(y))} of {label}"
+
+
+@pytest.mark.parametrize("label", ["B3", "D4"])
+def test_covers_match_subword_oracle_in_order(label):
+    g = W(label)
+    rows = bruhat_rows_by_subwords(g)
+    assert g.bruhat_covers() == [
+        (g.element(x), g.element(y))
+        for y in range(g.order)
+        for x in range(g.order)
+        if (rows[y] >> x) & 1 and g.length(g.element(y)) == g.length(g.element(x)) + 1
+    ]
+
+
+def test_bruhat_partial_order_check_passes_and_catches_length_break():
+    g = W("A3")
+    check = {c.name: c for c in weyl_suite(g).checks}["weyl.bruhat_partial_order"]
+    assert check.passed, check.detail
+    # an extra bit at an element of the same length breaks length refinement
+    s1, s2 = g.simple(1), g.simple(2)
+    rows = list(g._bruhat_table())
+    rows[s1.idx] |= 1 << s2.idx
+    g._bruhat = rows
+    check = {c.name: c for c in weyl_suite(g).checks}["weyl.bruhat_partial_order"]
+    assert not check.passed
+    assert check.detail == "does not refine length"
 
 
 def test_bruhat_is_partial_order_refining_length():
