@@ -274,8 +274,8 @@ def direct_sum(mods: list[Module]) -> tuple[Module, list[ModuleMap], list[Module
             mi = linalg.zeros(dims[v], m.dims[v])
             mp = linalg.zeros(m.dims[v], dims[v])
             for i in range(m.dims[v]):
-                mi.rows[offs[v] + i][i] = Fraction(1)
-                mp.rows[i][offs[v] + i] = Fraction(1)
+                mi.rows[offs[v] + i][i] = 1
+                mp.rows[i][offs[v] + i] = 1
             inj[v] = mi
             proj[v] = mp
         injections.append(ModuleMap(m, total, inj, check=False))
@@ -309,12 +309,12 @@ def hom_basis(x: Module, y: Module) -> list[ModuleMap]:
         n += y.dims[v] * x.dims[v]
     if n == 0:
         return []
-    rows: list[list[Fraction]] = []
+    rows: list[list[int | Fraction]] = []
     for label, src_v, tgt_v in alg.arrows:
         # y.act[label] @ f[src_v] - f[tgt_v] @ x.act[label] = 0
         for i in range(y.dims[tgt_v]):
             for j in range(x.dims[src_v]):
-                row = [Fraction(0)] * n
+                row = [0] * n
                 for k in range(y.dims[src_v]):
                     row[offsets[src_v] + k * x.dims[src_v] + j] += y.act[label].rows[i][k]
                 for l in range(x.dims[tgt_v]):
@@ -387,7 +387,7 @@ def cokernel_of_columns(ambient: Module, cols: dict) -> tuple[Module, ModuleMap,
         dims[v] = n - r
         if len(chosen) != dims[v]:
             raise BlockConstructionError("basis extension failed")
-        reps[v] = Mat(n, len(chosen), [[Fraction(1 if i == j else 0) for j in chosen] for i in range(n)])
+        reps[v] = Mat(n, len(chosen), [[int(i == j) for j in chosen] for i in range(n)])
         full = linalg.hstack([sub_basis, reps[v]])
         inv = linalg.solve(full, linalg.eye(n))
         if inv is None:
@@ -465,7 +465,7 @@ def projective(alg: PathAlgebra, vertex: str) -> tuple[Module, dict]:
         for j, p in enumerate(by_tgt[src_v]):
             q = alg.mult(label, p)
             if q is not None:
-                m.rows[by_tgt[tgt_v].index(q)][j] = Fraction(1)
+                m.rows[by_tgt[tgt_v].index(q)][j] = 1
         act[label] = m
     return Module(alg, dims, act), by_tgt
 
@@ -476,7 +476,7 @@ def projective_cover(m: Module, projs: dict) -> tuple[Module, ModuleMap, list[st
     rad = radical(m)
     summands: list[Module] = []
     labels: list[str] = []
-    gens: list[tuple[str, list[Fraction]]] = []
+    gens: list[tuple[str, list[int]]] = []
     for v in alg.vertices:
         cur = rad[v]
         cur_rank = linalg.rank(cur)
@@ -487,7 +487,7 @@ def projective_cover(m: Module, projs: dict) -> tuple[Module, ModuleMap, list[st
                 cur_rank += 1
                 summands.append(projs[v][0])
                 labels.append(v)
-                gens.append((v, [Fraction(1 if i == j else 0) for i in range(m.dims[v])]))
+                gens.append((v, [int(i == j) for i in range(m.dims[v])]))
     if not summands:
         empty = Module(alg, {})
         return empty, zero_map(empty, m), []
@@ -545,7 +545,7 @@ def ext_dims(m: Module, n: Module, imax: int, projs: dict) -> list[int]:
     return dims
 
 
-def _hom_coords(f: ModuleMap, basis: list[ModuleMap]) -> list[Fraction]:
+def _hom_coords(f: ModuleMap, basis: list[ModuleMap]) -> list[int | Fraction]:
     """Coordinates of f in a basis of its hom space."""
     if not basis:
         if not f.is_zero():
@@ -560,7 +560,7 @@ def _hom_coords(f: ModuleMap, basis: list[ModuleMap]) -> list[Fraction]:
     return [row[0] for row in sol.rows]
 
 
-def _flatten(f: ModuleMap) -> list[Fraction]:
+def _flatten(f: ModuleMap) -> list[int | Fraction]:
     out = []
     for v in f.src.algebra.vertices:
         for row in f.mats[v].rows:

@@ -20,8 +20,6 @@ hom counts against them determine the multiset of summands of any module.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from . import linalg
 from .algebra import (
     BlockConstructionError,
@@ -78,7 +76,7 @@ class Catalog:
 
         self._indec = [l_e, l_s, delta_s, nabla_s, p_e]
         gram = linalg.from_rows(
-            [[Fraction(hom_dim(x, y)) for y in self._indec] for x in self._indec],
+            [[hom_dim(x, y) for y in self._indec] for x in self._indec],
             len(self._indec),
         )
         inv = linalg.solve(gram, linalg.eye(len(self._indec)))
@@ -91,7 +89,7 @@ class Catalog:
 
     def decompose(self, m: Module) -> dict[str, int]:
         """Multiplicities of the five indecomposables in m."""
-        counts = linalg.col_vec([Fraction(hom_dim(i, m)) for i in self._indec])
+        counts = linalg.col_vec([hom_dim(i, m) for i in self._indec])
         mults = linalg.mmul(self._gram_inv, counts)
         out = {}
         for name, row in zip(INDECOMPOSABLES, mults.rows):

@@ -531,7 +531,7 @@ class RankOneBlock:
             for c, p in enumerate(paths):
                 q = alg.mult(g, p)
                 if q in paths:
-                    m[paths.index(q)][c] = Fraction(1)
+                    m[paths.index(q)][c] = 1
             return m
 
         def right_on(paths, g):
@@ -539,10 +539,10 @@ class RankOneBlock:
             for c, p in enumerate(paths):
                 q = alg.mult(p, g)
                 if q in paths:
-                    m[paths.index(q)][c] = Fraction(1)
+                    m[paths.index(q)][c] = 1
             return m
 
-        rows: list[list[Fraction]] = []
+        rows: list[list[int | Fraction]] = []
         gens = [alg.idempotent(v) for v in alg.vertices] + [a for a, _, _ in alg.arrows]
         for g in gens:
             constraint = linalg.madd(
@@ -575,7 +575,7 @@ class RankOneBlock:
             for c, p in enumerate(alg.basis):
                 q = alg.mult(g, p)
                 if q is not None:
-                    m[alg.basis.index(q)][c] = Fraction(1)
+                    m[alg.basis.index(q)][c] = 1
             return m
 
         def right_reg(g):
@@ -583,7 +583,7 @@ class RankOneBlock:
             for c, p in enumerate(alg.basis):
                 q = alg.mult(p, g)
                 if q is not None:
-                    m[alg.basis.index(q)][c] = Fraction(1)
+                    m[alg.basis.index(q)][c] = 1
             return m
 
         def left_b(g):
@@ -592,7 +592,7 @@ class RankOneBlock:
                 q = alg.mult(g, p)
                 if q in pe:
                     for iq in range(nee):
-                        m[pe.index(q) * nee + iq][ip * nee + iq] = Fraction(1)
+                        m[pe.index(q) * nee + iq][ip * nee + iq] = 1
             return m
 
         def right_b(g):
@@ -601,7 +601,7 @@ class RankOneBlock:
                 r = alg.mult(q, g)
                 if r in ee:
                     for ip in range(npe):
-                        m[ip * nee + ee.index(r)][ip * nee + iq] = Fraction(1)
+                        m[ip * nee + ee.index(r)][ip * nee + iq] = 1
             return m
 
         # unknown T: nb x dim_b with T.Lb = Lreg.T and T.Rb = Rreg.T
@@ -613,7 +613,7 @@ class RankOneBlock:
                 x_mat, y_mat = pair
                 for r in range(nb):
                     for c in range(dim_b):
-                        row = [Fraction(0)] * unknowns
+                        row = [0] * unknowns
                         for k in range(dim_b):
                             row[r * dim_b + k] += x_mat[k][c]
                         for m_ in range(nb):
@@ -750,7 +750,7 @@ class RankOneBlock:
                     for r in range(d):
                         for c in range(d):
                             eq_rows.append([cols[j][r][c] for j in range(w_dim)])
-                            rhs.append([Fraction(1 if r == c else 0)])
+                            rhs.append([int(r == c)])
                 for v_mod in (test_walls[0],):
                     pq = self.pi_pull.on_module(v_mod)
                     eps_pq = eps.at(pq)
@@ -771,7 +771,7 @@ class RankOneBlock:
                         for r in range(dim_v):
                             for c in range(dim_v):
                                 eq_rows.append([acc[j][r][c] for j in range(w_dim)])
-                                rhs.append([Fraction(1 if r == c else 0)])
+                                rhs.append([int(r == c)])
                 sol = linalg.solve(
                     linalg.from_rows(eq_rows, w_dim), linalg.from_rows(rhs, 1)
                 )
@@ -787,7 +787,7 @@ class RankOneBlock:
                 z: dict = {}
                 for zb, coeff in zip(z_basis, x):
                     for key, val in zb.items():
-                        z[key] = z.get(key, Fraction(0)) + coeff * val
+                        z[key] = z.get(key, 0) + coeff * val
                 z = {k: val for k, val in z.items() if val}
                 etap = self._etap_from_z(z)
                 eq_rows, rhs = [], []
@@ -805,7 +805,7 @@ class RankOneBlock:
                 for r in range(d):
                     for c in range(d):
                         eq_rows.append([acc[j][r][c] for j in range(w_dim)])
-                        rhs.append([Fraction(1 if r == c else 0)])
+                        rhs.append([int(r == c)])
                 v_mod = test_walls[0]
                 pq = self.pi_pull.on_module(v_mod)
                 up2 = etap.at(pq)
@@ -821,7 +821,7 @@ class RankOneBlock:
                     for r in range(dim_v):
                         for c in range(dim_v):
                             eq_rows.append([accs[j][r][c] for j in range(w_dim)])
-                            rhs.append([Fraction(1 if r == c else 0)])
+                            rhs.append([int(r == c)])
                 sol = linalg.solve(
                     linalg.from_rows(eq_rows, w_dim), linalg.from_rows(rhs, 1)
                 )

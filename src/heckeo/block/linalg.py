@@ -3,13 +3,34 @@
 A Mat carries its shape explicitly, so zero-row and zero-column matrices
 compose correctly; with bare lists of lists the column count of an empty
 matrix is lost, which silently corrupts the many genuinely zero-dimensional
-corners of module categories.  Everything here is sized for dimensions in
-the tens, so clarity wins over speed.
+corners of module categories.
+
+Every entry is either an ``int`` or a ``Fraction`` whose denominator is not
+1.  The rank-one block is defined over Z, so its matrices stay integral and
+their products, sums and Kronecker products are plain integer arithmetic; a
+``Fraction`` appears only where elimination divides by a pivot that does
+not divide its row.  `_entry` is the one normalising step: it coerces the
+data callers hand to ``Mat`` and turns every integral ``Fraction`` an
+operation produces back into an ``int``.  Equality between an ``int`` and a
+``Fraction`` is exact, so no comparison depends on which type an entry has.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+
+
+def _entry(x):
+    """x as a matrix entry: an int, or a Fraction that is not an integer."""
+    if type(x) is int:
+        return x
+    if type(x) is not Fraction:
+        x = Fraction(x)
+    return x.numerator if x.denominator == 1 else x
+
+
+def _entries(row) -> list:
+    return [x if type(x) is int else _entry(x) for x in row]
 
 
 class Mat:
@@ -21,13 +42,13 @@ class Mat:
         self.nrows = nrows
         self.ncols = ncols
         if rows is None:
-            self.rows = [[Fraction(0)] * ncols for _ in range(nrows)]
+            self.rows = [[0] * ncols for _ in range(nrows)]
         else:
-            self.rows = [[Fraction(x) for x in row] for row in rows]
+            self.rows = [_entries(row) for row in rows]
             if len(self.rows) != nrows or any(len(r) != ncols for r in self.rows):
                 raise ValueError("row data does not match the declared shape")
 
-    def __getitem__(self, i: int) -> list[Fraction]:
+    def __getitem__(self, i: int) -> list:
         return self.rows[i]
 
     def __iter__(self):
@@ -37,7 +58,14 @@ class Mat:
         return f"Mat({self.nrows}x{self.ncols})"
 
     def copy(self) -> "Mat":
-        return Mat(self.nrows, self.ncols, [row[:] for row in self.rows])
+        return _wrap(self.nrows, self.ncols, [row[:] for row in self.rows])
+
+
+def _wrap(nrows: int, ncols: int, rows: list[list]) -> Mat:
+    """A Mat around rows that already hold normalised entries (no copy)."""
+    m = Mat.__new__(Mat)
+    m.nrows, m.ncols, m.rows = nrows, ncols, rows
+    return m
 
 
 def mat(data) -> Mat:
@@ -60,7 +88,7 @@ def zeros(r: int, c: int) -> Mat:
 def eye(n: int) -> Mat:
     m = Mat(n, n)
     for i in range(n):
-        m.rows[i][i] = Fraction(1)
+        m.rows[i][i] = 1
     return m
 
 
@@ -92,50 +120,48 @@ def is_zero_mat(a: Mat) -> bool:
 def madd(a: Mat, b: Mat) -> Mat:
     if shape(a) != shape(b):
         raise ValueError(f"shape mismatch: {shape(a)} + {shape(b)}")
-    return Mat(a.nrows, a.ncols, [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a.rows, b.rows)])
+    return _wrap(a.nrows, a.ncols, [
+        _entries([x + y for x, y in zip(ra, rb)]) for ra, rb in zip(a.rows, b.rows)
+    ])
 
 
 def mneg(a: Mat) -> Mat:
-    return Mat(a.nrows, a.ncols, [[-x for x in row] for row in a.rows])
+    return _wrap(a.nrows, a.ncols, [[-x for x in row] for row in a.rows])
 
 
 def mscale(c, a: Mat) -> Mat:
-    c = Fraction(c)
-    return Mat(a.nrows, a.ncols, [[c * x for x in row] for row in a.rows])
+    c = _entry(c)
+    return _wrap(a.nrows, a.ncols, [_entries([c * x for x in row]) for row in a.rows])
 
 
 def mmul(a: Mat, b: Mat) -> Mat:
     if a.ncols != b.nrows:
         raise ValueError(f"shape mismatch: {shape(a)} @ {shape(b)}")
-    out = Mat(a.nrows, b.ncols)
-    for i in range(a.nrows):
-        row = a.rows[i]
-        orow = out.rows[i]
-        for k in range(a.ncols):
-            x = row[k]
-            if x == 0:
-                continue
-            brow = b.rows[k]
-            for j in range(b.ncols):
-                orow[j] += x * brow[j]
-    return out
+    zero_row = [0] * b.ncols
+    out = []
+    for row in a.rows:
+        orow = zero_row
+        for x, brow in zip(row, b.rows):
+            if x:
+                orow = [o + x * y for o, y in zip(orow, brow)]
+        out.append(_entries(orow))
+    return _wrap(a.nrows, b.ncols, out)
 
 
 def transpose(a: Mat) -> Mat:
-    return Mat(a.ncols, a.nrows, [[a.rows[i][j] for i in range(a.nrows)] for j in range(a.ncols)])
+    return _wrap(a.ncols, a.nrows, [[row[j] for row in a.rows] for j in range(a.ncols)])
 
 
 def kron(a: Mat, b: Mat) -> Mat:
-    out = Mat(a.nrows * b.nrows, a.ncols * b.ncols)
-    for i in range(a.nrows):
-        for j in range(a.ncols):
-            x = a.rows[i][j]
-            if x == 0:
-                continue
-            for k in range(b.nrows):
-                for l in range(b.ncols):
-                    out.rows[i * b.nrows + k][j * b.ncols + l] = x * b.rows[k][l]
-    return out
+    zero_block = [0] * b.ncols
+    out = []
+    for arow in a.rows:
+        for brow in b.rows:
+            orow = []
+            for x in arow:
+                orow += [x * y for y in brow] if x else zero_block
+            out.append(_entries(orow))
+    return _wrap(a.nrows * b.nrows, a.ncols * b.ncols, out)
 
 
 def hstack(mats: list[Mat]) -> Mat:
@@ -144,7 +170,7 @@ def hstack(mats: list[Mat]) -> Mat:
     n = mats[0].nrows
     if any(m.nrows != n for m in mats):
         raise ValueError("hstack row mismatch")
-    return Mat(
+    return _wrap(
         n,
         sum(m.ncols for m in mats),
         [sum((m.rows[i] for m in mats), []) for i in range(n)],
@@ -157,29 +183,41 @@ def vstack(mats: list[Mat]) -> Mat:
     c = mats[0].ncols
     if any(m.ncols != c for m in mats):
         raise ValueError("vstack column mismatch")
-    return Mat(sum(m.nrows for m in mats), c, [row for m in mats for row in m.rows])
+    return _wrap(sum(m.nrows for m in mats), c, [row[:] for m in mats for row in m.rows])
 
 
 def submatrix_rows(a: Mat, start: int) -> Mat:
-    return Mat(a.nrows - start, a.ncols, [row[:] for row in a.rows[start:]])
+    return _wrap(a.nrows - start, a.ncols, [row[:] for row in a.rows[start:]])
+
+
+def _divide(row: list, p) -> list:
+    """row / p exactly; quotients that come out whole stay ints."""
+    if p == 1:
+        return row
+    if p == -1:
+        return [-x for x in row]
+    if type(p) is int and all(type(x) is int and x % p == 0 for x in row):
+        return [x // p for x in row]
+    inv = Fraction(1, p) if type(p) is int else 1 / p
+    return _entries([x * inv for x in row])
 
 
 def rref(a: Mat) -> tuple[Mat, list[int]]:
     """Reduced row echelon form (copy) and pivot column indices."""
     m = a.copy()
+    rows = m.rows
     pivots: list[int] = []
     r = 0
     for c in range(m.ncols):
-        pivot = next((i for i in range(r, m.nrows) if m.rows[i][c] != 0), None)
+        pivot = next((i for i in range(r, m.nrows) if rows[i][c] != 0), None)
         if pivot is None:
             continue
-        m.rows[r], m.rows[pivot] = m.rows[pivot], m.rows[r]
-        inv = Fraction(1) / m.rows[r][c]
-        m.rows[r] = [x * inv for x in m.rows[r]]
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        prow = rows[r] = _divide(rows[r], rows[r][c])
         for i in range(m.nrows):
-            if i != r and m.rows[i][c] != 0:
-                f = m.rows[i][c]
-                m.rows[i] = [x - f * y for x, y in zip(m.rows[i], m.rows[r])]
+            f = rows[i][c]
+            if i != r and f != 0:
+                rows[i] = _entries([x - f * y for x, y in zip(rows[i], prow)])
         pivots.append(c)
         r += 1
         if r == m.nrows:
@@ -197,7 +235,7 @@ def nullspace_basis(a: Mat) -> Mat:
     free = [c for c in range(a.ncols) if c not in pivots]
     out = Mat(a.ncols, len(free))
     for k, f in enumerate(free):
-        out.rows[f][k] = Fraction(1)
+        out.rows[f][k] = 1
         for r, p in enumerate(pivots):
             out.rows[p][k] = -red.rows[r][f]
     return out
@@ -209,7 +247,7 @@ def solve(a: Mat, b: Mat) -> Mat | None:
         raise ValueError("shape mismatch in solve")
     if a.ncols == 0:
         return None if not is_zero_mat(b) else zeros(0, b.ncols)
-    aug = Mat(a.nrows, a.ncols + b.ncols, [ra + rb for ra, rb in zip(a.rows, b.rows)])
+    aug = _wrap(a.nrows, a.ncols + b.ncols, [ra + rb for ra, rb in zip(a.rows, b.rows)])
     red, pivots = rref(aug)
     if any(p >= a.ncols for p in pivots):
         return None  # a pivot in the b-part: inconsistent
@@ -231,10 +269,10 @@ def inverse(a: Mat) -> Mat:
 
 def column_space_basis(a: Mat) -> Mat:
     _, pivots = rref(a)
-    return Mat(a.nrows, len(pivots), [[row[p] for p in pivots] for row in a.rows])
+    return _wrap(a.nrows, len(pivots), [[row[p] for p in pivots] for row in a.rows])
 
 
 def std_col(n: int, j: int) -> Mat:
     m = Mat(n, 1)
-    m.rows[j][0] = Fraction(1)
+    m.rows[j][0] = 1
     return m

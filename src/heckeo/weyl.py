@@ -251,15 +251,17 @@ class WeylGroup:
         self._gen_perms = gen_perms
         self.order = len(perms)
 
-        self._lmult = [
-            [index[compose(gen_perms[i], p)] for i in range(n)] for p in perms
-        ]
         self._inverse = []
         for p in perms:
             inv = [0] * npos
             for r, t in enumerate(p):
                 inv[abs(t) - 1] = (r + 1) if t > 0 else -(r + 1)
             self._inverse.append(index[tuple(inv)])
+        # s x = (x^-1 s)^-1, so s x is three table lookups
+        inverse = self._inverse
+        self._lmult = [
+            [inverse[j] for j in rmult[inverse[k]]] for k in range(self.order)
+        ]
 
         # construction self-checks
         if self.order != expected:

@@ -3,10 +3,14 @@
 Everything in here deliberately avoids the production code paths it is used
 to check: Bruhat order comes from the subword property, orders come from
 closed formulas, Hecke products are re-derived from scratch where needed,
-and basis coordinates come from a whole-matrix inversion.
+basis coordinates come from a whole-matrix inversion, left multiplication
+in a Weyl group comes from composing signed permutations, and block linear
+algebra is redone with every entry a `Fraction`.
 """
 
 from __future__ import annotations
+
+from fractions import Fraction
 
 from heckeo.hecke import HeckeAlgebra, HeckeElt, accumulate, invert_unitriangular
 from heckeo.k0 import BasisKind, K0Block
@@ -125,3 +129,130 @@ def coords_by_inversion(blk: K0Block, classes: list[HeckeElt], basis) -> list[di
             accumulate(coords, inv[j].items(), p)
         out.append({g.element(i): c for i, c in sorted(coords.items())})
     return out
+
+
+def lmult_by_compose(W: WeylGroup) -> list[list[int]]:
+    """The table of s_i x for every id x and generator i, by composing the
+    signed permutation of s_i with that of x on the positive roots; the
+    group's right-multiplication and inverse tables are never read."""
+    def compose(p, q):
+        # (p o q)(beta_r): apply q, then p
+        return tuple(p[abs(t) - 1] if t > 0 else -p[abs(t) - 1] for t in q)
+
+    index = {p: k for k, p in enumerate(W._perms)}
+    return [[index[compose(g, p)] for g in W._gen_perms] for p in W._perms]
+
+
+# -- block linear algebra with every entry a Fraction --------------------------
+#
+# The matrix type and the routines below keep every entry a `Fraction` and
+# divide every pivot row by its pivot, as `heckeo.block.linalg` did before it
+# kept integral entries as ints. Tests compare the two entry by entry.
+
+
+class FracMat:
+    """An exact matrix with explicit shape."""
+
+    __slots__ = ("nrows", "ncols", "rows")
+
+    def __init__(self, nrows: int, ncols: int, rows=None):
+        self.nrows = nrows
+        self.ncols = ncols
+        if rows is None:
+            self.rows = [[Fraction(0)] * ncols for _ in range(nrows)]
+        else:
+            self.rows = [[Fraction(x) for x in row] for row in rows]
+            if len(self.rows) != nrows or any(len(r) != ncols for r in self.rows):
+                raise ValueError("row data does not match the declared shape")
+
+    def copy(self) -> "FracMat":
+        return FracMat(self.nrows, self.ncols, [row[:] for row in self.rows])
+
+
+def _frac_is_zero_mat(a: FracMat) -> bool:
+    return all(x == 0 for row in a.rows for x in row)
+
+
+def _frac_eye(n: int) -> FracMat:
+    m = FracMat(n, n)
+    for i in range(n):
+        m.rows[i][i] = Fraction(1)
+    return m
+
+
+def frac_mmul(a: FracMat, b: FracMat) -> FracMat:
+    if a.ncols != b.nrows:
+        raise ValueError(f"shape mismatch: {(a.nrows, a.ncols)} @ {(b.nrows, b.ncols)}")
+    out = FracMat(a.nrows, b.ncols)
+    for i in range(a.nrows):
+        row = a.rows[i]
+        orow = out.rows[i]
+        for k in range(a.ncols):
+            x = row[k]
+            if x == 0:
+                continue
+            brow = b.rows[k]
+            for j in range(b.ncols):
+                orow[j] += x * brow[j]
+    return out
+
+
+def frac_rref(a: FracMat) -> tuple[FracMat, list[int]]:
+    """Reduced row echelon form (copy) and pivot column indices."""
+    m = a.copy()
+    pivots: list[int] = []
+    r = 0
+    for c in range(m.ncols):
+        pivot = next((i for i in range(r, m.nrows) if m.rows[i][c] != 0), None)
+        if pivot is None:
+            continue
+        m.rows[r], m.rows[pivot] = m.rows[pivot], m.rows[r]
+        inv = Fraction(1) / m.rows[r][c]
+        m.rows[r] = [x * inv for x in m.rows[r]]
+        for i in range(m.nrows):
+            if i != r and m.rows[i][c] != 0:
+                f = m.rows[i][c]
+                m.rows[i] = [x - f * y for x, y in zip(m.rows[i], m.rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == m.nrows:
+            break
+    return m, pivots
+
+
+def frac_nullspace_basis(a: FracMat) -> FracMat:
+    """Columns spanning ker(a), as an (ncols x nullity) FracMat."""
+    red, pivots = frac_rref(a)
+    free = [c for c in range(a.ncols) if c not in pivots]
+    out = FracMat(a.ncols, len(free))
+    for k, f in enumerate(free):
+        out.rows[f][k] = Fraction(1)
+        for r, p in enumerate(pivots):
+            out.rows[p][k] = -red.rows[r][f]
+    return out
+
+
+def frac_solve(a: FracMat, b: FracMat) -> FracMat | None:
+    """One exact solution X of a X = b (free variables zero), or None."""
+    if a.nrows != b.nrows:
+        raise ValueError("shape mismatch in solve")
+    if a.ncols == 0:
+        return None if not _frac_is_zero_mat(b) else FracMat(0, b.ncols)
+    aug = FracMat(a.nrows, a.ncols + b.ncols, [ra + rb for ra, rb in zip(a.rows, b.rows)])
+    red, pivots = frac_rref(aug)
+    if any(p >= a.ncols for p in pivots):
+        return None  # a pivot in the b-part: inconsistent
+    x = FracMat(a.ncols, b.ncols)
+    for r, p in enumerate(pivots):
+        for j in range(b.ncols):
+            x.rows[p][j] = red.rows[r][a.ncols + j]
+    return x
+
+
+def frac_inverse(a: FracMat) -> FracMat:
+    if a.nrows != a.ncols:
+        raise ValueError("not square")
+    inv = frac_solve(a, _frac_eye(a.nrows))
+    if inv is None or len(frac_rref(a)[1]) != a.nrows:
+        raise ValueError("matrix is singular")
+    return inv

@@ -182,6 +182,22 @@ def test_adjunction_units_frozen(ctx):
     assert tri == identity_map(v)
 
 
+def test_block_matrices_stay_integral(ctx):
+    """The block is defined over Z: every arrow matrix and every (co)unit
+    component on the catalog is all ints. A Fraction here means an integral
+    entry escaped `linalg`'s int fast path."""
+    def int_entries(m):
+        return all(type(x) is int for row in m.rows for x in row)
+
+    for name, mod in ctx.catalog.modules.items():
+        for label, act in mod.act.items():
+            assert int_entries(act), f"arrow {label} of {name}"
+        wall = ctx.pi_star.on_module(mod)
+        for nat, m in (("eps", mod), ("etap", mod), ("eta", wall), ("epsp", wall)):
+            for v, comp in getattr(ctx, nat).at(m).mats.items():
+                assert int_entries(comp), f"{nat} on {name} at vertex {v}"
+
+
 def test_transpose_laws_report(ctx):
     rep = verify_adjunctions(ctx)
     assert rep.passed, [(c.name, c.detail) for c in rep.failures()]

@@ -1,0 +1,117 @@
+"""`heckeo.block.linalg` against the all-`Fraction` routines in `_oracles`,
+and the entry-type contract: every entry is an `int` or a `Fraction` whose
+denominator is not 1."""
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from heckeo.block import linalg
+
+from _oracles import FracMat, frac_inverse, frac_mmul, frac_nullspace_basis, frac_rref, frac_solve
+
+INTS = st.integers(-4, 4)
+RATIONALS = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
+
+
+@st.composite
+def matrices(draw, nrows=None, ncols=None):
+    """Rows of small integers (ints), or of small rationals (Fractions,
+    some of them integral), of a drawn or given shape; 0 is a valid size."""
+    nrows = draw(st.integers(0, 5)) if nrows is None else nrows
+    ncols = draw(st.integers(0, 5)) if ncols is None else ncols
+    entries = draw(st.sampled_from([INTS, RATIONALS]))
+    return [draw(st.lists(entries, min_size=ncols, max_size=ncols)) for _ in range(nrows)], ncols
+
+
+def both(data):
+    rows, ncols = data
+    return linalg.from_rows(rows, ncols), FracMat(len(rows), ncols, rows)
+
+
+def assert_normalised(m):
+    for row in m.rows:
+        for x in row:
+            assert type(x) is int or (type(x) is Fraction and x.denominator != 1), repr(x)
+
+
+def assert_same(m, f):
+    assert (m.nrows, m.ncols) == (f.nrows, f.ncols)
+    assert m.rows == f.rows
+    assert_normalised(m)
+
+
+@st.composite
+def product_pairs(draw):
+    r, k, c = (draw(st.integers(0, 5)) for _ in range(3))
+    return draw(matrices(r, k)), draw(matrices(k, c))
+
+
+@given(product_pairs())
+def test_mmul_matches_fraction_oracle(pair):
+    (a, fa), (b, fb) = both(pair[0]), both(pair[1])
+    assert_same(linalg.mmul(a, b), frac_mmul(fa, fb))
+
+
+@given(matrices())
+def test_rref_and_nullspace_match_fraction_oracle(data):
+    a, fa = both(data)
+    red, pivots = linalg.rref(a)
+    fred, fpivots = frac_rref(fa)
+    assert pivots == fpivots
+    assert_same(red, fred)
+    assert_same(linalg.nullspace_basis(a), frac_nullspace_basis(fa))
+
+
+@st.composite
+def systems(draw):
+    r, c, k = (draw(st.integers(0, 5)) for _ in range(3))
+    return draw(matrices(r, c)), draw(matrices(r, k))
+
+
+@given(systems())
+def test_solve_matches_fraction_oracle(system):
+    (a, fa), (b, fb) = both(system[0]), both(system[1])
+    x, fx = linalg.solve(a, b), frac_solve(fa, fb)
+    assert (x is None) == (fx is None)
+    if x is not None:
+        assert_same(x, fx)
+
+
+@st.composite
+def squares(draw):
+    n = draw(st.integers(0, 4))
+    return draw(matrices(n, n))
+
+
+@settings(max_examples=200)
+@given(squares())
+def test_inverse_matches_fraction_oracle(data):
+    a, fa = both(data)
+    try:
+        expected = frac_inverse(fa)
+    except ValueError:
+        with pytest.raises(ValueError):
+            linalg.inverse(a)
+        return
+    assert_same(linalg.inverse(a), expected)
+
+
+@given(matrices(), st.one_of(INTS, RATIONALS))
+def test_elementwise_operations_stay_normalised(data, c):
+    a, fa = both(data)
+    b = linalg.mneg(a)
+    for m in (linalg.madd(a, b), linalg.mscale(c, a), linalg.kron(a, b), b,
+              linalg.transpose(a)):
+        assert_normalised(m)
+    assert linalg.is_zero_mat(linalg.madd(a, b))
+    assert linalg.mscale(c, a).rows == [[c * x for x in row] for row in fa.rows]
+
+
+def test_mat_normalises_entries():
+    whole = linalg.mat([[Fraction(4, 2)]])[0][0]
+    assert whole == 2 and type(whole) is int
+    half = linalg.mat([[Fraction(1, 2)]])[0][0]
+    assert half == Fraction(1, 2) and type(half) is Fraction
+    assert type(linalg.solve(linalg.mat([[2]]), linalg.mat([[4]]))[0][0]) is int

@@ -12,7 +12,7 @@ from heckeo.weyl import (
     weyl_suite,
 )
 
-from _oracles import bruhat_rows_by_subwords, lengths_by_inversions
+from _oracles import bruhat_rows_by_subwords, lengths_by_inversions, lmult_by_compose
 
 
 def W(label):
@@ -85,6 +85,12 @@ def test_associativity_random_triples():
     for _ in range(300):
         x, y, z = (g.element(rng.choice(ids)) for _ in range(3))
         assert g.multiply(x, g.multiply(y, z)) == g.multiply(g.multiply(x, y), z)
+
+
+@pytest.mark.parametrize("label", ["A1", "A2", "A3", "A4", "B3", "C3", "D4", "G2", "F4", "A5"])
+def test_left_multiplication_table_matches_compose_oracle(label):
+    g = W(label)
+    assert g._lmult == lmult_by_compose(g)
 
 
 def test_inverse_and_w0_involution():
