@@ -17,7 +17,8 @@ endomorphism rings, Loewy layers and BGG reciprocity, and aborts if any of
 them comes out wrong.
 
 A one-vertex, arrowless instance of the same class models the category of
-plain vector spaces on the wall.
+plain vector spaces on the wall, and `enveloping` gives the quiver whose
+modules are the bimodules over an algebra.
 """
 
 from __future__ import annotations
@@ -89,6 +90,31 @@ def wall_algebra() -> PathAlgebra:
     )
 
 
+def enveloping(alg: PathAlgebra) -> PathAlgebra:
+    """The quiver of A (x) A^op, whose modules are the A-bimodules.
+
+    Vertex (t, s) holds e_t M e_s.  The left copy ("left", a, s) of an arrow
+    a: u -> w maps (u, s) to (w, s); the right copy ("right", a, t), m |-> m a,
+    maps (t, w) to (t, u).  The relations are left out: `hom_basis` reads only
+    the arrows, and the modules built on this quiver satisfy them.
+    """
+    vertices = alg.vertices
+    return PathAlgebra(
+        name=f"{alg.name} bimodules",
+        vertices=tuple((t, s) for t in vertices for s in vertices),
+        arrows=tuple(
+            (("left", a, v), (src, v), (tgt, v)) for a, src, tgt in alg.arrows for v in vertices
+        ) + tuple(
+            (("right", a, v), (v, tgt), (v, src)) for a, src, tgt in alg.arrows for v in vertices
+        ),
+        basis=(),
+        source={},
+        target={},
+        arrow_word={},
+        dead_words=frozenset(),
+    )
+
+
 def _shaped(data, nrows: int, ncols: int, what: str) -> Mat:
     """Coerce user matrix data to an exactly shaped Mat."""
     if data is None:
@@ -115,6 +141,11 @@ class Module:
     def __init__(self, algebra: PathAlgebra, dims: dict, act: dict | None = None):
         self.algebra = algebra
         self.dims = {v: int(dims.get(v, 0)) for v in algebra.vertices}
+        if not dims.keys() <= self.dims.keys():
+            extra = ", ".join(sorted(map(str, dims.keys() - self.dims.keys())))
+            raise BlockConstructionError(f"not a vertex of {algebra.name}: {extra}")
+        if min(self.dims.values(), default=0) < 0:
+            raise BlockConstructionError(f"negative dimension in {self.dims}")
         self.act = {}
         for label, src, tgt in algebra.arrows:
             self.act[label] = _shaped(
@@ -128,9 +159,6 @@ class Module:
             prod = linalg.mmul(self.act[w1], self.act[w2])
             if not linalg.is_zero_mat(prod):
                 raise BlockConstructionError(f"relation {w1}{w2}=0 violated")
-
-    def dim(self, v: str) -> int:
-        return self.dims[v]
 
     @property
     def total_dim(self) -> int:
@@ -202,9 +230,6 @@ class ModuleMap:
             self.src, self.dst, {v: linalg.mneg(m) for v, m in self.mats.items()}, check=False
         )
 
-    def __sub__(self, other: "ModuleMap") -> "ModuleMap":
-        return self + (-other)
-
     def scale(self, c) -> "ModuleMap":
         return ModuleMap(
             self.src, self.dst, {v: linalg.mscale(c, m) for v, m in self.mats.items()}, check=False
@@ -218,17 +243,11 @@ class ModuleMap:
             and all(linalg.mat_eq(self.mats[v], other.mats[v]) for v in self.mats)
         )
 
-    def __hash__(self):
-        raise TypeError("ModuleMap is unhashable")
-
     def is_zero(self) -> bool:
         return all(linalg.is_zero_mat(m) for m in self.mats.values())
 
-    def rank(self, v: str) -> int:
-        return linalg.rank(self.mats[v])
-
     def total_rank(self) -> int:
-        return sum(self.rank(v) for v in self.mats)
+        return sum(linalg.rank(m) for m in self.mats.values())
 
     def is_injective(self) -> bool:
         return self.total_rank() == self.src.total_dim
@@ -357,6 +376,22 @@ def kernel(f: ModuleMap) -> tuple[Module, ModuleMap]:
     return ker, incl
 
 
+def _extend_by_std(cols: Mat) -> list[int]:
+    """The j, in increasing order, whose standard vectors e_j each raise the
+    rank of the independent columns `cols` and those already chosen."""
+    n = cols.nrows
+    chosen = []
+    cur = cols
+    cur_rank = cols.ncols
+    for j in range(n):
+        cand = linalg.hstack([cur, linalg.std_col(n, j)])
+        if linalg.rank(cand) > cur_rank:
+            cur = cand
+            cur_rank += 1
+            chosen.append(j)
+    return chosen
+
+
 def cokernel_of_columns(ambient: Module, cols: dict) -> tuple[Module, ModuleMap, dict]:
     """Quotient of `ambient` by the submodule spanned by the given columns.
 
@@ -374,16 +409,7 @@ def cokernel_of_columns(ambient: Module, cols: dict) -> tuple[Module, ModuleMap,
             sub = linalg.zeros(n, 0)
         sub_basis = linalg.column_space_basis(sub)
         r = sub_basis.ncols
-        # extend the subspace basis by standard vectors to a full basis
-        chosen = []
-        cur = sub_basis
-        cur_rank = r
-        for j in range(n):
-            cand = linalg.hstack([cur, linalg.std_col(n, j)])
-            if linalg.rank(cand) > cur_rank:
-                cur = cand
-                cur_rank += 1
-                chosen.append(j)
+        chosen = _extend_by_std(sub_basis)
         dims[v] = n - r
         if len(chosen) != dims[v]:
             raise BlockConstructionError("basis extension failed")
@@ -454,20 +480,44 @@ def dual_module(m: Module) -> Module:
 
 # -- projectives and Ext ------------------------------------------------------------
 
-def projective(alg: PathAlgebra, vertex: str) -> tuple[Module, dict]:
-    """The projective A e_vertex, with its path basis grouped by target vertex."""
-    paths = [p for p in alg.basis if alg.source[p] == vertex]
-    by_tgt = {v: [p for p in paths if alg.target[p] == v] for v in alg.vertices}
-    dims = {v: len(by_tgt[v]) for v in alg.vertices}
+def spanned_module(alg: PathAlgebra, elements: list, vertex_of, times) -> tuple[Module, dict]:
+    """The module with basis `elements`, in which arrow `label` sends x to
+    the element times(label, x), or to 0 where that is None; x sits at the
+    vertex vertex_of(x).  Returns the module and its basis by vertex."""
+    by_vertex = {v: [x for x in elements if vertex_of(x) == v] for v in alg.vertices}
+    dims = {v: len(xs) for v, xs in by_vertex.items()}
     act = {}
     for label, src_v, tgt_v in alg.arrows:
         m = linalg.zeros(dims[tgt_v], dims[src_v])
-        for j, p in enumerate(by_tgt[src_v]):
-            q = alg.mult(label, p)
-            if q is not None:
-                m.rows[by_tgt[tgt_v].index(q)][j] = 1
+        for j, x in enumerate(by_vertex[src_v]):
+            y = times(label, x)
+            if y is not None:
+                m.rows[by_vertex[tgt_v].index(y)][j] = 1
         act[label] = m
-    return Module(alg, dims, act), by_tgt
+    return Module(alg, dims, act), by_vertex
+
+
+def projective(alg: PathAlgebra, vertex: str) -> tuple[Module, dict]:
+    """The projective A e_vertex, with its path basis grouped by target vertex."""
+    paths = [p for p in alg.basis if alg.source[p] == vertex]
+    return spanned_module(alg, paths, lambda p: alg.target[p], alg.mult)
+
+
+def bimodule(alg: PathAlgebra, tensors: list[tuple[str, ...]]) -> tuple[Module, dict]:
+    """The A-bimodule with basis `tensors`, each a tensor p_1 (x) ... (x) p_k
+    over the field of paths: A acts on the left through p_1 and on the right
+    through p_k.  A module over `enveloping(alg)`, with its basis by vertex."""
+    def times(label, x):
+        side, arrow, _ = label
+        if side == "left":
+            p = alg.mult(arrow, x[0])
+            return None if p is None else (p,) + x[1:]
+        p = alg.mult(x[-1], arrow)
+        return None if p is None else x[:-1] + (p,)
+
+    return spanned_module(
+        enveloping(alg), tensors, lambda x: (alg.target[x[0]], alg.source[x[-1]]), times
+    )
 
 
 def projective_cover(m: Module, projs: dict) -> tuple[Module, ModuleMap, list[str]]:
@@ -478,16 +528,10 @@ def projective_cover(m: Module, projs: dict) -> tuple[Module, ModuleMap, list[st
     labels: list[str] = []
     gens: list[tuple[str, list[int]]] = []
     for v in alg.vertices:
-        cur = rad[v]
-        cur_rank = linalg.rank(cur)
-        for j in range(m.dims[v]):
-            cand = linalg.hstack([cur, linalg.std_col(m.dims[v], j)])
-            if linalg.rank(cand) > cur_rank:
-                cur = cand
-                cur_rank += 1
-                summands.append(projs[v][0])
-                labels.append(v)
-                gens.append((v, [int(i == j) for i in range(m.dims[v])]))
+        for j in _extend_by_std(rad[v]):
+            summands.append(projs[v][0])
+            labels.append(v)
+            gens.append((v, [int(i == j) for i in range(m.dims[v])]))
     if not summands:
         empty = Module(alg, {})
         return empty, zero_map(empty, m), []
@@ -552,15 +596,16 @@ def _hom_coords(f: ModuleMap, basis: list[ModuleMap]) -> list[int | Fraction]:
             raise BlockConstructionError("hom coordinate failure")
         return []
     cols = linalg.from_rows(
-        [list(col) for col in zip(*(_flatten(b) for b in basis))], len(basis)
+        [list(col) for col in zip(*(flatten(b) for b in basis))], len(basis)
     )
-    sol = linalg.solve(cols, linalg.col_vec(_flatten(f)))
+    sol = linalg.solve(cols, linalg.col_vec(flatten(f)))
     if sol is None:
         raise BlockConstructionError("hom coordinate failure")
     return [row[0] for row in sol.rows]
 
 
-def _flatten(f: ModuleMap) -> list[int | Fraction]:
+def flatten(f: ModuleMap) -> list[int | Fraction]:
+    """The entries of f, vertex by vertex in the algebra's order, row by row."""
     out = []
     for v in f.src.algebra.vertices:
         for row in f.mats[v].rows:

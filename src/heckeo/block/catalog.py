@@ -9,7 +9,7 @@ Catalog entries (iso classes in parentheses):
     P_e, P_s (= Delta_s)  indecomposable projectives, dims 3 and 2
     D_e (= L_e), D_s (= P_e)  indecomposable tiltings
 
-Nothing about this dictionary is taken on faith: `build_catalog` recomputes
+Nothing about this dictionary is taken on faith: building a `Catalog` recomputes
 dimensions, Loewy layers, endomorphism rings, self-duality of tiltings and
 ungraded BGG reciprocity, and raises BlockConstructionError on any mismatch.
 
@@ -101,20 +101,11 @@ class Catalog:
         # dimension cross-check
         for v in self.algebra.vertices:
             total = sum(
-                cnt * self.modules_by_indec(name).dims[v] for name, cnt in out.items()
+                cnt * self.modules[name].dims[v] for name, cnt in out.items()
             )
             if total != m.dims[v]:
                 raise BlockConstructionError("decomposition does not add up")
         return out
-
-    def modules_by_indec(self, name: str) -> Module:
-        return {
-            "L_e": self.modules["L_e"],
-            "L_s": self.modules["L_s"],
-            "Delta_s": self.modules["Delta_s"],
-            "nabla_s": self.modules["nabla_s"],
-            "P_e": self.modules["P_e"],
-        }[name]
 
     def is_isomorphic(self, m: Module, n: Module) -> bool:
         return self.decompose(m) == self.decompose(n)
@@ -196,15 +187,9 @@ class Catalog:
         # the five indecomposables really are pairwise non-isomorphic
         for i, a in enumerate(INDECOMPOSABLES):
             for j, b in enumerate(INDECOMPOSABLES):
-                same = self.decompose(self.modules_by_indec(a)) == self.decompose(
-                    self.modules_by_indec(b)
-                )
+                same = self.decompose(self.modules[a]) == self.decompose(self.modules[b])
                 need(same == (i == j), "indecomposable separation")
 
         # direct sums decompose correctly
         total, _, _ = direct_sum([mods["P_e"], mods["L_s"], mods["L_s"]])
         need(self.decompose(total) == {"P_e": 1, "L_s": 2}, "Krull-Schmidt bookkeeping")
-
-
-def build_catalog() -> Catalog:
-    return Catalog()

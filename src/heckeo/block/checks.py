@@ -11,9 +11,9 @@ Grothendieck-group model for the rank-one Weyl group.
 from __future__ import annotations
 
 from ..report import VerificationReport
-from .algebra import dual_module, hom_dim, identity_map, socle_dims, top_dims
+from .algebra import Module, dual_module, hom_dim, socle_dims, top_dims
 from .catalog import CATALOG_NAMES
-from .functors import RankOneBlock, right_transpose, transpose
+from .functors import RankOneBlock, identity_nat, right_transpose, transpose
 
 # homology of the two equivalences on every catalog entry, as iso classes
 EXPECTED_HOMOLOGY = {
@@ -49,8 +49,6 @@ def _test_modules(ctx: RankOneBlock):
 
 
 def _test_walls(ctx: RankOneBlock):
-    from .algebra import Module
-
     return [Module(ctx.wall, {"w": d}) for d in (1, 2, 3)]
 
 
@@ -142,8 +140,7 @@ def verify_adjunctions(ctx: RankOneBlock) -> VerificationReport:
     rep.run(
         "block.triangle_identities",
         lambda: (
-            ctx._triangles_hold_adj1(ctx.eps, ctx.eta, mods, walls)
-            and ctx._triangles_hold_adj2(ctx.etap, ctx.epsp, mods, walls),
+            ctx.adj1.triangles_hold(mods + walls) and ctx.adj2.triangles_hold(mods + walls),
             "both adjunctions, on catalog modules, the regular module and walls",
         ),
     )
@@ -176,13 +173,13 @@ def verify_adjunctions(ctx: RankOneBlock) -> VerificationReport:
 
     def transposes():
         phis = ctx.wall_hom_basis()
-        idp = identity_nat_for(ctx)
+        idp = identity_nat(ctx.pi_pull)
         objs = walls
         # identity and zero
-        t_id = transpose(identity_nat_pi_star(ctx), ctx.adj1, ctx.adj1)
+        t_id = transpose(identity_nat(ctx.pi_star), ctx.adj1, ctx.adj1)
         if not t_id.equal_on(idp, objs):
             return False, "transpose of the identity is not the identity"
-        zero = identity_nat_pi_star(ctx) + (-identity_nat_pi_star(ctx))
+        zero = identity_nat(ctx.pi_star) + (-identity_nat(ctx.pi_star))
         if not transpose(zero, ctx.adj1, ctx.adj1).is_zero_on(objs):
             return False, "transpose of zero is not zero"
         # additivity
@@ -219,18 +216,6 @@ def verify_adjunctions(ctx: RankOneBlock) -> VerificationReport:
 
     rep.run("block.transpose_laws", transposes)
     return rep
-
-
-def identity_nat_pi_star(ctx: RankOneBlock):
-    from .functors import Nat
-
-    return Nat(ctx.pi_star, ctx.pi_star, lambda m: identity_map(ctx.pi_star.on_module(m)))
-
-
-def identity_nat_for(ctx: RankOneBlock):
-    from .functors import Nat
-
-    return Nat(ctx.pi_pull, ctx.pi_pull, lambda v: identity_map(ctx.pi_pull.on_module(v)))
 
 
 def verify_equivalence(ctx: RankOneBlock) -> VerificationReport:

@@ -51,9 +51,6 @@ class Mat:
     def __getitem__(self, i: int) -> list:
         return self.rows[i]
 
-    def __iter__(self):
-        return iter(self.rows)
-
     def __repr__(self) -> str:
         return f"Mat({self.nrows}x{self.ncols})"
 

@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 from heckeo.block import (
+    Adjunction,
     BlockConstructionError,
     Module,
     build_rank_one,
@@ -55,6 +56,17 @@ def test_module_relation_enforced():
     alg = rank_one_algebra()
     with pytest.raises(BlockConstructionError):
         Module(alg, {"e": 1, "s": 1}, {"a": [[1]], "b": [[1]]})
+
+
+def test_module_rejects_bad_dimensions():
+    alg = rank_one_algebra()
+    with pytest.raises(BlockConstructionError):
+        Module(alg, {"x": 3})
+    with pytest.raises(BlockConstructionError):
+        Module(alg, {"e": 1, "w": 1})
+    with pytest.raises(BlockConstructionError):
+        Module(alg, {"e": -1})
+    assert Module(alg, {"s": 2}).dimension_vector() == (0, 2)
 
 
 def test_catalog_composition_series(ctx):
@@ -144,13 +156,8 @@ def test_functor_words_compose(ctx):
 
 
 def test_identity_complex_is_a_unit(ctx):
-    from heckeo.block.functors import compose_functor_complexes
-
     ts = ctx.theta_complex("star")
-    for composed in (
-        compose_functor_complexes(ctx.identity_complex(), ts),
-        compose_functor_complexes(ts, ctx.identity_complex()),
-    ):
+    for composed in (ctx.identity_complex().compose(ts), ts.compose(ctx.identity_complex())):
         assert composed.degrees() == ts.degrees()
         for n in ts.degrees():
             assert composed.words(n) == ts.words(n)
@@ -196,6 +203,106 @@ def test_block_matrices_stay_integral(ctx):
         for nat, m in (("eps", mod), ("etap", mod), ("eta", wall), ("epsp", wall)):
             for v, comp in getattr(ctx, nat).at(m).mats.items():
                 assert int_entries(comp), f"{nat} on {name} at vertex {v}"
+
+
+# Component matrices of the frozen (co)units, row by row at each vertex: eps
+# and etap on the catalog and the regular module, eta and epsp on the walls
+# W1-W3 of dimension 1-3.  Written by evaluating them at a commit whose Nat
+# spaces were solved by hand-built equation systems, so they pin the frozen
+# adjunction independently of how the Nat spaces are now computed.
+FROZEN_COMPONENTS = {
+    ("eps", "Delta_e"): {"e": [[1, 0]], "s": []},
+    ("eps", "Delta_s"): {"e": [[1, 0]], "s": [[0]]},
+    ("eps", "nabla_e"): {"e": [[1, 0]], "s": []},
+    ("eps", "nabla_s"): {"e": [[1, 0]], "s": [[1]]},
+    ("eps", "L_e"): {"e": [[1, 0]], "s": []},
+    ("eps", "L_s"): {"e": [], "s": [[]]},
+    ("eps", "P_e"): {"e": [[1, 0, 0, 0], [0, 1, 1, 0]], "s": [[1, 0]]},
+    ("eps", "P_s"): {"e": [[1, 0]], "s": [[0]]},
+    ("eps", "D_e"): {"e": [[1, 0]], "s": []},
+    ("eps", "D_s"): {"e": [[1, 0, 0, 0], [0, 1, 1, 0]], "s": [[1, 0]]},
+    ("eps", "regular"): {"e": [[1, 0, 0, 0, 0, 0], [0, 1, 0, 1, 0, 0], [0, 0, 1, 0, 0, 0]],
+                         "s": [[1, 0, 0], [0, 0, 0]]},
+    ("etap", "Delta_e"): {"e": [[0], [1]], "s": [[]]},
+    ("etap", "Delta_s"): {"e": [[0], [1]], "s": [[1]]},
+    ("etap", "nabla_e"): {"e": [[0], [1]], "s": [[]]},
+    ("etap", "nabla_s"): {"e": [[0], [1]], "s": [[0]]},
+    ("etap", "L_e"): {"e": [[0], [1]], "s": [[]]},
+    ("etap", "L_s"): {"e": [], "s": []},
+    ("etap", "P_e"): {"e": [[0, 0], [1, 0], [1, 0], [0, 1]], "s": [[0], [1]]},
+    ("etap", "P_s"): {"e": [[0], [1]], "s": [[1]]},
+    ("etap", "D_e"): {"e": [[0], [1]], "s": [[]]},
+    ("etap", "D_s"): {"e": [[0, 0], [1, 0], [1, 0], [0, 1]], "s": [[0], [1]]},
+    ("etap", "regular"): {"e": [[0, 0, 0], [1, 0, 0], [0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]],
+                          "s": [[0, 0], [1, 0], [0, 1]]},
+    ("eta", "W1"): {"w": [[1], [0]]},
+    ("eta", "W2"): {"w": [[1, 0], [0, 1], [0, 0], [0, 0]]},
+    ("eta", "W3"): {"w": [[1, 0, 0], [0, 1, 0], [0, 0, 1], [0, 0, 0], [0, 0, 0], [0, 0, 0]]},
+    ("epsp", "W1"): {"w": [[0, 1]]},
+    ("epsp", "W2"): {"w": [[0, 0, 1, 0], [0, 0, 0, 1]]},
+    ("epsp", "W3"): {"w": [[0, 0, 0, 1, 0, 0], [0, 0, 0, 0, 1, 0], [0, 0, 0, 0, 0, 1]]},
+}
+
+
+def test_frozen_adjunction_components(ctx):
+    objects = {name: ctx.catalog.modules[name] for name in CATALOG_NAMES}
+    objects["regular"] = ctx.regular
+    objects.update({f"W{d}": Module(ctx.wall, {"w": d}) for d in (1, 2, 3)})
+    got = {}
+    for nat, name in FROZEN_COMPONENTS:
+        comp = getattr(ctx, nat).at(objects[name])
+        got[(nat, name)] = {v: [list(row) for row in m.rows] for v, m in comp.mats.items()}
+    assert got == FROZEN_COMPONENTS
+
+
+def test_units_and_counits_are_natural(ctx):
+    """eps: theta -> Id, etap: Id -> theta and each wall_hom_basis element
+    on every hom-space basis map between catalog modules; eta: Id -> p*p^
+    and epsp: p*p^ -> Id on every basis map between walls of dimension 1-3."""
+    cat = ctx.catalog
+    theta, phis = ctx.theta, ctx.wall_hom_basis()
+    for m_name in CATALOG_NAMES:
+        for n_name in CATALOG_NAMES:
+            m, n = cat.modules[m_name], cat.modules[n_name]
+            for f in hom_basis(m, n):
+                assert ctx.eps.at(n) @ theta.on_map(f) == f @ ctx.eps.at(m)
+                assert theta.on_map(f) @ ctx.etap.at(m) == ctx.etap.at(n) @ f
+                restricted = ctx.pi_star.on_map(f)
+                for phi in phis:
+                    assert phi.at(n) @ restricted == restricted @ phi.at(m)
+    pair = ctx.pi_star.compose(ctx.pi_pull)
+    walls = [Module(ctx.wall, {"w": d}) for d in (1, 2, 3)]
+    for v in walls:
+        for w in walls:
+            for g in hom_basis(v, w):
+                assert pair.on_map(g) @ ctx.eta.at(v) == ctx.eta.at(w) @ g
+                assert ctx.epsp.at(w) @ pair.on_map(g) == g @ ctx.epsp.at(v)
+
+
+def test_functors_reject_objects_of_the_other_category(ctx):
+    line = Module(ctx.wall, {"w": 1})
+    p_e = ctx.catalog.modules["P_e"]
+    for functor, wrong in ((ctx.pi_star, line), (ctx.pi_pull, p_e), (ctx.theta, line)):
+        with pytest.raises(BlockConstructionError):
+            functor.on_module(wrong)
+        with pytest.raises(BlockConstructionError):
+            functor.on_map(identity_map(wrong))
+    with pytest.raises(BlockConstructionError):
+        ctx.translation(line, "to_wall")
+    with pytest.raises(BlockConstructionError):
+        ctx.translation(p_e, "off_wall")
+    for nat, wrong in (("eps", line), ("etap", line), ("eta", p_e), ("epsp", p_e)):
+        with pytest.raises(BlockConstructionError):
+            getattr(ctx, nat).at(wrong)
+
+
+def test_adjunction_triangles_fail_for_a_wrong_unit(ctx):
+    for adj in (ctx.adj1, ctx.adj2):
+        objects = [ctx.regular, Module(ctx.wall, {"w": 2})]
+        assert adj.triangles_hold(objects)
+        assert len(adj.triangles(objects)) == 2
+        doubled = Adjunction(adj.left, adj.right, adj.unit + adj.unit, adj.counit, adj.name)
+        assert not doubled.triangles_hold(objects)
 
 
 def test_transpose_laws_report(ctx):
