@@ -11,19 +11,20 @@ the sign twist b (v -> -v^-1, H_x -> H_x), the anti-automorphism iota
 the bilinear form <H_x, H_y> = delta_{x,y}, and the bases dual to {C'_x}
 and {C_x} under that form.
 
-C_x is computed two independent ways: the product recursion (C_s * C_{sx}
-minus integer multiples of lower C_y), and a solver that enforces
-self-duality coefficient by coefficient down the length order.  The two
-must agree exactly; `verify_kl_oracle` checks that.
+Every product comes down to one left action on coefficient dicts,
 
-The recursion never forms a general product.  C_s * C_{sx} is the left
-action of C_s = H_s + v term by term (`left_cs`):
+    (H_s + c) H_y = H_{sy} + k_y H_y,   k_y = c (sy > y), c + v^-1 - v (sy < y),
 
-    C_s H_y = H_{sy} + v H_y        when sy > y,
-    C_s H_y = H_{sy} + v^-1 H_y     when sy < y,
+one pass over the support in which each monomial of k_y is an exponent
+shift.  It serves c = v (C_s, hence C_x and wall crossing), c = 0 (H_s,
+hence `mul`) and c = v - v^-1 (H_s^-1 = d(H_s), hence d(H_x)).  `mul`
+walks the smaller support, flipping sides by iota when that is b's, and
+memoizes H_y b along suffixes of reduced words.
 
-one pass over the support in which v^{+-1} is an exponent shift; the
-mu(y, sx) C_y are then subtracted from the same vector in place.
+C_x is computed two independent ways: the recursion C_s C_{sx} minus
+integer multiples mu(y, sx) C_y, subtracted in place, and a solver that
+enforces self-duality coefficient by coefficient down the length order.
+The two must agree exactly; `verify_kl_oracle` checks that.
 """
 
 from __future__ import annotations
@@ -34,8 +35,13 @@ from .laurent import RULE_V_TO_NEG_VINV, LaurentPoly, v
 from .report import VerificationReport
 from .weyl import MixedGroups, WeylElt, WeylGroup
 
-_V_INV_MINUS_V = LaurentPoly({-1: 1, 1: -1})
-_V_MINUS_V_INV = LaurentPoly({1: 1, -1: -1})
+# (H_s + c) H_y = H_{sy} + k_y H_y, where k_y = c when sy > y and
+# k_y = c + v^-1 - v when sy < y.  Each c in use is given by its two k_y,
+# (sy > y, sy < y), and each k_y by the exponents (e, f) of v^e - v^f,
+# None for an absent monomial.
+_C_S = ((1, None), (-1, None))  # c = v: C_s
+_H_S = ((None, None), (-1, 1))  # c = 0: H_s
+_H_S_INV = ((1, -1), (None, None))  # c = v - v^-1: H_s^-1 = d(H_s)
 
 KL_VARIANTS = ("C", "Cprime")
 DUAL_VARIANTS = ("dual_to_bC", "dual_to_C")
@@ -91,6 +97,14 @@ class HeckeElt:
         self.algebra = algebra
         self._c = {k: p for k, p in coeffs.items() if not p.is_zero()}
 
+    @classmethod
+    def _wrap(cls, algebra: "HeckeAlgebra", coeffs: dict[int, LaurentPoly]) -> "HeckeElt":
+        """The element with a zero-free coefficient dict, which it shares."""
+        h = cls.__new__(cls)
+        h.algebra = algebra
+        h._c = coeffs
+        return h
+
     def coeff(self, x: WeylElt) -> LaurentPoly:
         return self._c.get(x.idx, LaurentPoly.zero())
 
@@ -142,13 +156,15 @@ class HeckeAlgebra:
     """The Hecke algebra attached to one WeylGroup, with one lazy
     per-element memo for each basis view in VIEWS.
 
-    All tables are write-once per group; every public operation is pure.
+    All tables are write-once per group and hold coefficient dicts, never
+    elements, so an algebra is freed with its last reference; every public
+    operation is pure.
     """
 
     def __init__(self, group: WeylGroup):
         self.group = group
-        self._views: dict[str, dict[int, HeckeElt]] = {name: {} for name in VIEWS}
-        self._kl_solved: dict[int, HeckeElt] = {}
+        self._views: dict[str, dict[int, dict[int, LaurentPoly]]] = {name: {} for name in VIEWS}
+        self._kl_solved: dict[int, dict[int, LaurentPoly]] = {}
         self._twisted: dict[LaurentPoly, LaurentPoly] = {}
 
     # -- constructors ----------------------------------------------------
@@ -175,51 +191,58 @@ class HeckeAlgebra:
 
     # -- multiplication ----------------------------------------------------
 
-    def _times_gen(self, coeffs: dict[int, LaurentPoly], i: int) -> dict[int, LaurentPoly]:
-        g = self.group
-
-        def terms():
-            for k, p in coeffs.items():
-                ks = g._rmult[k][i - 1]
-                yield ks, p
-                if g._lengths[ks] < g._lengths[k]:
-                    yield k, p * _V_INV_MINUS_V
-
-        return accumulate({}, terms())
+    def _act(self, i: int, h: dict[int, LaurentPoly], c) -> dict[int, LaurentPoly]:
+        """(H_s + c) h on a coefficient dict, s the i-th simple reflection and
+        c one of _C_S, _H_S, _H_S_INV.  Entry y of the result is
+        h_{sy} + k_y h_y, one pass over the support; each monomial of k_y is
+        an exponent shift, never a polynomial product."""
+        up, down = c
+        lmult, lengths = self.group._lmult, self.group._lengths
+        out: dict[int, LaurentPoly] = {}
+        for y, p in h.items():
+            sy = lmult[y][i - 1]
+            q = h.get(sy)
+            if q is None:
+                out[sy] = p
+            plus, minus = up if lengths[sy] > lengths[y] else down
+            if plus is not None:
+                t = p.shifted(plus)
+                q = t if q is None else t + q
+            if minus is not None:
+                q = q.plus_multiple(p.shifted(minus), -1)
+            if q:
+                out[y] = q
+        return out
 
     def mul(self, a: HeckeElt, b: HeckeElt) -> HeckeElt:
+        """sum_y a_y (H_y b) over the smaller support: if b has it,
+        ab = iota(iota(b) iota(a)).  H_y b = H_s (H_{sy} b) for s the first
+        letter of the reduced word of y, the rest being the word of sy, so
+        the H_y b are memoized along suffixes: at most |W| actions."""
         self.check_own(a, b)
+        if len(a._c) > len(b._c):
+            return self.iota(self.mul(self.iota(b), self.iota(a)))
         g = self.group
+        memo = {0: b._c}
         total: dict[int, LaurentPoly] = {}
-        for y, cy in b._c.items():
-            cur = {k: p * cy for k, p in a._c.items()}
-            for i in g.reduced_word(g.element(y)):
-                cur = self._times_gen(cur, i)
-            accumulate(total, cur.items())
+        for y, ay in a._c.items():
+            chain = []
+            while y not in memo:
+                s = g.reduced_word(g.element(y))[0]
+                chain.append((y, s))
+                y = g._lmult[y][s - 1]
+            hy = memo[y]
+            for z, s in reversed(chain):
+                hy = memo[z] = self._act(s, hy, _H_S)
+            accumulate(total, hy.items(), ay)
         return HeckeElt(self, total)
 
     def left_cs(self, i: int, h: HeckeElt) -> HeckeElt:
-        """C_s h for C_s = H_s + v, s the i-th simple reflection.
-
-        C_s H_y = H_{sy} + v^{+-1} H_y (+ when sy > y), so entry y of the
-        result is v^{+-1} h_y + h_{sy}: one pass over the support."""
+        """C_s h for C_s = H_s + v, s the i-th simple reflection."""
         self.check_own(h)
         if not 1 <= i <= self.group.rank:
             raise ValueError(f"no simple reflection with index {i}")
-        lmult, lengths = self.group._lmult, self.group._lengths
-        coeffs = h._c
-        out: dict[int, LaurentPoly] = {}
-        for k, p in coeffs.items():
-            sk = lmult[k][i - 1]
-            q = p.shifted(1 if lengths[sk] > lengths[k] else -1)
-            r = coeffs.get(sk)
-            if r is None:
-                out[sk] = p
-            else:
-                q = q + r
-            if q:
-                out[k] = q
-        return HeckeElt(self, out)
+        return HeckeElt._wrap(self, self._act(i, h._c, _C_S))
 
     # -- involutions ---------------------------------------------------------
 
@@ -227,7 +250,7 @@ class HeckeAlgebra:
         """The ring involution d."""
         out: dict[int, LaurentPoly] = {}
         for k, p in h._c.items():
-            accumulate(out, self._view("d", k)._c.items(), p.bar())
+            accumulate(out, self._view("d", k).items(), p.bar())
         return HeckeElt(self, out)
 
     def b_twist(self, h: HeckeElt) -> HeckeElt:
@@ -259,16 +282,16 @@ class HeckeAlgebra:
             raise ValueError(f"unknown basis view: {name!r}")
         if x.group is not self.group:
             raise MixedGroups("element from a different group")
-        return self._view(name, x.idx)
+        return HeckeElt._wrap(self, self._view(name, x.idx))
 
-    def _view(self, name: str, k: int) -> HeckeElt:
+    def _view(self, name: str, k: int) -> dict[int, LaurentPoly]:
         memo = self._views[name]
         got = memo.get(k)
         if got is None:
             if name == "C":
                 got = self._build_C(k)
             elif name == "Cprime":
-                got = self.b_twist(self._view("C", k))
+                got = self.b_twist(HeckeElt._wrap(self, self._view("C", k)))._c
             elif name == "d":
                 got = self._build_d(k)
             else:
@@ -276,43 +299,39 @@ class HeckeAlgebra:
             memo[k] = got
         return got
 
-    def _build_d(self, k: int) -> HeckeElt:
-        """d(H_x) = H_{x^-1}^-1, built along the reduced word of x using
-        H_s^-1 = H_s + (v - v^-1)."""
+    def _build_d(self, k: int) -> dict[int, LaurentPoly]:
+        """d(H_x) = d(H_s) d(H_{sx}) = (H_s + v - v^-1) d(H_{sx}) for s the
+        first letter of the reduced word of x."""
         g = self.group
         if k == 0:
-            return self.unit()
-        word = g.reduced_word(g.element(k))
-        prefix = g.element_by_word(word[:-1]).idx
-        j = word[-1]
-        d_gen = HeckeElt(self, {g._rmult[0][j - 1]: LaurentPoly.one(), 0: _V_MINUS_V_INV})
-        return self.mul(self._view("d", prefix), d_gen)
+            return {0: LaurentPoly.one()}
+        s = g.reduced_word(g.element(k))[0]
+        return self._act(s, self._view("d", g._lmult[k][s - 1]), _H_S_INV)
 
-    def _build_C(self, k: int) -> HeckeElt:
+    def _build_C(self, k: int) -> dict[int, LaurentPoly]:
         g = self.group
         if k == 0:
-            return self.unit()
+            return {0: LaurentPoly.one()}
         s = g.reduced_word(g.element(k))[0]
         c_lower = self._view("C", g._lmult[k][s - 1])
-        res = self.left_cs(s, c_lower)
+        res = self._act(s, c_lower, _C_S)
         # strip mu(y, sx) * C_y for the y below sx with sy < y, in place:
         # res is not shared yet
-        for y, p in c_lower._c.items():
+        for y, p in c_lower.items():
             if g._lengths[g._lmult[y][s - 1]] < g._lengths[y]:
                 mu = p.coeff(1)
                 if mu:
-                    accumulate(res._c, self._view("C", y)._c.items(), -mu)
+                    accumulate(res, self._view("C", y).items(), -mu)
         return res
 
-    def _build_duals(self, variant: str) -> dict[int, HeckeElt]:
+    def _build_duals(self, variant: str) -> dict[int, dict[int, LaurentPoly]]:
         """Fills the whole memo of a dual basis by one matrix inversion."""
         g = self.group
         kl_variant = "Cprime" if variant == "dual_to_bC" else "C"
-        cols = [self._view(kl_variant, y)._c for y in range(g.order)]
+        cols = [self._view(kl_variant, y) for y in range(g.order)]
         # <Q_x, col_y> = delta needs the x-th row of the inverse matrix
         memo = self._views[variant]
-        for x, row in enumerate(invert_unitriangular(cols, g.order)):
-            memo[x] = HeckeElt(self, row)
+        memo.update(enumerate(invert_unitriangular(cols, g.order)))
         return memo
 
     # -- Kazhdan-Lusztig elements ---------------------------------------------
@@ -322,7 +341,7 @@ class HeckeAlgebra:
         C'_x = b(C_x) (correction terms in v^-1 Z[v^-1])."""
         if variant not in KL_VARIANTS:
             raise ValueError(f"unknown KL variant: {variant!r}")
-        return self._view(variant, x.idx)
+        return HeckeElt._wrap(self, self._view(variant, x.idx))
 
     def kl_element_by_bar_solver(self, x: WeylElt) -> HeckeElt:
         """Independent oracle for C_x: starting from H_x, restore bar
@@ -335,7 +354,7 @@ class HeckeAlgebra:
         """
         got = self._kl_solved.get(x.idx)
         if got is not None:
-            return got
+            return HeckeElt._wrap(self, got)
         g = self.group
         f = {x.idx: LaurentPoly.one()}
         defect = accumulate(dict(self.bar(self.std(x))._c), f.items(), -1)
@@ -352,12 +371,12 @@ class HeckeAlgebra:
             p = LaurentPoly({e: n for e, n in c.items() if e > 0})
             accumulate(f, [(y, p)])
             # the defect is linear in f, so update it in place
-            accumulate(defect, self._view("d", y)._c.items(), p.bar())
+            accumulate(defect, self._view("d", y).items(), p.bar())
             accumulate(defect, [(y, p)], -1)
         got = HeckeElt(self, f)
         if defect or self.bar(got) != got:
             raise ArithmeticError("bar solver failed to reach a self-dual element")
-        self._kl_solved[x.idx] = got
+        self._kl_solved[x.idx] = got._c
         return got
 
     # -- bilinear form and dual bases ---------------------------------------
@@ -372,7 +391,7 @@ class HeckeAlgebra:
         or <Q_x, C_y> = delta (variant dual_to_C)."""
         if variant not in DUAL_VARIANTS:
             raise ValueError(f"unknown dual-basis variant: {variant!r}")
-        return {x: self._view(variant, x.idx) for x in self.group.elements()}
+        return {x: HeckeElt._wrap(self, self._view(variant, x.idx)) for x in self.group.elements()}
 
     # -- verification -----------------------------------------------------------
 
@@ -427,66 +446,24 @@ class HeckeAlgebra:
         basis = [self.std(x) for x in g.elements()]
         sample = self._sample_elements()
 
-        rep.run(
-            "hecke.bar_is_involution",
-            lambda: (
-                all(self.bar(self.bar(h)) == h for h in basis + sample),
-                f"{len(basis) + len(sample)} elements",
-            ),
-        )
-        rep.run(
-            "hecke.bar_is_ring_automorphism",
-            lambda: (
-                all(
-                    self.bar(self.mul(a, b)) == self.mul(self.bar(a), self.bar(b))
-                    for a in sample
-                    for b in sample
-                ),
-                f"{len(sample)}^2 products",
-            ),
-        )
-        rep.run(
-            "hecke.b_is_involution",
-            lambda: (
-                all(self.b_twist(self.b_twist(h)) == h for h in basis + sample),
-                "",
-            ),
-        )
-        rep.run(
-            "hecke.b_is_ring_automorphism",
-            lambda: (
-                all(
-                    self.b_twist(self.mul(a, b))
-                    == self.mul(self.b_twist(a), self.b_twist(b))
-                    for a in sample
-                    for b in sample
-                ),
-                "",
-            ),
-        )
-        rep.run(
-            "hecke.iota_is_anti_automorphism",
-            lambda: (
-                all(
-                    self.iota(self.mul(a, b)) == self.mul(self.iota(b), self.iota(a))
-                    for a in sample
-                    for b in sample
-                ),
-                "",
-            ),
-        )
-        rep.run(
-            "hecke.involutions_pairwise_commute",
-            lambda: (
-                all(
-                    self.bar(self.b_twist(h)) == self.b_twist(self.bar(h))
-                    and self.bar(self.iota(h)) == self.iota(self.bar(h))
-                    and self.b_twist(self.iota(h)) == self.iota(self.b_twist(h))
-                    for h in basis + sample
-                ),
-                "",
-            ),
-        )
+        singles = [(h,) for h in basis + sample]
+        pairs = [(a, b) for a in sample for b in sample]
+        bar, twist, iota, mul = self.bar, self.b_twist, self.iota, self.mul
+        for name, holds, family, detail in (
+            ("bar_is_involution", lambda h: bar(bar(h)) == h, singles, f"{len(singles)} elements"),
+            ("bar_is_ring_automorphism", lambda a, b: bar(mul(a, b)) == mul(bar(a), bar(b)),
+             pairs, f"{len(sample)}^2 products"),
+            ("b_is_involution", lambda h: twist(twist(h)) == h, singles, ""),
+            ("b_is_ring_automorphism", lambda a, b: twist(mul(a, b)) == mul(twist(a), twist(b)),
+             pairs, ""),
+            ("iota_is_anti_automorphism", lambda a, b: iota(mul(a, b)) == mul(iota(b), iota(a)),
+             pairs, ""),
+            ("involutions_pairwise_commute",
+             lambda h: bar(twist(h)) == twist(bar(h)) and bar(iota(h)) == iota(bar(h))
+             and twist(iota(h)) == iota(twist(h)), singles, ""),
+        ):
+            rep.run("hecke." + name,
+                    lambda holds=holds, family=family, detail=detail: (all(holds(*t) for t in family), detail))
         return rep
 
     def verify_kl(self) -> VerificationReport:

@@ -2,10 +2,11 @@
 
 Everything in here deliberately avoids the production code paths it is used
 to check: Bruhat order comes from the subword property, orders come from
-closed formulas, Hecke products are re-derived from scratch where needed,
-basis coordinates come from a whole-matrix inversion, left multiplication
-in a Weyl group comes from composing signed permutations, and block linear
-algebra is redone with every entry a `Fraction`.
+closed formulas, Hecke products are re-derived by right multiplication
+along reduced words, basis coordinates come from a whole-matrix inversion,
+left multiplication in a Weyl group comes from composing signed
+permutations, and block linear algebra is redone with every entry a
+`Fraction`.
 """
 
 from __future__ import annotations
@@ -78,14 +79,43 @@ def lengths_by_inversions(W: WeylGroup) -> dict[int, int]:
     return out
 
 
+_V_INV_MINUS_V = LaurentPoly({-1: 1, 1: -1})
+
+
+def _times_gen(g: WeylGroup, coeffs: dict[int, LaurentPoly], i: int) -> dict[int, LaurentPoly]:
+    """h H_s for s the i-th simple reflection, term by term:
+    H_y H_s = H_{ys}, plus (v^-1 - v) H_y when ys < y."""
+    out: dict[int, LaurentPoly] = {}
+    for k, p in coeffs.items():
+        ks = g._rmult[k][i - 1]
+        accumulate(out, [(ks, p)])
+        if g._lengths[ks] < g._lengths[k]:
+            accumulate(out, [(k, p * _V_INV_MINUS_V)])
+    return out
+
+
+def mul_by_right_words(alg: HeckeAlgebra, a: HeckeElt, b: HeckeElt) -> HeckeElt:
+    """a * b as sum_y b_y (a H_y), with a H_y formed one right H_s at a
+    time along the reduced word of y.  It reads only the group's right
+    multiplication table, never the algebra's left generator action."""
+    g = alg.group
+    total: dict[int, LaurentPoly] = {}
+    for y, cy in b._c.items():
+        cur = {k: p * cy for k, p in a._c.items()}
+        for i in g.reduced_word(g.element(y)):
+            cur = _times_gen(g, cur, i)
+        accumulate(total, cur.items())
+    return HeckeElt(alg, total)
+
+
 def kl_by_product_recursion(alg: HeckeAlgebra) -> dict[int, HeckeElt]:
     """C_x for every x by the classical recursion with full Hecke products:
     C_x = C_s * C_{sx} - sum of mu(y, sx) C_y over y < sx with sy < y,
     for the first letter s of a reduced word of x (Kazhdan-Lusztig 1979).
 
-    C_s * C_{sx} goes through the general `HeckeAlgebra.mul`, one `H_s` at
-    a time along reduced words, and the table is kept here, so neither the
-    left C_s action nor the algebra's own KL memo is ever used.
+    C_s * C_{sx} goes through `mul_by_right_words`, one right `H_s` at a
+    time along reduced words, and the table is kept here, so neither the
+    algebra's generator action nor its own KL memo is ever used.
     """
     g = alg.group
     table = {g.identity.idx: alg.unit()}
@@ -95,7 +125,7 @@ def kl_by_product_recursion(alg: HeckeAlgebra) -> dict[int, HeckeElt]:
         s = g.reduced_word(x)[0]
         sx = g.left_multiply_gen(s, x)
         lower = table[sx.idx]
-        c = alg.mul(alg.gen(s) + alg.unit() * v, lower)
+        c = mul_by_right_words(alg, alg.gen(s) + alg.unit() * v, lower)
         for y, p in lower.coeffs().items():
             mu = p.coeff(1)
             if mu and g.length(g.left_multiply_gen(s, y)) < g.length(y):

@@ -350,6 +350,25 @@ def test_apply_to_chain_complex(ctx):
     assert sorted(out.entries) == [0, 1, 2]
 
 
+def test_quasi_iso_computes_each_homology_once(ctx, monkeypatch):
+    from heckeo.block.functors import ChainComplex
+
+    calls = []
+    original = ChainComplex.homology
+
+    def counted(self, n):
+        calls.append(n)
+        return original(self, n)
+
+    monkeypatch.setattr(ChainComplex, "homology", counted)
+    for name in CATALOG_NAMES:
+        for chain_map in (ctx.build_ev(ctx.catalog.modules[name]), ctx.build_coev(ctx.catalog.modules[name])):
+            calls.clear()
+            assert chain_map.is_quasi_iso(), name
+            assert calls, name
+            assert all(calls.count(n) <= 2 for n in calls), (name, calls)
+
+
 def test_ev_coev_reports(ctx):
     rep = verify_equivalence(ctx)
     assert rep.passed, [(c.name, c.detail) for c in rep.failures()]

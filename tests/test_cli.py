@@ -137,6 +137,7 @@ def test_missing_config_is_fine(monkeypatch, tmp_path):
     ("verify_B2_all.json", ["verify", "--type", "B2", "--suite", "all", "--format", "json"]),
     ("weyl_B3.json", ["weyl", "--type", "B3", "--format", "json"]),
     ("block_check_all.json", ["block-check", "--suite", "all", "--format", "json"]),
+    ("verify_A3_all.json", ["verify", "--type", "A3", "--suite", "all", "--format", "json"]),
 ])
 def test_golden_outputs(fname, argv, monkeypatch, tmp_path):
     monkeypatch.setenv("HECKEO_CONFIG", str(tmp_path / "absent.cfg"))
