@@ -18,7 +18,9 @@ them comes out wrong.
 
 A one-vertex, arrowless instance of the same class models the category of
 plain vector spaces on the wall, and `enveloping` gives the quiver whose
-modules are the bimodules over an algebra.
+modules are the bimodules over an algebra.  Bounded chain complexes of
+modules, their homology and chain maps close the file; Ext is the homology
+of a Hom complex on the wall.
 """
 
 from __future__ import annotations
@@ -264,56 +266,41 @@ def zero_map(src: Module, dst: Module) -> ModuleMap:
     return ModuleMap(src, dst, {}, check=False)
 
 
-def direct_sum(mods: list[Module]) -> tuple[Module, list[ModuleMap], list[ModuleMap]]:
-    """Direct sum with injections and projections."""
+def sum_module(mods: list[Module]) -> Module:
+    """The direct sum of mods, their arrow matrices placed block-diagonally."""
     if not mods:
         raise BlockConstructionError("empty direct sum needs an algebra")
     alg = mods[0].algebra
-    dims = {v: sum(m.dims[v] for m in mods) for v in alg.vertices}
-    act = {}
-    for label, src_v, tgt_v in alg.arrows:
-        big = linalg.zeros(dims[tgt_v], dims[src_v])
-        r0 = c0 = 0
-        for m in mods:
-            a = m.act[label]
-            for i in range(m.dims[tgt_v]):
-                for j in range(m.dims[src_v]):
-                    big.rows[r0 + i][c0 + j] = a.rows[i][j]
-            r0 += m.dims[tgt_v]
-            c0 += m.dims[src_v]
-        act[label] = big
-    total = Module(alg, dims, act)
-    injections = []
-    projections = []
-    offs = {v: 0 for v in alg.vertices}
-    for m in mods:
-        inj = {}
-        proj = {}
-        for v in alg.vertices:
-            mi = linalg.zeros(dims[v], m.dims[v])
-            mp = linalg.zeros(m.dims[v], dims[v])
-            for i in range(m.dims[v]):
-                mi.rows[offs[v] + i][i] = 1
-                mp.rows[i][offs[v] + i] = 1
-            inj[v] = mi
-            proj[v] = mp
-        injections.append(ModuleMap(m, total, inj, check=False))
-        projections.append(ModuleMap(total, m, proj, check=False))
-        for v in alg.vertices:
-            offs[v] += m.dims[v]
-    return total, injections, projections
+    sizes = {v: [m.dims[v] for m in mods] for v in alg.vertices}
+    return Module(alg, {v: sum(ds) for v, ds in sizes.items()}, {
+        label: linalg.block_matrix(
+            {(k, k): m.act[label] for k, m in enumerate(mods)}, sizes[tgt_v], sizes[src_v]
+        )
+        for label, src_v, tgt_v in alg.arrows
+    })
 
 
 def block_map(srcs: list[Module], dsts: list[Module], blocks: dict) -> ModuleMap:
-    """Assemble a map of direct sums from blocks[(r, c)] : srcs[c] -> dsts[r]."""
-    src, _, projs = direct_sum(srcs)
-    dst, injs, _ = direct_sum(dsts)
-    total = zero_map(src, dst)
-    for (r, c), f in blocks.items():
-        if f is None:
-            continue
-        total = total + (injs[r] @ f @ projs[c])
-    return total
+    """Assemble a map of direct sums from blocks[(r, c)] : srcs[c] -> dsts[r];
+    missing blocks are zero."""
+    src, dst = sum_module(srcs), sum_module(dsts)
+    mats = {
+        v: linalg.block_matrix(
+            {rc: f.mats[v] for rc, f in blocks.items()},
+            [m.dims[v] for m in dsts], [m.dims[v] for m in srcs],
+        )
+        for v in dst.algebra.vertices
+    }
+    return ModuleMap(src, dst, mats, check=False)
+
+
+def direct_sum(mods: list[Module]) -> tuple[Module, list[ModuleMap], list[ModuleMap]]:
+    """Direct sum with injections and projections."""
+    return (
+        sum_module(mods),
+        [block_map([m], mods, {(k, 0): identity_map(m)}) for k, m in enumerate(mods)],
+        [block_map(mods, [m], {(0, k): identity_map(m)}) for k, m in enumerate(mods)],
+    )
 
 
 # -- hom spaces ----------------------------------------------------------------
@@ -524,39 +511,31 @@ def projective_cover(m: Module, projs: dict) -> tuple[Module, ModuleMap, list[st
     """A projective cover P -> M; projs maps vertex -> (module, path basis)."""
     alg = m.algebra
     rad = radical(m)
-    summands: list[Module] = []
-    labels: list[str] = []
-    gens: list[tuple[str, list[int]]] = []
-    for v in alg.vertices:
-        for j in _extend_by_std(rad[v]):
-            summands.append(projs[v][0])
-            labels.append(v)
-            gens.append((v, [int(i == j) for i in range(m.dims[v])]))
-    if not summands:
+    # one generator e_j of M_v for each standard vector outside the radical
+    gens = [(v, j) for v in alg.vertices for j in _extend_by_std(rad[v])]
+    if not gens:
         empty = Module(alg, {})
         return empty, zero_map(empty, m), []
-    total, _, _ = direct_sum(summands)
-    blocks = {}
-    for idx, (v, gen_vec) in enumerate(gens):
-        pmod, by_tgt = projs[v]
-        mats = {}
-        for u in alg.vertices:
-            mm = linalg.zeros(m.dims[u], pmod.dims[u])
-            for col, path in enumerate(by_tgt[u]):
-                img = linalg.mmul(m.path_action(path), linalg.col_vec(gen_vec))
-                for i in range(m.dims[u]):
-                    mm.rows[i][col] = img.rows[i][0]
-            mats[u] = mm
-        blocks[(0, idx)] = ModuleMap(pmod, m, mats)
-    cover = block_map(summands, [m], blocks)
-    cover = ModuleMap(total, m, cover.mats)
+    # the summand P_v of generator e_j sends its basis path p to p e_j
+    mats = {}
+    for u in alg.vertices:
+        cols = [
+            linalg.mmul(m.path_action(p), linalg.std_col(m.dims[v], j))
+            for v, j in gens for p in projs[v][1][u]
+        ]
+        mats[u] = linalg.block_matrix(
+            {(0, k): col for k, col in enumerate(cols)}, [m.dims[u]], [1] * len(cols)
+        )
+    total = sum_module([projs[v][0] for v, _ in gens])
+    cover = ModuleMap(total, m, mats)
     if not cover.is_surjective():
         raise BlockConstructionError("projective cover is not surjective")
-    return total, cover, labels
+    return total, cover, [v for v, _ in gens]
 
 
 def ext_dims(m: Module, n: Module, imax: int, projs: dict) -> list[int]:
-    """dim Ext^i(m, n) for 0 <= i <= imax, by an explicit projective resolution."""
+    """dim Ext^i(m, n) for 0 <= i <= imax: the cohomology of Hom(P_*, n) for an
+    explicit projective resolution P_* -> m, as a complex of vector spaces."""
     resolution: list[ModuleMap] = []  # d_0: P_0 -> M, then d_i: P_i -> P_{i-1}
     target = m
     embed: ModuleMap | None = None
@@ -569,39 +548,24 @@ def ext_dims(m: Module, n: Module, imax: int, projs: dict) -> list[int]:
         target = ker
         embed = incl
     hom_bases = [hom_basis(f.src, n) for f in resolution]
-    dims = []
-    for i in range(imax + 1):
-        cur = hom_bases[i] if i < len(hom_bases) else []
-        nxt = hom_bases[i + 1] if i + 1 < len(hom_bases) else []
-        if i + 1 < len(resolution) and cur:
-            d = resolution[i + 1]
-            rows = [_hom_coords(b @ d, nxt) for b in cur]
-            rank_out = linalg.rank(linalg.from_rows(rows, len(nxt)))
-        else:
-            rank_out = 0
-        if i == 0 or i >= len(resolution) or not hom_bases[i - 1]:
-            rank_in = 0
-        else:
-            prev = hom_bases[i - 1]
-            rows = [_hom_coords(b @ resolution[i], cur) for b in prev]
-            rank_in = linalg.rank(linalg.from_rows(rows, len(cur)))
-        dims.append(len(cur) - rank_out - rank_in)
-    return dims
+    wall = wall_algebra()
+    spaces = {i: Module(wall, {"w": len(basis)}) for i, basis in enumerate(hom_bases)}
+    diffs = {}
+    for i in range(len(resolution) - 1):
+        # Hom(P_i, n) -> Hom(P_{i+1}, n), f |-> f d_{i+1}, in the hom bases
+        cols = [_hom_coords(b @ resolution[i + 1], hom_bases[i + 1]) for b in hom_bases[i]]
+        mat = linalg.transpose(linalg.from_rows(cols, len(hom_bases[i + 1])))
+        diffs[i] = ModuleMap(spaces[i], spaces[i + 1], {"w": mat})
+    cohomology = ChainComplex(wall, spaces, diffs).homology_dims()
+    return [cohomology.get(i, {"w": 0})["w"] for i in range(imax + 1)]
 
 
 def _hom_coords(f: ModuleMap, basis: list[ModuleMap]) -> list[int | Fraction]:
     """Coordinates of f in a basis of its hom space."""
-    if not basis:
-        if not f.is_zero():
-            raise BlockConstructionError("hom coordinate failure")
-        return []
-    cols = linalg.from_rows(
-        [list(col) for col in zip(*(flatten(b) for b in basis))], len(basis)
-    )
-    sol = linalg.solve(cols, linalg.col_vec(flatten(f)))
-    if sol is None:
+    coords = linalg.combination([flatten(b) for b in basis], flatten(f))
+    if coords is None:
         raise BlockConstructionError("hom coordinate failure")
-    return [row[0] for row in sol.rows]
+    return coords
 
 
 def flatten(f: ModuleMap) -> list[int | Fraction]:
@@ -611,3 +575,112 @@ def flatten(f: ModuleMap) -> list[int | Fraction]:
         for row in f.mats[v].rows:
             out.extend(row)
     return out
+
+
+# -- chain complexes of modules -------------------------------------------------
+
+
+class ChainComplex:
+    """A bounded complex of modules with differentials of degree +1."""
+
+    def __init__(self, algebra, entries: dict[int, Module], diffs: dict[int, ModuleMap]):
+        self.algebra = algebra
+        self.entries = dict(entries)
+        self.diffs = dict(diffs)
+
+    def degrees(self) -> list[int]:
+        return sorted(self.entries)
+
+    def entry(self, n: int) -> Module:
+        got = self.entries.get(n)
+        return got if got is not None else Module(self.algebra, {})
+
+    def diff(self, n: int) -> ModuleMap:
+        got = self.diffs.get(n)
+        return got if got is not None else zero_map(self.entry(n), self.entry(n + 1))
+
+    def check_dsq(self) -> bool:
+        return all(
+            (self.diff(n + 1) @ self.diff(n)).is_zero() for n in self.degrees()
+        )
+
+    def homology(self, n: int) -> "HomologyData":
+        d_n = self.diff(n)
+        ker, incl = kernel(d_n)
+        d_prev = self.diff(n - 1)
+        cols = {}
+        for v in self.algebra.vertices:
+            sol = linalg.solve(incl.mats[v], d_prev.mats[v])
+            if sol is None:
+                raise BlockConstructionError("image does not land in the kernel")
+            cols[v] = sol
+        h, proj, reps = cokernel_of_columns(ker, cols)
+        return HomologyData(h, incl, proj, reps)
+
+    def homology_dims(self) -> dict[int, dict[str, int]]:
+        out = {}
+        lo, hi = (min(self.entries), max(self.entries)) if self.entries else (0, -1)
+        for n in range(lo, hi + 1):
+            h = self.homology(n).module
+            if h.total_dim:
+                out[n] = dict(h.dims)
+        return out
+
+
+@dataclass
+class HomologyData:
+    module: Module           # the homology module itself
+    kernel_incl: ModuleMap   # kernel -> chain entry
+    proj: ModuleMap          # kernel -> homology
+    reps: dict               # kernel coordinates of chosen representatives
+
+    def classes_in_ambient(self, v: str) -> Mat:
+        """Ambient-coordinate representatives of the homology basis at v."""
+        return linalg.mmul(self.kernel_incl.mats[v], self.reps[v])
+
+
+class ChainMap:
+    """A degreewise map of chain complexes (missing degrees are zero)."""
+
+    def __init__(self, src: ChainComplex, dst: ChainComplex, comps: dict[int, ModuleMap]):
+        self.src = src
+        self.dst = dst
+        self.comps = dict(comps)
+
+    def comp(self, n: int) -> ModuleMap:
+        got = self.comps.get(n)
+        return got if got is not None else zero_map(self.src.entry(n), self.dst.entry(n))
+
+    def is_chain_map(self) -> bool:
+        degrees = set(self.src.entries) | set(self.dst.entries)
+        for n in sorted(degrees):
+            lhs = self.dst.diff(n) @ self.comp(n)
+            rhs = self.comp(n + 1) @ self.src.diff(n)
+            if lhs != rhs:
+                return False
+        return True
+
+    def is_quasi_iso(self) -> bool:
+        """A chain map whose induced map on homology is bijective in every
+        degree and at every vertex."""
+        if not self.is_chain_map():
+            return False
+        lo = min(min(self.src.entries, default=0), min(self.dst.entries, default=0))
+        hi = max(max(self.src.entries, default=0), max(self.dst.entries, default=0))
+        for n in range(lo, hi + 1):
+            hs = self.src.homology(n)
+            hd = self.dst.homology(n)
+            if hs.module.dims != hd.module.dims:
+                return False
+            for v in self.src.algebra.vertices:
+                moved = linalg.mmul(self.comp(n).mats[v], hs.classes_in_ambient(v))
+                in_ker = linalg.solve(hd.kernel_incl.mats[v], moved)
+                if in_ker is None:
+                    raise BlockConstructionError("chain map does not preserve cycles")
+                if linalg.rank(linalg.mmul(hd.proj.mats[v], in_ker)) != hd.module.dims[v]:
+                    return False
+        return True
+
+
+def module_as_complex(m: Module, degree: int = 0) -> ChainComplex:
+    return ChainComplex(m.algebra, {degree: m}, {})

@@ -12,6 +12,8 @@ Catalog entries (iso classes in parentheses):
 Nothing about this dictionary is taken on faith: building a `Catalog` recomputes
 dimensions, Loewy layers, endomorphism rings, self-duality of tiltings and
 ungraded BGG reciprocity, and raises BlockConstructionError on any mismatch.
+`Catalog.facts` states the facts that the `catalog` suite also reports, once
+for both.
 
 Module isomorphy is decided by Krull-Schmidt bookkeeping: the matrix
 G[i][j] = dim Hom(I_i, I_j) over the five indecomposables is invertible, so
@@ -122,6 +124,45 @@ class Catalog:
 
     # -- construction battery ---------------------------------------------
 
+    def facts(self) -> dict[str, tuple[str, list]]:
+        """The catalog facts that the battery asserts and `verify_catalog`
+        reports, by check name: (detail, [(what, predicate)])."""
+        mods, iso = self.modules, self.is_isomorphic
+        dims = (("P_e", (2, 1)), ("P_s", (1, 1)), ("Delta_s", (1, 1)), ("Delta_e", (1, 0)),
+                ("nabla_e", (1, 0)), ("L_e", (1, 0)), ("D_e", (1, 0)))
+        same = (("Delta_s", "P_s"), ("D_s", "P_e"), ("Delta_e", "L_e"), ("nabla_e", "L_e"),
+                ("D_e", "L_e"))
+        # (module, simple head, simple socle)
+        layers = (("P_e", "e", "e"), ("Delta_s", "s", "e"), ("nabla_s", "e", "s"))
+        return {
+            "block.catalog_dimensions": ("P_e: 3, P_s: 2, Delta_s: 2, antidominants: 1", [
+                (f"{x} has dimensions {d}", lambda x=x, d=d: mods[x].dimension_vector() == d)
+                for x, d in dims
+            ]),
+            "block.catalog_identifications": (
+                "Delta_s = P_s, D_s = P_e, Delta_e = nabla_e = D_e = L_e",
+                [(f"{x} = {y}", lambda x=x, y=y: iso(mods[x], mods[y])) for x, y in same]
+                + [("dual of Delta_s is nabla_s",
+                    lambda: iso(dual_module(mods["Delta_s"]), mods["nabla_s"]))],
+            ),
+            "block.catalog_loewy_layers": (
+                "P_e: L_e/L_s/L_e; Delta_s: L_s over L_e; nabla_s: L_e over L_s",
+                [(f"{side} {x} = L_{v}", lambda f=f, x=x, v=v: f(mods[x]) == {"e": 0, "s": 0, v: 1})
+                 for x, head, socle in layers
+                 for side, f, v in (("head", top_dims, head), ("socle", socle_dims, socle))],
+            ),
+            "block.catalog_end_rings": ("dim End(P_e) = 2 (local), dim End(P_s) = 1", [
+                (f"End({x}) is {d}-dimensional", lambda x=x, d=d: hom_dim(mods[x], mods[x]) == d)
+                for x, d in (("P_e", 2), ("P_s", 1))
+            ]),
+            "block.catalog_bgg_reciprocity_v1": ("(P_x : Delta_y) = [Delta_y : L_x]", [
+                (f"BGG reciprocity at ({x},{y})",
+                 lambda x=x, y=y: self.verma_flag_multiplicities(mods[f"P_{x}"])[f"Delta_{y}"]
+                 == self.composition_multiplicities(mods[f"Delta_{y}"])[f"L_{x}"])
+                for x in ("e", "s") for y in ("e", "s")
+            ]),
+        }
+
     def _battery(self) -> None:
         alg = self.algebra
         mods = self.modules
@@ -142,31 +183,14 @@ class Catalog:
         need(alg.mult("a", "b") is None, "relation ab = 0")
         need(alg.mult("b", "a") == "ba", "ba survives")
 
-        # projective dimensions and endomorphism rings
-        need(mods["P_e"].dimension_vector() == (2, 1), "P_e is 3-dimensional")
-        need(mods["P_s"].dimension_vector() == (1, 1), "P_s is 2-dimensional")
-        need(hom_dim(mods["P_e"], mods["P_e"]) == 2, "End(P_e) is 2-dimensional")
-        need(hom_dim(mods["P_s"], mods["P_s"]) == 1, "End(P_s) is 1-dimensional")
+        # dimensions, identifications, Loewy layers, End rings, BGG reciprocity
+        for _, predicates in self.facts().values():
+            for what, holds in predicates:
+                need(holds(), what)
 
-        # Loewy structure: P_e has layers L_e / L_s / L_e, P_s = Delta_s
-        need(top_dims(mods["P_e"]) == {"e": 1, "s": 0}, "top P_e = L_e")
-        need(socle_dims(mods["P_e"]) == {"e": 1, "s": 0}, "socle P_e = L_e")
-        need(top_dims(mods["Delta_s"]) == {"e": 0, "s": 1}, "head Delta_s = L_s")
-        need(socle_dims(mods["Delta_s"]) == {"e": 1, "s": 0}, "socle Delta_s = L_e")
-        need(self.is_isomorphic(mods["P_s"], mods["Delta_s"]), "Delta_s = P_s")
-
-        # duality: simples fixed, standard <-> costandard, tilting self-dual
-        for x in ("L_e", "L_s"):
+        # duality: simples fixed, tilting self-dual
+        for x in ("L_e", "L_s", "D_s"):
             need(self.is_isomorphic(dual_module(mods[x]), mods[x]), f"{x} self-dual")
-        need(self.is_isomorphic(dual_module(mods["Delta_s"]), mods["nabla_s"]),
-             "dual of Delta_s is nabla_s")
-        need(self.is_isomorphic(dual_module(mods["D_s"]), mods["D_s"]), "D_s self-dual")
-        need(top_dims(mods["nabla_s"]) == {"e": 1, "s": 0}, "head nabla_s = L_e")
-        need(socle_dims(mods["nabla_s"]) == {"e": 0, "s": 1}, "socle nabla_s = L_s")
-
-        # antidominant degeneracies
-        for x in ("Delta_e", "nabla_e", "D_e"):
-            need(self.is_isomorphic(mods[x], mods["L_e"]), f"{x} = L_e")
 
         # composition series facts used downstream
         need(self.composition_multiplicities(mods["Delta_s"]) == {"L_e": 1, "L_s": 1},
@@ -175,14 +199,6 @@ class Catalog:
              "P_e factors")
         need(self.verma_flag_multiplicities(mods["P_e"]) == {"Delta_e": 1, "Delta_s": 1},
              "P_e Verma flag")
-
-        # ungraded BGG reciprocity (P_x : Delta_y) = [Delta_y : L_x]
-        for x in ("e", "s"):
-            p = mods[f"P_{x}"]
-            flags = self.verma_flag_multiplicities(p)
-            for y in ("e", "s"):
-                mult = self.composition_multiplicities(mods[f"Delta_{y}"])[f"L_{x}"]
-                need(flags[f"Delta_{y}"] == mult, f"BGG reciprocity at ({x},{y})")
 
         # the five indecomposables really are pairwise non-isomorphic
         for i, a in enumerate(INDECOMPOSABLES):

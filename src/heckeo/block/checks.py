@@ -11,7 +11,7 @@ Grothendieck-group model for the rank-one Weyl group.
 from __future__ import annotations
 
 from ..report import VerificationReport
-from .algebra import Module, dual_module, hom_dim, socle_dims, top_dims
+from .algebra import Module, hom_dim
 from .catalog import CATALOG_NAMES
 from .functors import RankOneBlock, identity_nat, right_transpose, transpose
 
@@ -57,58 +57,8 @@ def verify_catalog(ctx: RankOneBlock) -> VerificationReport:
     rep = VerificationReport("block")
     mods = cat.modules
 
-    rep.run(
-        "block.catalog_dimensions",
-        lambda: (
-            mods["P_e"].dimension_vector() == (2, 1)
-            and mods["P_s"].dimension_vector() == (1, 1)
-            and mods["Delta_s"].dimension_vector() == (1, 1)
-            and all(mods[n].dimension_vector() == (1, 0) for n in ("Delta_e", "nabla_e", "L_e", "D_e")),
-            "P_e: 3, P_s: 2, Delta_s: 2, antidominants: 1",
-        ),
-    )
-    rep.run(
-        "block.catalog_identifications",
-        lambda: (
-            cat.is_isomorphic(mods["Delta_s"], mods["P_s"])
-            and cat.is_isomorphic(mods["D_s"], mods["P_e"])
-            and all(cat.is_isomorphic(mods[n], mods["L_e"]) for n in ("Delta_e", "nabla_e", "D_e"))
-            and cat.is_isomorphic(dual_module(mods["Delta_s"]), mods["nabla_s"]),
-            "Delta_s = P_s, D_s = P_e, Delta_e = nabla_e = D_e = L_e",
-        ),
-    )
-    rep.run(
-        "block.catalog_loewy_layers",
-        lambda: (
-            top_dims(mods["P_e"]) == {"e": 1, "s": 0}
-            and socle_dims(mods["P_e"]) == {"e": 1, "s": 0}
-            and top_dims(mods["Delta_s"]) == {"e": 0, "s": 1}
-            and socle_dims(mods["Delta_s"]) == {"e": 1, "s": 0}
-            and top_dims(mods["nabla_s"]) == {"e": 1, "s": 0}
-            and socle_dims(mods["nabla_s"]) == {"e": 0, "s": 1},
-            "P_e: L_e/L_s/L_e; Delta_s: L_s over L_e; nabla_s: L_e over L_s",
-        ),
-    )
-    rep.run(
-        "block.catalog_end_rings",
-        lambda: (
-            hom_dim(mods["P_e"], mods["P_e"]) == 2
-            and hom_dim(mods["P_s"], mods["P_s"]) == 1,
-            "dim End(P_e) = 2 (local), dim End(P_s) = 1",
-        ),
-    )
-    rep.run(
-        "block.catalog_bgg_reciprocity_v1",
-        lambda: (
-            all(
-                cat.verma_flag_multiplicities(mods[f"P_{x}"])[f"Delta_{y}"]
-                == cat.composition_multiplicities(mods[f"Delta_{y}"])[f"L_{x}"]
-                for x in ("e", "s")
-                for y in ("e", "s")
-            ),
-            "(P_x : Delta_y) = [Delta_y : L_x]",
-        ),
-    )
+    for name, (detail, predicates) in cat.facts().items():
+        rep.run(name, lambda ps=predicates, d=detail: (all(holds() for _, holds in ps), d))
     rep.run(
         "block.theta_on_catalog",
         lambda: (
@@ -246,14 +196,10 @@ def verify_equivalence(ctx: RankOneBlock) -> VerificationReport:
     rep.run("block.theta_homology_table", homology_table)
 
     def concentration():
-        for name in DELTA_FLAGGED:
-            dims = tsh.apply(cat.modules[name]).complex.homology_dims()
-            if set(dims) - {0}:
-                return False, f"Theta! not concentrated on {name}"
-        for name in NABLA_FLAGGED:
-            dims = ts.apply(cat.modules[name]).complex.homology_dims()
-            if set(dims) - {0}:
-                return False, f"Theta* not concentrated on {name}"
+        for fc, variant, names in ((tsh, "Theta!", DELTA_FLAGGED), (ts, "Theta*", NABLA_FLAGGED)):
+            for name in names:
+                if set(fc.apply(cat.modules[name]).complex.homology_dims()) - {0}:
+                    return False, f"{variant} not concentrated on {name}"
         return True, "Theta! on standard-flagged, Theta* on costandard-flagged"
 
     rep.run("block.concentration_on_flagged", concentration)
@@ -290,17 +236,12 @@ def verify_equivalence(ctx: RankOneBlock) -> VerificationReport:
 
     def quasi_isos():
         for name in CATALOG_NAMES:
-            m = cat.modules[name]
-            ev = ctx.build_ev(m)
-            if not ev.is_chain_map():
-                return False, f"ev is not a chain map on {name}"
-            if not ev.is_quasi_iso():
-                return False, f"ev not a quasi-isomorphism on {name}"
-            coev = ctx.build_coev(m)
-            if not coev.is_chain_map():
-                return False, f"coev is not a chain map on {name}"
-            if not coev.is_quasi_iso():
-                return False, f"coev not a quasi-isomorphism on {name}"
+            for what, build in (("ev", ctx.build_ev), ("coev", ctx.build_coev)):
+                chain_map = build(cat.modules[name])
+                if not chain_map.is_quasi_iso():
+                    if not chain_map.is_chain_map():
+                        return False, f"{what} is not a chain map on {name}"
+                    return False, f"{what} not a quasi-isomorphism on {name}"
         return True, f"ev and coev on all {len(CATALOG_NAMES)} catalog entries"
 
     rep.run("block.derived_equivalence_ev_coev", quasi_isos)
@@ -326,15 +267,12 @@ def verify_tilting(ctx: RankOneBlock) -> VerificationReport:
     rep.run("block.tilting_projective_switch", switch)
 
     def end_dims():
-        pairs = (("P_e", "D_s"), ("P_s", "D_e"))
-        for p, d in pairs:
-            dp = hom_dim(cat.modules[p], cat.modules[p])
-            dd = hom_dim(cat.modules[d], cat.modules[d])
-            if dp != dd:
-                return False, f"dim End({p}) = {dp} != {dd} = dim End({d})"
-        total_p = sum(hom_dim(cat.modules[f"P_{x}"], cat.modules[f"P_{x}"]) for x in "es")
-        total_d = sum(hom_dim(cat.modules[f"D_{x}"], cat.modules[f"D_{x}"]) for x in "es")
-        return total_p == total_d, f"sum of End dimensions = {total_p}"
+        end = {n: hom_dim(cat.modules[n], cat.modules[n]) for n in ("P_e", "P_s", "D_e", "D_s")}
+        for p, d in (("P_e", "D_s"), ("P_s", "D_e")):
+            if end[p] != end[d]:
+                return False, f"dim End({p}) = {end[p]} != {end[d]} = dim End({d})"
+        total_p = end["P_e"] + end["P_s"]
+        return total_p == end["D_e"] + end["D_s"], f"sum of End dimensions = {total_p}"
 
     rep.run("block.ringel_end_dimensions", end_dims)
     return rep
@@ -355,19 +293,27 @@ def verify_k0_crosscheck(ctx: RankOneBlock) -> VerificationReport:
              "L": BasisKind.Simple, "P": BasisKind.Projective, "D": BasisKind.Tilting}
     elts = {"e": e, "s": s}
 
+    def nonzero(pairs) -> dict:
+        return {x: n for x, n in pairs if n}
+
+    def at_one(coeffs) -> dict:
+        """The nonzero v = 1 values of a coefficient dict."""
+        return nonzero((x, p.eval_at_one()) for x, p in coeffs.items())
+
+    def by_elt(counts: dict, family: str) -> dict:
+        """The nonzero counts[family_x], keyed by the group element x."""
+        return nonzero((elts[w], counts[f"{family}_{w}"]) for w in ("e", "s"))
+
     def classes():
         for name in CATALOG_NAMES:
             family, which = name.split("_")
             cls = blk.class_of(elts[which], kinds[family])
-            flags = cat.verma_flag_multiplicities(cat.modules[name])
-            got = {x: n for x, n in ((x, p.eval_at_one()) for x, p in cls.coeffs().items()) if n}
-            want = {k: v for k, v in {e: flags["Delta_e"], s: flags["Delta_s"]}.items() if v}
+            got = at_one(cls.coeffs())
+            want = by_elt(cat.verma_flag_multiplicities(cat.modules[name]), "Delta")
             if got != want:
                 return False, f"{name}: {got} != {want}"
-            sims = blk.coords_in_basis(cls, BasisKind.Simple)
-            mults = cat.composition_multiplicities(cat.modules[name])
-            got_l = {x: n for x, n in ((x, p.eval_at_one()) for x, p in sims.items()) if n}
-            want_l = {k: v for k, v in {e: mults["L_e"], s: mults["L_s"]}.items() if v}
+            got_l = at_one(blk.coords_in_basis(cls, BasisKind.Simple))
+            want_l = by_elt(cat.composition_multiplicities(cat.modules[name]), "L")
             if got_l != want_l:
                 return False, f"{name} in simples: {got_l} != {want_l}"
         return True, f"all {len(CATALOG_NAMES)} catalog classes at v=1"
@@ -379,9 +325,8 @@ def verify_k0_crosscheck(ctx: RankOneBlock) -> VerificationReport:
             family, which = name.split("_")
             cls = blk.wall_crossing(1, blk.class_of(elts[which], kinds[family]))
             module_image = ctx.theta.on_module(cat.modules[name])
-            flags = cat.verma_flag_multiplicities(module_image)
-            got = {x: n for x, n in ((x, p.eval_at_one()) for x, p in cls.coeffs().items()) if n}
-            want = {k: v for k, v in {e: flags["Delta_e"], s: flags["Delta_s"]}.items() if v}
+            got = at_one(cls.coeffs())
+            want = by_elt(cat.verma_flag_multiplicities(module_image), "Delta")
             if got != want:
                 return False, f"theta({name}): {got} != {want}"
         return True, "wall crossing at v=1 equals the theta images"

@@ -17,8 +17,13 @@ deterministic enumeration is frozen; everything downstream must be
 invariant under that choice.
 
 A FunctorComplex is a bounded complex whose entries are direct sums of
-functor words; composition forms the total complex with the sign rule
-d_F . 1 + (-1)^i . 1 . d_G, which makes composition strictly associative.
+functor words.  Composing two of them and applying one to a complex of
+modules form the same total complex, with one builder: summands paired and
+sorted by label, which makes composition strictly associative, and the
+differential d_F . 1 + (-1)^i . 1 . d_G.  The two differ only in how a
+differential meets the inner summand (whiskering, or evaluation at a
+module) and how a functor meets an inner differential (whiskering, or the
+functor on a map).  Chain complexes of modules live in `algebra`.
 """
 
 from __future__ import annotations
@@ -28,17 +33,18 @@ from dataclasses import dataclass, field
 from . import linalg
 from .algebra import (
     BlockConstructionError,
+    ChainComplex,
+    ChainMap,
     Module,
     ModuleMap,
     bimodule,
     block_map,
-    cokernel_of_columns,
     direct_sum,
     flatten,
     hom_basis,
     identity_map,
-    kernel,
-    zero_map,
+    module_as_complex,
+    sum_module,
 )
 from .catalog import Catalog
 from .linalg import Mat
@@ -111,21 +117,14 @@ class Functor:
     def _atom_map(self, atom: str, f: ModuleMap) -> ModuleMap:
         ctx = self.ctx
         if atom == PI_STAR:
-            return ModuleMap(
-                self._atom_module(atom, f.src),
-                self._atom_module(atom, f.dst),
-                {"w": f.mats["e"]},
-                check=False,
-            )
-        pe = ctx.pe
-        return ModuleMap(
-            self._atom_module(atom, f.src),
-            self._atom_module(atom, f.dst),
-            {
-                v: linalg.kron(linalg.eye(pe.dims[v]), f.mats["w"])
+            mats = {"w": f.mats["e"]}
+        else:
+            mats = {
+                v: linalg.kron(linalg.eye(ctx.pe.dims[v]), f.mats["w"])
                 for v in ctx.algebra.vertices
-            },
-            check=False,
+            }
+        return ModuleMap(
+            self._atom_module(atom, f.src), self._atom_module(atom, f.dst), mats, check=False
         )
 
     def __repr__(self) -> str:
@@ -236,115 +235,6 @@ def right_transpose(psi: Nat, adj_f: Adjunction, adj_g: Adjunction) -> Nat:
     return Nat(adj_f.right, adj_g.right, fn)
 
 
-# -- chain complexes of modules -------------------------------------------------
-
-
-class ChainComplex:
-    """A bounded complex of modules with differentials of degree +1."""
-
-    def __init__(self, algebra, entries: dict[int, Module], diffs: dict[int, ModuleMap]):
-        self.algebra = algebra
-        self.entries = dict(entries)
-        self.diffs = dict(diffs)
-
-    def degrees(self) -> list[int]:
-        return sorted(self.entries)
-
-    def entry(self, n: int) -> Module:
-        got = self.entries.get(n)
-        return got if got is not None else Module(self.algebra, {})
-
-    def diff(self, n: int) -> ModuleMap:
-        got = self.diffs.get(n)
-        return got if got is not None else zero_map(self.entry(n), self.entry(n + 1))
-
-    def check_dsq(self) -> bool:
-        return all(
-            (self.diff(n + 1) @ self.diff(n)).is_zero() for n in self.degrees()
-        )
-
-    def homology(self, n: int) -> "HomologyData":
-        d_n = self.diff(n)
-        ker, incl = kernel(d_n)
-        d_prev = self.diff(n - 1)
-        cols = {}
-        for v in self.algebra.vertices:
-            sol = linalg.solve(incl.mats[v], d_prev.mats[v])
-            if sol is None:
-                raise BlockConstructionError("image does not land in the kernel")
-            cols[v] = sol
-        h, proj, reps = cokernel_of_columns(ker, cols)
-        return HomologyData(h, incl, proj, reps)
-
-    def homology_dims(self) -> dict[int, dict[str, int]]:
-        out = {}
-        lo, hi = (min(self.entries), max(self.entries)) if self.entries else (0, -1)
-        for n in range(lo, hi + 1):
-            h = self.homology(n).module
-            if h.total_dim:
-                out[n] = dict(h.dims)
-        return out
-
-
-@dataclass
-class HomologyData:
-    module: Module           # the homology module itself
-    kernel_incl: ModuleMap   # kernel -> chain entry
-    proj: ModuleMap          # kernel -> homology
-    reps: dict               # kernel coordinates of chosen representatives
-
-    def classes_in_ambient(self, v: str) -> Mat:
-        """Ambient-coordinate representatives of the homology basis at v."""
-        return linalg.mmul(self.kernel_incl.mats[v], self.reps[v])
-
-
-class ChainMap:
-    """A degreewise map of chain complexes (missing degrees are zero)."""
-
-    def __init__(self, src: ChainComplex, dst: ChainComplex, comps: dict[int, ModuleMap]):
-        self.src = src
-        self.dst = dst
-        self.comps = dict(comps)
-
-    def comp(self, n: int) -> ModuleMap:
-        got = self.comps.get(n)
-        return got if got is not None else zero_map(self.src.entry(n), self.dst.entry(n))
-
-    def is_chain_map(self) -> bool:
-        degrees = set(self.src.entries) | set(self.dst.entries)
-        for n in sorted(degrees):
-            lhs = self.dst.diff(n) @ self.comp(n)
-            rhs = self.comp(n + 1) @ self.src.diff(n)
-            if lhs != rhs:
-                return False
-        return True
-
-    def is_quasi_iso(self) -> bool:
-        """A chain map whose induced map on homology is bijective in every
-        degree and at every vertex."""
-        if not self.is_chain_map():
-            return False
-        lo = min(min(self.src.entries, default=0), min(self.dst.entries, default=0))
-        hi = max(max(self.src.entries, default=0), max(self.dst.entries, default=0))
-        for n in range(lo, hi + 1):
-            hs = self.src.homology(n)
-            hd = self.dst.homology(n)
-            if hs.module.dims != hd.module.dims:
-                return False
-            for v in self.src.algebra.vertices:
-                moved = linalg.mmul(self.comp(n).mats[v], hs.classes_in_ambient(v))
-                in_ker = linalg.solve(hd.kernel_incl.mats[v], moved)
-                if in_ker is None:
-                    raise BlockConstructionError("chain map does not preserve cycles")
-                if linalg.rank(linalg.mmul(hd.proj.mats[v], in_ker)) != hd.module.dims[v]:
-                    return False
-        return True
-
-
-def module_as_complex(m: Module, degree: int = 0) -> ChainComplex:
-    return ChainComplex(m.algebra, {degree: m}, {})
-
-
 # -- functor complexes ---------------------------------------------------------------
 
 
@@ -375,100 +265,79 @@ class FunctorComplex:
         return [s.functor.word for s in self.entries.get(n, [])]
 
     def compose(self, other: "FunctorComplex") -> "FunctorComplex":
-        ctx = self.ctx
-        entries: dict[int, list[Summand]] = {}
-        origin: dict[int, list[tuple[int, int, int, int]]] = {}
-        for i in self.degrees():
-            for j in other.degrees():
-                n = i + j
-                for ci, sf in enumerate(self.entries[i]):
-                    for cj, sg in enumerate(other.entries[j]):
-                        entries.setdefault(n, []).append(
-                            Summand(sf.label + sg.label, sf.functor.compose(sg.functor))
-                        )
-                        origin.setdefault(n, []).append((i, ci, j, cj))
-        # canonical order: sort summands by label
-        index: dict[int, dict[tuple[int, int, int, int], int]] = {}
-        for n in entries:
-            paired = sorted(
-                zip(entries[n], origin[n]), key=lambda t: t[0].label
-            )
-            entries[n] = [p[0] for p in paired]
-            index[n] = {p[1]: pos for pos, p in enumerate(paired)}
-        diffs: dict[int, dict[tuple[int, int], Nat]] = {}
-        for n in entries:
-            if n + 1 not in entries:
-                continue
-            acc: dict[tuple[int, int], Nat] = {}
-            for (i, ci, j, cj), col in index[n].items():
-                sf = self.entries[i][ci]
-                sg = other.entries[j][cj]
-                # d_F . 1_G
-                for (r, c), nat in self.diffs.get(i, {}).items():
-                    if c != ci:
-                        continue
-                    row = index[n + 1][(i + 1, r, j, cj)]
-                    term = nat.whisker_right(sg.functor)
-                    acc[(row, col)] = acc[(row, col)] + term if (row, col) in acc else term
-                # (-1)^i 1_F . d_G
-                for (r, c), nat in other.diffs.get(j, {}).items():
-                    if c != cj:
-                        continue
-                    row = index[n + 1][(i, ci, j + 1, r)]
-                    term = nat.whisker_left(sf.functor)
-                    if i % 2:
-                        term = -term
-                    acc[(row, col)] = acc[(row, col)] + term if (row, col) in acc else term
-            diffs[n] = acc
-        return FunctorComplex(ctx, entries, diffs)
+        pairs, diffs = _total_complex(
+            self, {j: [(s.label, s.functor) for s in ss] for j, ss in other.entries.items()},
+            other.diffs, Nat.whisker_right, lambda f, d: d.whisker_left(f),
+        )
+        entries = {
+            n: [Summand(label, self.entries[i][ci].functor.compose(other.entries[j][cj].functor))
+                for label, i, ci, j, cj in ps]
+            for n, ps in pairs.items()
+        }
+        return FunctorComplex(self.ctx, entries, diffs)
 
     def apply(self, target) -> "AppliedComplex":
-        """Apply to a module (placed in degree 0) or a chain complex."""
-        ctx = self.ctx
+        """Apply to a module (placed in degree 0) or a chain complex, which
+        enters the total complex with one summand per degree, labelled (j,)."""
         if isinstance(target, Module):
             target = module_as_complex(target)
-        entries: dict[int, list[tuple[Summand, int]]] = {}
-        for i in self.degrees():
-            for j in target.degrees():
-                for s in self.entries[i]:
-                    entries.setdefault(i + j, []).append((s, j))
-        for n in entries:
-            entries[n].sort(key=lambda t: (t[0].label, t[1]))
-        mod_entries: dict[int, Module] = {}
-        parts: dict[int, list[Module]] = {}
-        for n, summands in entries.items():
-            mods = [s.functor.on_module(target.entry(j)) for s, j in summands]
-            parts[n] = mods
-            mod_entries[n] = direct_sum(mods)[0] if mods else Module(ctx.algebra, {})
-        diffs: dict[int, ModuleMap] = {}
-        for n in entries:
-            if n + 1 not in entries:
-                continue
-            pos_next = {
-                (s.label, j): r for r, (s, j) in enumerate(entries[n + 1])
-            }
-            blocks: dict[tuple[int, int], ModuleMap] = {}
-            for col, (s, j) in enumerate(entries[n]):
-                i = n - j
-                # functor-complex differential at the degree-j entry
-                for (r, c), nat in self.diffs.get(i, {}).items():
-                    if self.entries[i][c].label != s.label:
-                        continue
-                    row = pos_next[(self.entries[i + 1][r].label, j)]
-                    f = nat.at(target.entry(j))
-                    blocks[(row, col)] = blocks.get((row, col), zero_map(f.src, f.dst)) + f
-                # inner differential of the target complex, with sign (-1)^i
-                if (j + 1) in target.entries or target.diffs.get(j) is not None:
-                    key = (s.label, j + 1)
-                    if key in pos_next:
-                        f = s.functor.on_map(target.diff(j))
-                        if i % 2:
-                            f = -f
-                        row = pos_next[key]
-                        blocks[(row, col)] = blocks.get((row, col), zero_map(f.src, f.dst)) + f
-            diffs[n] = block_map(parts[n], parts[n + 1], blocks)
-        cc = ChainComplex(ctx.algebra, mod_entries, diffs)
-        return AppliedComplex(cc, entries, parts)
+        pairs, blocks = _total_complex(
+            self, {j: [((j,), target.entry(j))] for j in target.degrees()},
+            {j: {(0, 0): target.diff(j)} for j in target.degrees() if j + 1 in target.entries},
+            Nat.at, Functor.on_map,
+        )
+        summands = {
+            n: [(self.entries[i][ci], j) for _, i, ci, j, _ in ps] for n, ps in pairs.items()
+        }
+        parts = {
+            n: [s.functor.on_module(target.entry(j)) for s, j in ss] for n, ss in summands.items()
+        }
+        cc = ChainComplex(
+            self.ctx.algebra,
+            {n: sum_module(mods) for n, mods in parts.items()},
+            {n: block_map(parts[n], parts[n + 1], bl) for n, bl in blocks.items()},
+        )
+        return AppliedComplex(cc, summands, parts)
+
+
+def _total_complex(outer: FunctorComplex, inner: dict, inner_diffs: dict, d_outer, d_inner):
+    """The total complex of `outer` with an inner complex, as index data.
+
+    inner[j] lists the inner summands of degree j as (label, payload), and
+    inner_diffs[j][(r, c)] maps summand c of degree j to summand r of degree
+    j + 1.  Entry n pairs each summand ci of outer's degree i with each inner
+    summand cj of degree j = n - i, as (label, i, ci, j, cj) sorted by the
+    joined label; that order makes composition strictly associative.  Block
+    (row, col) of the differential out of entry n is d_a (x) 1 + (-1)^i 1 (x) d_b:
+    the sum of d_outer(d_a, payload of cj) over the outer differentials d_a out
+    of ci, and of (-1)^i d_inner(functor of ci, d_b) over the inner ones out
+    of cj.  Returns the pairs and the blocks, both by degree.
+    """
+    pairs: dict[int, list] = {}
+    for i in outer.degrees():
+        for j in sorted(inner):
+            for ci, a in enumerate(outer.entries[i]):
+                for cj, (label, _) in enumerate(inner[j]):
+                    pairs.setdefault(i + j, []).append((a.label + label, i, ci, j, cj))
+    for ps in pairs.values():
+        ps.sort(key=lambda p: p[0])
+    blocks: dict[int, dict] = {}
+    for n, ps in pairs.items():
+        if n + 1 not in pairs:
+            continue
+        row_of = {p[1:]: r for r, p in enumerate(pairs[n + 1])}
+        acc = blocks[n] = {}
+        for col, (_, i, ci, j, cj) in enumerate(ps):
+            terms = [((i + 1, r, j, cj), d_outer(d, inner[j][cj][1]))
+                     for (r, c), d in outer.diffs.get(i, {}).items() if c == ci]
+            for (r, c), d in inner_diffs.get(j, {}).items():
+                if c == cj:
+                    term = d_inner(outer.entries[i][ci].functor, d)
+                    terms.append(((i, ci, j + 1, r), -term if i % 2 else term))
+            for dst, term in terms:
+                key = (row_of[dst], col)
+                acc[key] = acc[key] + term if key in acc else term
+    return pairs, blocks
 
 
 @dataclass
@@ -507,19 +376,6 @@ class RankOneBlock:
         self.theta = Functor(self, (PI_PULL, PI_STAR), "mod")
         self.regular = direct_sum([cat.modules["P_e"], cat.modules["P_s"]])[0]
         self._solve_adjunctions()
-        # composite (co)units for theta^2 <-> Id, used by ev and coev
-        self.eps_bar = Nat(
-            self.theta.compose(self.theta),
-            self.id_mod,
-            lambda m: self.eps.at(m)
-            @ self.pi_pull.on_map(self.epsp.at(self.pi_star.on_module(m))),
-        )
-        self.eta_bar = Nat(
-            self.id_mod,
-            self.theta.compose(self.theta),
-            lambda m: self.pi_pull.on_map(self.eta.at(self.pi_star.on_module(m)))
-            @ self.etap.at(m),
-        )
 
     # -- the two adjunctions, solved exactly ---------------------------------
 
@@ -603,12 +459,10 @@ class RankOneBlock:
                 composites = adjunction(block, vec).triangles([self.regular, line])
                 cols.append([y for f in composites for y in flatten(f)])
             rhs = [y for f in composites for y in flatten(identity_map(f.src))]
-            sol = linalg.solve(
-                linalg.from_rows([list(row) for row in zip(*cols)], w_dim), linalg.col_vec(rhs)
-            )
-            if sol is None:
+            solved = linalg.combination(cols, rhs)
+            if solved is None:
                 continue
-            adj = adjunction(block, [row[0] for row in sol.rows])
+            adj = adjunction(block, solved)
             if adj.triangles_hold(tests):
                 return adj
         raise BlockConstructionError(f"no unit/counit solves {name}")
@@ -674,33 +528,33 @@ class RankOneBlock:
 
     def build_ev(self, m: Module) -> ChainMap:
         """ev: Theta* Theta! M -> M, the counit of the composite adjunction."""
-        applied = self.theta_star().compose(self.theta_shriek()).apply(m)
-        target = module_as_complex(m)
-        comp = zero_map(applied.complex.entry(0), m)
-        projs = direct_sum(applied.parts[0])[2]
-        for pos, (s, _) in enumerate(applied.summands[0]):
-            if s.label == (0, 0):
-                comp = comp + (self.eps_bar.at(m) @ projs[pos])
-            elif s.label == (1, -1):
-                comp = comp + ((-identity_map(m)) @ projs[pos])
-            else:
-                raise BlockConstructionError(f"unexpected summand {s.label}")
-        return ChainMap(applied.complex, target, {0: comp})
+        return self._evaluation(m, counit=True)
 
     def build_coev(self, m: Module) -> ChainMap:
         """coev: M -> Theta! Theta* M, the unit of the composite adjunction."""
-        applied = self.theta_shriek().compose(self.theta_star()).apply(m)
-        source = module_as_complex(m)
-        comp = zero_map(m, applied.complex.entry(0))
-        injs = direct_sum(applied.parts[0])[1]
+        return self._evaluation(m, counit=False)
+
+    def _evaluation(self, m: Module, counit: bool) -> ChainMap:
+        """ev or coev in degree 0, where the composite is theta^2 + Id: on
+        theta^2 M the composite (co)unit theta^2 M -> theta M -> M (or back),
+        on the identity summand -1."""
+        star, shriek = self.theta_star(), self.theta_shriek()
+        applied = (star.compose(shriek) if counit else shriek.compose(star)).apply(m)
+        wall = self.pi_star.on_module(m)
+        if counit:
+            bar = self.eps.at(m) @ self.pi_pull.on_map(self.epsp.at(wall))
+        else:
+            bar = self.pi_pull.on_map(self.eta.at(wall)) @ self.etap.at(m)
+        blocks = {}
         for pos, (s, _) in enumerate(applied.summands[0]):
-            if s.label == (0, 0):
-                comp = comp + (injs[pos] @ self.eta_bar.at(m))
-            elif s.label == (-1, 1):
-                comp = comp + (injs[pos] @ (-identity_map(m)))
-            else:
+            if s.label != (0, 0) and s.functor.word:
                 raise BlockConstructionError(f"unexpected summand {s.label}")
-        return ChainMap(source, applied.complex, {0: comp})
+            f = bar if s.label == (0, 0) else -identity_map(m)
+            blocks[(0, pos) if counit else (pos, 0)] = f
+        parts, one = applied.parts[0], module_as_complex(m)
+        if counit:
+            return ChainMap(applied.complex, one, {0: block_map(parts, [m], blocks)})
+        return ChainMap(one, applied.complex, {0: block_map([m], parts, blocks)})
 
     # -- translation as a catalog operation ----------------------------------------
 

@@ -18,6 +18,7 @@ operation produces back into an ``int``.  Equality between an ``int`` and a
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import accumulate
 
 
 def _entry(x):
@@ -161,26 +162,31 @@ def kron(a: Mat, b: Mat) -> Mat:
     return _wrap(a.nrows * b.nrows, a.ncols * b.ncols, out)
 
 
+def block_matrix(blocks: dict, row_sizes: list[int], col_sizes: list[int]) -> Mat:
+    """The matrix with blocks[(r, c)] in block row r and block column c, for
+    blocks of heights row_sizes and widths col_sizes; missing blocks are zero."""
+    r0, c0 = list(accumulate(row_sizes, initial=0)), list(accumulate(col_sizes, initial=0))
+    out = [[0] * c0[-1] for _ in range(r0[-1])]
+    for (r, c), b in blocks.items():
+        if shape(b) != (row_sizes[r], col_sizes[c]):
+            raise ValueError(f"block {(r, c)} has shape {shape(b)}")
+        for i, row in enumerate(b.rows):
+            out[r0[r] + i][c0[c]:c0[c + 1]] = row
+    return _wrap(r0[-1], c0[-1], out)
+
+
 def hstack(mats: list[Mat]) -> Mat:
     if not mats:
         raise ValueError("hstack of nothing")
-    n = mats[0].nrows
-    if any(m.nrows != n for m in mats):
-        raise ValueError("hstack row mismatch")
-    return _wrap(
-        n,
-        sum(m.ncols for m in mats),
-        [sum((m.rows[i] for m in mats), []) for i in range(n)],
-    )
+    return block_matrix({(0, k): m for k, m in enumerate(mats)},
+                        [mats[0].nrows], [m.ncols for m in mats])
 
 
 def vstack(mats: list[Mat]) -> Mat:
     if not mats:
         raise ValueError("vstack of nothing")
-    c = mats[0].ncols
-    if any(m.ncols != c for m in mats):
-        raise ValueError("vstack column mismatch")
-    return _wrap(sum(m.nrows for m in mats), c, [row[:] for m in mats for row in m.rows])
+    return block_matrix({(k, 0): m for k, m in enumerate(mats)},
+                        [m.nrows for m in mats], [mats[0].ncols])
 
 
 def submatrix_rows(a: Mat, start: int) -> Mat:
@@ -253,6 +259,13 @@ def solve(a: Mat, b: Mat) -> Mat | None:
         for j in range(b.ncols):
             x.rows[p][j] = red.rows[r][a.ncols + j]
     return x
+
+
+def combination(vectors: list[list], target: list) -> list | None:
+    """Coefficients c, free ones zero, with sum_k c[k] vectors[k] = target,
+    or None when target is not in the span."""
+    sol = solve(transpose(from_rows(vectors, len(target))), col_vec(target))
+    return None if sol is None else [row[0] for row in sol.rows]
 
 
 def inverse(a: Mat) -> Mat:

@@ -542,7 +542,9 @@ class HeckeAlgebra:
     # -- helpers -----------------------------------------------------------
 
     def _sample_elements(self) -> list[HeckeElt]:
-        """A small deterministic family with nontrivial coefficients."""
+        """A small deterministic family with nontrivial coefficients, each
+        supported on two elements, so that no product of two of them goes
+        through the `iota` flip in `mul`."""
         g = self.group
         picks = sorted({0, g.order - 1, g.order // 2, min(1, g.order - 1)})
         out = []
@@ -552,7 +554,7 @@ class HeckeAlgebra:
                     self,
                     {
                         k: LaurentPoly({n - 1: 1, 2: -3}),
-                        0: LaurentPoly({0: 2, -2: n}),
+                        0 if k else 1: LaurentPoly({0: 2, -2: n}),
                     },
                 )
             )

@@ -5,14 +5,18 @@ to check: Bruhat order comes from the subword property, orders come from
 closed formulas, Hecke products are re-derived by right multiplication
 along reduced words, basis coordinates come from a whole-matrix inversion,
 left multiplication in a Weyl group comes from composing signed
-permutations, and block linear algebra is redone with every entry a
-`Fraction`.
+permutations, block linear algebra is redone with every entry a
+`Fraction`, and total complexes and maps of direct sums are rebuilt by the
+two separate builders and the composition-based assembly the block layer
+used before it had one builder for each.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
+from heckeo.block.algebra import Module, ModuleMap, zero_map
+from heckeo.block.functors import AppliedComplex, ChainComplex, FunctorComplex, Summand
 from heckeo.hecke import HeckeAlgebra, HeckeElt, accumulate, invert_unitriangular
 from heckeo.k0 import BasisKind, K0Block
 from heckeo.laurent import LaurentPoly, v
@@ -286,3 +290,148 @@ def frac_inverse(a: FracMat) -> FracMat:
     if inv is None or len(frac_rref(a)[1]) != a.nrows:
         raise ValueError("matrix is singular")
     return inv
+
+
+# -- total complexes and maps of direct sums, built the earlier way ------------
+#
+# `compose_by_origins` and `apply_by_positions` are the two total-complex
+# builders of `FunctorComplex` before they became one; `direct_sum_by_entries`
+# places entries one at a time and `block_map_by_compositions` sums
+# injection . block . projection over the blocks.  Tests compare the one
+# builder and the block-matrix assembler with them entry by entry.
+
+
+def direct_sum_by_entries(mods: list[Module]) -> tuple[Module, list[ModuleMap], list[ModuleMap]]:
+    """Direct sum with injections and projections."""
+    alg = mods[0].algebra
+    dims = {v: sum(m.dims[v] for m in mods) for v in alg.vertices}
+    act = {}
+    for label, src_v, tgt_v in alg.arrows:
+        big = [[0] * dims[src_v] for _ in range(dims[tgt_v])]
+        r0 = c0 = 0
+        for m in mods:
+            a = m.act[label]
+            for i in range(m.dims[tgt_v]):
+                for j in range(m.dims[src_v]):
+                    big[r0 + i][c0 + j] = a.rows[i][j]
+            r0 += m.dims[tgt_v]
+            c0 += m.dims[src_v]
+        act[label] = big
+    total = Module(alg, dims, act)
+    injections = []
+    projections = []
+    offs = {v: 0 for v in alg.vertices}
+    for m in mods:
+        inj = {}
+        proj = {}
+        for v in alg.vertices:
+            mi = [[0] * m.dims[v] for _ in range(dims[v])]
+            mp = [[0] * dims[v] for _ in range(m.dims[v])]
+            for i in range(m.dims[v]):
+                mi[offs[v] + i][i] = 1
+                mp[i][offs[v] + i] = 1
+            inj[v] = mi
+            proj[v] = mp
+        injections.append(ModuleMap(m, total, inj, check=False))
+        projections.append(ModuleMap(total, m, proj, check=False))
+        for v in alg.vertices:
+            offs[v] += m.dims[v]
+    return total, injections, projections
+
+
+def block_map_by_compositions(srcs: list[Module], dsts: list[Module], blocks: dict) -> ModuleMap:
+    """A map of direct sums as the sum of inj[r] . blocks[(r, c)] . proj[c]."""
+    src, _, projs = direct_sum_by_entries(srcs)
+    dst, injs, _ = direct_sum_by_entries(dsts)
+    total = zero_map(src, dst)
+    for (r, c), f in blocks.items():
+        total = total + (injs[r] @ f @ projs[c])
+    return total
+
+
+def compose_by_origins(fc: FunctorComplex, other: FunctorComplex) -> FunctorComplex:
+    """The composite complex, summands indexed by their origin (i, ci, j, cj)."""
+    entries: dict[int, list[Summand]] = {}
+    origin: dict[int, list[tuple[int, int, int, int]]] = {}
+    for i in fc.degrees():
+        for j in other.degrees():
+            n = i + j
+            for ci, sf in enumerate(fc.entries[i]):
+                for cj, sg in enumerate(other.entries[j]):
+                    entries.setdefault(n, []).append(
+                        Summand(sf.label + sg.label, sf.functor.compose(sg.functor))
+                    )
+                    origin.setdefault(n, []).append((i, ci, j, cj))
+    index: dict[int, dict[tuple[int, int, int, int], int]] = {}
+    for n in entries:
+        paired = sorted(zip(entries[n], origin[n]), key=lambda t: t[0].label)
+        entries[n] = [p[0] for p in paired]
+        index[n] = {p[1]: pos for pos, p in enumerate(paired)}
+    diffs: dict = {}
+    for n in entries:
+        if n + 1 not in entries:
+            continue
+        acc: dict = {}
+        for (i, ci, j, cj), col in index[n].items():
+            sf = fc.entries[i][ci]
+            sg = other.entries[j][cj]
+            for (r, c), nat in fc.diffs.get(i, {}).items():
+                if c != ci:
+                    continue
+                row = index[n + 1][(i + 1, r, j, cj)]
+                term = nat.whisker_right(sg.functor)
+                acc[(row, col)] = acc[(row, col)] + term if (row, col) in acc else term
+            for (r, c), nat in other.diffs.get(j, {}).items():
+                if c != cj:
+                    continue
+                row = index[n + 1][(i, ci, j + 1, r)]
+                term = nat.whisker_left(sf.functor)
+                if i % 2:
+                    term = -term
+                acc[(row, col)] = acc[(row, col)] + term if (row, col) in acc else term
+        diffs[n] = acc
+    return FunctorComplex(fc.ctx, entries, diffs)
+
+
+def apply_by_positions(fc: FunctorComplex, target) -> AppliedComplex:
+    """fc applied to a module (in degree 0) or a chain complex, summands
+    sorted by (label, degree of the target entry)."""
+    if isinstance(target, Module):
+        target = ChainComplex(target.algebra, {0: target}, {})
+    entries: dict[int, list] = {}
+    for i in fc.degrees():
+        for j in target.degrees():
+            for s in fc.entries[i]:
+                entries.setdefault(i + j, []).append((s, j))
+    for n in entries:
+        entries[n].sort(key=lambda t: (t[0].label, t[1]))
+    mod_entries: dict[int, Module] = {}
+    parts: dict[int, list[Module]] = {}
+    for n, summands in entries.items():
+        mods = [s.functor.on_module(target.entry(j)) for s, j in summands]
+        parts[n] = mods
+        mod_entries[n] = direct_sum_by_entries(mods)[0]
+    diffs: dict = {}
+    for n in entries:
+        if n + 1 not in entries:
+            continue
+        pos_next = {(s.label, j): r for r, (s, j) in enumerate(entries[n + 1])}
+        blocks: dict = {}
+        for col, (s, j) in enumerate(entries[n]):
+            i = n - j
+            for (r, c), nat in fc.diffs.get(i, {}).items():
+                if fc.entries[i][c].label != s.label:
+                    continue
+                row = pos_next[(fc.entries[i + 1][r].label, j)]
+                f = nat.at(target.entry(j))
+                blocks[(row, col)] = blocks.get((row, col), zero_map(f.src, f.dst)) + f
+            if (j + 1) in target.entries or target.diffs.get(j) is not None:
+                key = (s.label, j + 1)
+                if key in pos_next:
+                    f = s.functor.on_map(target.diff(j))
+                    if i % 2:
+                        f = -f
+                    row = pos_next[key]
+                    blocks[(row, col)] = blocks.get((row, col), zero_map(f.src, f.dst)) + f
+        diffs[n] = block_map_by_compositions(parts[n], parts[n + 1], blocks)
+    return AppliedComplex(ChainComplex(fc.ctx.algebra, mod_entries, diffs), entries, parts)

@@ -12,6 +12,7 @@ from heckeo.block import (
     rank_one_algebra,
 )
 from heckeo.block.algebra import (
+    block_map,
     cokernel,
     direct_sum,
     hom_basis,
@@ -32,6 +33,13 @@ from heckeo.block.checks import (
 )
 from heckeo.block.functors import right_transpose, transpose
 from heckeo.block import linalg
+
+from _oracles import (
+    apply_by_positions,
+    block_map_by_compositions,
+    compose_by_origins,
+    direct_sum_by_entries,
+)
 
 
 @pytest.fixture(scope="module")
@@ -335,8 +343,8 @@ def test_theta_shriek_shifts_dominant_simple(ctx):
     assert applied.homology_dims() == {-1: {"e": 0, "s": 1}}
 
 
-def test_apply_to_chain_complex(ctx):
-    # applying to a two-term complex must agree degreewise with d^2 = 0
+def _two_term_complex(ctx):
+    """Delta_s -> P_e in degrees 0 and 1, by an injective map."""
     cat = ctx.catalog
     from heckeo.block.functors import ChainComplex
 
@@ -344,8 +352,12 @@ def test_apply_to_chain_complex(ctx):
     for f in hom_basis(cat.modules["Delta_s"], cat.modules["P_e"]):
         if f.is_injective():
             incl = f
-    cc = ChainComplex(ctx.algebra, {0: cat.modules["Delta_s"], 1: cat.modules["P_e"]}, {0: incl})
-    out = ctx.theta_star().apply(cc).complex
+    return ChainComplex(ctx.algebra, {0: cat.modules["Delta_s"], 1: cat.modules["P_e"]}, {0: incl})
+
+
+def test_apply_to_chain_complex(ctx):
+    # applying to a two-term complex must agree degreewise with d^2 = 0
+    out = ctx.theta_star().apply(_two_term_complex(ctx)).complex
     assert out.check_dsq()
     assert sorted(out.entries) == [0, 1, 2]
 
@@ -367,6 +379,107 @@ def test_quasi_iso_computes_each_homology_once(ctx, monkeypatch):
             assert chain_map.is_quasi_iso(), name
             assert calls, name
             assert all(calls.count(n) <= 2 for n in calls), (name, calls)
+
+
+def test_verify_equivalence_checks_each_chain_map_once(ctx, monkeypatch):
+    from heckeo.block.functors import ChainMap
+
+    calls = []
+    original = ChainMap.is_chain_map
+
+    def counted(self):
+        calls.append(self)
+        return original(self)
+
+    monkeypatch.setattr(ChainMap, "is_chain_map", counted)
+    assert verify_equivalence(ctx).passed
+    # one call from is_quasi_iso for each ev and coev on the catalog
+    assert len(calls) == 2 * len(CATALOG_NAMES) == 20
+
+
+def _exact(m):
+    """A matrix's shape and entries, each with its type."""
+    return m.nrows, m.ncols, [[(type(x), x) for x in row] for row in m.rows]
+
+
+def _module_data(m):
+    return m.dims, {label: _exact(a) for label, a in m.act.items()}
+
+
+def _map_data(f):
+    return f.src.dims, f.dst.dims, {v: _exact(m) for v, m in f.mats.items()}
+
+
+def _composites(ctx):
+    """(the complex built by `compose`, the one built by the oracle), for the
+    theta complexes, the identity, and the 2- and 3-fold composites the
+    block checks form."""
+    ts, tsh, one = ctx.theta_star(), ctx.theta_shriek(), ctx.identity_complex()
+    pairs = [(ts, ts), (tsh, tsh), (one, one)]
+    for a, b in ((ts, tsh), (tsh, ts), (ts, ts), (one, ts), (ts, one)):
+        pairs.append((a.compose(b), compose_by_origins(a, b)))
+    lhs_new, lhs_old = ts.compose(tsh), compose_by_origins(ts, tsh)
+    pairs.append((lhs_new.compose(ts), compose_by_origins(lhs_old, ts)))
+    rhs_new, rhs_old = tsh.compose(ts), compose_by_origins(tsh, ts)
+    pairs.append((ts.compose(rhs_new), compose_by_origins(ts, rhs_old)))
+    return pairs
+
+
+def test_compose_matches_the_two_builder_oracle(ctx):
+    objects = _sample_mods(ctx)
+    for got, want in _composites(ctx):
+        assert got.degrees() == want.degrees()
+        for n in want.degrees():
+            assert ([(s.label, s.functor.word) for s in got.entries[n]]
+                    == [(s.label, s.functor.word) for s in want.entries[n]])
+        assert got.diffs.keys() == want.diffs.keys()
+        for n, diff in want.diffs.items():
+            assert list(got.diffs[n]) == list(diff)
+            for key, nat in diff.items():
+                for m in objects:
+                    assert _map_data(got.diffs[n][key].at(m)) == _map_data(nat.at(m)), (n, key)
+
+
+def test_apply_matches_the_two_builder_oracle(ctx):
+    targets = [ctx.catalog.modules[name] for name in CATALOG_NAMES] + [_two_term_complex(ctx)]
+    for got_fc, want_fc in _composites(ctx)[:8]:
+        for target in targets:
+            got, want = got_fc.apply(target), apply_by_positions(want_fc, target)
+            assert ({n: [(s.label, j) for s, j in ss] for n, ss in got.summands.items()}
+                    == {n: [(s.label, j) for s, j in ss] for n, ss in want.summands.items()})
+            assert ({n: [p.dims for p in ps] for n, ps in got.parts.items()}
+                    == {n: [p.dims for p in ps] for n, ps in want.parts.items()})
+            gc, wc = got.complex, want.complex
+            assert gc.degrees() == wc.degrees()
+            assert {n: _module_data(m) for n, m in gc.entries.items()} == {
+                n: _module_data(m) for n, m in wc.entries.items()}
+            assert {n: _map_data(f) for n, f in gc.diffs.items()} == {
+                n: _map_data(f) for n, f in wc.diffs.items()}
+
+
+def test_direct_sum_and_block_map_match_the_composition_oracle(ctx):
+    mods = ctx.catalog.modules
+    zero = Module(ctx.algebra, {})
+    theta_reg = ctx.theta.on_module(ctx.regular)
+    for summands in ([mods["P_e"]], [mods["Delta_s"], mods["L_e"]],
+                     [mods["L_s"], zero, mods["P_e"], mods["nabla_s"]],
+                     [ctx.regular, mods["L_s"], theta_reg]):
+        total, injs, projs = direct_sum(summands)
+        want_total, want_injs, want_projs = direct_sum_by_entries(summands)
+        assert _module_data(total) == _module_data(want_total)
+        assert [_map_data(f) for f in injs + projs] == [_map_data(f) for f in want_injs + want_projs]
+    srcs = [mods["Delta_s"], mods["P_e"], zero, mods["L_s"]]
+    dsts = [mods["P_e"], mods["nabla_s"], mods["L_e"], theta_reg]
+    blocks = {}
+    for r, y in enumerate(dsts):
+        for c, x in enumerate(srcs):
+            basis = hom_basis(x, y)
+            if basis and (r + c) % 3:
+                blocks[(r, c)] = basis[-1]
+    assert len(blocks) > 3
+    for chosen in (blocks, {}):
+        assert (_map_data(block_map(srcs, dsts, chosen))
+                == _map_data(block_map_by_compositions(srcs, dsts, chosen)))
 
 
 def test_ev_coev_reports(ctx):

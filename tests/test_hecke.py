@@ -6,6 +6,7 @@ import pytest
 from _oracles import kl_by_product_recursion, mul_by_right_words
 from heckeo.hecke import _C_S, _H_S, _H_S_INV, DUAL_VARIANTS, HeckeAlgebra, HeckeElt, invert_unitriangular
 from heckeo.laurent import LaurentPoly, v, v_pow
+from heckeo.report import VerificationReport
 from heckeo.weyl import CartanDatum, MixedGroups, build_group
 
 ONE = LaurentPoly.one()
@@ -164,6 +165,32 @@ def test_mul_matches_right_word_oracle(label):
         # both argument orders, so that either support can be the smaller
         assert alg.mul(a, b) == mul_by_right_words(alg, a, b)
         assert alg.mul(b, a) == mul_by_right_words(alg, b, a)
+
+
+@pytest.mark.parametrize("label", ["B2", "A3"])
+def test_iota_check_never_runs_through_the_mul_flip(label, monkeypatch):
+    # with every sample supported on two elements, mul(a, b) never returns
+    # iota(mul(iota(b), iota(a))), which would make the anti-automorphism
+    # check compare a computation with itself
+    alg = algebra(label)
+    sample = alg._sample_elements()
+    assert len(sample) == 4 and all(len(h.coeffs()) == 2 for h in sample)
+    current, calls = [None], []
+    original_run, original_iota = VerificationReport.run, HeckeAlgebra.iota
+
+    def run(self, name, fn):
+        current[0] = name
+        return original_run(self, name, fn)
+
+    def iota(self, h):
+        calls.append(current[0])
+        return original_iota(self, h)
+
+    monkeypatch.setattr(VerificationReport, "run", run)
+    monkeypatch.setattr(HeckeAlgebra, "iota", iota)
+    assert alg.verify_involutions().passed
+    # iota(ab), iota(b) and iota(a) for each of the 4 x 4 sample pairs
+    assert calls.count("hecke.iota_is_anti_automorphism") == 3 * 16
 
 
 @pytest.mark.parametrize("label", ["G2", "B3"])

@@ -115,3 +115,18 @@ def test_mat_normalises_entries():
     half = linalg.mat([[Fraction(1, 2)]])[0][0]
     assert half == Fraction(1, 2) and type(half) is Fraction
     assert type(linalg.solve(linalg.mat([[2]]), linalg.mat([[4]]))[0][0]) is int
+
+
+def test_block_matrix_places_blocks_and_checks_their_shapes():
+    a = linalg.mat([[1, 2], [3, 4]])
+    b = linalg.mat([[Fraction(1, 2)]])
+    m = linalg.block_matrix({(0, 0): a, (1, 2): b}, [2, 1], [2, 0, 1])
+    assert (m.nrows, m.ncols) == (3, 3)
+    assert m.rows == [[1, 2, 0], [3, 4, 0], [0, 0, Fraction(1, 2)]]
+    assert_normalised(m)
+    assert linalg.mat_eq(linalg.hstack([a, linalg.zeros(2, 0), a]),
+                         linalg.block_matrix({(0, 0): a, (0, 2): a}, [2], [2, 0, 2]))
+    with pytest.raises(ValueError):
+        linalg.block_matrix({(0, 0): b}, [2], [2])
+    with pytest.raises(ValueError):
+        linalg.hstack([a, b])
