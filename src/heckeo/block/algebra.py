@@ -617,14 +617,18 @@ class ChainComplex:
         h, proj, reps = cokernel_of_columns(ker, cols)
         return HomologyData(h, incl, proj, reps)
 
-    def homology_dims(self) -> dict[int, dict[str, int]]:
+    def homology_modules(self) -> dict[int, Module]:
+        """The nonzero homology modules by degree, each computed once."""
         out = {}
         lo, hi = (min(self.entries), max(self.entries)) if self.entries else (0, -1)
         for n in range(lo, hi + 1):
             h = self.homology(n).module
             if h.total_dim:
-                out[n] = dict(h.dims)
+                out[n] = h
         return out
+
+    def homology_dims(self) -> dict[int, dict[str, int]]:
+        return {n: dict(h.dims) for n, h in self.homology_modules().items()}
 
 
 @dataclass

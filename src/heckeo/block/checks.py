@@ -186,9 +186,7 @@ def verify_equivalence(ctx: RankOneBlock) -> VerificationReport:
         for (variant, name), expected in EXPECTED_HOMOLOGY.items():
             fc = ts if variant == "star" else tsh
             applied = fc.apply(cat.modules[name]).complex
-            got = {}
-            for n, dims in applied.homology_dims().items():
-                got[n] = cat.decompose(applied.homology(n).module)
+            got = {n: cat.decompose(h) for n, h in applied.homology_modules().items()}
             if got != expected:
                 return False, f"Theta^{variant}({name}): {got} != {expected}"
         return True, f"{len(EXPECTED_HOMOLOGY)} homology computations"
@@ -255,12 +253,10 @@ def verify_tilting(ctx: RankOneBlock) -> VerificationReport:
 
     def switch():
         for x, want in (("D_e", "P_s"), ("D_s", "P_e")):
-            applied = ts.apply(cat.modules[x]).complex
-            dims = applied.homology_dims()
-            if set(dims) != {0}:
+            hs = ts.apply(cat.modules[x]).complex.homology_modules()
+            if set(hs) != {0}:
                 return False, f"Theta*({x}) not concentrated in degree 0"
-            h = applied.homology(0).module
-            if not cat.is_isomorphic(h, cat.modules[want]):
+            if not cat.is_isomorphic(hs[0], cat.modules[want]):
                 return False, f"Theta*({x}) is not {want}"
         return True, "Theta*(D_e) = P_s and Theta*(D_s) = P_e"
 

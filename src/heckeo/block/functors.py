@@ -29,6 +29,7 @@ functor on a map).  Chain complexes of modules live in `algebra`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from . import linalg
 from .algebra import (
@@ -534,12 +535,17 @@ class RankOneBlock:
         """coev: M -> Theta! Theta* M, the unit of the composite adjunction."""
         return self._evaluation(m, counit=False)
 
+    @cached_property
+    def _composites(self) -> tuple[FunctorComplex, FunctorComplex]:
+        """Theta* Theta! and Theta! Theta*, composed once per block."""
+        star, shriek = self.theta_star(), self.theta_shriek()
+        return star.compose(shriek), shriek.compose(star)
+
     def _evaluation(self, m: Module, counit: bool) -> ChainMap:
         """ev or coev in degree 0, where the composite is theta^2 + Id: on
         theta^2 M the composite (co)unit theta^2 M -> theta M -> M (or back),
         on the identity summand -1."""
-        star, shriek = self.theta_star(), self.theta_shriek()
-        applied = (star.compose(shriek) if counit else shriek.compose(star)).apply(m)
+        applied = self._composites[0 if counit else 1].apply(m)
         wall = self.pi_star.on_module(m)
         if counit:
             bar = self.eps.at(m) @ self.pi_pull.on_map(self.epsp.at(wall))

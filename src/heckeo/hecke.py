@@ -11,6 +11,12 @@ the sign twist b (v -> -v^-1, H_x -> H_x), the anti-automorphism iota
 the bilinear form <H_x, H_y> = delta_{x,y}, and the bases dual to {C'_x}
 and {C_x} under that form.
 
+Every basis view is built per element on first use: C_x, d(H_x), and Q_x
+dual to {C'_y} as row x of the inverse C' matrix.  C'_x and Q_x dual to
+{C_y} are b of C_x and of Q_x dual to {C'_y}, as <b(a), b(c)> = b(<a, c>).
+`_view` checks each built element once for a unit diagonal and no entry on
+the wrong side in id order; b keeps both, so twisted views need no check.
+
 Every product comes down to one left action on coefficient dicts,
 
     (H_s + c) H_y = H_{sy} + k_y H_y,   k_y = c (sy > y), c + v^-1 - v (sy < y),
@@ -47,6 +53,8 @@ KL_VARIANTS = ("C", "Cprime")
 DUAL_VARIANTS = ("dual_to_bC", "dual_to_C")
 # the memoized basis views: C_x, C'_x, the two dual bases, and d(H_x)
 VIEWS = KL_VARIANTS + DUAL_VARIANTS + ("d",)
+# the views that are b of another view, element by element
+_TWIST_OF = {"Cprime": "C", "dual_to_C": "dual_to_bC"}
 
 
 def accumulate(
@@ -288,14 +296,17 @@ class HeckeAlgebra:
         memo = self._views[name]
         got = memo.get(k)
         if got is None:
-            if name == "C":
-                got = self._build_C(k)
-            elif name == "Cprime":
-                got = self.b_twist(HeckeElt._wrap(self, self._view("C", k)))._c
-            elif name == "d":
-                got = self._build_d(k)
+            twisted = _TWIST_OF.get(name)
+            if twisted is not None:
+                got = self.b_twist(HeckeElt._wrap(self, self._view(twisted, k)))._c
             else:
-                got = self._build_duals(name)[k]
+                got = getattr(self, "_build_" + name)(k)
+                # checked once, when built: a unit diagonal and nothing on the
+                # wrong side in id order, above k for the dual rows, else below
+                if got.get(k) != LaurentPoly.one():
+                    raise ValueError(f"{name} element {k} has no unit diagonal")
+                if (min(got) < k) if name in DUAL_VARIANTS else (max(got) > k):
+                    raise ValueError(f"{name} element {k} is not unitriangular")
             memo[k] = got
         return got
 
@@ -324,15 +335,16 @@ class HeckeAlgebra:
                     accumulate(res, self._view("C", y).items(), -mu)
         return res
 
-    def _build_duals(self, variant: str) -> dict[int, dict[int, LaurentPoly]]:
-        """Fills the whole memo of a dual basis by one matrix inversion."""
-        g = self.group
-        kl_variant = "Cprime" if variant == "dual_to_bC" else "C"
-        cols = [self._view(kl_variant, y) for y in range(g.order)]
-        # <Q_x, col_y> = delta needs the x-th row of the inverse matrix
-        memo = self._views[variant]
-        memo.update(enumerate(invert_unitriangular(cols, g.order)))
-        return memo
+    def _build_dual_to_bC(self, k: int) -> dict[int, LaurentPoly]:
+        """Q_x with <Q_x, C'_y> = delta, row x of the inverse of the matrix of
+        the C'_y: entry j > x, in id order, is -<row, C'_j> so far."""
+        row = {k: LaurentPoly.one()}
+        for j in range(k + 1, self.group.order):
+            # row has no entry at j yet, so the diagonal of C'_j drops out
+            s = dot(row, self._view("Cprime", j))
+            if s:
+                row[j] = -s
+        return row
 
     # -- Kazhdan-Lusztig elements ---------------------------------------------
 
@@ -560,30 +572,3 @@ class HeckeAlgebra:
             )
         return out
 
-
-def invert_unitriangular(
-    cols: list[dict[int, LaurentPoly]], n: int, lower: bool = False
-) -> list[dict[int, LaurentPoly]]:
-    """Invert a unitriangular matrix over Z[v, v^-1] given as columns
-    (cols[j][i] = entry in row i), nonzero entries only at i <= j
-    (or i >= j with lower=True).
-
-    Returns the inverse as rows (out[i][j]).  Exact back substitution; the
-    unit diagonal means no division ever happens.
-    """
-    for j in range(n):
-        if cols[j].get(j) != LaurentPoly.one():
-            raise ValueError("matrix is not unitriangular")
-        if any((i < j if lower else i > j) for i in cols[j]):
-            raise ValueError("matrix has entries on the wrong side of the diagonal")
-    rows: list[dict[int, LaurentPoly]] = [dict() for _ in range(n)]
-    order = range(n - 1, -1, -1) if lower else range(n)
-    for i in order:
-        rows[i][i] = LaurentPoly.one()
-        span = range(i - 1, -1, -1) if lower else range(i + 1, n)
-        for j in span:
-            # rows[i] has no entry at j yet, so cols[j][j] drops out of the sum
-            s = dot(rows[i], cols[j])
-            if not s.is_zero():
-                rows[i][j] = -s
-    return rows

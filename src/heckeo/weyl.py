@@ -206,7 +206,6 @@ class WeylGroup:
             return tuple(img)
 
         gen_perms = [signed_perm(i) for i in range(n)]
-        self._alpha_index = [root_index[s] for s in simples]
 
         def compose(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
             # (p o q)(beta_r): apply q, then p

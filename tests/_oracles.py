@@ -3,12 +3,12 @@
 Everything in here deliberately avoids the production code paths it is used
 to check: Bruhat order comes from the subword property, orders come from
 closed formulas, Hecke products are re-derived by right multiplication
-along reduced words, basis coordinates come from a whole-matrix inversion,
-left multiplication in a Weyl group comes from composing signed
-permutations, block linear algebra is redone with every entry a
-`Fraction`, and total complexes and maps of direct sums are rebuilt by the
-two separate builders and the composition-based assembly the block layer
-used before it had one builder for each.
+along reduced words, basis coordinates and dual bases come from a
+whole-matrix inversion, left multiplication in a Weyl group comes from
+composing signed permutations, block linear algebra is redone with every
+entry a `Fraction`, and total complexes and maps of direct sums are rebuilt
+by the two separate builders and the composition-based assembly the block
+layer used before it had one builder for each.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from heckeo.block.algebra import Module, ModuleMap, zero_map
 from heckeo.block.functors import AppliedComplex, ChainComplex, FunctorComplex, Summand
-from heckeo.hecke import HeckeAlgebra, HeckeElt, accumulate, invert_unitriangular
+from heckeo.hecke import HeckeAlgebra, HeckeElt, accumulate, dot
 from heckeo.k0 import BasisKind, K0Block
 from heckeo.laurent import LaurentPoly, v
 from heckeo.weyl import WeylElt, WeylGroup
@@ -136,6 +136,42 @@ def kl_by_product_recursion(alg: HeckeAlgebra) -> dict[int, HeckeElt]:
                 c = c - table[y.idx] * mu
         table[x.idx] = c
     return table
+
+
+def invert_unitriangular(
+    cols: list[dict[int, LaurentPoly]], n: int, lower: bool = False
+) -> list[dict[int, LaurentPoly]]:
+    """Invert a unitriangular matrix over Z[v, v^-1] given as columns
+    (cols[j][i] = entry in row i), nonzero entries only at i <= j
+    (or i >= j with lower=True).
+
+    Returns the inverse as rows (out[i][j]).  Exact back substitution; the
+    unit diagonal means no division ever happens.
+    """
+    for j in range(n):
+        if cols[j].get(j) != LaurentPoly.one():
+            raise ValueError("matrix is not unitriangular")
+        if any((i < j if lower else i > j) for i in cols[j]):
+            raise ValueError("matrix has entries on the wrong side of the diagonal")
+    rows: list[dict[int, LaurentPoly]] = [dict() for _ in range(n)]
+    order = range(n - 1, -1, -1) if lower else range(n)
+    for i in order:
+        rows[i][i] = LaurentPoly.one()
+        span = range(i - 1, -1, -1) if lower else range(i + 1, n)
+        for j in span:
+            # rows[i] has no entry at j yet, so cols[j][j] drops out of the sum
+            s = dot(rows[i], cols[j])
+            if not s.is_zero():
+                rows[i][j] = -s
+    return rows
+
+
+def dual_basis_by_inversion(alg: HeckeAlgebra, kl_variant: str) -> list[HeckeElt]:
+    """The basis dual to the KL view `kl_variant` ("C" or "Cprime"): the rows
+    of the inverse of the whole matrix of its columns, inverted at once."""
+    g = alg.group
+    cols = [alg.kl_element(g.element(j), kl_variant)._c for j in range(g.order)]
+    return [HeckeElt(alg, row) for row in invert_unitriangular(cols, g.order)]
 
 
 def coords_by_inversion(blk: K0Block, classes: list[HeckeElt], basis) -> list[dict[WeylElt, LaurentPoly]]:

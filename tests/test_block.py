@@ -397,6 +397,50 @@ def test_verify_equivalence_checks_each_chain_map_once(ctx, monkeypatch):
     assert len(calls) == 2 * len(CATALOG_NAMES) == 20
 
 
+def test_block_checks_compute_each_homology_once(ctx, monkeypatch):
+    # one homology computation per degree and complex: the homology table
+    # applies 20 complexes of two degrees, the switch 2
+    from heckeo.block.functors import ChainComplex
+    from heckeo.report import VerificationReport
+
+    calls, per_check = [], {}
+    homology, run = ChainComplex.homology, VerificationReport.run
+
+    def counted(self, n):
+        calls.append(n)
+        return homology(self, n)
+
+    def run_counted(self, name, fn):
+        before = len(calls)
+        run(self, name, fn)
+        per_check[name] = len(calls) - before
+
+    monkeypatch.setattr(ChainComplex, "homology", counted)
+    monkeypatch.setattr(VerificationReport, "run", run_counted)
+    assert suite(ctx, "all").passed
+    assert per_check["block.theta_homology_table"] == 40
+    assert per_check["block.tilting_projective_switch"] == 4
+
+
+def test_ev_coev_compose_the_two_composites_once(monkeypatch):
+    from heckeo.block.functors import FunctorComplex
+
+    calls = []
+    compose = FunctorComplex.compose
+
+    def counted(self, other):
+        calls.append(1)
+        return compose(self, other)
+
+    monkeypatch.setattr(FunctorComplex, "compose", counted)
+    fresh = build_rank_one()
+    for name in CATALOG_NAMES:
+        fresh.build_ev(fresh.catalog.modules[name])
+        fresh.build_coev(fresh.catalog.modules[name])
+    assert len(CATALOG_NAMES) == 10
+    assert len(calls) <= 2
+
+
 def _exact(m):
     """A matrix's shape and entries, each with its type."""
     return m.nrows, m.ncols, [[(type(x), x) for x in row] for row in m.rows]

@@ -138,6 +138,8 @@ def test_missing_config_is_fine(monkeypatch, tmp_path):
     ("weyl_B3.json", ["weyl", "--type", "B3", "--format", "json"]),
     ("block_check_all.json", ["block-check", "--suite", "all", "--format", "json"]),
     ("verify_A3_all.json", ["verify", "--type", "A3", "--suite", "all", "--format", "json"]),
+    ("basis_change_B3_projective.json", ["basis-change", "--type", "B3", "--from", "Projective", "--to", "Tilting", "--x", "e", "--format", "json"]),
+    ("basis_change_B3_dualverma.json", ["basis-change", "--type", "B3", "--from", "DualVerma", "--to", "Projective", "--x", "w0", "--format", "json"]),
 ])
 def test_golden_outputs(fname, argv, monkeypatch, tmp_path):
     monkeypatch.setenv("HECKEO_CONFIG", str(tmp_path / "absent.cfg"))

@@ -3,8 +3,8 @@ import weakref
 
 import pytest
 
-from _oracles import kl_by_product_recursion, mul_by_right_words
-from heckeo.hecke import _C_S, _H_S, _H_S_INV, DUAL_VARIANTS, HeckeAlgebra, HeckeElt, invert_unitriangular
+from _oracles import dual_basis_by_inversion, invert_unitriangular, kl_by_product_recursion, mul_by_right_words
+from heckeo.hecke import _C_S, _H_S, _H_S_INV, DUAL_VARIANTS, HeckeAlgebra, HeckeElt
 from heckeo.laurent import LaurentPoly, v, v_pow
 from heckeo.report import VerificationReport
 from heckeo.weyl import CartanDatum, MixedGroups, build_group
@@ -335,6 +335,20 @@ def test_dual_basis_defining_property(b2):
                 assert b2.pairing(duals[x], b2.kl_element(y, kl_variant)) == expect
 
 
+@pytest.mark.parametrize("label", ["G2", "A3", "B3"])
+def test_dual_views_match_inversion_oracle(label):
+    # each dual view against the rows of its own inverted KL matrix: the dual
+    # to C is compared with the inverse of the C columns, not with b of the
+    # dual to b(C), which is how it is built
+    alg = algebra(label)
+    g = alg.group
+    for variant, kl_variant in (("dual_to_bC", "Cprime"), ("dual_to_C", "C")):
+        duals = alg.dual_basis(variant)
+        expected = dual_basis_by_inversion(alg, kl_variant)
+        for x, want in zip(g.elements(), expected):
+            assert duals[x] == want, f"{variant} at {g.name(x)}"
+
+
 def test_dual_basis_unit_coefficient(a2):
     duals = a2.dual_basis("dual_to_bC")
     assert duals[a2.group.identity].coeff(a2.group.identity) == ONE
@@ -374,7 +388,7 @@ def test_suite_passes(a2):
     assert rep.passed, [c.name for c in rep.failures()]
 
 
-# -- unitriangular inversion -----------------------------------------------------
+# -- the unitriangular inversion oracle -------------------------------------------
 
 def test_invert_unitriangular_roundtrip():
     cols = [

@@ -78,57 +78,72 @@ def test_coords_in_basis_matches_inversion_oracle(label):
                 assert list(got) == list(want)
 
 
+def _break_builder(monkeypatch, blk, builder, x, broken):
+    """Make one builder of blk's Hecke algebra hand back broken(column) for
+    element x, as a faulty recursion would."""
+    build = getattr(blk.hecke, builder)
+    monkeypatch.setattr(blk.hecke, builder,
+                        lambda k: broken(build(k)) if k == x.idx else build(k))
+
+
+# each builder, the views that read it, and the class whose coordinates in
+# those views reach the broken element
+BUILDERS = (
+    ("_build_C", (BasisKind.Simple, BasisKind.Tilting), "w0"),
+    ("_build_d", (BasisKind.DualVerma,), "w0"),
+    ("_build_dual_to_bC", (BasisKind.Projective,), "e"),
+)
+
+
 def test_coords_in_basis_rejects_a_column_without_unit_diagonal(monkeypatch):
-    blk = block("A2")
-    g = blk.group
-    view = blk.hecke.view
-
-    def doubled(name, x):
-        col = view(name, x)
-        return col * 2 if x == g.simple(1) else col
-
-    monkeypatch.setattr(blk.hecke, "view", doubled)
-    X = blk.verma(g.w0)
-    for kind in (BasisKind.Simple, BasisKind.Tilting, BasisKind.DualVerma):
-        with pytest.raises(ValueError, match="unit diagonal"):
-            blk.coords_in_basis(X, kind)
-    with pytest.raises(ValueError, match="unit diagonal"):
-        blk.coords_in_basis(blk.verma(g.identity), BasisKind.Projective)
-    assert blk.coords_in_basis(X, BasisKind.Verma) == {g.w0: ONE}
+    for builder, kinds, at in BUILDERS:
+        for kind in kinds:
+            blk = block("A2")
+            g = blk.group
+            _break_builder(monkeypatch, blk, builder, g.simple(1),
+                           lambda col: {k: p * 2 for k, p in col.items()})
+            x = g.parse_word(at)
+            with pytest.raises(ValueError, match="unit diagonal"):
+                blk.coords_in_basis(blk.verma(x), kind)
+            assert blk.coords_in_basis(blk.verma(x), BasisKind.Verma) == {x: ONE}
 
 
 def test_coords_in_basis_rejects_a_column_on_the_wrong_side(monkeypatch):
-    blk = block("A2")
-    g = blk.group
-    view = blk.hecke.view
-
-    def raised(name, x):
-        col = view(name, x)
-        return col + blk.verma(g.w0) if x == g.simple(1) else col
-
-    monkeypatch.setattr(blk.hecke, "view", raised)
-    with pytest.raises(ValueError, match="not unitriangular"):
-        blk.coords_in_basis(blk.verma(g.w0), BasisKind.Simple)
+    for builder, kinds, at in BUILDERS:
+        for kind in kinds:
+            blk = block("A2")
+            g = blk.group
+            # one entry past the diagonal: above it for the views that sit
+            # below their element, below it for the dual rows
+            wrong = g.identity if kind is BasisKind.Projective else g.w0
+            _break_builder(monkeypatch, blk, builder, g.simple(1),
+                           lambda col: {**col, wrong.idx: ONE})
+            with pytest.raises(ValueError, match="not unitriangular"):
+                blk.coords_in_basis(blk.verma(g.parse_word(at)), kind)
 
 
 def test_basis_change_query_never_inverts_a_matrix(monkeypatch):
-    # one Verma -> Simple answer is one back-substitution; a fallback to the
-    # whole inverse matrix would still print the right coordinates, slowly
-    calls = []
-    original = hecke.invert_unitriangular
+    # a dual row is built per element: a cold projective class fills one
+    # row of the memo, not the whole inverse matrix
+    blk = block("A3")
+    blk.class_of(blk.group.identity, BasisKind.Projective)
+    assert len(blk.hecke._views["dual_to_bC"]) == 1
+    assert blk.hecke._views["dual_to_C"] == {}
+    # the same holds for cold CLI queries, counted at the row builder
+    rows = []
+    build = hecke.HeckeAlgebra._build_dual_to_bC
 
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return original(*args, **kwargs)
+    def counted(self, k):
+        rows.append(k)
+        return build(self, k)
 
-    monkeypatch.setattr(hecke, "invert_unitriangular", counted)
-    code, _ = cli.run(["basis-change", "--type", "D4", "--from", "Verma", "--to", "Simple",
-                       "--x", "w0", "--format", "json"])
-    assert code == 0
-    assert calls == []
-    blk = block("A2")
-    blk.class_of(blk.group.identity, BasisKind.Projective)  # the counter itself works
-    assert calls == [1]
+    monkeypatch.setattr(hecke.HeckeAlgebra, "_build_dual_to_bC", counted)
+    for src, dst, want in (("Verma", "Simple", 0), ("Projective", "Tilting", 1)):
+        rows.clear()
+        code, _ = cli.run(["basis-change", "--type", "D4", "--from", src, "--to", dst,
+                           "--x", "e", "--format", "json"])
+        assert code == 0
+        assert len(rows) == want, (src, dst)
 
 
 # -- Hecke action and wall crossing ----------------------------------------------
