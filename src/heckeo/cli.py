@@ -11,7 +11,11 @@ Exit codes: 0 all good, 1 at least one check failed, 2 usage error.
 
 Optional key=value config file (enumeration cap, default format, table
 width): ./heckeo.cfg, overridden by the HECKEO_CONFIG environment variable;
-flags override the file.  All output is UTF-8 and deterministic: identical
+flags override the file.  Without either, each command has its own cap, so
+that a request too large to finish exits 2 at once instead of running for
+hours: verify, whose time grows as |W|^3, admits F4 (1152); klpoly and
+basis-change, whose tables grow with the KL nonzeros, admit A6 (5040); weyl
+admits A7 (40320).  All output is UTF-8 and deterministic: identical
 invocations produce byte-identical output (timings are opt-in and never
 included in JSON).
 """
@@ -30,6 +34,7 @@ from .report import VerificationReport, emit
 from .weyl import (
     DEFAULT_ENUMERATION_CAP,
     CartanDatum,
+    EnumerationCapExceeded,
     WeylError,
     build_group,
     weyl_suite,
@@ -38,6 +43,9 @@ from .weyl import (
 CONFIG_ENV = "HECKEO_CONFIG"
 CONFIG_FILE = "heckeo.cfg"
 FORMATS = ("json", "csv", "table")
+# default enumeration caps, below weyl's DEFAULT_ENUMERATION_CAP (A7)
+TABLE_CAP = 5040  # klpoly and basis-change: A6
+VERIFY_CAP = 1152  # verify: F4
 
 
 class UsageError(Exception):
@@ -79,6 +87,8 @@ def load_config() -> dict:
 def _build(type_str: str, cap: int):
     try:
         return build_group(CartanDatum.parse(type_str), cap=cap)
+    except EnumerationCapExceeded as exc:
+        raise UsageError(f"{exc}; pass a larger --cap to run it anyway") from None
     except WeylError as exc:
         raise UsageError(str(exc)) from None
 
@@ -189,14 +199,13 @@ def _cmd_block_check(args, cfg) -> tuple[int, str]:
 
 def _parser(cfg: dict) -> argparse.ArgumentParser:
     default_format = cfg.get("format", "table")
-    default_cap = cfg.get("cap", DEFAULT_ENUMERATION_CAP)
     top = argparse.ArgumentParser(prog="heckeo", description=__doc__.splitlines()[0])
     sub = top.add_subparsers(dest="command", required=True)
 
-    def common(p, formats=("json", "table")):
+    def common(p, formats=("json", "table"), cap=DEFAULT_ENUMERATION_CAP):
         p.add_argument("--format", choices=formats, default=default_format
                        if default_format in formats else formats[-1])
-        p.add_argument("--cap", type=int, default=default_cap)
+        p.add_argument("--cap", type=int, default=cfg.get("cap", cap))
         p.add_argument("--timings", action="store_true")
 
     p = sub.add_parser("weyl", help="group info / JSON export")
@@ -210,7 +219,7 @@ def _parser(cfg: dict) -> argparse.ArgumentParser:
     p.add_argument("--x", required=True)
     p.add_argument("--y", required=True)
     p.add_argument("--variant", choices=("C", "Cprime"), default="C")
-    common(p)
+    common(p, cap=TABLE_CAP)
     p.set_defaults(fn=_cmd_klpoly)
 
     p = sub.add_parser("basis-change", help="class coordinates in another basis")
@@ -218,13 +227,13 @@ def _parser(cfg: dict) -> argparse.ArgumentParser:
     p.add_argument("--from", dest="from_basis", required=True)
     p.add_argument("--to", dest="to_basis", required=True)
     p.add_argument("--x", required=True)
-    common(p)
+    common(p, cap=TABLE_CAP)
     p.set_defaults(fn=_cmd_basis_change)
 
     p = sub.add_parser("verify", help="run verification suites for a type")
     p.add_argument("--type", required=True)
     p.add_argument("--suite", choices=("weyl", "hecke", "k0", "all"), default="all")
-    common(p, formats=FORMATS)
+    common(p, formats=FORMATS, cap=VERIFY_CAP)
     p.set_defaults(fn=_cmd_verify)
 
     p = sub.add_parser("block-check", help="rank-one categorical suites")

@@ -21,11 +21,14 @@ Every product comes down to one left action on coefficient dicts,
 
     (H_s + c) H_y = H_{sy} + k_y H_y,   k_y = c (sy > y), c + v^-1 - v (sy < y),
 
-one pass over the support in which each monomial of k_y is an exponent
-shift.  It serves c = v (C_s, hence C_x and wall crossing), c = 0 (H_s,
-hence `mul`) and c = v - v^-1 (H_s^-1 = d(H_s), hence d(H_x)).  `mul`
-walks the smaller support, flipping sides by iota when that is b's, and
-memoizes H_y b along suffixes of reduced words.
+one pass over the support placing the h_{sy}, then one `accumulate` of the
+k_y h_y for each of the two k_y.  The action serves c = v (C_s, hence C_x
+and wall crossing), c = 0 (H_s, hence `mul`) and c = v - v^-1
+(H_s^-1 = d(H_s), hence d(H_x)).  `accumulate` and `dot`, the module's
+vector sums and pairings, work on the packed fields of `laurent`: one int
+product and one shift-and-add per entry.  `mul` walks the smaller support,
+flipping sides by iota when that is b's, and memoizes H_y b along suffixes
+of reduced words.
 
 C_x is computed two independent ways: the recursion C_s C_{sx} minus
 integer multiples mu(y, sx) C_y, subtracted in place, and a solver that
@@ -37,17 +40,24 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from .laurent import RULE_V_TO_NEG_VINV, LaurentPoly, v
+from .laurent import (
+    BOUND_LIMIT,
+    DIGIT_BITS,
+    RULE_V_TO_NEG_VINV,
+    ZERO,
+    LaurentPoly,
+    packed,
+    v,
+)
 from .report import VerificationReport
 from .weyl import MixedGroups, WeylElt, WeylGroup
 
 # (H_s + c) H_y = H_{sy} + k_y H_y, where k_y = c when sy > y and
 # k_y = c + v^-1 - v when sy < y.  Each c in use is given by its two k_y,
-# (sy > y, sy < y), and each k_y by the exponents (e, f) of v^e - v^f,
-# None for an absent monomial.
-_C_S = ((1, None), (-1, None))  # c = v: C_s
-_H_S = ((None, None), (-1, 1))  # c = 0: H_s
-_H_S_INV = ((1, -1), (None, None))  # c = v - v^-1: H_s^-1 = d(H_s)
+# (sy > y, sy < y).
+_C_S = (v, v**-1)  # c = v: C_s
+_H_S = (ZERO, v**-1 - v)  # c = 0: H_s
+_H_S_INV = (v - v**-1, ZERO)  # c = v - v^-1: H_s^-1 = d(H_s)
 
 KL_VARIANTS = ("C", "Cprime")
 DUAL_VARIANTS = ("dual_to_bC", "dual_to_C")
@@ -63,32 +73,74 @@ def accumulate(
     scal: LaurentPoly | int = 1,
 ) -> dict[int, LaurentPoly]:
     """Add each (index, coefficient) pair of `terms`, times `scal`, into the
-    sparse vector `out` in place, dropping entries that cancel.  An integer
-    `scal` costs no polynomial product.  Returns `out`."""
-    if isinstance(scal, LaurentPoly):
-        poly, scal = scal, 1
-        terms = ((k, p * poly) for k, p in terms)
+    sparse vector `out` in place, dropping entries that cancel.  Returns `out`.
+
+    The loop works on the packed fields (see laurent): each entry it writes
+    is one int product, one shift-and-add and one new value.  An entry
+    whose coefficient bound reaches BOUND_LIMIT takes LaurentPoly's own
+    guarded arithmetic instead."""
+    if scal.__class__ is not LaurentPoly:
+        scal = LaurentPoly.const(scal)
+    slo, sn, sb = scal._lo, scal._n, scal._b
+    if not sn:
+        return out
+    unit = sn == 1 and not slo
+    get = out.get
     for k, p in terms:
-        q = out.get(k)
-        if scal != 1:
-            p = p * scal if q is None else q.plus_multiple(p, scal)
-        elif q is not None:
-            p = q + p
-        if p.is_zero():
-            out.pop(k, None)
+        q = get(k)
+        if q is None:
+            if not p._n:
+                continue
+            if unit:
+                out[k] = p
+                continue
+            bound = p._b * sb
+            out[k] = p * scal if bound >= BOUND_LIMIT else packed(p._lo + slo, p._n * sn, bound)
+            continue
+        bound = q._b + p._b * sb
+        if bound >= BOUND_LIMIT:
+            r = q + p * scal
+            if r:
+                out[k] = r
+            else:
+                del out[k]
+            continue
+        lo, n = p._lo + slo, p._n * sn
+        d = lo - q._lo
+        if d >= 0:
+            lo, n = q._lo, q._n + (n << DIGIT_BITS * d)
         else:
-            out[k] = p
+            n += q._n << -DIGIT_BITS * d
+        if n:
+            out[k] = packed(lo, n, bound)
+        else:
+            del out[k]
     return out
 
 
 def dot(a: dict[int, LaurentPoly], b: dict[int, LaurentPoly]) -> LaurentPoly:
-    """sum_k a_k b_k over two sparse vectors."""
-    out = LaurentPoly.zero()
+    """sum_k a_k b_k over two sparse vectors, summed on the packed fields
+    into one value (by LaurentPoly's arithmetic once the bound says so)."""
+    if len(a) > len(b):
+        a, b = b, a
+    get = b.get
+    lo = n = bound = 0
     for k, p in a.items():
-        q = b.get(k)
-        if q is not None:
-            out = out + p * q
-    return out
+        q = get(k)
+        if q is None:
+            continue
+        bound += p._b * q._b
+        if bound >= BOUND_LIMIT:
+            return sum((p * b[k] for k, p in a.items() if k in b), ZERO)
+        plo, pn = p._lo + q._lo, p._n * q._n
+        # n may gain zero low digits on the way; `packed` drops them
+        if not n:
+            lo, n = plo, pn
+        elif plo >= lo:
+            n += pn << DIGIT_BITS * (plo - lo)
+        else:
+            lo, n = plo, pn + (n << DIGIT_BITS * (lo - plo))
+    return packed(lo, n, bound)
 
 
 class HeckeElt:
@@ -166,13 +218,16 @@ class HeckeAlgebra:
 
     All tables are write-once per group and hold coefficient dicts, never
     elements, so an algebra is freed with its last reference; every public
-    operation is pure.
+    operation is pure.  The coefficients of the memoized tables are interned
+    per algebra: the KL table of A6 has 3.55M nonzero entries but 737
+    distinct polynomials, so an entry is one reference to a shared value.
     """
 
     def __init__(self, group: WeylGroup):
         self.group = group
         self._views: dict[str, dict[int, dict[int, LaurentPoly]]] = {name: {} for name in VIEWS}
         self._kl_solved: dict[int, dict[int, LaurentPoly]] = {}
+        self._interned: dict[LaurentPoly, LaurentPoly] = {}
         self._twisted: dict[LaurentPoly, LaurentPoly] = {}
 
     # -- constructors ----------------------------------------------------
@@ -201,26 +256,21 @@ class HeckeAlgebra:
 
     def _act(self, i: int, h: dict[int, LaurentPoly], c) -> dict[int, LaurentPoly]:
         """(H_s + c) h on a coefficient dict, s the i-th simple reflection and
-        c one of _C_S, _H_S, _H_S_INV.  Entry y of the result is
-        h_{sy} + k_y h_y, one pass over the support; each monomial of k_y is
-        an exponent shift, never a polynomial product."""
+        c one of _C_S, _H_S, _H_S_INV: entry y of the result is
+        h_{sy} + k_y h_y, one pass over the support to place the h_{sy} and
+        one `accumulate` for each of the two k_y."""
         up, down = c
+        col = i - 1
         lmult, lengths = self.group._lmult, self.group._lengths
         out: dict[int, LaurentPoly] = {}
+        ups: list[tuple[int, LaurentPoly]] = []
+        downs: list[tuple[int, LaurentPoly]] = []
         for y, p in h.items():
-            sy = lmult[y][i - 1]
-            q = h.get(sy)
-            if q is None:
-                out[sy] = p
-            plus, minus = up if lengths[sy] > lengths[y] else down
-            if plus is not None:
-                t = p.shifted(plus)
-                q = t if q is None else t + q
-            if minus is not None:
-                q = q.plus_multiple(p.shifted(minus), -1)
-            if q:
-                out[y] = q
-        return out
+            sy = lmult[y][col]
+            out[sy] = p
+            (ups if lengths[sy] > lengths[y] else downs).append((y, p))
+        accumulate(out, ups, up)
+        return accumulate(out, downs, down)
 
     def mul(self, a: HeckeElt, b: HeckeElt) -> HeckeElt:
         """sum_y a_y (H_y b) over the smaller support: if b has it,
@@ -307,8 +357,15 @@ class HeckeAlgebra:
                     raise ValueError(f"{name} element {k} has no unit diagonal")
                 if (min(got) < k) if name in DUAL_VARIANTS else (max(got) > k):
                     raise ValueError(f"{name} element {k} is not unitriangular")
+                self._intern(got)
             memo[k] = got
         return got
+
+    def _intern(self, coeffs: dict[int, LaurentPoly]) -> None:
+        """Replace each coefficient by the algebra's shared equal value."""
+        shared = self._interned.setdefault
+        for k, p in coeffs.items():
+            coeffs[k] = shared(p, p)
 
     def _build_d(self, k: int) -> dict[int, LaurentPoly]:
         """d(H_x) = d(H_s) d(H_{sx}) = (H_s + v - v^-1) d(H_{sx}) for s the
@@ -388,6 +445,7 @@ class HeckeAlgebra:
         got = HeckeElt(self, f)
         if defect or self.bar(got) != got:
             raise ArithmeticError("bar solver failed to reach a self-dual element")
+        self._intern(got._c)
         self._kl_solved[x.idx] = got._c
         return got
 

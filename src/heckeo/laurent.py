@@ -1,8 +1,29 @@
 """Exact arithmetic in Z[v, v^-1], integer Laurent polynomials in one variable.
 
-A polynomial is stored as an exponent -> coefficient map holding no zero
-coefficients, so two polynomials are equal iff their maps are equal.  All
-coefficients are Python ints, hence arbitrary precision.
+A polynomial  c_0 v^lo + c_1 v^(lo+1) + ... + c_(t-1) v^(lo+t-1),  c_0 != 0,
+is stored packed, by Kronecker substitution, as two Python ints:
+
+    lo    the lowest exponent (0 for the zero polynomial),
+    n     c_0 + c_1 X + ... + c_(t-1) X^(t-1),   X = 2^w,
+
+so the coefficients are the balanced base-X digits of n, each of absolute
+value below X/2, and n has no zero digit at the low end.  The digit width w
+is 32.  A product is then one int product with the exponents added, a sum
+one shift-and-add, v^k moves lo, v -> v^-1 and v -> -v^-1 reverse the
+digits, and equality and hashing compare ints.  The size of n grows with
+the exponent span max_exp - min_exp, not with the number of terms.
+
+Exactness guard.  The digits of n are the coefficients only while every
+|c| < 2^(w-1), and coefficients are Python ints of any size.  So each value
+carries a bound B >= sum |c|: a sum adds the bounds, a product multiplies
+them, and v^k, negation and the substitutions keep them.  A result with
+B < 2^30 is packed at w = 32 straight away.  At 2^30 <= B < 2^31 its 32-bit
+digits are still exact, and B is recomputed from them.  From 2^31 on, the
+operands are repacked at the first multiple w of 32 with B < 2^(w-1), the
+operation is done there, and the result is repacked by its exact sum |c|:
+at w = 32 if that is below 2^31, else at the first such w.  The width is
+thus a function of the polynomial, so (lo, n) at that width is canonical,
+and no coefficient, however large, is ever lost or raises.
 
 >>> p = v + v**-1
 >>> str(p)
@@ -13,68 +34,222 @@ coefficients are Python ints, hence arbitrary precision.
 True
 >>> str(v.substitute("v_to_neg_vinv"))
 '-v^-1'
+>>> ((1 + v) ** 40).coeff(20)
+137846528820
+>>> LaurentPoly({0: 10**30}) * LaurentPoly({1: -(10**30)})
+LaurentPoly({1: -1000000000000000000000000000000000000000000000000000000000000})
 """
 
 from __future__ import annotations
 
+import functools
+import struct
 from typing import Iterator, Mapping
 
 RULE_V_TO_VINV = "v_to_vinv"
 RULE_V_TO_NEG_VINV = "v_to_neg_vinv"
 SUBSTITUTION_RULES = (RULE_V_TO_VINV, RULE_V_TO_NEG_VINV)
 
+#: the digit width of a value whose coefficients fit it
+DIGIT_BITS = 32
+DIGIT_MASK = (1 << DIGIT_BITS) - 1
+#: a value with a bound below this has exact DIGIT_BITS-bit digits
+BOUND_LIMIT = 1 << (DIGIT_BITS - 1)
+#: a bound this large is recomputed from the digits
+BOUND_RECHECK = 1 << (DIGIT_BITS - 2)
+
+_new = object.__new__
+
+
+@functools.lru_cache(maxsize=256)
+def _offset(t: int, w: int) -> int:
+    """sum of 2^(w-1) X^i over i < t, X = 2^w.  Added to an n with t valid
+    digits it makes digit i into c_i + 2^(w-1), in [0, X), with no carry."""
+    return ((1 << (w * t)) - 1) // ((1 << w) - 1) << (w - 1)
+
+
+@functools.lru_cache(maxsize=256)
+def _words(t: int) -> struct.Struct:
+    """The layout of t little-endian unsigned DIGIT_BITS-bit words."""
+    return struct.Struct(f"<{t}I")
+
+
+def _width(bound: int) -> int:
+    """The digit width of a value with this bound: DIGIT_BITS below
+    BOUND_LIMIT, else the first multiple w of DIGIT_BITS with bound < 2^(w-1)."""
+    return (bound.bit_length() + DIGIT_BITS) // DIGIT_BITS * DIGIT_BITS
+
+
+def _ndigits(n: int, w: int) -> int:
+    """The number t of digits of a valid nonzero n: every |c_i| < 2^(w-1)
+    and c_(t-1) != 0 put |n| in [2^(w(t-1)-1), 2^(wt-1)), so t is exact."""
+    return n.bit_length() // w + 1
+
+
+def _digits(n: int, w: int) -> list[int]:
+    """The balanced base-2^w digits of a valid n, lowest first."""
+    if not n:
+        return []
+    t = _ndigits(n, w)
+    half = 1 << (w - 1)
+    raw = (n + _offset(t, w)).to_bytes(t * w >> 3, "little")
+    if w == DIGIT_BITS:
+        return [u - half for u in _words(t).unpack(raw)]
+    k = w >> 3
+    return [int.from_bytes(raw[i:i + k], "little") - half for i in range(0, len(raw), k)]
+
+
+def _pack(cs: list[int], w: int) -> int:
+    """The int with balanced base-2^w digits cs, lowest first, each
+    |c| < 2^(w-1).  Horner's rule is quickest for a few digits but copies
+    the int at every step; past 32 digits the offset digits c + 2^(w-1)
+    are laid out as bytes instead, in linear time."""
+    if len(cs) <= 32:
+        n = 0
+        for c in reversed(cs):
+            n = (n << w) + c
+        return n
+    half = 1 << (w - 1)
+    if w == DIGIT_BITS:
+        raw = _words(len(cs)).pack(*[c + half for c in cs])
+    else:
+        raw = b"".join((c + half).to_bytes(w >> 3, "little") for c in cs)
+    return int.from_bytes(raw, "little") - _offset(len(cs), w)
+
+
+def _make(lo: int, n: int, bound: int) -> "LaurentPoly":
+    p = _new(LaurentPoly)
+    p._lo = lo
+    p._n = n
+    p._b = bound
+    return p
+
+
+def packed(lo: int, n: int, bound: int) -> "LaurentPoly":
+    """The value with 32-bit-digit fields (lo, n), given a bound below
+    BOUND_LIMIT on its sum |c|: the constructor for loops that did their
+    arithmetic on the fields.  Zero digits at the low end are dropped, and a
+    bound from BOUND_RECHECK on is recomputed from the digits."""
+    if not n & DIGIT_MASK:
+        if not n:
+            return ZERO
+        z = ((n & -n).bit_length() - 1) // DIGIT_BITS
+        lo, n = lo + z, n >> (DIGIT_BITS * z)
+    if bound >= BOUND_RECHECK:
+        bound = sum(map(abs, _digits(n, DIGIT_BITS)))
+    p = _new(LaurentPoly)
+    p._lo = lo
+    p._n = n
+    p._b = bound
+    return p
+
+
+def _from_digits(lo: int, cs: list[int]) -> "LaurentPoly":
+    """The canonical value sum cs[i] v^(lo+i): zeros stripped at both ends,
+    the exact bound, and the width that bound gives."""
+    i, j = 0, len(cs)
+    while j > i and not cs[j - 1]:
+        j -= 1
+    while i < j and not cs[i]:
+        i += 1
+    if i == j:
+        return ZERO
+    cs = cs[i:j]
+    bound = sum(map(abs, cs))
+    return _make(lo + i, _pack(cs, _width(bound)), bound)
+
+
+def _wide(a: "LaurentPoly", c: "LaurentPoly", k: int | None) -> "LaurentPoly":
+    """The guard's slow path: a c for k None, else a + k c, for a nonzero
+    c, done at a digit width wider than the result's bound and then
+    repacked canonically."""
+    bound = a._b * c._b if k is None else a._b + abs(k) * c._b
+    w = _width(bound)
+    x = _pack(a._dense(), w)
+    y = _pack(c._dense(), w)
+    if k is None:
+        lo, n = a._lo + c._lo, x * y
+    elif not x:
+        lo, n = c._lo, k * y
+    else:
+        d = c._lo - a._lo
+        if d >= 0:
+            lo, n = a._lo, x + (k * y << (w * d))
+        else:
+            lo, n = c._lo, k * y + (x << (-w * d))
+    return _from_digits(lo, _digits(n, w))
+
 
 class LaurentPoly:
-    """An element of Z[v, v^-1] in canonical (zero-free) form."""
+    """An element of Z[v, v^-1] in canonical packed form (see the module
+    docstring): the fields are `_lo`, `_n` and the coefficient bound `_b`."""
 
-    __slots__ = ("_c",)
+    __slots__ = ("_lo", "_n", "_b")
 
     def __init__(self, coeffs: Mapping[int, int] | None = None):
         c: dict[int, int] = {}
         if coeffs:
             for e, n in coeffs.items():
                 if n:
-                    c[int(e)] = c.get(int(e), 0) + int(n)
-                    if not c[int(e)]:
-                        del c[int(e)]
-        self._c = c
+                    e = int(e)
+                    c[e] = c.get(e, 0) + int(n)
+        p = ZERO
+        live = [e for e, n in c.items() if n]
+        if live:
+            lo, hi = min(live), max(live)
+            p = _from_digits(lo, [c.get(e, 0) for e in range(lo, hi + 1)])
+        self._lo, self._n, self._b = p._lo, p._n, p._b
 
     # -- constructors -------------------------------------------------
 
     @classmethod
     def zero(cls) -> "LaurentPoly":
-        return cls()
+        return ZERO
 
     @classmethod
     def one(cls) -> "LaurentPoly":
-        return cls({0: 1})
+        return ONE
 
     @classmethod
     def const(cls, n: int) -> "LaurentPoly":
-        return cls({0: n})
+        n = int(n)
+        return _make(0, n, abs(n)) if abs(n) < BOUND_LIMIT else cls({0: n})
 
     # -- queries ------------------------------------------------------
 
+    def _dense(self) -> list[int]:
+        """The coefficients of v^lo, v^(lo+1), ..., v^max_exp."""
+        return _digits(self._n, _width(self._b))
+
     def is_zero(self) -> bool:
-        return not self._c
+        return not self._n
 
     def __bool__(self) -> bool:
-        return bool(self._c)
+        return self._n != 0
 
     def coeff(self, exp: int) -> int:
-        return self._c.get(exp, 0)
+        n = self._n
+        i = exp - self._lo
+        if not n or i < 0:
+            return 0
+        w = _width(self._b)
+        if i >= _ndigits(n, w):
+            return 0
+        return ((n + _offset(i + 1, w)) >> (w * i) & ((1 << w) - 1)) - (1 << (w - 1))
 
     def support(self) -> tuple[int, ...]:
-        return tuple(sorted(self._c))
+        return tuple(e for e, _ in self.items())
 
     def items(self) -> Iterator[tuple[int, int]]:
-        return iter(sorted(self._c.items()))
+        lo = self._lo
+        return iter([(lo + i, c) for i, c in enumerate(self._dense()) if c])
 
     def min_exp(self) -> int | None:
-        return min(self._c) if self._c else None
+        return self._lo if self._n else None
 
     def max_exp(self) -> int | None:
-        return max(self._c) if self._c else None
+        n = self._n
+        return self._lo + _ndigits(n, _width(self._b)) - 1 if n else None
 
     # -- ring structure -----------------------------------------------
 
@@ -83,44 +258,40 @@ class LaurentPoly:
         if isinstance(other, LaurentPoly):
             return other
         if isinstance(other, int):
-            return LaurentPoly({0: other})
+            return LaurentPoly.const(other)
         return None
 
     def __add__(self, other) -> "LaurentPoly":
-        o = other if isinstance(other, LaurentPoly) else self._coerce(other)
-        if o is None:
-            return NotImplemented
-        c = dict(self._c)
-        for e, n in o._c.items():
-            m = c.get(e, 0) + n
-            if m:
-                c[e] = m
-            elif e in c:
-                del c[e]
-        out = LaurentPoly.__new__(LaurentPoly)
-        out._c = c
-        return out
+        if other.__class__ is not LaurentPoly:
+            other = self._coerce(other)
+            if other is None:
+                return NotImplemented
+        return self.plus_multiple(other, 1)
 
     __radd__ = __add__
 
     def plus_multiple(self, other: "LaurentPoly", k: int) -> "LaurentPoly":
-        """self + k * other for an integer k, in one pass: no product and
-        no intermediate polynomial."""
-        c = dict(self._c)
-        for e, n in other._c.items():
-            m = c.get(e, 0) + n * k
-            if m:
-                c[e] = m
-            elif e in c:
-                del c[e]
-        out = LaurentPoly.__new__(LaurentPoly)
-        out._c = c
-        return out
+        """self + k * other for an integer k, in one shift-and-add: no
+        product of polynomials and no intermediate value."""
+        n2 = other._n
+        if not n2 or not k:
+            return self
+        n1 = self._n
+        if not n1:
+            return other._scaled(k)
+        bound = self._b + abs(k) * other._b
+        if bound >= BOUND_LIMIT:
+            return _wide(self, other, k)
+        lo = self._lo
+        d = other._lo - lo
+        if d >= 0:
+            n = n1 + (k * n2 << (DIGIT_BITS * d))
+        else:
+            n, lo = k * n2 + (n1 << (-DIGIT_BITS * d)), other._lo
+        return packed(lo, n, bound)
 
     def __neg__(self) -> "LaurentPoly":
-        out = LaurentPoly.__new__(LaurentPoly)
-        out._c = {e: -n for e, n in self._c.items()}
-        return out
+        return _make(self._lo, -self._n, self._b)
 
     def __sub__(self, other) -> "LaurentPoly":
         o = self._coerce(other)
@@ -134,38 +305,36 @@ class LaurentPoly:
             return NotImplemented
         return o.plus_multiple(self, -1)
 
+    def _scaled(self, k: int) -> "LaurentPoly":
+        """k * self for an integer k: n times k."""
+        if not k or not self._n:
+            return ZERO
+        bound = self._b * abs(k)
+        if bound >= BOUND_LIMIT:
+            return _wide(ZERO, self, k)
+        return packed(self._lo, self._n * k, bound)
+
     def __mul__(self, other) -> "LaurentPoly":
-        if not isinstance(other, LaurentPoly):
-            if not isinstance(other, int):
-                return NotImplemented
-            # scaling by an integer needs no convolution
-            out = LaurentPoly.__new__(LaurentPoly)
-            out._c = {e: n * other for e, n in self._c.items()} if other else {}
-            return out
-        c: dict[int, int] = {}
-        for e1, n1 in self._c.items():
-            for e2, n2 in other._c.items():
-                e = e1 + e2
-                m = c.get(e, 0) + n1 * n2
-                if m:
-                    c[e] = m
-                elif e in c:
-                    del c[e]
-        out = LaurentPoly.__new__(LaurentPoly)
-        out._c = c
-        return out
+        if other.__class__ is not LaurentPoly:
+            return self._scaled(other) if isinstance(other, int) else NotImplemented
+        n1, n2 = self._n, other._n
+        if not n1 or not n2:
+            return ZERO
+        bound = self._b * other._b
+        if bound >= BOUND_LIMIT:
+            return _wide(self, other, None)
+        # the lowest digit is c_0 c'_0, nonzero
+        return packed(self._lo + other._lo, n1 * n2, bound)
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "LaurentPoly":
         if n < 0:
             # only unit monomials c*v^e with c = +-1 are invertible
-            if len(self._c) == 1:
-                ((e, cf),) = self._c.items()
-                if cf in (1, -1):
-                    return LaurentPoly({e * n: cf if n % 2 else 1})
+            if self._n in (1, -1):
+                return _make(self._lo * n, self._n if n % 2 else 1, 1)
             raise ValueError("negative powers only for unit monomials")
-        out = LaurentPoly.one()
+        out = ONE
         base = self
         k = n
         while k:
@@ -176,23 +345,36 @@ class LaurentPoly:
         return out
 
     def __eq__(self, other) -> bool:
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self._c == o._c
+        if other.__class__ is not LaurentPoly:
+            other = self._coerce(other)
+            if other is None:
+                return NotImplemented
+        # equal (lo, n) name one polynomial when the widths agree: both
+        # narrow, or both wide, whose bound is then the exact sum |c|
+        return (
+            self._n == other._n
+            and self._lo == other._lo
+            and (self._b == other._b or (self._b < BOUND_LIMIT and other._b < BOUND_LIMIT))
+        )
 
     def __hash__(self) -> int:
-        return hash(frozenset(self._c.items()))
+        return hash((self._lo, self._n))
 
     # -- substitutions -------------------------------------------------
 
     def substitute(self, rule: str) -> "LaurentPoly":
-        """Apply v -> v^-1 or v -> -v^-1 to every monomial."""
-        if rule == RULE_V_TO_VINV:
-            return LaurentPoly({-e: n for e, n in self._c.items()})
+        """Apply v -> v^-1 or v -> -v^-1 to every monomial: the digits
+        reverse, and for -v^-1 each c_e also takes the sign (-1)^e."""
+        if rule not in SUBSTITUTION_RULES:
+            raise ValueError(f"unknown substitution rule: {rule!r}")
+        if not self._n:
+            return self
+        cs = self._dense()
+        top = self._lo + len(cs) - 1
         if rule == RULE_V_TO_NEG_VINV:
-            return LaurentPoly({-e: (n if e % 2 == 0 else -n) for e, n in self._c.items()})
-        raise ValueError(f"unknown substitution rule: {rule!r}")
+            cs = [-c if e % 2 else c for e, c in enumerate(cs, self._lo)]
+        cs.reverse()
+        return _make(-top, _pack(cs, _width(self._b)), self._b)
 
     def bar(self) -> "LaurentPoly":
         """The involution v -> v^-1."""
@@ -200,28 +382,31 @@ class LaurentPoly:
 
     def shifted(self, n: int) -> "LaurentPoly":
         """Multiply by v^n."""
-        out = LaurentPoly.__new__(LaurentPoly)
-        out._c = {e + n: c for e, c in self._c.items()}
-        return out
+        return _make(self._lo + n, self._n, self._b) if self._n else self
 
     def eval_at_one(self) -> int:
-        return sum(self._c.values())
+        """sum c_i, which is n mod X - 1 taken balanced: X = 1 mod X - 1,
+        and |sum c_i| <= the bound < X / 2."""
+        if not self._n:
+            return 0
+        m = (1 << _width(self._b)) - 1
+        r = self._n % m
+        return r if r <= m >> 1 else r - m
 
     # -- serialization / display ---------------------------------------
 
     def to_json(self) -> dict[str, int]:
-        return {str(e): self._c[e] for e in sorted(self._c)}
+        return {str(e): c for e, c in self.items()}
 
     @classmethod
     def from_json(cls, data: Mapping[str, int]) -> "LaurentPoly":
         return cls({int(e): int(n) for e, n in data.items()})
 
     def __str__(self) -> str:
-        if not self._c:
+        if not self._n:
             return "0"
         parts: list[str] = []
-        for e in sorted(self._c):
-            n = self._c[e]
+        for e, n in self.items():
             if e == 0:
                 body = str(abs(n))
             else:
@@ -234,7 +419,7 @@ class LaurentPoly:
         return " ".join(parts)
 
     def __repr__(self) -> str:
-        return f"LaurentPoly({self._c!r})"
+        return f"LaurentPoly({dict(self.items())!r})"
 
 
 def arith(a: LaurentPoly, b: LaurentPoly, op: str) -> LaurentPoly:
@@ -252,13 +437,13 @@ def substitute(p: LaurentPoly, rule: str) -> LaurentPoly:
     return p.substitute(rule)
 
 
+ZERO = _make(0, 0, 0)
+ONE = _make(0, 1, 1)
+
 #: the generator of the ring
 v = LaurentPoly({1: 1})
-
-ZERO = LaurentPoly.zero()
-ONE = LaurentPoly.one()
 
 
 def v_pow(n: int) -> LaurentPoly:
     """The monomial v^n (any integer n)."""
-    return LaurentPoly({n: 1})
+    return _make(n, 1, 1)

@@ -1,8 +1,9 @@
 """Independent brute-force oracles used by the test suite.
 
 Everything in here deliberately avoids the production code paths it is used
-to check: Bruhat order comes from the subword property, orders come from
-closed formulas, Hecke products are re-derived by right multiplication
+to check: Laurent polynomials are exponent -> coefficient dicts, Bruhat
+order comes from the subword property, orders come from closed formulas,
+Hecke products are re-derived by right multiplication
 along reduced words, basis coordinates and dual bases come from a
 whole-matrix inversion, left multiplication in a Weyl group comes from
 composing signed permutations, block linear algebra is redone with every
@@ -14,13 +15,228 @@ layer used before it had one builder for each.
 from __future__ import annotations
 
 from fractions import Fraction
+from typing import Iterator, Mapping
 
 from heckeo.block.algebra import Module, ModuleMap, zero_map
 from heckeo.block.functors import AppliedComplex, ChainComplex, FunctorComplex, Summand
 from heckeo.hecke import HeckeAlgebra, HeckeElt, accumulate, dot
 from heckeo.k0 import BasisKind, K0Block
-from heckeo.laurent import LaurentPoly, v
+from heckeo.laurent import RULE_V_TO_NEG_VINV, RULE_V_TO_VINV, LaurentPoly, v
 from heckeo.weyl import WeylElt, WeylGroup
+
+
+class DictLaurentPoly:
+    """The exponent -> coefficient dict form of `heckeo.laurent.LaurentPoly`,
+    kept as the reference its packed arithmetic is compared against."""
+
+    __slots__ = ("_c",)
+
+    def __init__(self, coeffs: Mapping[int, int] | None = None):
+        c: dict[int, int] = {}
+        if coeffs:
+            for e, n in coeffs.items():
+                if n:
+                    c[int(e)] = c.get(int(e), 0) + int(n)
+                    if not c[int(e)]:
+                        del c[int(e)]
+        self._c = c
+
+    # -- constructors -------------------------------------------------
+
+    @classmethod
+    def zero(cls) -> "DictLaurentPoly":
+        return cls()
+
+    @classmethod
+    def one(cls) -> "DictLaurentPoly":
+        return cls({0: 1})
+
+    @classmethod
+    def const(cls, n: int) -> "DictLaurentPoly":
+        return cls({0: n})
+
+    # -- queries ------------------------------------------------------
+
+    def is_zero(self) -> bool:
+        return not self._c
+
+    def __bool__(self) -> bool:
+        return bool(self._c)
+
+    def coeff(self, exp: int) -> int:
+        return self._c.get(exp, 0)
+
+    def support(self) -> tuple[int, ...]:
+        return tuple(sorted(self._c))
+
+    def items(self) -> Iterator[tuple[int, int]]:
+        return iter(sorted(self._c.items()))
+
+    def min_exp(self) -> int | None:
+        return min(self._c) if self._c else None
+
+    def max_exp(self) -> int | None:
+        return max(self._c) if self._c else None
+
+    # -- ring structure -----------------------------------------------
+
+    @staticmethod
+    def _coerce(other) -> "DictLaurentPoly | None":
+        if isinstance(other, DictLaurentPoly):
+            return other
+        if isinstance(other, int):
+            return DictLaurentPoly({0: other})
+        return None
+
+    def __add__(self, other) -> "DictLaurentPoly":
+        o = other if isinstance(other, DictLaurentPoly) else self._coerce(other)
+        if o is None:
+            return NotImplemented
+        c = dict(self._c)
+        for e, n in o._c.items():
+            m = c.get(e, 0) + n
+            if m:
+                c[e] = m
+            elif e in c:
+                del c[e]
+        out = DictLaurentPoly.__new__(DictLaurentPoly)
+        out._c = c
+        return out
+
+    __radd__ = __add__
+
+    def plus_multiple(self, other: "DictLaurentPoly", k: int) -> "DictLaurentPoly":
+        """self + k * other for an integer k, in one pass: no product and
+        no intermediate polynomial."""
+        c = dict(self._c)
+        for e, n in other._c.items():
+            m = c.get(e, 0) + n * k
+            if m:
+                c[e] = m
+            elif e in c:
+                del c[e]
+        out = DictLaurentPoly.__new__(DictLaurentPoly)
+        out._c = c
+        return out
+
+    def __neg__(self) -> "DictLaurentPoly":
+        out = DictLaurentPoly.__new__(DictLaurentPoly)
+        out._c = {e: -n for e, n in self._c.items()}
+        return out
+
+    def __sub__(self, other) -> "DictLaurentPoly":
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return self.plus_multiple(o, -1)
+
+    def __rsub__(self, other) -> "DictLaurentPoly":
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return o.plus_multiple(self, -1)
+
+    def __mul__(self, other) -> "DictLaurentPoly":
+        if not isinstance(other, DictLaurentPoly):
+            if not isinstance(other, int):
+                return NotImplemented
+            # scaling by an integer needs no convolution
+            out = DictLaurentPoly.__new__(DictLaurentPoly)
+            out._c = {e: n * other for e, n in self._c.items()} if other else {}
+            return out
+        c: dict[int, int] = {}
+        for e1, n1 in self._c.items():
+            for e2, n2 in other._c.items():
+                e = e1 + e2
+                m = c.get(e, 0) + n1 * n2
+                if m:
+                    c[e] = m
+                elif e in c:
+                    del c[e]
+        out = DictLaurentPoly.__new__(DictLaurentPoly)
+        out._c = c
+        return out
+
+    __rmul__ = __mul__
+
+    def __pow__(self, n: int) -> "DictLaurentPoly":
+        if n < 0:
+            # only unit monomials c*v^e with c = +-1 are invertible
+            if len(self._c) == 1:
+                ((e, cf),) = self._c.items()
+                if cf in (1, -1):
+                    return DictLaurentPoly({e * n: cf if n % 2 else 1})
+            raise ValueError("negative powers only for unit monomials")
+        out = DictLaurentPoly.one()
+        base = self
+        k = n
+        while k:
+            if k & 1:
+                out = out * base
+            base = base * base
+            k >>= 1
+        return out
+
+    def __eq__(self, other) -> bool:
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return self._c == o._c
+
+    def __hash__(self) -> int:
+        return hash(frozenset(self._c.items()))
+
+    # -- substitutions -------------------------------------------------
+
+    def substitute(self, rule: str) -> "DictLaurentPoly":
+        """Apply v -> v^-1 or v -> -v^-1 to every monomial."""
+        if rule == RULE_V_TO_VINV:
+            return DictLaurentPoly({-e: n for e, n in self._c.items()})
+        if rule == RULE_V_TO_NEG_VINV:
+            return DictLaurentPoly({-e: (n if e % 2 == 0 else -n) for e, n in self._c.items()})
+        raise ValueError(f"unknown substitution rule: {rule!r}")
+
+    def bar(self) -> "DictLaurentPoly":
+        """The involution v -> v^-1."""
+        return self.substitute(RULE_V_TO_VINV)
+
+    def shifted(self, n: int) -> "DictLaurentPoly":
+        """Multiply by v^n."""
+        out = DictLaurentPoly.__new__(DictLaurentPoly)
+        out._c = {e + n: c for e, c in self._c.items()}
+        return out
+
+    def eval_at_one(self) -> int:
+        return sum(self._c.values())
+
+    # -- serialization / display ---------------------------------------
+
+    def to_json(self) -> dict[str, int]:
+        return {str(e): self._c[e] for e in sorted(self._c)}
+
+    @classmethod
+    def from_json(cls, data: Mapping[str, int]) -> "DictLaurentPoly":
+        return cls({int(e): int(n) for e, n in data.items()})
+
+    def __str__(self) -> str:
+        if not self._c:
+            return "0"
+        parts: list[str] = []
+        for e in sorted(self._c):
+            n = self._c[e]
+            if e == 0:
+                body = str(abs(n))
+            else:
+                var = "v" if e == 1 else f"v^{e}"
+                body = var if abs(n) == 1 else f"{abs(n)}*{var}"
+            if not parts:
+                parts.append(body if n > 0 else f"-{body}")
+            else:
+                parts.append(f"+ {body}" if n > 0 else f"- {body}")
+        return " ".join(parts)
+
+    def __repr__(self) -> str:
+        return f"LaurentPoly({self._c!r})"
 
 
 def bruhat_rows_by_subwords(W: WeylGroup, ys=None) -> dict[int, int]:

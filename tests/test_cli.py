@@ -1,10 +1,13 @@
 import json
 import os
+import time
 from pathlib import Path
 
 import pytest
 
+from heckeo import cli
 from heckeo.cli import load_config, run
+from heckeo.weyl import WeylError
 from heckeo.report import CheckResult, VerificationReport, emit
 
 GOLDEN = Path(__file__).parent / "golden" / "v1"
@@ -79,6 +82,44 @@ def test_cap_flag_overrides():
     assert code == 0
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "--type", "A7"],
+    ["verify", "--type", "A6"],
+    ["klpoly", "--type", "A7", "--x", "e", "--y", "e"],
+])
+def test_default_caps_fail_fast(argv, monkeypatch, tmp_path):
+    # a group too large for the command exits 2 before it is enumerated,
+    # with a message that names the override
+    monkeypatch.setenv("HECKEO_CONFIG", str(tmp_path / "absent.cfg"))
+    start = time.perf_counter()
+    code, text = run(argv)
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and "cap exceeded" in text and "--cap" in text
+
+
+def test_explicit_and_config_caps_override_command_defaults(monkeypatch, tmp_path):
+    # read off the cap each command passes, so no large group is built
+    seen = []
+
+    def build(datum, cap):
+        seen.append((datum.label, cap))
+        raise WeylError("not built")
+
+    monkeypatch.setattr(cli, "build_group", build)
+    monkeypatch.setenv("HECKEO_CONFIG", str(tmp_path / "absent.cfg"))
+    for argv in (["weyl", "--type", "A7"], ["klpoly", "--type", "A6", "--x", "e", "--y", "e"],
+                 ["basis-change", "--type", "A6", "--from", "Simple", "--to", "Verma", "--x", "e"],
+                 ["verify", "--type", "F4"], ["verify", "--type", "A6", "--cap", "5040"]):
+        assert run(argv)[0] == 2
+    assert seen == [("A7", 40320), ("A6", 5040), ("A6", 5040), ("F4", 1152), ("A6", 5040)]
+    cfg = tmp_path / "big.cfg"
+    cfg.write_text("cap = 40320\n", encoding="utf-8")
+    monkeypatch.setenv("HECKEO_CONFIG", str(cfg))
+    assert run(["verify", "--type", "A7"])[0] == 2
+    assert run(["klpoly", "--type", "A7", "--x", "e", "--y", "e", "--cap", "7"])[0] == 2
+    assert seen[-2:] == [("A7", 40320), ("A7", 7)]
+
+
 def test_block_check_csv_table():
     code, text = run(["block-check", "--format", "csv"])
     assert code == 0
@@ -140,6 +181,8 @@ def test_missing_config_is_fine(monkeypatch, tmp_path):
     ("verify_A3_all.json", ["verify", "--type", "A3", "--suite", "all", "--format", "json"]),
     ("basis_change_B3_projective.json", ["basis-change", "--type", "B3", "--from", "Projective", "--to", "Tilting", "--x", "e", "--format", "json"]),
     ("basis_change_B3_dualverma.json", ["basis-change", "--type", "B3", "--from", "DualVerma", "--to", "Projective", "--x", "w0", "--format", "json"]),
+    ("verify_B3_all.json", ["verify", "--type", "B3", "--suite", "all", "--format", "json"]),
+    ("basis_change_A4_dualverma.json", ["basis-change", "--type", "A4", "--from", "DualVerma", "--to", "Verma", "--x", "w0", "--format", "json"]),
 ])
 def test_golden_outputs(fname, argv, monkeypatch, tmp_path):
     monkeypatch.setenv("HECKEO_CONFIG", str(tmp_path / "absent.cfg"))

@@ -1,7 +1,12 @@
-import pytest
-from hypothesis import given, strategies as st
+import json
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from _oracles import DictLaurentPoly
+from heckeo.hecke import accumulate, dot
 from heckeo.laurent import (
+    BOUND_LIMIT,
     RULE_V_TO_NEG_VINV,
     RULE_V_TO_VINV,
     LaurentPoly,
@@ -120,3 +125,174 @@ def test_module_doctests():
 
     failures, _ = doctest.testmod(mod)
     assert failures == 0
+
+
+# -- the packed form against the dict oracle ---------------------------------
+
+# coefficients at and around the digit bounds: 2^30 (where a bound is
+# rechecked), 2^31 (past which 32-bit digits are not exact), 2^62 (past
+# which a 64-bit digit is not), and far beyond
+EDGES = (2**30, 2**31, 2**62, 10**40)
+big_coeffs = st.one_of(
+    st.integers(-9, 9),
+    st.sampled_from(EDGES).flatmap(lambda c: st.integers(c - 2, c + 2)),
+    st.sampled_from(EDGES).flatmap(lambda c: st.integers(-c - 2, -c + 2)),
+)
+exponents = st.integers(-80, 80)
+coeff_maps = st.dictionaries(exponents, big_coeffs, max_size=6)
+scalars = st.one_of(st.integers(-3, 3), st.sampled_from((2**30, -(2**31), 2**40, -(10**40))))
+RULES = (RULE_V_TO_VINV, RULE_V_TO_NEG_VINV)
+
+
+def both(m):
+    return LaurentPoly(m), DictLaurentPoly(m)
+
+
+def assert_matches(p, o):
+    """Every query of the packed value p agrees with the oracle value o."""
+    assert isinstance(p, LaurentPoly) and isinstance(o, DictLaurentPoly)
+    assert list(p.items()) == list(o.items())
+    assert p.support() == o.support()
+    assert p.min_exp() == o.min_exp() and p.max_exp() == o.max_exp()
+    assert p.is_zero() == o.is_zero() and bool(p) == bool(o)
+    assert p.eval_at_one() == o.eval_at_one()
+    assert p.to_json() == o.to_json()
+    assert str(p) == str(o)
+    # the oracle's repr shows its dict in insertion order, the packed one
+    # in exponent order
+    assert repr(p) == f"LaurentPoly({dict(sorted(o._c.items()))!r})"
+    for e in range(-82, 83, 3):
+        assert p.coeff(e) == o.coeff(e)
+    for e, _ in o.items():
+        assert p.coeff(e) == o.coeff(e) and p.coeff(e + 1) == o.coeff(e + 1)
+    assert p == LaurentPoly(dict(o.items())) and hash(p) == hash(LaurentPoly(dict(o.items())))
+
+
+@settings(max_examples=100, deadline=None)
+@given(coeff_maps, coeff_maps, scalars)
+def test_binary_operations_match_dict_oracle(ma, mb, k):
+    a, oa = both(ma)
+    b, ob = both(mb)
+    assert_matches(a, oa)
+    assert_matches(a + b, oa + ob)
+    assert_matches(a - b, oa - ob)
+    assert_matches(a * b, oa * ob)
+    assert_matches(a.plus_multiple(b, k), oa.plus_multiple(ob, k))
+    assert_matches(a * k, oa * k)
+    assert_matches(k * a, k * oa)
+    assert_matches(a + k, oa + k)
+    assert_matches(k - a, k - oa)
+    assert (a == b) == (oa == ob)
+    assert (a == k) == (oa == k)
+    if a == b:
+        assert hash(a) == hash(b)
+
+
+@settings(max_examples=100, deadline=None)
+@given(coeff_maps, st.integers(-80, 80), st.integers(0, 3))
+def test_unary_operations_match_dict_oracle(m, n, e):
+    a, oa = both(m)
+    assert_matches(-a, -oa)
+    assert_matches(a.shifted(n), oa.shifted(n))
+    for rule in RULES:
+        assert_matches(a.substitute(rule), oa.substitute(rule))
+    assert_matches(a.bar(), oa.bar())
+    assert_matches(a ** e, oa ** e)
+    assert_matches(LaurentPoly.from_json(json.loads(json.dumps(a.to_json()))), oa)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.tuples(coeff_maps, coeff_maps), min_size=1, max_size=8), scalars)
+def test_long_chains_match_dict_oracle(pairs, k):
+    # sums of products, so that bounds grow past the recheck and the digit
+    # limit and come back down through cancellation
+    acc, oacc = LaurentPoly(), DictLaurentPoly()
+    for ma, mb in pairs:
+        a, oa = both(ma)
+        b, ob = both(mb)
+        acc = acc.plus_multiple(a * b, k) - b
+        oacc = oacc.plus_multiple(oa * ob, k) - ob
+        assert list(acc.items()) == list(oacc.items())
+    assert_matches(acc, oacc)
+    back = acc - LaurentPoly(dict(oacc.items()))
+    assert back.is_zero() and back == 0 and hash(back) == hash(LaurentPoly())
+
+
+vectors = st.dictionaries(st.integers(0, 5), coeff_maps, max_size=4)
+
+
+def vector_pair(vec):
+    packed = {k: LaurentPoly(m) for k, m in vec.items() if LaurentPoly(m)}
+    return packed, {k: DictLaurentPoly(m) for k, m in vec.items() if k in packed}
+
+
+@settings(max_examples=60, deadline=None)
+@given(vectors, vectors, st.one_of(scalars, coeff_maps))
+def test_vector_loops_match_dict_oracle(va, vb, scal):
+    # accumulate and dot do their arithmetic on the packed fields under
+    # their own guard, apart from LaurentPoly's operators
+    a, oa = vector_pair(va)
+    b, ob = vector_pair(vb)
+    s, os_ = (scal, scal) if isinstance(scal, int) else both(scal)
+    got = accumulate(dict(a), b.items(), s)
+    expect = dict(oa)
+    for k, p in ob.items():
+        q = expect.get(k, DictLaurentPoly()) + p * os_
+        if q.is_zero():
+            expect.pop(k, None)
+        else:
+            expect[k] = q
+    assert sorted(got) == sorted(expect)
+    for k, p in got.items():
+        assert_matches(p, expect[k])
+    total = DictLaurentPoly()
+    for k, p in oa.items():
+        if k in ob:
+            total = total + p * ob[k]
+    assert_matches(dot(a, b), total)
+    assert_matches(dot(b, a), total)
+
+
+def test_vector_loops_drop_zero_terms():
+    zero = LaurentPoly()
+    assert accumulate({}, [(0, zero)]) == {} and accumulate({}, [(0, zero)], v) == {}
+    assert accumulate({1: v}, [(0, zero), (1, -v)]) == {}
+    assert accumulate({1: v}, [(1, zero)], 2**40) == {1: v}
+    assert dot({0: zero}, {0: v}).is_zero() and dot({}, {0: v}).is_zero()
+
+
+def test_middle_binomial_coefficient_past_two_to_the_31():
+    p = (1 + v) ** 40
+    assert p.coeff(20) == 137846528820 > 2**31
+    assert_matches(p, (1 + DictLaurentPoly({1: 1})) ** 40)
+    assert p.max_exp() == 40 and p.eval_at_one() == 2**40
+
+
+def test_plus_multiple_by_two_to_the_40():
+    a, oa = both({-3: 5, 0: -1, 7: 2})
+    b, ob = both({0: 3, 1: -2**31 + 1})
+    got = a.plus_multiple(b, 2**40)
+    assert_matches(got, oa.plus_multiple(ob, 2**40))
+    assert got.coeff(1) == -(2**31 - 1) * 2**40
+    # and back down to the narrow value, equal and equally hashed
+    down = got.plus_multiple(b, -(2**40))
+    assert down == a and hash(down) == hash(a) and down._b < BOUND_LIMIT
+
+
+def test_wide_constant_through_json_and_str():
+    p, o = both({0: 10**30})
+    assert_matches(p, o)
+    assert str(p) == "1000000000000000000000000000000"
+    assert p.to_json() == {"0": 10**30}
+    assert LaurentPoly.from_json(json.loads(json.dumps(p.to_json()))) == p
+    assert str(p * v - 1) == "-1 + 1000000000000000000000000000000*v"
+
+
+def test_equal_values_agree_across_digit_widths():
+    # (lo, n) = (0, 2^32 + 3) is 3 + v at 32-bit digits and the constant
+    # 2^32 + 3 at 64-bit ones; the two must never compare equal
+    narrow = 3 + v
+    wide = LaurentPoly({0: 2**32 + 3})
+    assert (narrow._lo, narrow._n) == (wide._lo, wide._n)
+    assert narrow != wide and wide != narrow
+    assert wide - 2**32 == 3 and narrow.coeff(1) == 1 and wide.coeff(1) == 0
