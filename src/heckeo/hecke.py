@@ -25,8 +25,8 @@ one pass over the support placing the h_{sy}, then one `accumulate` of the
 k_y h_y for each of the two k_y.  The action serves c = v (C_s, hence C_x
 and wall crossing), c = 0 (H_s, hence `mul`) and c = v - v^-1
 (H_s^-1 = d(H_s), hence d(H_x)).  `accumulate` and `dot`, the module's
-vector sums and pairings, work on the packed fields of `laurent`: one int
-product and one shift-and-add per entry.  `mul` walks the smaller support,
+vector sums and pairings, make one `laurent.add_product` per entry: one int
+product and one shift-and-add.  `mul` walks the smaller support,
 flipping sides by iota when that is b's, and memoizes H_y b along suffixes
 of reduced words.
 
@@ -40,15 +40,7 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from .laurent import (
-    BOUND_LIMIT,
-    DIGIT_BITS,
-    RULE_V_TO_NEG_VINV,
-    ZERO,
-    LaurentPoly,
-    packed,
-    v,
-)
+from .laurent import ONE, RULE_V_TO_NEG_VINV, ZERO, LaurentPoly, add_product, v
 from .report import VerificationReport
 from .weyl import MixedGroups, WeylElt, WeylGroup
 
@@ -74,73 +66,42 @@ def accumulate(
 ) -> dict[int, LaurentPoly]:
     """Add each (index, coefficient) pair of `terms`, times `scal`, into the
     sparse vector `out` in place, dropping entries that cancel.  Returns `out`.
-
-    The loop works on the packed fields (see laurent): each entry it writes
-    is one int product, one shift-and-add and one new value.  An entry
-    whose coefficient bound reaches BOUND_LIMIT takes LaurentPoly's own
-    guarded arithmetic instead."""
+    Each entry it writes is one `add_product`."""
     if scal.__class__ is not LaurentPoly:
         scal = LaurentPoly.const(scal)
-    slo, sn, sb = scal._lo, scal._n, scal._b
-    if not sn:
+    if not scal:
         return out
-    unit = sn == 1 and not slo
+    unit = scal == ONE
     get = out.get
     for k, p in terms:
         q = get(k)
-        if q is None:
-            if not p._n:
-                continue
-            if unit:
-                out[k] = p
-                continue
-            bound = p._b * sb
-            out[k] = p * scal if bound >= BOUND_LIMIT else packed(p._lo + slo, p._n * sn, bound)
-            continue
-        bound = q._b + p._b * sb
-        if bound >= BOUND_LIMIT:
-            r = q + p * scal
-            if r:
-                out[k] = r
-            else:
+        if q is not None:
+            r = add_product(q, p, scal)
+            if r is ZERO:
                 del out[k]
-            continue
-        lo, n = p._lo + slo, p._n * sn
-        d = lo - q._lo
-        if d >= 0:
-            lo, n = q._lo, q._n + (n << DIGIT_BITS * d)
+            else:
+                out[k] = r
+        elif unit:
+            if p:
+                out[k] = p
         else:
-            n += q._n << -DIGIT_BITS * d
-        if n:
-            out[k] = packed(lo, n, bound)
-        else:
-            del out[k]
+            r = add_product(ZERO, p, scal)
+            if r is not ZERO:
+                out[k] = r
     return out
 
 
 def dot(a: dict[int, LaurentPoly], b: dict[int, LaurentPoly]) -> LaurentPoly:
-    """sum_k a_k b_k over two sparse vectors, summed on the packed fields
-    into one value (by LaurentPoly's arithmetic once the bound says so)."""
+    """sum_k a_k b_k over two sparse vectors, one `add_product` per shared key."""
     if len(a) > len(b):
         a, b = b, a
     get = b.get
-    lo = n = bound = 0
+    out = ZERO
     for k, p in a.items():
         q = get(k)
-        if q is None:
-            continue
-        bound += p._b * q._b
-        if bound >= BOUND_LIMIT:
-            return sum((p * b[k] for k, p in a.items() if k in b), ZERO)
-        plo, pn = p._lo + q._lo, p._n * q._n
-        # n may gain zero low digits on the way; `packed` drops them
-        if not n:
-            lo, n = plo, pn
-        elif plo >= lo:
-            n += pn << DIGIT_BITS * (plo - lo)
-        else:
-            lo, n = plo, pn + (n << DIGIT_BITS * (lo - plo))
-    return packed(lo, n, bound)
+        if q is not None:
+            out = add_product(out, p, q)
+    return out
 
 
 class HeckeElt:

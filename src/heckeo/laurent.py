@@ -10,8 +10,17 @@ so the coefficients are the balanced base-X digits of n, each of absolute
 value below X/2, and n has no zero digit at the low end.  The digit width w
 is 32.  A product is then one int product with the exponents added, a sum
 one shift-and-add, v^k moves lo, v -> v^-1 and v -> -v^-1 reverse the
-digits, and equality and hashing compare ints.  The size of n grows with
-the exponent span max_exp - min_exp, not with the number of terms.
+digits, and equality and hashing compare ints.  Every sum and product is
+one step a + b c (`add_product`).
+
+The form is dense in the exponent span: n has one digit per exponent from
+min_exp to max_exp, zero or not, so its memory grows with the span, not
+with the number of terms, and building or reversing it (Horner's rule) is
+quadratic in the span.  The Hecke algebras here keep exponents within
++-2 l(w0), a span under 500 even for E8, where a product costs
+microseconds.  A span of 4000 costs about 0.1 s with small coefficients
+and seconds with 40-digit ones, and a sparse value such as 1 + v^(10^9)
+does not fit in memory at all.
 
 Exactness guard.  The digits of n are the coefficients only while every
 |c| < 2^(w-1), and coefficients are Python ints of any size.  So each value
@@ -101,42 +110,14 @@ def _digits(n: int, w: int) -> list[int]:
 
 def _pack(cs: list[int], w: int) -> int:
     """The int with balanced base-2^w digits cs, lowest first, each
-    |c| < 2^(w-1).  Horner's rule is quickest for a few digits but copies
-    the int at every step; past 32 digits the offset digits c + 2^(w-1)
-    are laid out as bytes instead, in linear time."""
-    if len(cs) <= 32:
-        n = 0
-        for c in reversed(cs):
-            n = (n << w) + c
-        return n
-    half = 1 << (w - 1)
-    if w == DIGIT_BITS:
-        raw = _words(len(cs)).pack(*[c + half for c in cs])
-    else:
-        raw = b"".join((c + half).to_bytes(w >> 3, "little") for c in cs)
-    return int.from_bytes(raw, "little") - _offset(len(cs), w)
+    |c| < 2^(w-1), by Horner's rule."""
+    n = 0
+    for c in reversed(cs):
+        n = (n << w) + c
+    return n
 
 
 def _make(lo: int, n: int, bound: int) -> "LaurentPoly":
-    p = _new(LaurentPoly)
-    p._lo = lo
-    p._n = n
-    p._b = bound
-    return p
-
-
-def packed(lo: int, n: int, bound: int) -> "LaurentPoly":
-    """The value with 32-bit-digit fields (lo, n), given a bound below
-    BOUND_LIMIT on its sum |c|: the constructor for loops that did their
-    arithmetic on the fields.  Zero digits at the low end are dropped, and a
-    bound from BOUND_RECHECK on is recomputed from the digits."""
-    if not n & DIGIT_MASK:
-        if not n:
-            return ZERO
-        z = ((n & -n).bit_length() - 1) // DIGIT_BITS
-        lo, n = lo + z, n >> (DIGIT_BITS * z)
-    if bound >= BOUND_RECHECK:
-        bound = sum(map(abs, _digits(n, DIGIT_BITS)))
     p = _new(LaurentPoly)
     p._lo = lo
     p._n = n
@@ -159,30 +140,55 @@ def _from_digits(lo: int, cs: list[int]) -> "LaurentPoly":
     return _make(lo + i, _pack(cs, _width(bound)), bound)
 
 
-def _wide(a: "LaurentPoly", c: "LaurentPoly", k: int | None) -> "LaurentPoly":
-    """The guard's slow path: a c for k None, else a + k c, for a nonzero
-    c, done at a digit width wider than the result's bound and then
-    repacked canonically."""
-    bound = a._b * c._b if k is None else a._b + abs(k) * c._b
-    w = _width(bound)
-    x = _pack(a._dense(), w)
-    y = _pack(c._dense(), w)
-    if k is None:
-        lo, n = a._lo + c._lo, x * y
-    elif not x:
-        lo, n = c._lo, k * y
+def add_product(a: "LaurentPoly", b: "LaurentPoly", c: "LaurentPoly") -> "LaurentPoly":
+    """a + b c, the one arithmetic step every sum and product is made of:
+    one int product and one shift-and-add on the packed fields.  When the
+    bound of the result reaches BOUND_LIMIT, the operands are repacked at
+    the wider digit that bound gives, the step is done there, and the
+    result is repacked canonically (the module docstring's guard).  A zero
+    result is ZERO itself, so callers may test it by identity.
+
+    >>> str(add_product(v, 1 + v, 1 - v))
+    '1 + v - v^2'
+    """
+    bound = a._b + b._b * c._b
+    if bound < BOUND_LIMIT:
+        w, x, n = DIGIT_BITS, a._n, b._n * c._n
     else:
-        d = c._lo - a._lo
+        w = _width(bound)
+        x = _pack(a._dense(), w)
+        n = _pack(b._dense(), w) * _pack(c._dense(), w)
+    if not n:
+        return a if x else ZERO
+    lo = b._lo + c._lo
+    if x:
+        d = lo - a._lo
         if d >= 0:
-            lo, n = a._lo, x + (k * y << (w * d))
+            lo, n = a._lo, x + (n << w * d)
         else:
-            lo, n = c._lo, k * y + (x << (-w * d))
-    return _from_digits(lo, _digits(n, w))
+            n += x << -w * d
+    if w != DIGIT_BITS:
+        return _from_digits(lo, _digits(n, w))
+    # the canonical narrow value: zero low digits dropped, and a bound
+    # from BOUND_RECHECK on recomputed from the digits
+    if not n & DIGIT_MASK:
+        if not n:
+            return ZERO
+        z = ((n & -n).bit_length() - 1) // DIGIT_BITS
+        lo, n = lo + z, n >> (DIGIT_BITS * z)
+    if bound >= BOUND_RECHECK:
+        bound = sum(map(abs, _digits(n, DIGIT_BITS)))
+    p = _new(LaurentPoly)
+    p._lo = lo
+    p._n = n
+    p._b = bound
+    return p
 
 
 class LaurentPoly:
     """An element of Z[v, v^-1] in canonical packed form (see the module
-    docstring): the fields are `_lo`, `_n` and the coefficient bound `_b`."""
+    docstring): the fields are `_lo`, `_n` and the coefficient bound `_b`.
+    Its size grows with the exponent span max_exp - min_exp, dense or not."""
 
     __slots__ = ("_lo", "_n", "_b")
 
@@ -266,29 +272,13 @@ class LaurentPoly:
             other = self._coerce(other)
             if other is None:
                 return NotImplemented
-        return self.plus_multiple(other, 1)
+        return add_product(self, other, ONE)
 
     __radd__ = __add__
 
     def plus_multiple(self, other: "LaurentPoly", k: int) -> "LaurentPoly":
-        """self + k * other for an integer k, in one shift-and-add: no
-        product of polynomials and no intermediate value."""
-        n2 = other._n
-        if not n2 or not k:
-            return self
-        n1 = self._n
-        if not n1:
-            return other._scaled(k)
-        bound = self._b + abs(k) * other._b
-        if bound >= BOUND_LIMIT:
-            return _wide(self, other, k)
-        lo = self._lo
-        d = other._lo - lo
-        if d >= 0:
-            n = n1 + (k * n2 << (DIGIT_BITS * d))
-        else:
-            n, lo = k * n2 + (n1 << (-DIGIT_BITS * d)), other._lo
-        return packed(lo, n, bound)
+        """self + k * other for an integer k, in one shift-and-add."""
+        return add_product(self, other, LaurentPoly.const(k))
 
     def __neg__(self) -> "LaurentPoly":
         return _make(self._lo, -self._n, self._b)
@@ -297,34 +287,20 @@ class LaurentPoly:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return self.plus_multiple(o, -1)
+        return add_product(self, o, MINUS_ONE)
 
     def __rsub__(self, other) -> "LaurentPoly":
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return o.plus_multiple(self, -1)
-
-    def _scaled(self, k: int) -> "LaurentPoly":
-        """k * self for an integer k: n times k."""
-        if not k or not self._n:
-            return ZERO
-        bound = self._b * abs(k)
-        if bound >= BOUND_LIMIT:
-            return _wide(ZERO, self, k)
-        return packed(self._lo, self._n * k, bound)
+        return add_product(o, self, MINUS_ONE)
 
     def __mul__(self, other) -> "LaurentPoly":
         if other.__class__ is not LaurentPoly:
-            return self._scaled(other) if isinstance(other, int) else NotImplemented
-        n1, n2 = self._n, other._n
-        if not n1 or not n2:
-            return ZERO
-        bound = self._b * other._b
-        if bound >= BOUND_LIMIT:
-            return _wide(self, other, None)
-        # the lowest digit is c_0 c'_0, nonzero
-        return packed(self._lo + other._lo, n1 * n2, bound)
+            other = self._coerce(other)
+            if other is None:
+                return NotImplemented
+        return add_product(ZERO, self, other)
 
     __rmul__ = __mul__
 
@@ -400,6 +376,8 @@ class LaurentPoly:
 
     @classmethod
     def from_json(cls, data: Mapping[str, int]) -> "LaurentPoly":
+        """The value of a `to_json` map; like the constructor, it is sized
+        by the exponent span of the data."""
         return cls({int(e): int(n) for e, n in data.items()})
 
     def __str__(self) -> str:
@@ -439,6 +417,7 @@ def substitute(p: LaurentPoly, rule: str) -> LaurentPoly:
 
 ZERO = _make(0, 0, 0)
 ONE = _make(0, 1, 1)
+MINUS_ONE = _make(0, -1, 1)
 
 #: the generator of the ring
 v = LaurentPoly({1: 1})

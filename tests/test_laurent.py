@@ -10,6 +10,7 @@ from heckeo.laurent import (
     RULE_V_TO_NEG_VINV,
     RULE_V_TO_VINV,
     LaurentPoly,
+    add_product,
     arith,
     v,
     v_pow,
@@ -189,6 +190,14 @@ def test_binary_operations_match_dict_oracle(ma, mb, k):
 
 
 @settings(max_examples=100, deadline=None)
+@given(coeff_maps, coeff_maps, coeff_maps)
+def test_add_product_matches_dict_oracle(ma, mb, mc):
+    (a, oa), (b, ob), (c, oc) = both(ma), both(mb), both(mc)
+    assert_matches(add_product(a, b, c), oa + ob * oc)
+    assert_matches(add_product(a, b, -b), oa - ob * ob)
+
+
+@settings(max_examples=100, deadline=None)
 @given(coeff_maps, st.integers(-80, 80), st.integers(0, 3))
 def test_unary_operations_match_dict_oracle(m, n, e):
     a, oa = both(m)
@@ -229,8 +238,8 @@ def vector_pair(vec):
 @settings(max_examples=60, deadline=None)
 @given(vectors, vectors, st.one_of(scalars, coeff_maps))
 def test_vector_loops_match_dict_oracle(va, vb, scal):
-    # accumulate and dot do their arithmetic on the packed fields under
-    # their own guard, apart from LaurentPoly's operators
+    # accumulate and dot call add_product directly, not LaurentPoly's
+    # operators
     a, oa = vector_pair(va)
     b, ob = vector_pair(vb)
     s, os_ = (scal, scal) if isinstance(scal, int) else both(scal)
@@ -296,3 +305,14 @@ def test_equal_values_agree_across_digit_widths():
     assert (narrow._lo, narrow._n) == (wide._lo, wide._n)
     assert narrow != wide and wide != narrow
     assert wide - 2**32 == 3 and narrow.coeff(1) == 1 and wide.coeff(1) == 0
+
+
+def test_supported_exponent_span():
+    # the packed form is dense in the exponent span; a span of 1000, twice
+    # what the Hecke algebras reach, with a coefficient past every digit
+    # bound, still matches the oracle within a fraction of a second
+    m = {-500: 3, 0: 10**40, 500: -5}
+    p, o = both(m)
+    assert_matches(p * p, o * o)
+    assert_matches((p * p).bar(), (o * o).bar())
+    assert (p * p).max_exp() - (p * p).min_exp() == 2000
