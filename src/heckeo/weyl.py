@@ -11,6 +11,11 @@ sorted by length and are reproducible run to run.  Reduced words are always
 the lexicographically smallest ones, which makes every downstream output
 deterministic.
 
+The Bruhat order keeps no table: x <= y follows the lifting property along
+the reduced word of y, and the covers of y are the y t one shorter than y,
+for the N reflections t (Bjorner-Brenti, Combinatorics of Coxeter Groups,
+Prop. 2.2.7 and sections 2.1-2.2).
+
 >>> W = build_group(CartanDatum("A", 2))
 >>> W.order, W.length(W.w0)
 (6, 3)
@@ -22,9 +27,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from operator import itemgetter
 
-DEFAULT_ENUMERATION_CAP = 40320  # 8!, keeps full Bruhat tables in memory
+DEFAULT_ENUMERATION_CAP = 40320  # 8! = |W(A7)|, whose id tables fit in memory
 
 _ADMISSIBLE = {
     "A": lambda n: n >= 1,
@@ -280,7 +284,6 @@ class WeylGroup:
                 raise WeylError("length duality l(w0 x) = l(w0) - l(x) failed")
 
         self._words: dict[int, tuple[int, ...]] = {0: ()}
-        self._bruhat: list[int] | None = None
 
     # -- internal helpers ----------------------------------------------
 
@@ -367,23 +370,14 @@ class WeylGroup:
     def reduced_word(self, x: WeylElt) -> tuple[int, ...]:
         """Lexicographically smallest reduced word of x (1-based letters)."""
         self._check_same_group(x)
-        k = x.idx
-        missing = []
+        lengths, lmult = self._lengths, self._lmult
+        k, missing = x.idx, []
         while k not in self._words:
-            missing.append(k)
-            i = min(
-                i
-                for i in range(self.rank)
-                if self._lengths[self._lmult[k][i]] < self._lengths[k]
-            )
-            k = self._lmult[k][i]
-        for k in reversed(missing):
-            i = min(
-                i
-                for i in range(self.rank)
-                if self._lengths[self._lmult[k][i]] < self._lengths[k]
-            )
-            self._words[k] = (i + 1,) + self._words[self._lmult[k][i]]
+            i = min(i for i in range(self.rank) if lengths[lmult[k][i]] < lengths[k])
+            missing.append((k, i))
+            k = lmult[k][i]
+        for k, i in reversed(missing):
+            self._words[k] = (i + 1,) + self._words[lmult[k][i]]
         return self._words[x.idx]
 
     def element_by_word(self, word: tuple[int, ...] | list[int]) -> WeylElt:
@@ -416,61 +410,49 @@ class WeylGroup:
 
     # -- Bruhat order ------------------------------------------------------
 
-    def _level_starts(self) -> list[int]:
-        """starts[l] = the first id of length l, for l = 0 .. l(w0) + 1:
-        ids are breadth-first, so the elements of length l are the ids in
-        range(starts[l], starts[l + 1])."""
-        starts = [0] * (self._lengths[-1] + 2)
-        for l in self._lengths:
-            starts[l + 1] += 1
-        for l in range(1, len(starts)):
-            starts[l] += starts[l - 1]
-        return starts
-
-    def _bruhat_table(self) -> list[int]:
-        # row y = bitmask of {x : x <= y}.  For a left descent s of y the
-        # lifting property gives x <= y iff min(x, sx) <= sy, so row y is
-        # the row of sy gathered through x -> min(x, sx): one C-level
-        # itemgetter over the row's bit string (most significant bit first,
-        # so bit x sits at position N - 1 - x).
-        if self._bruhat is not None:
-            return self._bruhat
-        N = self.order
-        lengths, lmult = self._lengths, self._lmult
-        gathers = [
-            itemgetter(*[N - 1 - min(x, lmult[x][i]) for x in range(N - 1, -1, -1)])
-            for i in range(self.rank)
-        ]
-        rows: list[int] = [0] * N
-        rows[0] = 1
-        for y in range(1, N):
-            i = min(i for i in range(self.rank) if lengths[lmult[y][i]] < lengths[y])
-            bits = format(rows[lmult[y][i]], f"0{N}b")
-            rows[y] = int("".join(gathers[i](bits)), 2)
-        self._bruhat = rows
-        return rows
-
     def bruhat_leq(self, x: WeylElt, y: WeylElt) -> bool:
+        """x <= y, by the lifting property along the reduced word of y: for
+        a left descent s of y, x <= y iff min(x, sx) <= sy, and x <= e iff
+        x = e.  Ids are sorted by length, so the shorter of x, sx is the
+        smaller id."""
         self._check_same_group(x, y)
-        return bool((self._bruhat_table()[y.idx] >> x.idx) & 1)
+        k, lmult = x.idx, self._lmult
+        word = self.reduced_word(y)
+        if self._lengths[k] > len(word):
+            return False
+        for i in word:
+            sk = lmult[k][i - 1]
+            if sk < k:
+                k = sk
+        return k == 0
 
     def bruhat_covers(self) -> list[tuple[WeylElt, WeylElt]]:
         """All pairs (x, y) with x < y and l(y) = l(x) + 1, ordered by y,
-        then x.
+        then x: x is covered by y iff x = y t for a reflection t with
+        l(x) = l(y) - 1.  The reflections are the simple ones closed under
+        t -> s t s.
 
         >>> len(build_group(CartanDatum("A", 2)).bruhat_covers())
         8
         """
-        rows = self._bruhat_table()
-        starts = self._level_starts()
+        rmult, lmult, lengths = self._rmult, self._lmult, self._lengths
+        reflections, todo = set(), [rmult[0][i] for i in range(self.rank)]
+        while todo:
+            t = todo.pop()
+            if t not in reflections:
+                reflections.add(t)
+                todo.extend(lmult[rmult[t][i]][i] for i in range(self.rank))
+        words = [[i - 1 for i in self.reduced_word(WeylElt(self, t))] for t in reflections]
         out = []
         for y in range(1, self.order):
-            lo, hi = starts[self._lengths[y] - 1], starts[self._lengths[y]]
-            below = (rows[y] >> lo) & ((1 << (hi - lo)) - 1)
-            while below:
-                low = below & -below
-                out.append((WeylElt(self, lo + low.bit_length() - 1), WeylElt(self, y)))
-                below ^= low
+            below = []
+            for word in words:
+                k = y
+                for i in word:
+                    k = rmult[k][i]
+                if lengths[k] == lengths[y] - 1:
+                    below.append(k)
+            out.extend((WeylElt(self, x), WeylElt(self, y)) for x in sorted(below))
         return out
 
     # -- export ------------------------------------------------------------
@@ -549,21 +531,25 @@ def weyl_suite(g: WeylGroup):
     )
 
     def bruhat_order():
-        rows = g._bruhat_table()
-        for x in range(g.order):
-            if not (rows[x] >> x) & 1:
-                return False, "not reflexive"
+        # rows from bruhat_leq; with length refinement, row y = {y} + the
+        # rows of the covers of y makes the order transitive, by induction
+        # on l(y), so the covers are an independent second derivation
+        elts = g.elements()
+        rows = [sum(1 << x.idx for x in elts if g.bruhat_leq(x, y)) for y in elts]
+        if any(not (rows[y] >> y) & 1 for y in range(g.order)):
+            return False, "not reflexive"
         # ids are sorted by length, so the ids shorter than length l are
         # one prefix mask: besides y itself, row y may hold nothing else
-        shorter = [(1 << start) - 1 for start in g._level_starts()]
-        for y in range(g.order):
-            if rows[y] & ~shorter[g._lengths[y]] != 1 << y:
-                return False, "does not refine length"
-        if g.order <= 1152:
-            for y in range(g.order):
-                for z in range(g.order):
-                    if (rows[z] >> y) & 1 and rows[y] & rows[z] != rows[y]:
-                        return False, "not transitive"
+        shorter = {}
+        for x in reversed(elts):
+            shorter[g.length(x)] = (1 << x.idx) - 1
+        if any(rows[y.idx] & ~shorter[g.length(y)] != 1 << y.idx for y in elts):
+            return False, "does not refine length"
+        closure = [1 << y for y in range(g.order)]
+        for x, y in g.bruhat_covers():
+            closure[y.idx] |= rows[x.idx]
+        if closure != rows:
+            return False, "not transitive"
         return True, "reflexive, length-refining, transitive"
 
     rep.run("weyl.bruhat_partial_order", bruhat_order)

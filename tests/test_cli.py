@@ -63,6 +63,20 @@ def test_verify_exit_codes_and_schema():
     assert names == sorted(names)
 
 
+def test_verify_builds_one_hecke_algebra(monkeypatch):
+    inits = []
+    init = cli.HeckeAlgebra.__init__
+
+    def counted(self, group):
+        inits.append(group)
+        init(self, group)
+
+    monkeypatch.setattr(cli.HeckeAlgebra, "__init__", counted)
+    code, _ = run(["verify", "--type", "A2", "--suite", "all"])
+    assert code == 0
+    assert len(inits) == 1
+
+
 def test_usage_errors_are_distinct():
     code, text = run(["weyl", "--type", "E8"])
     assert code == 2 and "inadmissible Cartan datum" in text

@@ -1,0 +1,94 @@
+"""Every check can fail: a fault matrix.
+
+Each row names one check and one fault.  A fault is a context manager that
+patches one table entry or one method of one built group.  Inside it, the
+row's check must report FAIL, and the failing checks, with their details,
+must be exactly the pinned ones; after it, the suite passes again.
+"""
+
+from unittest.mock import patch
+
+import pytest
+
+from heckeo.weyl import CartanDatum, build_group, weyl_suite
+
+
+def answer(g, name, args, result):
+    """g.<name>(*args) returns `result`; every other call is unchanged."""
+    method = getattr(g, name)
+    return patch.object(g, name, lambda *a: result if a == args else method(*a))
+
+
+def drop_last_cover(g):
+    covers = g.bruhat_covers()[:-1]
+    return patch.object(g, "bruhat_covers", lambda: list(covers))
+
+
+# check, fault on a built B3, pinned {failing check: detail}
+WEYL_FAULTS = [
+    pytest.param(
+        "weyl.order_formula",
+        lambda g: patch.object(g, "order", g.order - 1),
+        {"weyl.order_formula": "order 47"},
+        id="order_formula:one element lost"),
+    pytest.param(
+        "weyl.longest_element",
+        lambda g: patch.object(g, "positive_roots", g.positive_roots[:-1]),
+        {"weyl.longest_element": "l(w0) = 8, w0 is an involution"},
+        id="longest_element:one root lost"),
+    pytest.param(
+        "weyl.length_duality",
+        lambda g: answer(g, "multiply", (g.w0, g.simple(1)), g.simple(1)),
+        {"weyl.length_duality": "l(w0 x) = l(w0) - l(x)"},
+        id="length_duality:w0 s1 = s1"),
+    pytest.param(
+        "weyl.exchange_condition",
+        lambda g: answer(g, "left_multiply_gen", (1, g.identity), g.identity),
+        {"weyl.exchange_condition": "l(s x) = l(x) +- 1"},
+        id="exchange_condition:s1 e = e"),
+    pytest.param(
+        "weyl.reduced_words",
+        lambda g: answer(g, "element_by_word", (g.reduced_word(g.w0),), g.identity),
+        {"weyl.reduced_words": "lexicographically minimal words multiply back"},
+        id="reduced_words:the word of w0 gives e"),
+    pytest.param(
+        "weyl.bruhat_partial_order",
+        lambda g: answer(g, "bruhat_leq", (g.w0, g.w0), False),
+        {"weyl.bruhat_partial_order": "not reflexive"},
+        id="bruhat_partial_order:w0 not <= w0"),
+    pytest.param(
+        "weyl.bruhat_partial_order",
+        lambda g: answer(g, "bruhat_leq", (g.simple(2), g.simple(1)), True),
+        {"weyl.bruhat_partial_order": "does not refine length"},
+        id="bruhat_partial_order:s2 <= s1"),
+    # e < w0 is not a cover, so only the rows of the covers of w0 still hold it
+    pytest.param(
+        "weyl.bruhat_partial_order",
+        lambda g: answer(g, "bruhat_leq", (g.identity, g.w0), False),
+        {"weyl.bruhat_partial_order": "not transitive"},
+        id="bruhat_partial_order:e not <= w0"),
+    pytest.param(
+        "weyl.bruhat_partial_order",
+        drop_last_cover,
+        {"weyl.bruhat_partial_order": "not transitive"},
+        id="bruhat_partial_order:one cover dropped"),
+]
+
+
+def failures(g):
+    return {c.name: c.detail for c in weyl_suite(g).failures()}
+
+
+def test_every_weyl_check_has_a_fault():
+    names = {c.name for c in weyl_suite(build_group(CartanDatum("A", 1))).checks}
+    assert names == {row.values[0] for row in WEYL_FAULTS}
+
+
+@pytest.mark.parametrize("check,fault,pinned", WEYL_FAULTS)
+def test_weyl_fault_fails_its_check(check, fault, pinned):
+    g = build_group(CartanDatum("B", 3))
+    assert failures(g) == {}
+    with fault(g):
+        assert check in pinned
+        assert failures(g) == pinned
+    assert failures(g) == {}
