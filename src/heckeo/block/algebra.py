@@ -18,8 +18,11 @@ them comes out wrong.
 
 A one-vertex, arrowless instance of the same class models the category of
 plain vector spaces on the wall, and `enveloping` gives the quiver whose
-modules are the bimodules over an algebra.  Bounded chain complexes of
-modules, their homology and chain maps close the file; Ext is the homology
+modules are the bimodules over an algebra.  Every quotient (cokernels,
+homology, the generators of a projective cover) takes one elimination per
+vertex, `linalg.complement`.  Bounded chain complexes of modules, their
+homology and chain maps close the file; a chain map is a quasi-isomorphism
+when it is a chain map with an exact mapping cone, and Ext is the homology
 of a Hom complex on the wall.
 """
 
@@ -135,6 +138,13 @@ def _bad(what: str):
     raise BlockConstructionError(f"{what} has the wrong shape")
 
 
+def _known(given: dict, known: dict, what: str) -> None:
+    """Reject the keys of `given` that `known` lacks, naming them."""
+    if not given.keys() <= known.keys():
+        extra = ", ".join(sorted(map(str, given.keys() - known.keys())))
+        raise BlockConstructionError(f"{what}: {extra}")
+
+
 class Module:
     """A finite-dimensional left module: dims per vertex, a matrix per arrow."""
 
@@ -143,16 +153,14 @@ class Module:
     def __init__(self, algebra: PathAlgebra, dims: dict, act: dict | None = None):
         self.algebra = algebra
         self.dims = {v: int(dims.get(v, 0)) for v in algebra.vertices}
-        if not dims.keys() <= self.dims.keys():
-            extra = ", ".join(sorted(map(str, dims.keys() - self.dims.keys())))
-            raise BlockConstructionError(f"not a vertex of {algebra.name}: {extra}")
+        _known(dims, self.dims, f"not a vertex of {algebra.name}")
         if min(self.dims.values(), default=0) < 0:
             raise BlockConstructionError(f"negative dimension in {self.dims}")
+        act = act or {}
         self.act = {}
         for label, src, tgt in algebra.arrows:
-            self.act[label] = _shaped(
-                (act or {}).get(label), self.dims[tgt], self.dims[src], f"arrow {label}"
-            )
+            self.act[label] = _shaped(act.get(label), self.dims[tgt], self.dims[src], f"arrow {label}")
+        _known(act, self.act, f"not an arrow of {algebra.name}")
         self.validate()
 
     def validate(self) -> None:
@@ -196,6 +204,7 @@ class ModuleMap:
             v: _shaped(mats.get(v), dst.dims[v], src.dims[v], f"map at {v}")
             for v in src.algebra.vertices
         }
+        _known(mats, self.mats, f"not a vertex of {src.algebra.name}")
         if check and not self.commutes():
             raise BlockConstructionError("matrices do not commute with the arrows")
 
@@ -219,23 +228,18 @@ class ModuleMap:
             check=False,
         )
 
+    def _parallel(self, mats: dict) -> "ModuleMap":
+        """The map src -> dst with the given matrices."""
+        return ModuleMap(self.src, self.dst, mats, check=False)
+
     def __add__(self, other: "ModuleMap") -> "ModuleMap":
-        return ModuleMap(
-            self.src,
-            self.dst,
-            {v: linalg.madd(self.mats[v], other.mats[v]) for v in self.mats},
-            check=False,
-        )
+        return self._parallel({v: linalg.madd(m, other.mats[v]) for v, m in self.mats.items()})
 
     def __neg__(self) -> "ModuleMap":
-        return ModuleMap(
-            self.src, self.dst, {v: linalg.mneg(m) for v, m in self.mats.items()}, check=False
-        )
+        return self._parallel({v: linalg.mneg(m) for v, m in self.mats.items()})
 
     def scale(self, c) -> "ModuleMap":
-        return ModuleMap(
-            self.src, self.dst, {v: linalg.mscale(c, m) for v, m in self.mats.items()}, check=False
-        )
+        return self._parallel({v: linalg.mscale(c, m) for v, m in self.mats.items()})
 
     def __eq__(self, other) -> bool:
         return (
@@ -350,104 +354,57 @@ def kernel(f: ModuleMap) -> tuple[Module, ModuleMap]:
     """The kernel submodule with its inclusion."""
     alg = f.src.algebra
     bases = {v: linalg.nullspace_basis(f.mats[v]) for v in alg.vertices}
-    dims = {v: bases[v].ncols for v in alg.vertices}
-    act = {}
-    for label, src_v, tgt_v in alg.arrows:
-        moved = linalg.mmul(f.src.act[label], bases[src_v])
-        sol = linalg.solve(bases[tgt_v], moved)
-        if sol is None:
-            raise BlockConstructionError("kernel is not a submodule (impossible)")
-        act[label] = sol
-    ker = Module(alg, dims, act)
-    incl = ModuleMap(ker, f.src, {v: bases[v] for v in alg.vertices})
-    return ker, incl
+    act = {
+        label: linalg.solve(bases[tgt_v], linalg.mmul(f.src.act[label], bases[src_v]))
+        for label, src_v, tgt_v in alg.arrows
+    }
+    if None in act.values():
+        raise BlockConstructionError("kernel is not a submodule (impossible)")
+    ker = Module(alg, {v: b.ncols for v, b in bases.items()}, act)
+    return ker, ModuleMap(ker, f.src, bases)
 
 
-def _extend_by_std(cols: Mat) -> list[int]:
-    """The j, in increasing order, whose standard vectors e_j each raise the
-    rank of the independent columns `cols` and those already chosen."""
-    n = cols.nrows
-    chosen = []
-    cur = cols
-    cur_rank = cols.ncols
-    for j in range(n):
-        cand = linalg.hstack([cur, linalg.std_col(n, j)])
-        if linalg.rank(cand) > cur_rank:
-            cur = cand
-            cur_rank += 1
-            chosen.append(j)
-    return chosen
-
-
-def cokernel_of_columns(ambient: Module, cols: dict) -> tuple[Module, ModuleMap, dict]:
-    """Quotient of `ambient` by the submodule spanned by the given columns.
-
-    Returns (quotient, projection, representatives); representatives[v]
-    holds ambient coordinates of the chosen quotient basis.
-    """
+def cokernel_of_columns(ambient: Module, cols: dict) -> tuple[Module, ModuleMap]:
+    """Quotient of `ambient` by the submodule that the columns cols[v] span
+    at each vertex v, with its projection: at each vertex one
+    `linalg.complement`, whose chosen standard vectors are the quotient basis."""
     alg = ambient.algebra
-    proj_mats = {}
-    reps = {}
-    dims = {}
+    chosen, proj_mats = {}, {}
     for v in alg.vertices:
-        n = ambient.dims[v]
-        sub = cols.get(v)
-        if sub is None:
-            sub = linalg.zeros(n, 0)
-        sub_basis = linalg.column_space_basis(sub)
-        r = sub_basis.ncols
-        chosen = _extend_by_std(sub_basis)
-        dims[v] = n - r
-        if len(chosen) != dims[v]:
-            raise BlockConstructionError("basis extension failed")
-        reps[v] = Mat(n, len(chosen), [[int(i == j) for j in chosen] for i in range(n)])
-        full = linalg.hstack([sub_basis, reps[v]])
-        inv = linalg.solve(full, linalg.eye(n))
-        if inv is None:
-            raise BlockConstructionError("quotient coordinates failed")
-        proj_mats[v] = linalg.submatrix_rows(inv, r)
+        chosen[v], proj_mats[v] = linalg.complement(cols[v])
     act = {}
     for label, src_v, tgt_v in alg.arrows:
-        act[label] = linalg.mmul(
-            proj_mats[tgt_v], linalg.mmul(ambient.act[label], reps[src_v])
-        )
-    quot = Module(alg, dims, act)
-    proj = ModuleMap(ambient, quot, proj_mats)
-    return quot, proj, reps
+        moved = linalg.mmul(proj_mats[tgt_v], ambient.act[label])
+        act[label] = Mat(moved.nrows, len(chosen[src_v]),
+                         [[row[j] for j in chosen[src_v]] for row in moved.rows])
+    quot = Module(alg, {v: len(js) for v, js in chosen.items()}, act)
+    return quot, ModuleMap(ambient, quot, proj_mats)
 
 
 def cokernel(f: ModuleMap) -> tuple[Module, ModuleMap]:
-    quot, proj, _ = cokernel_of_columns(f.dst, {v: f.mats[v] for v in f.mats})
-    return quot, proj
+    return cokernel_of_columns(f.dst, f.mats)
 
 
 def radical(m: Module) -> dict:
-    """Columns spanning rad M = J M at each vertex."""
+    """Columns spanning rad M = J M at each vertex: the arrows into it."""
     alg = m.algebra
-    cols = {v: [] for v in alg.vertices}
+    cols = {v: [linalg.zeros(m.dims[v], 0)] for v in alg.vertices}
     for label, src_v, tgt_v in alg.arrows:
         cols[tgt_v].append(m.act[label])
-    return {
-        v: linalg.column_space_basis(linalg.hstack(cs)) if cs else linalg.zeros(m.dims[v], 0)
-        for v, cs in cols.items()
-    }
+    return {v: linalg.hstack(cs) for v, cs in cols.items()}
 
 
 def top_dims(m: Module) -> dict:
     rad = radical(m)
-    return {v: m.dims[v] - rad[v].ncols for v in m.dims}
+    return {v: m.dims[v] - linalg.rank(rad[v]) for v in m.dims}
 
 
 def socle_dims(m: Module) -> dict:
-    alg = m.algebra
-    out = {}
-    for v in alg.vertices:
-        outgoing = [m.act[label] for label, src_v, _ in alg.arrows if src_v == v]
-        if not outgoing:
-            out[v] = m.dims[v]
-        else:
-            out[v] = linalg.nullspace_basis(linalg.vstack(outgoing)).ncols
-    return out
+    """dim soc M at each vertex: the common kernel of the arrows out of it."""
+    rows = {v: [linalg.zeros(0, m.dims[v])] for v in m.algebra.vertices}
+    for label, src_v, _ in m.algebra.arrows:
+        rows[src_v].append(m.act[label])
+    return {v: m.dims[v] - linalg.rank(linalg.vstack(rs)) for v, rs in rows.items()}
 
 
 def dual_module(m: Module) -> Module:
@@ -512,20 +469,18 @@ def projective_cover(m: Module, projs: dict) -> tuple[Module, ModuleMap, list[st
     alg = m.algebra
     rad = radical(m)
     # one generator e_j of M_v for each standard vector outside the radical
-    gens = [(v, j) for v in alg.vertices for j in _extend_by_std(rad[v])]
+    gens = [(v, j) for v in alg.vertices for j in linalg.complement(rad[v])[0]]
     if not gens:
         empty = Module(alg, {})
         return empty, zero_map(empty, m), []
-    # the summand P_v of generator e_j sends its basis path p to p e_j
+    # the summand P_v of generator e_j sends its basis path p to p e_j, the
+    # column j of the action of p
     mats = {}
     for u in alg.vertices:
-        cols = [
-            linalg.mmul(m.path_action(p), linalg.std_col(m.dims[v], j))
-            for v, j in gens for p in projs[v][1][u]
-        ]
-        mats[u] = linalg.block_matrix(
-            {(0, k): col for k, col in enumerate(cols)}, [m.dims[u]], [1] * len(cols)
-        )
+        acts = [(m.path_action(p), j) for v, j in gens for p in projs[v][1][u]]
+        mats[u] = Mat(m.dims[u], len(acts), [
+            [a.rows[i][j] for a, j in acts] for i in range(m.dims[u])
+        ])
     total = sum_module([projs[v][0] for v, _ in gens])
     cover = ModuleMap(total, m, mats)
     if not cover.is_surjective():
@@ -600,47 +555,30 @@ class ChainComplex:
         return got if got is not None else zero_map(self.entry(n), self.entry(n + 1))
 
     def check_dsq(self) -> bool:
-        return all(
-            (self.diff(n + 1) @ self.diff(n)).is_zero() for n in self.degrees()
-        )
+        return all((self.diff(n + 1) @ self.diff(n)).is_zero() for n in self.degrees())
 
-    def homology(self, n: int) -> "HomologyData":
-        d_n = self.diff(n)
-        ker, incl = kernel(d_n)
+    def homology(self, n: int) -> Module:
+        """H^n: the kernel of d^n modulo the image of d^(n-1), in kernel
+        coordinates."""
+        ker, incl = kernel(self.diff(n))
         d_prev = self.diff(n - 1)
-        cols = {}
-        for v in self.algebra.vertices:
-            sol = linalg.solve(incl.mats[v], d_prev.mats[v])
-            if sol is None:
-                raise BlockConstructionError("image does not land in the kernel")
-            cols[v] = sol
-        h, proj, reps = cokernel_of_columns(ker, cols)
-        return HomologyData(h, incl, proj, reps)
+        cols = {v: linalg.solve(incl.mats[v], d_prev.mats[v]) for v in self.algebra.vertices}
+        if None in cols.values():
+            raise BlockConstructionError("image does not land in the kernel")
+        return cokernel_of_columns(ker, cols)[0]
 
     def homology_modules(self) -> dict[int, Module]:
         """The nonzero homology modules by degree, each computed once."""
         out = {}
         lo, hi = (min(self.entries), max(self.entries)) if self.entries else (0, -1)
         for n in range(lo, hi + 1):
-            h = self.homology(n).module
+            h = self.homology(n)
             if h.total_dim:
                 out[n] = h
         return out
 
     def homology_dims(self) -> dict[int, dict[str, int]]:
         return {n: dict(h.dims) for n, h in self.homology_modules().items()}
-
-
-@dataclass
-class HomologyData:
-    module: Module           # the homology module itself
-    kernel_incl: ModuleMap   # kernel -> chain entry
-    proj: ModuleMap          # kernel -> homology
-    reps: dict               # kernel coordinates of chosen representatives
-
-    def classes_in_ambient(self, v: str) -> Mat:
-        """Ambient-coordinate representatives of the homology basis at v."""
-        return linalg.mmul(self.kernel_incl.mats[v], self.reps[v])
 
 
 class ChainMap:
@@ -664,26 +602,26 @@ class ChainMap:
                 return False
         return True
 
+    def cone(self) -> ChainComplex:
+        """The mapping cone: src[1] (+) dst in degree n, holding
+        src^(n+1) (+) dst^n, with the differential (a, b) |-> (-d a, f a + d b)."""
+        src, dst = self.src, self.dst
+        degrees = {n - 1 for n in src.entries} | set(dst.entries)
+        entries, diffs = {}, {}
+        for n in degrees:
+            here = [src.entry(n + 1), dst.entry(n)]
+            entries[n] = sum_module(here)
+            if n + 1 in degrees:
+                diffs[n] = block_map(here, [src.entry(n + 2), dst.entry(n + 1)], {
+                    (0, 0): -src.diff(n + 1), (1, 0): self.comp(n + 1), (1, 1): dst.diff(n),
+                })
+        return ChainComplex(src.algebra, entries, diffs)
+
     def is_quasi_iso(self) -> bool:
-        """A chain map whose induced map on homology is bijective in every
-        degree and at every vertex."""
-        if not self.is_chain_map():
-            return False
-        lo = min(min(self.src.entries, default=0), min(self.dst.entries, default=0))
-        hi = max(max(self.src.entries, default=0), max(self.dst.entries, default=0))
-        for n in range(lo, hi + 1):
-            hs = self.src.homology(n)
-            hd = self.dst.homology(n)
-            if hs.module.dims != hd.module.dims:
-                return False
-            for v in self.src.algebra.vertices:
-                moved = linalg.mmul(self.comp(n).mats[v], hs.classes_in_ambient(v))
-                in_ker = linalg.solve(hd.kernel_incl.mats[v], moved)
-                if in_ker is None:
-                    raise BlockConstructionError("chain map does not preserve cycles")
-                if linalg.rank(linalg.mmul(hd.proj.mats[v], in_ker)) != hd.module.dims[v]:
-                    return False
-        return True
+        """A chain map whose mapping cone is exact: f induces isomorphisms
+        on all homology iff its cone is acyclic (Weibel, An Introduction to
+        Homological Algebra, Cor. 1.5.4)."""
+        return self.is_chain_map() and not self.cone().homology_modules()
 
 
 def module_as_complex(m: Module, degree: int = 0) -> ChainComplex:

@@ -81,10 +81,10 @@ class Catalog:
             [[hom_dim(x, y) for y in self._indec] for x in self._indec],
             len(self._indec),
         )
-        inv = linalg.solve(gram, linalg.eye(len(self._indec)))
-        if inv is None or linalg.rank(gram) != len(self._indec):
-            raise BlockConstructionError("hom-count Gram matrix is singular")
-        self._gram_inv = inv
+        try:
+            self._gram_inv = linalg.inverse(gram)
+        except ValueError:
+            raise BlockConstructionError("hom-count Gram matrix is singular") from None
         self._battery()
 
     # -- decomposition and isomorphy ---------------------------------------

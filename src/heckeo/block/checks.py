@@ -336,7 +336,7 @@ def verify_k0_crosscheck(ctx: RankOneBlock) -> VerificationReport:
             if lhs != rhs:
                 return False, "K0 switch identity fails"
             applied = ctx.theta_star().apply(cat.modules[f"D_{which}"]).complex
-            h = applied.homology(0).module
+            h = applied.homology(0)
             if not cat.is_isomorphic(h, cat.modules[f"P_{want}"]):
                 return False, "categorical switch does not match"
         return True, "H_w0 [T_x] = [P_w0x] matches Theta*(D_x) = P_w0x"

@@ -189,10 +189,6 @@ def vstack(mats: list[Mat]) -> Mat:
                         [m.nrows for m in mats], [mats[0].ncols])
 
 
-def submatrix_rows(a: Mat, start: int) -> Mat:
-    return _wrap(a.nrows - start, a.ncols, [row[:] for row in a.rows[start:]])
-
-
 def _divide(row: list, p) -> list:
     """row / p exactly; quotients that come out whole stay ints."""
     if p == 1:
@@ -269,20 +265,24 @@ def combination(vectors: list[list], target: list) -> list | None:
 
 
 def inverse(a: Mat) -> Mat:
+    """a^-1; a square a is singular exactly when a X = I has no solution."""
     if a.nrows != a.ncols:
         raise ValueError("not square")
     inv = solve(a, eye(a.nrows))
-    if inv is None or rank(a) != a.nrows:
+    if inv is None:
         raise ValueError("matrix is singular")
     return inv
 
 
-def column_space_basis(a: Mat) -> Mat:
-    _, pivots = rref(a)
-    return _wrap(a.nrows, len(pivots), [[row[p] for p in pivots] for row in a.rows])
-
-
-def std_col(n: int, j: int) -> Mat:
-    m = Mat(n, 1)
-    m.rows[j][0] = 1
-    return m
+def complement(sub: Mat) -> tuple[list[int], Mat]:
+    """(chosen, proj) from one rref of [sub | I_n], sub n x k of rank r.
+    chosen lists, in increasing order, the j whose e_j each raise the rank of
+    sub and the e_j before them: the pivots in the identity part.  Its rows
+    below r form proj, (n - r) x n, with proj sub = 0 and proj e_j the unit
+    vectors for the chosen j."""
+    n, k = sub.nrows, sub.ncols
+    red, pivots = rref(_wrap(n, k + n, [
+        row + [int(i == j) for j in range(n)] for i, row in enumerate(sub.rows)
+    ]))
+    r = sum(p < k for p in pivots)
+    return [p - k for p in pivots[r:]], _wrap(n - r, n, [row[k:] for row in red.rows[r:]])

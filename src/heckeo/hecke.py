@@ -149,7 +149,9 @@ class HeckeElt:
     def __mul__(self, other):
         if isinstance(other, HeckeElt):
             return self.algebra.mul(self, other)
-        scal = other if isinstance(other, LaurentPoly) else LaurentPoly.const(other)
+        scal = LaurentPoly._coerce(other)
+        if scal is None:
+            return NotImplemented
         return HeckeElt(self.algebra, {k: p * scal for k, p in self._c.items()})
 
     def __rmul__(self, other):

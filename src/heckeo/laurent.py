@@ -52,6 +52,7 @@ LaurentPoly({1: -1000000000000000000000000000000000000000000000000000000000000})
 from __future__ import annotations
 
 import functools
+import operator
 import struct
 from typing import Iterator, Mapping
 
@@ -196,9 +197,10 @@ class LaurentPoly:
         c: dict[int, int] = {}
         if coeffs:
             for e, n in coeffs.items():
+                n = operator.index(n)
                 if n:
-                    e = int(e)
-                    c[e] = c.get(e, 0) + int(n)
+                    e = operator.index(e)
+                    c[e] = c.get(e, 0) + n
         p = ZERO
         live = [e for e, n in c.items() if n]
         if live:
@@ -218,7 +220,8 @@ class LaurentPoly:
 
     @classmethod
     def const(cls, n: int) -> "LaurentPoly":
-        n = int(n)
+        if n.__class__ is not int:
+            n = operator.index(n)
         return _make(0, n, abs(n)) if abs(n) < BOUND_LIMIT else cls({0: n})
 
     # -- queries ------------------------------------------------------

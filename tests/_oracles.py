@@ -7,9 +7,11 @@ Hecke products are re-derived by right multiplication
 along reduced words, basis coordinates and dual bases come from a
 whole-matrix inversion, left multiplication in a Weyl group comes from
 composing signed permutations, block linear algebra is redone with every
-entry a `Fraction`, and total complexes and maps of direct sums are rebuilt
+entry a `Fraction`, total complexes and maps of direct sums are rebuilt
 by the two separate builders and the composition-based assembly the block
-layer used before it had one builder for each.
+layer used before it had one builder for each, and quotients and
+quasi-isomorphisms are decided by the basis extension and the induced maps
+on homology that the block layer used before the complement and the cone.
 """
 
 from __future__ import annotations
@@ -17,7 +19,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterator, Mapping
 
-from heckeo.block.algebra import Module, ModuleMap, zero_map
+from heckeo.block import linalg
+from heckeo.block.algebra import BlockConstructionError, ChainMap, Module, ModuleMap, kernel, zero_map
 from heckeo.block.functors import AppliedComplex, ChainComplex, FunctorComplex, Summand
 from heckeo.hecke import HeckeAlgebra, HeckeElt, accumulate, dot
 from heckeo.k0 import BasisKind, K0Block
@@ -687,3 +690,90 @@ def apply_by_positions(fc: FunctorComplex, target) -> AppliedComplex:
                     blocks[(row, col)] = blocks.get((row, col), zero_map(f.src, f.dst)) + f
         diffs[n] = block_map_by_compositions(parts[n], parts[n + 1], blocks)
     return AppliedComplex(ChainComplex(fc.ctx.algebra, mod_entries, diffs), entries, parts)
+
+
+# -- quotients by basis extension, quasi-isomorphisms on homology ---------------
+#
+# `cokernel_by_extension` is the quotient as the block layer built it before
+# `linalg.complement`: a column-space basis, one rank per standard vector to
+# extend it, and an inverse of the extended basis.  `homology_by_extension`
+# keeps the kernel inclusion and the chosen representatives beside the
+# homology, so that `is_quasi_iso_on_homology` can compare induced maps
+# degree by degree instead of asking for an exact mapping cone.
+
+
+def _extend_by_std(cols: linalg.Mat) -> list[int]:
+    """The j, in increasing order, whose standard vectors e_j each raise the
+    rank of the independent columns `cols` and those already chosen."""
+    n = cols.nrows
+    chosen = []
+    cur = cols
+    for j in range(n):
+        e_j = linalg.Mat(n, 1, [[int(i == j)] for i in range(n)])
+        cand = linalg.hstack([cur, e_j])
+        if linalg.rank(cand) > cur.ncols:
+            cur = cand
+            chosen.append(j)
+    return chosen
+
+
+def cokernel_by_extension(ambient: Module, cols: dict) -> tuple[Module, ModuleMap, dict]:
+    """(quotient, projection, representatives): representatives[v] holds the
+    ambient coordinates of the chosen quotient basis."""
+    alg = ambient.algebra
+    proj_mats, reps, dims = {}, {}, {}
+    for v in alg.vertices:
+        n, sub = ambient.dims[v], cols[v]
+        _, pivots = linalg.rref(sub)
+        sub_basis = linalg.Mat(n, len(pivots), [[row[p] for p in pivots] for row in sub.rows])
+        r = sub_basis.ncols
+        chosen = _extend_by_std(sub_basis)
+        dims[v] = n - r
+        assert len(chosen) == dims[v]
+        reps[v] = linalg.Mat(n, len(chosen), [[int(i == j) for j in chosen] for i in range(n)])
+        inv = linalg.solve(linalg.hstack([sub_basis, reps[v]]), linalg.eye(n))
+        assert inv is not None
+        proj_mats[v] = linalg.Mat(n - r, n, inv.rows[r:])
+    act = {
+        label: linalg.mmul(proj_mats[tgt_v], linalg.mmul(ambient.act[label], reps[src_v]))
+        for label, src_v, tgt_v in alg.arrows
+    }
+    quot = Module(alg, dims, act)
+    return quot, ModuleMap(ambient, quot, proj_mats), reps
+
+
+def homology_by_extension(cx: ChainComplex, n: int) -> tuple[Module, ModuleMap, ModuleMap, dict]:
+    """(H^n, kernel inclusion, kernel -> H^n, kernel coordinates of the
+    representatives of the homology basis)."""
+    ker, incl = kernel(cx.diff(n))
+    d_prev = cx.diff(n - 1)
+    cols = {}
+    for v in cx.algebra.vertices:
+        sol = linalg.solve(incl.mats[v], d_prev.mats[v])
+        if sol is None:
+            raise BlockConstructionError("image does not land in the kernel")
+        cols[v] = sol
+    h, proj, reps = cokernel_by_extension(ker, cols)
+    return h, incl, proj, reps
+
+
+def is_quasi_iso_on_homology(f: ChainMap) -> bool:
+    """A chain map whose induced map on homology is bijective in every
+    degree and at every vertex."""
+    if not f.is_chain_map():
+        return False
+    lo = min(min(f.src.entries, default=0), min(f.dst.entries, default=0))
+    hi = max(max(f.src.entries, default=0), max(f.dst.entries, default=0))
+    for n in range(lo, hi + 1):
+        hs, s_incl, _, s_reps = homology_by_extension(f.src, n)
+        hd, d_incl, d_proj, _ = homology_by_extension(f.dst, n)
+        if hs.dims != hd.dims:
+            return False
+        for v in f.src.algebra.vertices:
+            classes = linalg.mmul(s_incl.mats[v], s_reps[v])
+            in_ker = linalg.solve(d_incl.mats[v], linalg.mmul(f.comp(n).mats[v], classes))
+            if in_ker is None:
+                raise BlockConstructionError("chain map does not preserve cycles")
+            if linalg.rank(linalg.mmul(d_proj.mats[v], in_ker)) != hd.dims[v]:
+                return False
+    return True

@@ -12,18 +12,23 @@ from heckeo.block import (
     rank_one_algebra,
 )
 from heckeo.block.algebra import (
+    ChainComplex,
+    ChainMap,
+    ModuleMap,
     block_map,
     cokernel,
     direct_sum,
     hom_basis,
     identity_map,
     kernel,
+    module_as_complex,
     socle_dims,
     top_dims,
     zero_map,
 )
 from heckeo.block.catalog import CATALOG_NAMES
 from heckeo.block.checks import (
+    EXPECTED_HOMOLOGY,
     suite,
     verify_adjunctions,
     verify_catalog,
@@ -37,8 +42,11 @@ from heckeo.block import linalg
 from _oracles import (
     apply_by_positions,
     block_map_by_compositions,
+    cokernel_by_extension,
     compose_by_origins,
     direct_sum_by_entries,
+    homology_by_extension,
+    is_quasi_iso_on_homology,
 )
 
 
@@ -75,6 +83,21 @@ def test_module_rejects_bad_dimensions():
     with pytest.raises(BlockConstructionError):
         Module(alg, {"e": -1})
     assert Module(alg, {"s": 2}).dimension_vector() == (0, 2)
+
+
+def test_module_rejects_unknown_arrows():
+    alg = rank_one_algebra()
+    with pytest.raises(BlockConstructionError, match="not an arrow of rank-one block: B"):
+        Module(alg, {"e": 1, "s": 1}, {"a": [[0]], "B": [[1]]})
+
+
+def test_module_map_rejects_unknown_vertices():
+    alg = rank_one_algebra()
+    m = Module(alg, {"e": 1})
+    with pytest.raises(BlockConstructionError, match="not a vertex of rank-one block: x"):
+        ModuleMap(m, m, {"e": [[1]], "x": [[5]]})
+    with pytest.raises(BlockConstructionError, match="x"):
+        ModuleMap(m, m, {"x": [[5]]}, check=False)
 
 
 def test_catalog_composition_series(ctx):
@@ -334,7 +357,7 @@ def test_theta_star_on_standards(ctx):
     assert applied.check_dsq()
     dims = applied.homology_dims()
     assert set(dims) == {0}
-    assert cat.is_isomorphic(applied.homology(0).module, cat.modules["Delta_s"])
+    assert cat.is_isomorphic(applied.homology(0), cat.modules["Delta_s"])
 
 
 def test_theta_shriek_shifts_dominant_simple(ctx):
@@ -375,10 +398,11 @@ def test_quasi_iso_computes_each_homology_once(ctx, monkeypatch):
     monkeypatch.setattr(ChainComplex, "homology", counted)
     for name in CATALOG_NAMES:
         for chain_map in (ctx.build_ev(ctx.catalog.modules[name]), ctx.build_coev(ctx.catalog.modules[name])):
+            degrees = chain_map.cone().degrees()
             calls.clear()
             assert chain_map.is_quasi_iso(), name
-            assert calls, name
-            assert all(calls.count(n) <= 2 for n in calls), (name, calls)
+            # one homology per degree of the mapping cone, and no other
+            assert calls == list(range(degrees[0], degrees[-1] + 1)), (name, calls)
 
 
 def test_verify_equivalence_checks_each_chain_map_once(ctx, monkeypatch):
@@ -524,6 +548,51 @@ def test_direct_sum_and_block_map_match_the_composition_oracle(ctx):
     for chosen in (blocks, {}):
         assert (_map_data(block_map(srcs, dsts, chosen))
                 == _map_data(block_map_by_compositions(srcs, dsts, chosen)))
+
+
+def test_cokernel_matches_the_extension_oracle_on_the_homology_table(ctx, monkeypatch):
+    # every quotient the homology table takes, against the three-step oracle
+    from heckeo.block import algebra
+
+    quotients = []
+    original = algebra.cokernel_of_columns
+
+    def recorded(ambient, cols):
+        got = original(ambient, cols)
+        quotients.append((ambient, cols, got))
+        return got
+
+    monkeypatch.setattr(algebra, "cokernel_of_columns", recorded)
+    for (variant, name), expected in EXPECTED_HOMOLOGY.items():
+        applied = ctx.theta_complex(variant).apply(ctx.catalog.modules[name]).complex
+        del quotients[:]
+        got = applied.homology_modules()
+        assert set(got) == set(expected)
+        assert len(quotients) == applied.degrees()[-1] - applied.degrees()[0] + 1
+        for n, h in got.items():
+            assert _module_data(h) == _module_data(homology_by_extension(applied, n)[0])
+        for ambient, cols, (quot, proj) in quotients:
+            want_quot, want_proj, _ = cokernel_by_extension(ambient, cols)
+            assert _module_data(quot) == _module_data(want_quot), (variant, name)
+            assert _map_data(proj) == _map_data(want_proj), (variant, name)
+
+
+def test_is_quasi_iso_matches_the_homology_map_oracle(ctx):
+    cat = ctx.catalog
+    maps = [build(cat.modules[name]) for name in CATALOG_NAMES
+            for build in (ctx.build_ev, ctx.build_coev)]
+    assert len(maps) == 20
+    for f in maps:
+        assert f.is_quasi_iso() is is_quasi_iso_on_homology(f) is True
+    # the zero map on L_e, and the maps between the exact P_e --id--> P_e
+    # and zero, which are quasi-isomorphisms but not isomorphisms
+    l_e, p_e = cat.modules["L_e"], cat.modules["P_e"]
+    acyclic = ChainComplex(ctx.algebra, {0: p_e, 1: p_e}, {0: identity_map(p_e)})
+    zero = ChainComplex(ctx.algebra, {}, {})
+    others = [ChainMap(module_as_complex(l_e), module_as_complex(l_e), {0: zero_map(l_e, l_e)}),
+              ChainMap(acyclic, zero, {}), ChainMap(zero, acyclic, {})]
+    assert [f.is_quasi_iso() for f in others] == [False, True, True]
+    assert [is_quasi_iso_on_homology(f) for f in others] == [False, True, True]
 
 
 def test_ev_coev_reports(ctx):

@@ -1,15 +1,20 @@
 """Every check can fail: a fault matrix.
 
 Each row names one check and one fault.  A fault is a context manager that
-patches one table entry or one method of one built group.  Inside it, the
-row's check must report FAIL, and the failing checks, with their details,
-must be exactly the pinned ones; after it, the suite passes again.
+patches one table entry or one method of one built group, or one builder of
+the built rank-one block.  Inside it, the row's check must report FAIL, and
+the failing checks, with their details, must be exactly the pinned ones;
+after it, the suite passes again.
 """
 
 from unittest.mock import patch
 
 import pytest
 
+from heckeo.block import build_rank_one
+from heckeo.block.algebra import ChainMap, zero_map
+from heckeo.block.checks import suite
+from heckeo.block.functors import FunctorComplex, Nat
 from heckeo.weyl import CartanDatum, build_group, weyl_suite
 
 
@@ -92,3 +97,68 @@ def test_weyl_fault_fails_its_check(check, fault, pinned):
         assert check in pinned
         assert failures(g) == pinned
     assert failures(g) == {}
+
+
+# -- the rank-one block ------------------------------------------------------------
+
+
+def zero_ev_on(ctx, name):
+    """build_ev gives the zero chain map on the catalog entry `name`: still a
+    chain map, but not a quasi-isomorphism, so only the cone can tell."""
+    m, build = ctx.catalog.modules[name], ctx.build_ev
+
+    def faulty(x):
+        f = build(x)
+        if x is not m:
+            return f
+        return ChainMap(f.src, f.dst, {n: zero_map(c.src, c.dst) for n, c in f.comps.items()})
+
+    return patch.object(ctx, "build_ev", faulty)
+
+
+def zero_shriek_unit(ctx):
+    """Theta! = (Id -> theta) with the zero map for its unit."""
+    shriek = ctx.theta_shriek
+
+    def faulty():
+        fc = shriek()
+        unit = fc.diffs[-1][(0, 0)]
+        zero = Nat(unit.src, unit.dst, lambda m: zero_map(unit.at(m).src, unit.at(m).dst))
+        return FunctorComplex(ctx, fc.entries, {-1: {(0, 0): zero}})
+
+    return patch.object(ctx, "theta_shriek", faulty)
+
+
+# check, fault on the built block, pinned {failing check: detail}
+BLOCK_FAULTS = [
+    pytest.param(
+        "block.derived_equivalence_ev_coev",
+        lambda ctx: zero_ev_on(ctx, "nabla_s"),
+        {"block.derived_equivalence_ev_coev": "ev not a quasi-isomorphism on nabla_s"},
+        id="derived_equivalence_ev_coev:ev on nabla_s is zero"),
+    pytest.param(
+        "block.theta_homology_table",
+        zero_shriek_unit,
+        {"block.theta_homology_table":
+            "Theta^shriek(Delta_e): {-1: {'L_e': 1}, 0: {'P_e': 1}} != {0: {'nabla_s': 1}}",
+         "block.concentration_on_flagged": "Theta! not concentrated on Delta_e"},
+        id="theta_homology_table:the unit of Theta! is zero"),
+]
+
+
+@pytest.fixture(scope="module")
+def block():
+    return build_rank_one()
+
+
+def block_failures(ctx):
+    return {c.name: c.detail for c in suite(ctx, "all").failures()}
+
+
+@pytest.mark.parametrize("check,fault,pinned", BLOCK_FAULTS)
+def test_block_fault_fails_its_check(block, check, fault, pinned):
+    assert block_failures(block) == {}
+    with fault(block):
+        assert check in pinned
+        assert block_failures(block) == pinned
+    assert block_failures(block) == {}

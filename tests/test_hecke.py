@@ -52,6 +52,20 @@ def test_quadratic_relation(a1):
     assert lhs.is_zero()
 
 
+def test_scalars_must_be_integers_or_laurent_polynomials(a1):
+    from fractions import Fraction
+
+    h = a1.gen(1)
+    for c in (0.5, 2.9, Fraction(7, 2)):
+        with pytest.raises(TypeError):
+            h * c
+        with pytest.raises(TypeError):
+            c * h
+    assert h * 2 == 2 * h == h + h
+    assert (h * 0).is_zero()
+    assert h * v == v * h == h * LaurentPoly({1: 1})
+
+
 def test_braid_relations_exhaustive(b2):
     g = b2.group
     for x in g.elements():

@@ -52,6 +52,21 @@ def test_unknown_rule_and_op():
         arith(v, v, "div")
 
 
+def test_non_integers_are_rejected_not_truncated():
+    from fractions import Fraction
+
+    for coeffs in ({0: 2.5, 1: 1}, {0: 2, 1.7: 1}, {0: Fraction(7, 2)}, {0: 0.0}):
+        with pytest.raises(TypeError):
+            LaurentPoly(coeffs)
+    for n in (Fraction(7, 2), 2.0, 0.5):
+        with pytest.raises(TypeError):
+            LaurentPoly.const(n)
+    with pytest.raises(TypeError):
+        v * 0.5
+    assert LaurentPoly({True: 3}) == LaurentPoly.const(3) * v
+    assert LaurentPoly.const(True) == 1
+
+
 def test_canonical_form_drops_zeros():
     p = LaurentPoly({3: 0, 1: 2, 0: 0})
     assert p.support() == (1,)

@@ -5,7 +5,7 @@ denominator is not 1."""
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from heckeo.block import linalg
 
@@ -96,6 +96,36 @@ def test_inverse_matches_fraction_oracle(data):
             linalg.inverse(a)
         return
     assert_same(linalg.inverse(a), expected)
+
+
+def frac_rank(a: FracMat) -> int:
+    return len(frac_rref(a)[1])
+
+
+@settings(max_examples=200)
+@given(matrices())
+@example(([], 0)).via("the 0x0 matrix")
+@example(([], 3)).via("no rows")
+@example(([[], [], []], 0)).via("no columns")
+def test_complement_matches_fraction_oracle(data):
+    a, fa = both(data)
+    n, k = fa.nrows, fa.ncols
+    chosen, proj = linalg.complement(a)
+    # the greedy choice: e_j is kept when it raises the rank of a and the
+    # e_j kept before it
+    want, cols, r = [], fa.rows, frac_rank(fa)
+    for j in range(n):
+        wider = [row + [Fraction(int(i == j))] for i, row in enumerate(cols)]
+        if frac_rank(FracMat(n, len(wider[0]), wider)) > r:
+            want, cols, r = want + [j], wider, r + 1
+    assert chosen == want
+    assert len(chosen) == n - frac_rank(fa)
+    assert (proj.nrows, proj.ncols) == (len(chosen), n)
+    assert_normalised(proj)
+    fproj = FracMat(proj.nrows, n, proj.rows)
+    assert frac_mmul(fproj, fa).rows == FracMat(len(chosen), k).rows
+    assert [[row[j] for j in chosen] for row in proj.rows] == [
+        [int(i == j) for j in range(len(chosen))] for i in range(len(chosen))]
 
 
 @given(matrices(), st.one_of(INTS, RATIONALS))
