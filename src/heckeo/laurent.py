@@ -308,6 +308,7 @@ class LaurentPoly:
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "LaurentPoly":
+        n = operator.index(n)
         if n < 0:
             # only unit monomials c*v^e with c = +-1 are invertible
             if self._n in (1, -1):
@@ -361,6 +362,8 @@ class LaurentPoly:
 
     def shifted(self, n: int) -> "LaurentPoly":
         """Multiply by v^n."""
+        if n.__class__ is not int:
+            n = operator.index(n)
         return _make(self._lo + n, self._n, self._b) if self._n else self
 
     def eval_at_one(self) -> int:
@@ -428,4 +431,4 @@ v = LaurentPoly({1: 1})
 
 def v_pow(n: int) -> LaurentPoly:
     """The monomial v^n (any integer n)."""
-    return _make(n, 1, 1)
+    return _make(operator.index(n), 1, 1)

@@ -5,13 +5,15 @@ to check: Laurent polynomials are exponent -> coefficient dicts, Bruhat
 order comes from the subword property, orders come from closed formulas,
 Hecke products are re-derived by right multiplication
 along reduced words, basis coordinates and dual bases come from a
-whole-matrix inversion, left multiplication in a Weyl group comes from
-composing signed permutations, block linear algebra is redone with every
-entry a `Fraction`, total complexes and maps of direct sums are rebuilt
-by the two separate builders and the composition-based assembly the block
-layer used before it had one builder for each, and quotients and
-quasi-isomorphisms are decided by the basis extension and the induced maps
-on homology that the block layer used before the complement and the cone.
+whole-matrix inversion, the tables and products of a Weyl group come from
+the signed permutations of the positive roots that the group was
+enumerated by before it keyed elements by x^-1(rho), block linear algebra
+is redone with every entry a `Fraction`, total complexes and maps of
+direct sums are rebuilt by the two separate builders and the
+composition-based assembly the block layer used before it had one builder
+for each, and quotients and quasi-isomorphisms are decided by the basis
+extension and the induced maps on homology that the block layer used
+before the complement and the cone.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from heckeo.block.functors import AppliedComplex, ChainComplex, FunctorComplex, 
 from heckeo.hecke import HeckeAlgebra, HeckeElt, accumulate, dot
 from heckeo.k0 import BasisKind, K0Block
 from heckeo.laurent import RULE_V_TO_NEG_VINV, RULE_V_TO_VINV, LaurentPoly, v
-from heckeo.weyl import WeylElt, WeylGroup
+from heckeo.weyl import CartanDatum, WeylElt, WeylGroup
 
 
 class DictLaurentPoly:
@@ -265,16 +267,9 @@ def _reflect_root(cartan: list[list[int]], i: int, beta: tuple[int, ...]) -> tup
     return tuple(c - pairing if j == i else c for j, c in enumerate(beta))
 
 
-def lengths_by_inversions(W: WeylGroup) -> dict[int, int]:
-    """Length of every element recomputed as the size of its inversion set:
-    the number of positive roots that x sends to negative roots.
-
-    The positive roots are rebuilt here from the Cartan matrix alone, as the
-    closure of the simple roots under the simple reflections, and x acts by
-    integer reflections along a word for it, so neither the length table nor
-    the length of any word is ever read.
-    """
-    cartan = W.datum.cartan_matrix()
+def _positive_roots(cartan: list[list[int]]) -> list[tuple[int, ...]]:
+    """The positive roots from the Cartan matrix alone, as the closure of the
+    simple roots under the simple reflections, sorted."""
     n = len(cartan)
     simple = [tuple(int(i == j) for j in range(n)) for i in range(n)]
     positive, todo = set(simple), list(simple)
@@ -285,6 +280,20 @@ def lengths_by_inversions(W: WeylGroup) -> dict[int, int]:
             if min(image) >= 0 and image not in positive:
                 positive.add(image)
                 todo.append(image)
+    return sorted(positive)
+
+
+def lengths_by_inversions(W: WeylGroup) -> dict[int, int]:
+    """Length of every element recomputed as the size of its inversion set:
+    the number of positive roots that x sends to negative roots.
+
+    The positive roots are rebuilt here from the Cartan matrix alone, as the
+    closure of the simple roots under the simple reflections, and x acts by
+    integer reflections along a word for it, so neither the length table nor
+    the length of any word is ever read.
+    """
+    cartan = W.datum.cartan_matrix()
+    positive = _positive_roots(cartan)
     out = {}
     for x in W.elements():
         word = W.reduced_word(x)
@@ -420,16 +429,69 @@ def coords_by_inversion(blk: K0Block, classes: list[HeckeElt], basis) -> list[di
     return out
 
 
+def compose_signed(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
+    """(p o q)(beta_r) for signed permutations of the positive roots, where
+    entry r is +-(k + 1) for x(beta_r) = +-beta_k: apply q, then p."""
+    return tuple(p[t - 1] if t > 0 else -p[-t - 1] for t in q)
+
+
+def enumerate_by_signed_perms(datum: CartanDatum) -> dict:
+    """The tables of W(datum) from the signed permutations that its elements
+    induce on the positive roots, built from the Cartan matrix alone.
+
+    Breadth-first from the identity, generators in order, so the ids are
+    those of `build_group`: `lengths` are levels, `rmult` composes with the
+    generator perms, `inverse` inverts each perm, `lmult` composes the
+    generator perms on the left, and `w0` is the one element of length N,
+    the one that negates every positive root.  `perms` and `index`
+    (perm -> id) are returned for `compose_signed`.
+    """
+    cartan = datum.cartan_matrix()
+    n = len(cartan)
+    positive = _positive_roots(cartan)
+    root_index = {r: k for k, r in enumerate(positive)}
+
+    def signed_perm(i: int) -> tuple[int, ...]:
+        img = []
+        for r in positive:
+            s = _reflect_root(cartan, i, r)
+            if min(s) >= 0:
+                img.append(root_index[s] + 1)
+            else:
+                img.append(-(root_index[tuple(-c for c in s)] + 1))
+        return tuple(img)
+
+    gen_perms = [signed_perm(i) for i in range(n)]
+    identity = tuple(range(1, len(positive) + 1))
+    perms, index, lengths, rmult = [identity], {identity: 0}, [0], []
+    for head, p in enumerate(perms):
+        row = []
+        for g in gen_perms:
+            new = compose_signed(p, g)
+            if new not in index:
+                index[new] = len(perms)
+                perms.append(new)
+                lengths.append(lengths[head] + 1)
+            row.append(index[new])
+        rmult.append(row)
+    assert all(sum(t < 0 for t in p) == lengths[k] for k, p in enumerate(perms))
+    inverse = []
+    for p in perms:
+        inv = [0] * len(p)
+        for r, t in enumerate(p):
+            inv[abs(t) - 1] = r + 1 if t > 0 else -(r + 1)
+        inverse.append(index[tuple(inv)])
+    lmult = [[index[compose_signed(g, p)] for g in gen_perms] for p in perms]
+    (w0,) = [k for k, p in enumerate(perms) if max(p) < 0]
+    return {"lengths": lengths, "rmult": rmult, "inverse": inverse, "lmult": lmult,
+            "w0": w0, "perms": perms, "index": index}
+
+
 def lmult_by_compose(W: WeylGroup) -> list[list[int]]:
     """The table of s_i x for every id x and generator i, by composing the
-    signed permutation of s_i with that of x on the positive roots; the
-    group's right-multiplication and inverse tables are never read."""
-    def compose(p, q):
-        # (p o q)(beta_r): apply q, then p
-        return tuple(p[abs(t) - 1] if t > 0 else -p[abs(t) - 1] for t in q)
-
-    index = {p: k for k, p in enumerate(W._perms)}
-    return [[index[compose(g, p)] for g in W._gen_perms] for p in W._perms]
+    signed permutation of s_i with that of x on the positive roots, both
+    rebuilt from the Cartan matrix; no table of the group is ever read."""
+    return enumerate_by_signed_perms(W.datum)["lmult"]
 
 
 # -- block linear algebra with every entry a Fraction --------------------------

@@ -67,6 +67,37 @@ def test_non_integers_are_rejected_not_truncated():
     assert LaurentPoly.const(True) == 1
 
 
+def test_pow_rejects_non_integer_exponents():
+    from fractions import Fraction
+
+    for n in (-0.5, 2.5, 2.0, Fraction(-1, 2)):
+        with pytest.raises(TypeError):
+            v ** n
+    assert v ** True == v
+    assert (-v) ** -3 == -v_pow(-3)
+
+
+def test_v_pow_rejects_non_integer_exponents():
+    from fractions import Fraction
+
+    for n in (2.5, -1.0, Fraction(3, 2)):
+        with pytest.raises(TypeError):
+            v_pow(n)
+    assert v_pow(True) == v
+
+
+def test_shifted_rejects_non_integer_exponents():
+    from fractions import Fraction
+
+    p = 1 + 2 * v
+    for n in (0.5, 1.0, Fraction(1, 2)):
+        with pytest.raises(TypeError):
+            p.shifted(n)
+        with pytest.raises(TypeError):
+            LaurentPoly.zero().shifted(n)
+    assert p.shifted(True) == v + 2 * v ** 2
+
+
 def test_canonical_form_drops_zeros():
     p = LaurentPoly({3: 0, 1: 2, 0: 0})
     assert p.support() == (1,)

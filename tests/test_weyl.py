@@ -12,7 +12,13 @@ from heckeo.weyl import (
     weyl_suite,
 )
 
-from _oracles import bruhat_rows_by_subwords, lengths_by_inversions, lmult_by_compose
+from _oracles import (
+    bruhat_rows_by_subwords,
+    compose_signed,
+    enumerate_by_signed_perms,
+    lengths_by_inversions,
+    lmult_by_compose,
+)
 
 
 def W(label):
@@ -48,14 +54,53 @@ def test_orders_and_longest(label, order, lw0):
 
 
 def test_lengths_match_inversion_oracle():
-    for label in ("A2", "B2", "G2", "A3"):
+    for label in ("A2", "B2", "G2", "A3", "D4", "F4"):
         g = W(label)
         oracle = lengths_by_inversions(g)
         for x in g.elements():
             assert g.length(x) == oracle[x.idx]
 
 
+@pytest.mark.parametrize(
+    "label",
+    ["A1", "A2", "A3", "A4", "A5", "B2", "B3", "B4", "C3", "D4", "G2", "F4", "B5", "A6"],
+)
+def test_tables_match_signed_perm_oracle(label):
+    g = W(label)
+    oracle = enumerate_by_signed_perms(g.datum)
+    assert g._lengths == oracle["lengths"]
+    assert g._rmult == oracle["rmult"]
+    assert g._inverse == oracle["inverse"]
+    assert g._lmult == oracle["lmult"]
+    assert g._w0 == oracle["w0"]
+
+
 # -- multiplication ---------------------------------------------------------
+
+def assert_products_match_signed_perms(g, pairs):
+    oracle = enumerate_by_signed_perms(g.datum)
+    perms, index = oracle["perms"], oracle["index"]
+    for x, y in pairs:
+        xy = index[compose_signed(perms[x], perms[y])]
+        assert g.multiply(g.element(x), g.element(y)) == g.element(xy), (x, y)
+
+
+@pytest.mark.parametrize("label", ["G2", "B3", "A4"])
+def test_multiply_matches_signed_perm_composition_on_all_pairs(label):
+    g = W(label)
+    assert_products_match_signed_perms(
+        g, [(x, y) for x in range(g.order) for y in range(g.order)]
+    )
+
+
+def test_multiply_matches_signed_perm_composition_on_sampled_f4_pairs():
+    g = W("F4")
+    rng = random.Random("multiply:F4")
+    ids = range(g.order)
+    pairs = [(rng.choice(ids), rng.choice(ids)) for _ in range(1000)]
+    pairs += [(g.w0.idx, rng.choice(ids)) for _ in range(1000)]
+    assert_products_match_signed_perms(g, pairs)
+
 
 def test_multiply_examples():
     g = W("A2")
