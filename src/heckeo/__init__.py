@@ -4,7 +4,7 @@ categorical verification suite."""
 
 __version__ = "0.1.0"
 
-from .laurent import LaurentPoly, arith, substitute, v, v_pow
+from .laurent import LaurentPoly, v, v_pow
 from .weyl import CartanDatum, WeylElt, WeylGroup, build_group, weyl_suite
 from .hecke import HeckeAlgebra, HeckeElt
 from .k0 import BasisKind, K0Block, K0Class
@@ -12,8 +12,6 @@ from .report import VerificationReport, emit
 
 __all__ = [
     "LaurentPoly",
-    "arith",
-    "substitute",
     "v",
     "v_pow",
     "CartanDatum",

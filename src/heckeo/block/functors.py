@@ -520,13 +520,6 @@ class RankOneBlock:
         """The identity functor as a one-term complex in degree 0."""
         return FunctorComplex(self, {0: [Summand((0,), self.id_mod)]}, {})
 
-    def theta_complex(self, variant: str) -> FunctorComplex:
-        if variant == "star":
-            return self.theta_star()
-        if variant == "shriek":
-            return self.theta_shriek()
-        raise ValueError(f"unknown theta complex variant: {variant!r}")
-
     def build_ev(self, m: Module) -> ChainMap:
         """ev: Theta* Theta! M -> M, the counit of the composite adjunction."""
         return self._evaluation(m, counit=True)
@@ -562,15 +555,7 @@ class RankOneBlock:
             return ChainMap(applied.complex, one, {0: block_map(parts, [m], blocks)})
         return ChainMap(one, applied.complex, {0: block_map([m], parts, blocks)})
 
-    # -- translation as a catalog operation ----------------------------------------
-
-    def translation(self, m: Module, direction: str):
-        """to_wall: the vector space Hom(P_e, M); off_wall: P_e (x) V."""
-        if direction == "to_wall":
-            return self.pi_star.on_module(m)
-        if direction == "off_wall":
-            return self.pi_pull.on_module(m)
-        raise ValueError(f"unknown translation direction: {direction!r}")
+    # -- natural transformations of the wall functor -----------------------------
 
     def wall_hom_basis(self) -> list[Nat]:
         """Basis of Nat(pi_star, pi_star): right multiplications by e_e A e_e."""

@@ -127,7 +127,8 @@ class HeckeElt:
         return h
 
     def coeff(self, x: WeylElt) -> LaurentPoly:
-        return self._c.get(x.idx, LaurentPoly.zero())
+        self.algebra.group._check_same_group(x)
+        return self._c.get(x.idx, ZERO)
 
     def coeffs(self) -> dict[WeylElt, LaurentPoly]:
         g = self.algebra.group
@@ -181,7 +182,8 @@ class HeckeAlgebra:
 
     All tables are write-once per group and hold coefficient dicts, never
     elements, so an algebra is freed with its last reference; every public
-    operation is pure.  The coefficients of the memoized tables are interned
+    operation is pure, and raises MixedGroups for an element of another
+    group.  The coefficients of the memoized tables are interned
     per algebra: the KL table of A6 has 3.55M nonzero entries but 737
     distinct polynomials, so an entry is one reference to a shared value.
     """
@@ -203,8 +205,7 @@ class HeckeAlgebra:
 
     def std(self, x: WeylElt) -> HeckeElt:
         """The standard basis element H_x."""
-        if x.group is not self.group:
-            raise MixedGroups("element from a different group")
+        self.group._check_same_group(x)
         return HeckeElt(self, {x.idx: LaurentPoly.one()})
 
     def gen(self, i: int) -> HeckeElt:
@@ -212,8 +213,9 @@ class HeckeAlgebra:
 
     def check_own(self, *elts: HeckeElt) -> None:
         """Raise MixedGroups unless every element lives in this algebra."""
-        if any(h.algebra is not self for h in elts):
-            raise MixedGroups("Hecke elements live over different groups")
+        for h in elts:
+            if h.algebra is not self:
+                raise MixedGroups("Hecke elements live over different groups")
 
     # -- multiplication ----------------------------------------------------
 
@@ -269,6 +271,7 @@ class HeckeAlgebra:
 
     def bar(self, h: HeckeElt) -> HeckeElt:
         """The ring involution d."""
+        self.check_own(h)
         out: dict[int, LaurentPoly] = {}
         for k, p in h._c.items():
             accumulate(out, self._view("d", k).items(), p.bar())
@@ -279,6 +282,7 @@ class HeckeAlgebra:
 
         Each distinct coefficient is twisted once per algebra; the KL table
         has few distinct polynomials, so the C' view shares them."""
+        self.check_own(h)
         twisted = self._twisted
         out = {}
         for k, p in h._c.items():
@@ -290,6 +294,7 @@ class HeckeAlgebra:
 
     def iota(self, h: HeckeElt) -> HeckeElt:
         """The anti-automorphism i: coefficients fixed, H_x -> H_{x^-1}."""
+        self.check_own(h)
         g = self.group
         return HeckeElt(self, {g._inverse[k]: p for k, p in h._c.items()})
 
@@ -301,8 +306,7 @@ class HeckeAlgebra:
         view is memoized per element and built on first use."""
         if name not in VIEWS:
             raise ValueError(f"unknown basis view: {name!r}")
-        if x.group is not self.group:
-            raise MixedGroups("element from a different group")
+        self.group._check_same_group(x)
         return HeckeElt._wrap(self, self._view(name, x.idx))
 
     def _view(self, name: str, k: int) -> dict[int, LaurentPoly]:
@@ -373,7 +377,7 @@ class HeckeAlgebra:
         C'_x = b(C_x) (correction terms in v^-1 Z[v^-1])."""
         if variant not in KL_VARIANTS:
             raise ValueError(f"unknown KL variant: {variant!r}")
-        return HeckeElt._wrap(self, self._view(variant, x.idx))
+        return self.view(variant, x)
 
     def kl_element_by_bar_solver(self, x: WeylElt) -> HeckeElt:
         """Independent oracle for C_x: starting from H_x, restore bar
@@ -384,12 +388,13 @@ class HeckeAlgebra:
         by a unique correction in vZ[v].  Never touches the C_s-product
         recursion.
         """
+        h_x = self.std(x)
         got = self._kl_solved.get(x.idx)
         if got is not None:
             return HeckeElt._wrap(self, got)
         g = self.group
         f = {x.idx: LaurentPoly.one()}
-        defect = accumulate(dict(self.bar(self.std(x))._c), f.items(), -1)
+        defect = accumulate(dict(self.bar(h_x)._c), f.items(), -1)
         order = sorted(
             (k for k in range(g.order) if g._lengths[k] < g.length(x)),
             key=lambda t: -g._lengths[t],
@@ -432,10 +437,10 @@ class HeckeAlgebra:
         """H_{w0} * C_x must equal the dual-basis element at w0 x, for all x."""
         g = self.group
         rep = VerificationReport("hecke")
-        duals = self.dual_basis("dual_to_bC")
         h_w0 = self.std(g.w0)
 
         def check():
+            duals = self.dual_basis("dual_to_bC")
             bad = []
             for x in g.elements():
                 lhs = self.mul(h_w0, self.kl_element(x, "C"))

@@ -28,6 +28,7 @@ module-axiom suite checks on every basis vector.
 from __future__ import annotations
 
 import enum
+import functools
 
 from .hecke import HeckeAlgebra, HeckeElt, accumulate
 from .laurent import LaurentPoly, v
@@ -177,11 +178,15 @@ class K0Block:
         g = self.group
         rep = VerificationReport("k0")
         w0 = g.w0
-        # simple-basis coordinates of every Verma class, computed once
-        verma_in_simples = {
-            z: self.coords_in_basis(self.verma(z), BasisKind.Simple)
-            for z in g.elements()
-        }
+
+        @functools.cache
+        def verma_in_simples():
+            """Simple-basis coordinates of every Verma class, computed once,
+            inside whichever check reads them first."""
+            return {
+                z: self.coords_in_basis(self.verma(z), BasisKind.Simple)
+                for z in g.elements()
+            }
 
         def weyl_character():
             lw0 = self.class_of(w0, BasisKind.Simple)
@@ -205,13 +210,12 @@ class K0Block:
 
         def tilting_vs_multiplicity_v1():
             # at v=1 the coefficient is the multiplicity [D_{w0 y} : L_{w0 x}]
+            table = verma_in_simples()
             for x in g.elements():
                 t = self.class_of(x, BasisKind.Tilting)
                 w0x = g.multiply(w0, x)
                 for y in g.elements():
-                    mult = verma_in_simples[g.multiply(w0, y)].get(
-                        w0x, LaurentPoly.zero()
-                    )
+                    mult = table[g.multiply(w0, y)].get(w0x, LaurentPoly.zero())
                     if t.coeff(y).eval_at_one() != mult.eval_at_one():
                         return False, f"fails at (x,y)=({g.name(x)}, {g.name(y)})"
             return True, f"{g.order}^2 multiplicities"
@@ -219,10 +223,11 @@ class K0Block:
         def bgg_reciprocity_graded():
             # Verma coefficients of projectives = transposed simple
             # multiplicities of Vermas, as exact Laurent polynomials
+            table = verma_in_simples()
             for a in g.elements():
                 p = self.class_of(a, BasisKind.Projective)
                 for z in g.elements():
-                    u = verma_in_simples[z].get(a, LaurentPoly.zero())
+                    u = table[z].get(a, LaurentPoly.zero())
                     if p.coeff(z) != u:
                         return False, f"fails at (P_{g.name(a)}, D_{g.name(z)})"
             return True, f"{g.order}^2 entries"
@@ -231,8 +236,7 @@ class K0Block:
             # Vermas expanded in simples: nonnegative coefficients, and the
             # off-diagonal terms all sit in strictly shifted degrees (the
             # exponents are strictly negative under v^n [X] = [X<-n>])
-            for x in g.elements():
-                coords = verma_in_simples[x]
+            for x, coords in verma_in_simples().items():
                 if coords.get(x) != LaurentPoly.one():
                     return False, f"diagonal at {g.name(x)} is not 1"
                 for y, p in coords.items():

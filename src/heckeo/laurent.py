@@ -279,10 +279,6 @@ class LaurentPoly:
 
     __radd__ = __add__
 
-    def plus_multiple(self, other: "LaurentPoly", k: int) -> "LaurentPoly":
-        """self + k * other for an integer k, in one shift-and-add."""
-        return add_product(self, other, LaurentPoly.const(k))
-
     def __neg__(self) -> "LaurentPoly":
         return _make(self._lo, -self._n, self._b)
 
@@ -404,21 +400,6 @@ class LaurentPoly:
 
     def __repr__(self) -> str:
         return f"LaurentPoly({dict(self.items())!r})"
-
-
-def arith(a: LaurentPoly, b: LaurentPoly, op: str) -> LaurentPoly:
-    """Exact +, - or * on two Laurent polynomials."""
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    raise ValueError(f"unknown op: {op!r}")
-
-
-def substitute(p: LaurentPoly, rule: str) -> LaurentPoly:
-    return p.substitute(rule)
 
 
 ZERO = _make(0, 0, 0)

@@ -1,5 +1,5 @@
-"""Finite Weyl groups of types A-G with length, descents, Bruhat order and
-reduced words.
+"""Finite Weyl groups of types A-G with length, Bruhat order and reduced
+words.
 
 Every group is enumerated through its reflection representation: an element
 x is keyed by x^-1(rho) in fundamental-weight coordinates, n integers that
@@ -335,31 +335,9 @@ class WeylGroup:
         self._check_same_group(x)
         return WeylElt(self, self._inverse[x.idx])
 
-    def right_multiply_gen(self, x: WeylElt, i: int) -> WeylElt:
-        self._check_same_group(x)
-        return WeylElt(self, self._rmult[x.idx][i - 1])
-
     def left_multiply_gen(self, i: int, x: WeylElt) -> WeylElt:
         self._check_same_group(x)
         return WeylElt(self, self._lmult[x.idx][i - 1])
-
-    def left_descents(self, x: WeylElt) -> tuple[int, ...]:
-        self._check_same_group(x)
-        k = x.idx
-        return tuple(
-            i + 1
-            for i in range(self.rank)
-            if self._lengths[self._lmult[k][i]] < self._lengths[k]
-        )
-
-    def right_descents(self, x: WeylElt) -> tuple[int, ...]:
-        self._check_same_group(x)
-        k = x.idx
-        return tuple(
-            i + 1
-            for i in range(self.rank)
-            if self._lengths[self._rmult[k][i]] < self._lengths[k]
-        )
 
     # -- reduced words ---------------------------------------------------
 

@@ -256,7 +256,7 @@ def bruhat_rows_by_subwords(W: WeylGroup, ys=None) -> dict[int, int]:
     for y in range(W.order) if ys is None else ys:
         reachable = {W.identity.idx}
         for i in W.reduced_word(W.element(y)):
-            reachable |= {W.right_multiply_gen(W.element(k), i).idx for k in reachable}
+            reachable |= {W.multiply(W.element(k), W.simple(i)).idx for k in reachable}
         rows[y] = sum(1 << k for k in reachable)
     return rows
 
@@ -299,7 +299,7 @@ def lengths_by_inversions(W: WeylGroup) -> dict[int, int]:
         word = W.reduced_word(x)
         cur = W.identity
         for i in word:
-            cur = W.right_multiply_gen(cur, i)
+            cur = W.multiply(cur, W.simple(i))
         assert cur == x
         inversions = 0
         for beta in positive:

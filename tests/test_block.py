@@ -168,12 +168,10 @@ def test_ext_computations(ctx):
 
 def test_translation_images(ctx):
     cat = ctx.catalog
-    assert ctx.translation(cat.modules["L_s"], "to_wall").total_dim == 0
-    assert ctx.translation(cat.modules["P_e"], "to_wall").total_dim == 2
-    off = ctx.translation(Module(ctx.wall, {"w": 1}), "off_wall")
+    assert ctx.pi_star.on_module(cat.modules["L_s"]).total_dim == 0
+    assert ctx.pi_star.on_module(cat.modules["P_e"]).total_dim == 2
+    off = ctx.pi_pull.on_module(Module(ctx.wall, {"w": 1}))
     assert cat.is_isomorphic(off, cat.modules["P_e"])
-    with pytest.raises(ValueError):
-        ctx.translation(cat.modules["L_e"], "sideways")
     assert ctx.theta.on_module(cat.modules["L_s"]).is_zero()
 
 
@@ -187,7 +185,7 @@ def test_functor_words_compose(ctx):
 
 
 def test_identity_complex_is_a_unit(ctx):
-    ts = ctx.theta_complex("star")
+    ts = ctx.theta_star()
     for composed in (ctx.identity_complex().compose(ts), ts.compose(ctx.identity_complex())):
         assert composed.degrees() == ts.degrees()
         for n in ts.degrees():
@@ -195,8 +193,6 @@ def test_identity_complex_is_a_unit(ctx):
         for m in _sample_mods(ctx):
             for key, nat in ts.diffs[0].items():
                 assert composed.diffs[0][key].at(m) == nat.at(m)
-    with pytest.raises(ValueError):
-        ctx.theta_complex("dagger")
 
 
 def _sample_mods(ctx):
@@ -318,10 +314,6 @@ def test_functors_reject_objects_of_the_other_category(ctx):
             functor.on_module(wrong)
         with pytest.raises(BlockConstructionError):
             functor.on_map(identity_map(wrong))
-    with pytest.raises(BlockConstructionError):
-        ctx.translation(line, "to_wall")
-    with pytest.raises(BlockConstructionError):
-        ctx.translation(p_e, "off_wall")
     for nat, wrong in (("eps", line), ("etap", line), ("eta", p_e), ("epsp", p_e)):
         with pytest.raises(BlockConstructionError):
             getattr(ctx, nat).at(wrong)
@@ -564,7 +556,7 @@ def test_cokernel_matches_the_extension_oracle_on_the_homology_table(ctx, monkey
 
     monkeypatch.setattr(algebra, "cokernel_of_columns", recorded)
     for (variant, name), expected in EXPECTED_HOMOLOGY.items():
-        applied = ctx.theta_complex(variant).apply(ctx.catalog.modules[name]).complex
+        applied = getattr(ctx, "theta_" + variant)().apply(ctx.catalog.modules[name]).complex
         del quotients[:]
         got = applied.homology_modules()
         assert set(got) == set(expected)

@@ -1,20 +1,26 @@
 """Every check can fail: a fault matrix.
 
-Each row names one check and one fault.  A fault is a context manager that
-patches one table entry or one method of one built group, or one builder of
-the built rank-one block.  Inside it, the row's check must report FAIL, and
-the failing checks, with their details, must be exactly the pinned ones;
-after it, the suite passes again.
+Each row names one check, or a few, and one fault.  A fault is a context
+manager that patches one table entry or one method of one built group or
+K0 block, or one builder of the built rank-one block.  Inside it, the row's
+checks must report FAIL, and the failing checks, with their details, must
+be exactly the pinned ones; after it, the suite passes again.
 """
 
+import json
+from contextlib import contextmanager
 from unittest.mock import patch
 
 import pytest
 
+from heckeo import cli
 from heckeo.block import build_rank_one
 from heckeo.block.algebra import ChainMap, zero_map
 from heckeo.block.checks import suite
 from heckeo.block.functors import FunctorComplex, Nat
+from heckeo.hecke import HeckeAlgebra
+from heckeo.k0 import K0Block
+from heckeo.laurent import ZERO, v
 from heckeo.weyl import CartanDatum, build_group, weyl_suite
 
 
@@ -97,6 +103,126 @@ def test_weyl_fault_fails_its_check(check, fault, pinned):
         assert check in pinned
         assert failures(g) == pinned
     assert failures(g) == {}
+
+
+# -- the hecke and k0 suites on one K0 block ----------------------------------------
+
+
+def add_to_built_entry(alg, view, k, j, p):
+    """Entry j of the built row k of a basis view gains p."""
+    row = alg._view(view, k)
+    return patch.dict(alg._views[view], {k: {**row, j: row.get(j, ZERO) + p}})
+
+
+build_dual_to_bC = HeckeAlgebra._build_dual_to_bC
+
+
+def dual_row_below_diagonal(alg, k):
+    """`_build_dual_to_bC`, but row 1 gets v^2 below its diagonal."""
+    row = build_dual_to_bC(alg, k)
+    return {**row, 0: v**2} if k == 1 else row
+
+
+@contextmanager
+def rebuilt_dual_rows(alg):
+    """The dual rows are built again, by `dual_row_below_diagonal`."""
+    with patch.dict(alg._views["dual_to_bC"], clear=True), \
+            patch.dict(alg._views["dual_to_C"], clear=True), \
+            patch.object(alg, "_build_dual_to_bC", lambda k: dual_row_below_diagonal(alg, k)):
+        yield
+
+
+def drop_diagonal_coordinate(blk, x):
+    """coords_in_basis leaves out the coordinate of [D_x] at x itself."""
+    coords = blk.coords_in_basis
+
+    def faulty(X, basis):
+        out = coords(X, basis)
+        if X == blk.verma(x):
+            del out[x]
+        return out
+
+    return patch.object(blk, "coords_in_basis", faulty)
+
+
+UNITRIANGULAR = "exception: ValueError('dual_to_bC element 1 is not unitriangular')"
+
+# checks, fault on a built B3 block, pinned {failing check: detail}
+HECKE_K0_FAULTS = [
+    pytest.param(
+        ("hecke.dual_bases_orthonormal", "hecke.hw0_times_C_is_dual_basis",
+         "k0.projectives_dual_to_simples", "k0.tilting_projective_switch"),
+        lambda blk: add_to_built_entry(blk.hecke, "dual_to_bC", 1, blk.group.w0.idx, v**2),
+        {"hecke.dual_bases_orthonormal": "dual_to_bC fails at (1, 1.2.1.3.2.1.3.2.3)",
+         "hecke.hw0_times_C_is_dual_basis": "failures at: 2.1.3.2.1.3.2.3",
+         "k0.tilting_char_graded": "fails at (x,y)=(2.1.3.2.1.3.2.3, e)",
+         "k0.bgg_reciprocity_graded": "fails at (P_1, D_1.2.1.3.2.1.3.2.3)",
+         "k0.ringel_end_dims": "dim End mismatch at 1: 43 != 40",
+         "k0.tilting_projective_switch": "fails at 2.1.3.2.1.3.2.3",
+         "k0.projectives_dual_to_simples": "<[P],[L]> wrong at (1, 1.2.1.3.2.1.3.2.3)"},
+        id="dual_to_bC:v^2 at (1, w0)"),
+    pytest.param(
+        ("hecke.dual_bases_orthonormal", "hecke.hw0_times_C_is_dual_basis"),
+        lambda blk: rebuilt_dual_rows(blk.hecke),
+        {name: UNITRIANGULAR for name in (
+            "hecke.dual_bases_orthonormal", "hecke.hw0_times_C_is_dual_basis",
+            "k0.basis_changes_unitriangular", "k0.tilting_char_graded",
+            "k0.bgg_reciprocity_graded", "k0.ringel_end_dims",
+            "k0.tilting_projective_switch", "k0.projectives_dual_to_simples")},
+        id="dual_to_bC:row 1 built with an entry below its diagonal"),
+    pytest.param(
+        ("k0.bgg_reciprocity_graded", "k0.inverse_kl_positivity"),
+        lambda blk: drop_diagonal_coordinate(blk, blk.group.element(1)),
+        {"k0.tilting_char_v1": "fails at (x,y)=(2.1.3.2.1.3.2.3, 2.1.3.2.1.3.2.3)",
+         "k0.bgg_reciprocity_graded": "fails at (P_1, D_1)",
+         "k0.inverse_kl_positivity": "diagonal at 1 is not 1"},
+        id="coords_in_basis:[D_1] loses its coordinate at 1"),
+]
+
+
+@pytest.fixture(scope="module")
+def k0_block():
+    return K0Block(build_group(CartanDatum("B", 3)))
+
+
+def hecke_k0_failures(blk):
+    return {c.name: c.detail for c in [*blk.hecke.suite().failures(), *blk.suite().failures()]}
+
+
+@pytest.mark.parametrize("checks,fault,pinned", HECKE_K0_FAULTS)
+def test_hecke_k0_fault_fails_its_checks(k0_block, checks, fault, pinned):
+    assert hecke_k0_failures(k0_block) == {}
+    with fault(k0_block):
+        assert set(checks) <= set(pinned)
+        assert hecke_k0_failures(k0_block) == pinned
+    assert hecke_k0_failures(k0_block) == {}
+
+
+def broken_coords(*args):
+    raise ArithmeticError("no coordinates")
+
+
+# a table that fails to build fails the checks that read it, and verify says so
+@pytest.mark.parametrize("suite_name,owner,name,fault,failing", [
+    pytest.param(
+        "hecke", HeckeAlgebra, "_build_dual_to_bC", dual_row_below_diagonal,
+        {"hecke.dual_bases_orthonormal": UNITRIANGULAR,
+         "hecke.hw0_times_C_is_dual_basis": UNITRIANGULAR},
+        id="hecke:a dual row below its diagonal"),
+    pytest.param(
+        "k0", K0Block, "coords_in_basis", broken_coords,
+        {name: "exception: ArithmeticError('no coordinates')" for name in (
+            "k0.tilting_char_v1", "k0.bgg_reciprocity_graded", "k0.inverse_kl_positivity")},
+        id="k0:coords_in_basis raises"),
+])
+def test_verify_reports_a_failed_table_build(suite_name, owner, name, fault, failing):
+    with patch.object(owner, name, fault):
+        code, text = cli.run(["verify", "--type", "A2", "--suite", suite_name, "--format", "json"])
+        _, table = cli.run(["verify", "--type", "A2", "--suite", suite_name, "--format", "table"])
+    assert code == 1
+    checks = json.loads(text)["checks"]
+    assert {c["name"]: c["detail"] for c in checks if not c["pass"]} == failing
+    assert {f"  FAIL  {name}" for name in failing} <= set(table.splitlines())
 
 
 # -- the rank-one block ------------------------------------------------------------

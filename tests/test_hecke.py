@@ -82,6 +82,39 @@ def test_mixed_groups_rejected():
         x.std(y.group.identity)
 
 
+# each entry point rejects an element of another group; the same call on its
+# own group's element still answers
+
+@pytest.mark.parametrize("op", ["bar", "b_twist", "iota"])
+def test_involution_rejects_another_groups_element(a2, b2, op):
+    h = b2.std(b2.group.element(3)) * (v + 2)
+    with pytest.raises(MixedGroups):
+        getattr(a2, op)(h)
+    assert getattr(b2, op)(getattr(b2, op)(h)) == h
+
+
+def test_kl_element_rejects_another_groups_element(a2, b2):
+    for variant in ("C", "Cprime"):
+        with pytest.raises(MixedGroups):
+            a2.kl_element(b2.group.element(3), variant)
+        assert a2.kl_element(a2.group.element(3), variant).coeff(a2.group.element(3)) == ONE
+
+
+def test_bar_solver_rejects_another_groups_element_after_a_cached_call(a2, b2):
+    x = a2.group.element(3)
+    assert a2.kl_element_by_bar_solver(x) == a2.kl_element(x)
+    assert x.idx in a2._kl_solved
+    with pytest.raises(MixedGroups):
+        a2.kl_element_by_bar_solver(b2.group.element(3))
+
+
+def test_coeff_rejects_another_groups_element(a2, b2):
+    h = a2.kl_element(a2.group.w0)
+    with pytest.raises(MixedGroups):
+        h.coeff(b2.group.element(1))
+    assert h.coeff(a2.group.element(1)) == v_pow(2)
+
+
 # -- bar involution -----------------------------------------------------------
 
 def test_bar_on_generator(a1):

@@ -273,6 +273,14 @@ def test_classes_of_two_blocks_never_mix():
     assert X != Y
 
 
+def test_dualize_rejects_another_blocks_class(a2):
+    other = block("B2")
+    Y = other.verma(other.group.element(3))
+    with pytest.raises(MixedGroups):
+        a2.dualize(Y)
+    assert other.dualize(Y) == other.class_of(other.group.element(3), BasisKind.DualVerma)
+
+
 def test_block_operators_reject_another_blocks_class():
     one, other = block("A2"), block("A2")
     Y = other.verma(other.group.simple(1))
