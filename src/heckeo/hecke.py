@@ -16,6 +16,9 @@ dual to {C'_y} as row x of the inverse C' matrix.  C'_x and Q_x dual to
 {C_y} are b of C_x and of Q_x dual to {C'_y}, as <b(a), b(c)> = b(<a, c>).
 `_view` checks each built element once for a unit diagonal and no entry on
 the wrong side in id order; b keeps both, so twisted views need no check.
+bar(H_x) is the d row itself.  The bar of a view row is memoized under the
+row object, which `_view` registers, and a hit stands only while each d row
+it read is still the one in the d view; the solver's C_x obeys the same rule.
 
 Every product comes down to one left action on coefficient dicts,
 
@@ -38,6 +41,7 @@ The two must agree exactly; `verify_kl_oracle` checks that.
 
 from __future__ import annotations
 
+from operator import is_
 from typing import Iterable
 
 from .laurent import ONE, RULE_V_TO_NEG_VINV, ZERO, LaurentPoly, add_product, v
@@ -191,9 +195,14 @@ class HeckeAlgebra:
     def __init__(self, group: WeylGroup):
         self.group = group
         self._views: dict[str, dict[int, dict[int, LaurentPoly]]] = {name: {} for name in VIEWS}
-        self._kl_solved: dict[int, dict[int, LaurentPoly]] = {}
+        # x -> (C_x by the solver, the d rows it read)
+        self._kl_solved: dict[int, tuple[dict[int, LaurentPoly], list]] = {}
         self._interned: dict[LaurentPoly, LaurentPoly] = {}
         self._twisted: dict[LaurentPoly, LaurentPoly] = {}
+        self._barred: dict[LaurentPoly, LaurentPoly] = {}
+        # id(view row) -> (row, its bar or None, the d rows that bar read);
+        # holding the row keeps its id from naming any other dict
+        self._bars: dict[int, tuple] = {}
 
     # -- constructors ----------------------------------------------------
 
@@ -258,7 +267,7 @@ class HeckeAlgebra:
             for z, s in reversed(chain):
                 hy = memo[z] = self._act(s, hy, _H_S)
             accumulate(total, hy.items(), ay)
-        return HeckeElt(self, total)
+        return HeckeElt._wrap(self, total)
 
     def left_cs(self, i: int, h: HeckeElt) -> HeckeElt:
         """C_s h for C_s = H_s + v, s the i-th simple reflection."""
@@ -270,12 +279,40 @@ class HeckeAlgebra:
     # -- involutions ---------------------------------------------------------
 
     def bar(self, h: HeckeElt) -> HeckeElt:
-        """The ring involution d."""
+        """The ring involution d: sum_k bar(h_k) d(H_k).  d(H_x) is the d row
+        itself, and the bar of a view row is memoized while the d rows it
+        read are still in place."""
         self.check_own(h)
+        c = h._c
+        if len(c) == 1:
+            (k, p), = c.items()
+            if p == ONE:
+                return HeckeElt._wrap(self, self._view("d", k))
+        memo = self._bars.get(id(c))
+        if memo is not None and memo[1] is not None and self._unchanged(c, memo[2]):
+            return HeckeElt._wrap(self, memo[1])
         out: dict[int, LaurentPoly] = {}
-        for k, p in h._c.items():
-            accumulate(out, self._view("d", k).items(), p.bar())
-        return HeckeElt(self, out)
+        rows = [self._view("d", k) for k in c]
+        for row, p in zip(rows, c.values()):
+            accumulate(out, row.items(), self._bar_coeff(p))
+        if memo is not None:
+            # a self-dual row (C_x, C'_x) is kept as its own bar
+            self._intern(out)
+            if out == c:
+                out = c
+            self._bars[id(c)] = (c, out, rows)
+        return HeckeElt._wrap(self, out)
+
+    def _bar_coeff(self, p: LaurentPoly) -> LaurentPoly:
+        """bar(p), computed once per distinct coefficient per algebra."""
+        q = self._barred.get(p)
+        if q is None:
+            q = self._barred[p] = p.bar()
+        return q
+
+    def _unchanged(self, coeffs: dict[int, LaurentPoly], rows: list) -> bool:
+        """Whether the d row at each key of `coeffs` is still the one read."""
+        return all(map(is_, rows, map(self._views["d"].get, coeffs)))
 
     def b_twist(self, h: HeckeElt) -> HeckeElt:
         """The ring involution b: v -> -v^-1 on coefficients, H_x fixed.
@@ -296,7 +333,7 @@ class HeckeAlgebra:
         """The anti-automorphism i: coefficients fixed, H_x -> H_{x^-1}."""
         self.check_own(h)
         g = self.group
-        return HeckeElt(self, {g._inverse[k]: p for k, p in h._c.items()})
+        return HeckeElt._wrap(self, {g._inverse[k]: p for k, p in h._c.items()})
 
     # -- basis views ------------------------------------------------------------
 
@@ -326,6 +363,7 @@ class HeckeAlgebra:
                     raise ValueError(f"{name} element {k} is not unitriangular")
                 self._intern(got)
             memo[k] = got
+            self._bars[id(got)] = (got, None, None)
         return got
 
     def _intern(self, coeffs: dict[int, LaurentPoly]) -> None:
@@ -390,8 +428,8 @@ class HeckeAlgebra:
         """
         h_x = self.std(x)
         got = self._kl_solved.get(x.idx)
-        if got is not None:
-            return HeckeElt._wrap(self, got)
+        if got is not None and self._unchanged(*got):
+            return HeckeElt._wrap(self, got[0])
         g = self.group
         f = {x.idx: LaurentPoly.one()}
         defect = accumulate(dict(self.bar(h_x)._c), f.items(), -1)
@@ -403,18 +441,18 @@ class HeckeAlgebra:
             c = defect.get(y)
             if c is None:
                 continue
-            if c.bar() != -c:
+            if self._bar_coeff(c) != -c:
                 raise ArithmeticError("bar defect is not antisymmetric; solver broken")
-            p = LaurentPoly({e: n for e, n in c.items() if e > 0})
+            p = c.positive_part()
             accumulate(f, [(y, p)])
             # the defect is linear in f, so update it in place
-            accumulate(defect, self._view("d", y).items(), p.bar())
+            accumulate(defect, self._view("d", y).items(), self._bar_coeff(p))
             accumulate(defect, [(y, p)], -1)
-        got = HeckeElt(self, f)
+        got = HeckeElt._wrap(self, f)
         if defect or self.bar(got) != got:
             raise ArithmeticError("bar solver failed to reach a self-dual element")
-        self._intern(got._c)
-        self._kl_solved[x.idx] = got._c
+        self._intern(f)
+        self._kl_solved[x.idx] = (f, [self._views["d"][k] for k in f])
         return got
 
     # -- bilinear form and dual bases ---------------------------------------
@@ -553,10 +591,11 @@ class HeckeAlgebra:
         def duality():
             for variant, kl_variant in (("dual_to_bC", "Cprime"), ("dual_to_C", "C")):
                 duals = self.dual_basis(variant)
+                cols = {y: self.kl_element(y, kl_variant) for y in g.elements()}
                 for x in g.elements():
-                    for y in g.elements():
+                    for y, col in cols.items():
                         expect = LaurentPoly.one() if x == y else LaurentPoly.zero()
-                        got = self.pairing(duals[x], self.kl_element(y, kl_variant))
+                        got = self.pairing(duals[x], col)
                         if got != expect:
                             return False, f"{variant} fails at ({g.name(x)}, {g.name(y)})"
             return True, f"2 * {g.order}^2 pairings"

@@ -10,8 +10,9 @@ so the coefficients are the balanced base-X digits of n, each of absolute
 value below X/2, and n has no zero digit at the low end.  The digit width w
 is 32.  A product is then one int product with the exponents added, a sum
 one shift-and-add, v^k moves lo, v -> v^-1 and v -> -v^-1 reverse the
-digits, and equality and hashing compare ints.  Every sum and product is
-one step a + b c (`add_product`).
+digits, the positive part (`positive_part`, the KL bar solver's step)
+shifts off the digits below v^1, and equality and hashing compare ints.
+Every sum and product is one step a + b c (`add_product`).
 
 The form is dense in the exponent span: n has one digit per exponent from
 min_exp to max_exp, zero or not, so its memory grows with the span, not
@@ -355,6 +356,20 @@ class LaurentPoly:
     def bar(self) -> "LaurentPoly":
         """The involution v -> v^-1."""
         return self.substitute(RULE_V_TO_VINV)
+
+    def positive_part(self) -> "LaurentPoly":
+        """The terms of positive degree.  A narrow value drops its digits
+        below v^1 with one add and one shift, its bound kept as a bound."""
+        d = 1 - self._lo
+        if d <= 0 or not self._n:
+            return self
+        if self._b >= BOUND_LIMIT:
+            return _from_digits(1, self._dense()[d:])
+        n = (self._n + _offset(d, DIGIT_BITS)) >> (DIGIT_BITS * d)
+        if not n:
+            return ZERO
+        z = ((n & -n).bit_length() - 1) // DIGIT_BITS
+        return _make(1 + z, n >> (DIGIT_BITS * z), self._b)
 
     def shifted(self, n: int) -> "LaurentPoly":
         """Multiply by v^n."""

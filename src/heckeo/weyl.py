@@ -336,7 +336,10 @@ class WeylGroup:
         return WeylElt(self, self._inverse[x.idx])
 
     def left_multiply_gen(self, i: int, x: WeylElt) -> WeylElt:
+        """s_i x, 1-based like `simple`."""
         self._check_same_group(x)
+        if not 1 <= i <= self.rank:
+            raise WeylError(f"no simple reflection with index {i}")
         return WeylElt(self, self._lmult[x.idx][i - 1])
 
     # -- reduced words ---------------------------------------------------

@@ -147,6 +147,23 @@ def drop_diagonal_coordinate(blk, x):
 
 UNITRIANGULAR = "exception: ValueError('dual_to_bC element 1 is not unitriangular')"
 
+
+def wrong_d_row(blk):
+    """d(H_x) at x = 1.3 gains v^2 at e."""
+    return add_to_built_entry(blk.hecke, "d", 5, 0, v**2)
+
+
+# every check built on bar, memoized or not, reads the wrong row
+WRONG_D_ROW = {
+    "hecke.bar_is_involution": "52 elements",
+    "hecke.bar_is_ring_automorphism": "4^2 products",
+    "hecke.involutions_pairwise_commute": "",
+    "hecke.kl_recursion_matches_bar_solver":
+        "exception: ArithmeticError('bar defect is not antisymmetric; solver broken')",
+    "hecke.kl_selfdual_and_degree_bounds": "C_1.3 not self-dual",
+    "k0.duality_fixes_simples": "dual Verma view inconsistent",
+    "k0.duality_intertwines_bar": "duality does not intertwine the bar involution"}
+
 # checks, fault on a built B3 block, pinned {failing check: detail}
 HECKE_K0_FAULTS = [
     pytest.param(
@@ -177,6 +194,8 @@ HECKE_K0_FAULTS = [
          "k0.bgg_reciprocity_graded": "fails at (P_1, D_1)",
          "k0.inverse_kl_positivity": "diagonal at 1 is not 1"},
         id="coords_in_basis:[D_1] loses its coordinate at 1"),
+    pytest.param(
+        tuple(WRONG_D_ROW), wrong_d_row, WRONG_D_ROW, id="d:v^2 at (1.3, e)"),
 ]
 
 
@@ -196,6 +215,14 @@ def test_hecke_k0_fault_fails_its_checks(k0_block, checks, fault, pinned):
         assert set(checks) <= set(pinned)
         assert hecke_k0_failures(k0_block) == pinned
     assert hecke_k0_failures(k0_block) == {}
+
+
+def test_a_wrong_d_row_fails_the_same_checks_on_a_fresh_block():
+    # no bar memoized by a clean run, and no KL element solved, is kept
+    # once the d row it read is replaced
+    blk = K0Block(build_group(CartanDatum("B", 3)))
+    with wrong_d_row(blk):
+        assert hecke_k0_failures(blk) == WRONG_D_ROW
 
 
 def broken_coords(*args):

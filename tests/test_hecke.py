@@ -4,7 +4,7 @@ import weakref
 import pytest
 
 from _oracles import dual_basis_by_inversion, invert_unitriangular, kl_by_product_recursion, mul_by_right_words
-from heckeo.hecke import _C_S, _H_S, _H_S_INV, DUAL_VARIANTS, HeckeAlgebra, HeckeElt
+from heckeo.hecke import _C_S, _H_S, _H_S_INV, DUAL_VARIANTS, VIEWS, HeckeAlgebra, HeckeElt
 from heckeo.laurent import LaurentPoly, v, v_pow
 from heckeo.report import VerificationReport
 from heckeo.weyl import CartanDatum, MixedGroups, build_group
@@ -277,7 +277,7 @@ def test_dropped_algebra_is_freed_without_the_cycle_collector():
     try:
         alg = algebra("B3")
         for x in alg.group.elements():
-            alg.kl_element(x, "Cprime")
+            alg.bar(alg.kl_element(x, "Cprime"))
             alg.kl_element_by_bar_solver(x)
         for variant in DUAL_VARIANTS:
             alg.dual_basis(variant)
@@ -469,6 +469,23 @@ def test_bar_table_is_inverse_of_standard_basis(a2, b2):
         for x in g.elements():
             prod = alg.mul(alg.std(g.inverse(x)), alg.bar(alg.std(x)))
             assert prod == alg.unit(), g.name(x)
+
+
+def test_bar_of_every_view_row_matches_a_memo_free_sum():
+    alg = algebra("B3")
+    g = alg.group
+    rows = [alg.view(name, x) for name in VIEWS for x in g.elements()]
+    d = {x.idx: alg.view("d", x) for x in g.elements()}
+    for x in g.elements():
+        # d(H_x) is the built row itself
+        assert alg.bar(alg.std(x))._c is alg._views["d"][x.idx]
+    for h in rows:
+        expect = alg.zero()
+        for k, p in h._c.items():
+            expect = expect + d[k] * p.bar()
+        first, hit = alg.bar(h), alg.bar(h)
+        assert first == expect and hit == expect
+        assert hit._c is first._c
 
 
 def test_dihedral_kl_coefficients_are_monomials():

@@ -1,3 +1,5 @@
+from unittest.mock import patch
+
 import pytest
 
 from heckeo import cli, hecke
@@ -200,6 +202,19 @@ def test_dualize(a1):
 
 
 # -- Euler form -------------------------------------------------------------------
+
+def test_a_wrong_dual_verma_row_fails_the_duality_check():
+    # dualize(H_x) returns the built d(H_x) row as is, so only the product
+    # H_{x^-1} dualize(H_x) = 1 can find it wrong
+    blk = block("A2")
+    rows = blk.hecke._views["d"]
+    for x in blk.group.elements():
+        row = blk.hecke._view("d", x.idx)
+        with patch.dict(rows, {x.idx: {**row, 0: row.get(0, ZERO) + v**2}}):
+            failed = {c.name: c.detail for c in blk.verify_simple_ops().failures()}
+        assert failed == {"k0.duality_fixes_simples": "dual Verma view inconsistent"}
+    assert blk.verify_simple_ops().failures() == []
+
 
 def test_ext_pairing_orthonormal(a2):
     g = a2.group

@@ -253,6 +253,15 @@ def test_unary_operations_match_dict_oracle(m, n, e):
     assert_matches(LaurentPoly.from_json(json.loads(json.dumps(a.to_json()))), oa)
 
 
+@settings(max_examples=100, deadline=None)
+@given(coeff_maps, st.integers(-80, 80))
+def test_positive_part_matches_dict_oracle(m, n):
+    # shifted, so that spans lie below, across and above v^0
+    a, oa = both(m)
+    a, oa = a.shifted(n), oa.shifted(n)
+    assert_matches(a.positive_part(), DictLaurentPoly({e: c for e, c in oa.items() if e > 0}))
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.lists(st.tuples(coeff_maps, coeff_maps), min_size=1, max_size=8), scalars)
 def test_long_chains_match_dict_oracle(pairs, k):

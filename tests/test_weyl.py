@@ -8,6 +8,7 @@ from heckeo.weyl import (
     InadmissibleDatum,
     MalformedWord,
     MixedGroups,
+    WeylError,
     build_group,
     weyl_suite,
 )
@@ -162,6 +163,14 @@ def test_exchange_sanity():
             for i in range(1, g.rank + 1):
                 d = g.length(g.left_multiply_gen(i, x)) - g.length(x)
                 assert d in (-1, 1)
+
+
+@pytest.mark.parametrize("i", [0, 3])
+def test_left_multiply_gen_rejects_an_index_outside_the_rank(i):
+    # neither 0 wrapping to s_2 nor 3 raising a bare IndexError
+    g = W("A2")
+    with pytest.raises(WeylError):
+        g.left_multiply_gen(i, g.identity)
 
 
 # -- reduced words ----------------------------------------------------------
