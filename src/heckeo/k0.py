@@ -30,8 +30,8 @@ from __future__ import annotations
 import enum
 import functools
 
-from .hecke import HeckeAlgebra, HeckeElt, accumulate
-from .laurent import LaurentPoly, v
+from .hecke import HeckeAlgebra, HeckeElt, accumulate, dot
+from .laurent import ONE, ZERO, LaurentPoly, v
 from .report import VerificationReport
 from .weyl import WeylElt, WeylGroup
 
@@ -149,7 +149,7 @@ class K0Block:
             c = left.get(j)
             if c is None:
                 continue
-            accumulate(left, self.class_of(g.element(j), kind)._c.items(), -c)
+            accumulate(left, self.hecke._view(_VIEW_OF[kind], j).items(), -c)
             out[j] = c
         return {g.element(i): s for i, s in sorted(out.items())}
 
@@ -162,13 +162,13 @@ class K0Block:
         rep = VerificationReport("k0")
 
         def check():
-            lw0 = self.class_of(g.w0, BasisKind.Simple)
-            for x in g.elements():
-                l = g.length(g.multiply(x, g.w0))
+            lw0 = self.hecke._view("Cprime", g._w0)
+            for x in range(g.order):
+                l = g._lengths[g._index_mul(x, g._w0)]
                 expect = LaurentPoly({-l: 1 if l % 2 == 0 else -1})
-                got = self.ext_pairing(self.verma(x), lw0)
+                got = dot({x: ONE}, lw0)
                 if got != expect:
-                    return False, f"fails at x={g.name(x)}: {got} != {expect}"
+                    return False, f"fails at x={g._name(x)}: {got} != {expect}"
             return True, f"all {g.order} elements"
 
         rep.run("k0.bott_euler_form", check)
@@ -177,77 +177,76 @@ class K0Block:
     def verify_characters(self) -> VerificationReport:
         g = self.group
         rep = VerificationReport("k0")
-        w0 = g.w0
+        view, w0x = self.hecke._view, g._w0x
 
         @functools.cache
         def verma_in_simples():
-            """Simple-basis coordinates of every Verma class, computed once,
-            inside whichever check reads them first."""
-            return {
-                z: self.coords_in_basis(self.verma(z), BasisKind.Simple)
-                for z in g.elements()
-            }
+            """Simple-basis coordinates of every Verma class by id, computed
+            once, inside whichever check reads them first."""
+            return [
+                {y.idx: p for y, p in self.coords_in_basis(
+                    HeckeElt._wrap(self.hecke, {z: ONE}), BasisKind.Simple).items()}
+                for z in range(g.order)
+            ]
 
         def weyl_character():
-            lw0 = self.class_of(w0, BasisKind.Simple)
-            for x in g.elements():
-                got = lw0.coeff(x).eval_at_one()
-                expect = (-1) ** g.length(g.multiply(x, w0))
+            lw0 = view("Cprime", g._w0)
+            for x in range(g.order):
+                got = lw0.get(x, ZERO).eval_at_one()
+                expect = (-1) ** g._lengths[g._index_mul(x, g._w0)]
                 if got != expect:
-                    return False, f"v=1 coefficient at {g.name(x)} is {got}, wanted {expect}"
+                    return False, f"v=1 coefficient at {g._name(x)} is {got}, wanted {expect}"
             return True, f"alternating sum over {g.order} Vermas"
 
         def tilting_vs_projective_graded():
             # Verma coefficient of [T_x] at y equals the bar of the Verma
             # coefficient of [P_{w0 x}] at w0 y
-            for x in g.elements():
-                t = self.class_of(x, BasisKind.Tilting)
-                p = self.class_of(g.multiply(w0, x), BasisKind.Projective)
-                for y in g.elements():
-                    if t.coeff(y) != p.coeff(g.multiply(w0, y)).bar():
-                        return False, f"fails at (x,y)=({g.name(x)}, {g.name(y)})"
+            bar = self.hecke._bar_coeff
+            for x in range(g.order):
+                t, p = view("C", x), view("dual_to_bC", w0x[x])
+                for y, w0y in enumerate(w0x):
+                    if t.get(y, ZERO) != bar(p.get(w0y, ZERO)):
+                        return False, f"fails at (x,y)=({g._name(x)}, {g._name(y)})"
             return True, f"{g.order}^2 coefficients"
 
         def tilting_vs_multiplicity_v1():
             # at v=1 the coefficient is the multiplicity [D_{w0 y} : L_{w0 x}]
             table = verma_in_simples()
-            for x in g.elements():
-                t = self.class_of(x, BasisKind.Tilting)
-                w0x = g.multiply(w0, x)
-                for y in g.elements():
-                    mult = table[g.multiply(w0, y)].get(w0x, LaurentPoly.zero())
-                    if t.coeff(y).eval_at_one() != mult.eval_at_one():
-                        return False, f"fails at (x,y)=({g.name(x)}, {g.name(y)})"
+            for x in range(g.order):
+                t = view("C", x)
+                for y, w0y in enumerate(w0x):
+                    mult = table[w0y].get(w0x[x], ZERO)
+                    if t.get(y, ZERO).eval_at_one() != mult.eval_at_one():
+                        return False, f"fails at (x,y)=({g._name(x)}, {g._name(y)})"
             return True, f"{g.order}^2 multiplicities"
 
         def bgg_reciprocity_graded():
             # Verma coefficients of projectives = transposed simple
             # multiplicities of Vermas, as exact Laurent polynomials
             table = verma_in_simples()
-            for a in g.elements():
-                p = self.class_of(a, BasisKind.Projective)
-                for z in g.elements():
-                    u = table[z].get(a, LaurentPoly.zero())
-                    if p.coeff(z) != u:
-                        return False, f"fails at (P_{g.name(a)}, D_{g.name(z)})"
+            for a in range(g.order):
+                p = view("dual_to_bC", a)
+                for z, coords in enumerate(table):
+                    if p.get(z, ZERO) != coords.get(a, ZERO):
+                        return False, f"fails at (P_{g._name(a)}, D_{g._name(z)})"
             return True, f"{g.order}^2 entries"
 
         def positivity():
             # Vermas expanded in simples: nonnegative coefficients, and the
             # off-diagonal terms all sit in strictly shifted degrees (the
             # exponents are strictly negative under v^n [X] = [X<-n>])
-            for x, coords in verma_in_simples().items():
+            for x, coords in enumerate(verma_in_simples()):
                 if coords.get(x) != LaurentPoly.one():
-                    return False, f"diagonal at {g.name(x)} is not 1"
+                    return False, f"diagonal at {g._name(x)} is not 1"
                 for y, p in coords.items():
                     if y == x:
                         continue
-                    if not g.bruhat_leq(y, x):
-                        return False, f"support above Bruhat interval at {g.name(x)}"
+                    if not g._leq_rows[x] >> y & 1:
+                        return False, f"support above Bruhat interval at {g._name(x)}"
                     if any(c <= 0 for _, c in p.items()):
-                        return False, f"negative multiplicity at ({g.name(y)}, {g.name(x)})"
+                        return False, f"negative multiplicity at ({g._name(y)}, {g._name(x)})"
                     if p.max_exp() is not None and p.max_exp() >= 0:
-                        return False, f"unshifted off-diagonal term at ({g.name(y)}, {g.name(x)})"
+                        return False, f"unshifted off-diagonal term at ({g._name(y)}, {g._name(x)})"
             return True, f"{g.order} expansions"
 
         def ringel_dims():
@@ -255,13 +254,12 @@ class K0Block:
             # and the two total sums coincide
             tot_p = 0
             tot_t = 0
-            for x in g.elements():
-                qx = self.class_of(x, BasisKind.Projective)
-                cx = self.class_of(g.multiply(w0, x), BasisKind.Tilting)
-                dp = self.hecke.pairing(qx, qx).eval_at_one()
-                dt = self.hecke.pairing(cx, cx).eval_at_one()
+            for x in range(g.order):
+                qx, cx = view("dual_to_bC", x), view("C", w0x[x])
+                dp = dot(qx, qx).eval_at_one()
+                dt = dot(cx, cx).eval_at_one()
                 if dp != dt:
-                    return False, f"dim End mismatch at {g.name(x)}: {dp} != {dt}"
+                    return False, f"dim End mismatch at {g._name(x)}: {dp} != {dt}"
                 tot_p += dp
                 tot_t += dt
             return tot_p == tot_t, f"sum of End dimensions = {tot_p}"
@@ -366,19 +364,20 @@ class K0Block:
         rep = VerificationReport("k0")
 
         def check():
+            rows = g._leq_rows
             for kind in (BasisKind.Simple, BasisKind.Projective, BasisKind.Tilting,
                          BasisKind.DualVerma):
                 for j in range(g.order):
-                    col = self.class_of(g.element(j), kind)._c
+                    col = self.hecke._view(_VIEW_OF[kind], j)
                     if col.get(j) != LaurentPoly.one():
                         return False, f"{kind.value} diagonal not 1 at {j}"
                     for i in col:
                         # projectives sit above x in the Bruhat order,
                         # every other view sits below
                         if kind is BasisKind.Projective:
-                            ok = g.bruhat_leq(g.element(j), g.element(i))
+                            ok = rows[i] >> j & 1
                         else:
-                            ok = g.bruhat_leq(g.element(i), g.element(j))
+                            ok = rows[j] >> i & 1
                         if not ok:
                             return False, f"{kind.value} not Bruhat-unitriangular"
             return True, "Simple, Projective, Tilting, DualVerma vs Verma"
@@ -391,12 +390,11 @@ class K0Block:
         rep = VerificationReport("k0")
 
         def check():
-            hw0 = self.hecke.std(g.w0)
-            for x in g.elements():
-                lhs = self.hecke_act(hw0, self.class_of(x, BasisKind.Tilting))
-                rhs = self.class_of(g.multiply(g.w0, x), BasisKind.Projective)
-                if lhs != rhs:
-                    return False, f"fails at {g.name(x)}"
+            hw0, view = self.hecke.std(g.w0), self.hecke._view
+            for x, w0x in enumerate(g._w0x):
+                lhs = self.hecke_act(hw0, HeckeElt._wrap(self.hecke, view("C", x)))
+                if lhs._c != view("dual_to_bC", w0x):
+                    return False, f"fails at {g._name(x)}"
             return True, f"H_w0 [T_x] = [P_w0x] for all {g.order} elements"
 
         rep.run("k0.tilting_projective_switch", check)
@@ -439,12 +437,12 @@ class K0Block:
             return True, ""
 
         def projectives_dual_to_simples():
-            for x in g.elements():
-                px = self.class_of(x, BasisKind.Projective)
-                for y in g.elements():
-                    expect = LaurentPoly.one() if x == y else LaurentPoly.zero()
-                    if self.ext_pairing(px, self.class_of(y, BasisKind.Simple)) != expect:
-                        return False, f"<[P],[L]> wrong at ({g.name(x)}, {g.name(y)})"
+            view = self.hecke._view
+            for x in range(g.order):
+                px = view("dual_to_bC", x)
+                for y in range(g.order):
+                    if dot(px, view("Cprime", y)) != (ONE if x == y else ZERO):
+                        return False, f"<[P],[L]> wrong at ({g._name(x)}, {g._name(y)})"
             return True, f"{g.order}^2 pairings"
 
         rep.run("k0.wall_action_on_simples_and_vermas", check)

@@ -12,10 +12,14 @@ sorted by length and are reproducible run to run.  Reduced words are always
 the lexicographically smallest ones, which makes every downstream output
 deterministic.
 
-The Bruhat order keeps no table: x <= y follows the lifting property along
-the reduced word of y, and the covers of y are the y t one shorter than y,
-for the N reflections t (Bjorner-Brenti, Combinatorics of Coxeter Groups,
-Prop. 2.2.7 and sections 2.1-2.2).
+`bruhat_leq` reads no table: x <= y follows the lifting property along the
+reduced word of y, and the covers of y are the y t one shorter than y, for
+the N reflections t (Bjorner-Brenti, Combinatorics of Coxeter Groups,
+Prop. 2.2.7 and sections 2.1-2.2).  Two lazy id tables serve the hecke and
+k0 check loops: w0 x for each x, and the Bruhat row masks, row y the bits
+of {x <= y}, closed downward over the covers, which the weyl suite compares
+with `bruhat_leq`.  The JSON export reads the covers as id pairs and never
+builds the masks, |W|^2/8 bytes: 203 MB at A7.
 
 >>> W = build_group(CartanDatum("A", 2))
 >>> W.order, W.length(W.w0)
@@ -28,9 +32,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 # 8! = |W(A7)|: the group builds in about 0.3 s, and its `weyl --format json`
-# export, 22 MB of covers, takes about 4 s and 160 MB (2-vCPU VM)
+# export, 22 MB of covers, takes about 2.5 s and 120 MB (2-vCPU VM)
 DEFAULT_ENUMERATION_CAP = 40320
 
 _ADMISSIBLE = {
@@ -275,16 +280,45 @@ class WeylGroup:
     def _index_mul(self, i: int, j: int) -> int:
         """x y along the shorter reduced word: y's through _rmult from x, or
         x's reversed through _lmult from y."""
-        words = self._words
         if self._lengths[j] <= self._lengths[i]:
-            word = words[j] if j in words else self.reduced_word(WeylElt(self, j))
-            for a in word:
+            for a in self._word(j):
                 i = self._rmult[i][a - 1]
             return i
-        word = words[i] if i in words else self.reduced_word(WeylElt(self, i))
-        for a in reversed(word):
+        for a in reversed(self._word(i)):
             j = self._lmult[j][a - 1]
         return j
+
+    def _word(self, k: int) -> tuple[int, ...]:
+        """The reduced word of id k, memoized along its left descents."""
+        lengths, lmult, words = self._lengths, self._lmult, self._words
+        missing = []
+        while k not in words:
+            i = min(i for i in range(self.rank) if lengths[lmult[k][i]] < lengths[k])
+            missing.append((k, i))
+            k = lmult[k][i]
+        for k, i in reversed(missing):
+            words[k] = (i + 1,) + words[lmult[k][i]]
+        return words[k]
+
+    @cached_property
+    def _w0x(self) -> list[int]:
+        """w0 x for each id x: w0 (x s) = (w0 x) s, in id order."""
+        rmult, out = self._rmult, [self._w0] + [-1] * (self.order - 1)
+        for x in range(self.order):
+            for i, xs in enumerate(rmult[x]):
+                if out[xs] < 0:
+                    out[xs] = rmult[out[x]][i]
+        return out
+
+    @cached_property
+    def _leq_rows(self) -> list[int]:
+        """Row y, the bitmask of {x : x <= y}: y and the rows of its covers.
+        Covers come ordered by y and sit below it in id order, so each row
+        is final before it is read."""
+        rows = [1 << y for y in range(self.order)]
+        for x, y in self._cover_ids():
+            rows[y] |= rows[x]
+        return rows
 
     def _check_same_group(self, *elts: WeylElt) -> None:
         for x in elts:
@@ -347,15 +381,7 @@ class WeylGroup:
     def reduced_word(self, x: WeylElt) -> tuple[int, ...]:
         """Lexicographically smallest reduced word of x (1-based letters)."""
         self._check_same_group(x)
-        lengths, lmult = self._lengths, self._lmult
-        k, missing = x.idx, []
-        while k not in self._words:
-            i = min(i for i in range(self.rank) if lengths[lmult[k][i]] < lengths[k])
-            missing.append((k, i))
-            k = lmult[k][i]
-        for k, i in reversed(missing):
-            self._words[k] = (i + 1,) + self._words[lmult[k][i]]
-        return self._words[x.idx]
+        return self._word(x.idx)
 
     def element_by_word(self, word: tuple[int, ...] | list[int]) -> WeylElt:
         k = 0
@@ -367,8 +393,11 @@ class WeylGroup:
 
     def name(self, x: WeylElt) -> str:
         """Canonical dot-separated name, 'e' for the identity."""
-        w = self.reduced_word(x)
-        return ".".join(str(i) for i in w) if w else "e"
+        self._check_same_group(x)
+        return self._name(x.idx)
+
+    def _name(self, k: int) -> str:
+        return ".".join(map(str, self._word(k))) or "e"
 
     def parse_word(self, text: str) -> WeylElt:
         """Parse 'e', 'w0', 's' (= s_1) or a dot-separated word like '1.2.1'."""
@@ -405,13 +434,17 @@ class WeylGroup:
 
     def bruhat_covers(self) -> list[tuple[WeylElt, WeylElt]]:
         """All pairs (x, y) with x < y and l(y) = l(x) + 1, ordered by y,
-        then x: x is covered by y iff x = y t for a reflection t with
-        l(x) = l(y) - 1.  The reflections are the simple ones closed under
-        t -> s t s.
+        then x: `_cover_ids` as elements.
 
         >>> len(build_group(CartanDatum("A", 2)).bruhat_covers())
         8
         """
+        return [(WeylElt(self, x), WeylElt(self, y)) for x, y in self._cover_ids()]
+
+    def _cover_ids(self):
+        """The id pairs of `bruhat_covers`, generated: x is covered by y iff
+        x = y t for a reflection t with l(x) = l(y) - 1.  The reflections
+        are the simple ones closed under t -> s t s."""
         rmult, lmult, lengths = self._rmult, self._lmult, self._lengths
         reflections, todo = set(), [rmult[0][i] for i in range(self.rank)]
         while todo:
@@ -419,8 +452,7 @@ class WeylGroup:
             if t not in reflections:
                 reflections.add(t)
                 todo.extend(lmult[rmult[t][i]][i] for i in range(self.rank))
-        words = [[i - 1 for i in self.reduced_word(WeylElt(self, t))] for t in reflections]
-        out = []
+        words = [[i - 1 for i in self._word(t)] for t in reflections]
         for y in range(1, self.order):
             below = []
             for word in words:
@@ -429,15 +461,15 @@ class WeylGroup:
                     k = rmult[k][i]
                 if lengths[k] == lengths[y] - 1:
                     below.append(k)
-            out.extend((WeylElt(self, x), WeylElt(self, y)) for x in sorted(below))
-        return out
+            for x in sorted(below):
+                yield x, y
 
     # -- export ------------------------------------------------------------
 
     def to_json_dict(self) -> dict:
-        names = [self.name(x) for x in self.elements()]
+        names = [self._name(k) for k in range(self.order)]
         lengths = dict(zip(names, self._lengths))
-        covers = sorted([names[a.idx], names[b.idx]] for a, b in self.bruhat_covers())
+        covers = sorted([names[a], names[b]] for a, b in self._cover_ids())
         return {
             "schema": 1,
             "type": self.datum.label,
@@ -510,7 +542,8 @@ def weyl_suite(g: WeylGroup):
     def bruhat_order():
         # rows from bruhat_leq; with length refinement, row y = {y} + the
         # rows of the covers of y makes the order transitive, by induction
-        # on l(y), so the covers are an independent second derivation
+        # on l(y), so the covers are an independent second derivation; the
+        # masks the hecke and k0 checks read must equal both
         elts = g.elements()
         rows = [sum(1 << x.idx for x in elts if g.bruhat_leq(x, y)) for y in elts]
         if any(not (rows[y] >> y) & 1 for y in range(g.order)):
@@ -527,6 +560,8 @@ def weyl_suite(g: WeylGroup):
             closure[y.idx] |= rows[x.idx]
         if closure != rows:
             return False, "not transitive"
+        if any(row != mask for row, mask in zip(rows, g._leq_rows)):
+            return False, "differs from the cached row masks"
         return True, "reflexive, length-refining, transitive"
 
     rep.run("weyl.bruhat_partial_order", bruhat_order)

@@ -261,6 +261,24 @@ def bruhat_rows_by_subwords(W: WeylGroup, ys=None) -> dict[int, int]:
     return rows
 
 
+def bruhat_rows_by_lifting(W: WeylGroup) -> list[int]:
+    """Row y of the Bruhat table for every id y, by the lifting property
+    (Bjorner-Brenti, Combinatorics of Coxeter Groups, Prop. 2.2.7): for a
+    left descent s of y, {x <= y} = {x <= sy} together with s{x <= sy}.
+    Ids are sorted by length, so row sy is done before row y; no covers
+    and no subwords are used."""
+    rows = [1 << W.identity.idx]
+    for y in W.elements()[1:]:
+        s = W.reduced_word(y)[0]
+        below = rows[W.left_multiply_gen(s, y).idx]
+        row = below
+        for x in range(W.order):
+            if below >> x & 1:
+                row |= 1 << W.left_multiply_gen(s, W.element(x)).idx
+        rows.append(row)
+    return rows
+
+
 def _reflect_root(cartan: list[list[int]], i: int, beta: tuple[int, ...]) -> tuple[int, ...]:
     """s_i(beta) = beta - (sum_j beta_j A[i][j]) alpha_i, in simple-root coordinates."""
     pairing = sum(c * a for c, a in zip(beta, cartan[i]))

@@ -105,7 +105,7 @@ def test_weyl_fault_fails_its_check(check, fault, pinned):
     assert failures(g) == {}
 
 
-# -- the hecke and k0 suites on one K0 block ----------------------------------------
+# -- the weyl, hecke and k0 suites on one K0 block ----------------------------------
 
 
 def add_to_built_entry(alg, view, k, j, p):
@@ -145,6 +145,13 @@ def drop_diagonal_coordinate(blk, x):
     return patch.object(blk, "coords_in_basis", faulty)
 
 
+def cleared_mask_bit(g, x, y):
+    """The built Bruhat row mask of y loses the bit of x."""
+    rows = list(g._leq_rows)
+    rows[y] &= ~(1 << x)
+    return patch.object(g, "_leq_rows", rows)
+
+
 UNITRIANGULAR = "exception: ValueError('dual_to_bC element 1 is not unitriangular')"
 
 
@@ -164,7 +171,8 @@ WRONG_D_ROW = {
     "k0.duality_fixes_simples": "dual Verma view inconsistent",
     "k0.duality_intertwines_bar": "duality does not intertwine the bar involution"}
 
-# checks, fault on a built B3 block, pinned {failing check: detail}
+# checks, fault on a built B3 block, pinned {failing check: detail}; the row
+# masks are read by the weyl check that tests them and by the support checks
 HECKE_K0_FAULTS = [
     pytest.param(
         ("hecke.dual_bases_orthonormal", "hecke.hw0_times_C_is_dual_basis",
@@ -196,6 +204,15 @@ HECKE_K0_FAULTS = [
         id="coords_in_basis:[D_1] loses its coordinate at 1"),
     pytest.param(
         tuple(WRONG_D_ROW), wrong_d_row, WRONG_D_ROW, id="d:v^2 at (1.3, e)"),
+    pytest.param(
+        ("weyl.bruhat_partial_order", "hecke.kl_selfdual_and_degree_bounds",
+         "k0.basis_changes_unitriangular", "k0.inverse_kl_positivity"),
+        lambda blk: cleared_mask_bit(blk.group, 0, blk.group.w0.idx),
+        {"weyl.bruhat_partial_order": "differs from the cached row masks",
+         "hecke.kl_selfdual_and_degree_bounds": "C_1.2.1.3.2.1.3.2.3 supported above Bruhat interval",
+         "k0.basis_changes_unitriangular": "Simple not Bruhat-unitriangular",
+         "k0.inverse_kl_positivity": "support above Bruhat interval at 1.2.1.3.2.1.3.2.3"},
+        id="leq_rows:e lost from the row of w0"),
 ]
 
 
@@ -205,7 +222,8 @@ def k0_block():
 
 
 def hecke_k0_failures(blk):
-    return {c.name: c.detail for c in [*blk.hecke.suite().failures(), *blk.suite().failures()]}
+    reports = weyl_suite(blk.group), blk.hecke.suite(), blk.suite()
+    return {c.name: c.detail for rep in reports for c in rep.failures()}
 
 
 @pytest.mark.parametrize("checks,fault,pinned", HECKE_K0_FAULTS)

@@ -14,6 +14,7 @@ from heckeo.weyl import (
 )
 
 from _oracles import (
+    bruhat_rows_by_lifting,
     bruhat_rows_by_subwords,
     compose_signed,
     enumerate_by_signed_perms,
@@ -270,6 +271,28 @@ def test_covers_match_subword_oracle_in_order(label):
         for x in range(g.order)
         if (rows[y] >> x) & 1 and g.length(g.element(y)) == g.length(g.element(x)) + 1
     ]
+
+
+@pytest.mark.parametrize("label", ["A1", "A2", "A3", "A4", "B2", "B3", "C3", "D4", "G2"])
+def test_cached_row_masks_match_subword_and_lifting_oracles(label):
+    g = W(label)
+    subwords = bruhat_rows_by_subwords(g)
+    assert g._leq_rows == [subwords[y] for y in range(g.order)]
+    assert g._leq_rows == bruhat_rows_by_lifting(g)
+
+
+@pytest.mark.parametrize("label", ["A3", "B3", "G2"])
+def test_covers_are_the_id_pairs_as_elements(label):
+    g = W(label)
+    assert [(a.idx, b.idx) for a, b in g.bruhat_covers()] == list(g._cover_ids())
+
+
+def test_json_export_builds_no_row_masks():
+    g = W("B3")
+    g.to_json_dict()
+    assert "_leq_rows" not in vars(g)
+    weyl_suite(g)
+    assert "_leq_rows" in vars(g)
 
 
 def test_bruhat_partial_order_check_passes_and_catches_length_break(monkeypatch):
