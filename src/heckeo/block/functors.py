@@ -16,6 +16,15 @@ over the enveloping quiver of A (x) A^op.  The first solution in a fixed
 deterministic enumeration is frozen; everything downstream must be
 invariant under that choice.
 
+Each block builds an atom image once: pi_star M = M_e depends only on
+dim M_e and pi_pull V = P_e (x) V only on dim V, so `RankOneBlock._images`
+keys them by (atom, dimension) and hits only while `ctx.pe` is the P_e
+object they were built from.  Each solved (co)unit evaluates its component
+once per module object: the Nat's memo keys by id(m), keeps m so that the
+id names no other object, and hits only on that object.  The composites
+behind ev and coev are kept while eps and etap are the objects they were
+composed from, so a replaced Nat or P_e never reads an old entry.
+
 A FunctorComplex is a bounded complex whose entries are direct sums of
 functor words.  Composing two of them and applying one to a complex of
 modules form the same total complex, with one builder: summands paired and
@@ -29,7 +38,6 @@ functor on a map).  Chain complexes of modules live in `algebra`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 
 from . import linalg
 from .algebra import (
@@ -101,19 +109,20 @@ class Functor:
         return f
 
     def _atom_module(self, atom: str, m: Module) -> Module:
+        """M_e, or P_e (x) V: built once per block for each dimension."""
         ctx = self.ctx
+        d = m.dims["e" if atom == PI_STAR else "w"]
+        pe, hit = ctx.pe, ctx._images.get((atom, d))
+        if hit is not None and hit[0] is pe:
+            return hit[1]
         if atom == PI_STAR:
-            return Module(ctx.wall, {"w": m.dims["e"]})
-        d = m.dims["w"]
-        pe = ctx.pe
-        return Module(
-            ctx.algebra,
-            {v: pe.dims[v] * d for v in ctx.algebra.vertices},
-            {
-                label: linalg.kron(pe.act[label], linalg.eye(d))
-                for label, _, _ in ctx.algebra.arrows
-            },
-        )
+            out = Module(ctx.wall, {"w": d})
+        else:
+            out = Module(ctx.algebra, {v: pe.dims[v] * d for v in ctx.algebra.vertices},
+                         {label: linalg.kron(pe.act[label], linalg.eye(d))
+                          for label, _, _ in ctx.algebra.arrows})
+        ctx._images[(atom, d)] = (pe, out)
+        return out
 
     def _atom_map(self, atom: str, f: ModuleMap) -> ModuleMap:
         ctx = self.ctx
@@ -351,6 +360,20 @@ class AppliedComplex:
 # -- the built rank-one context ----------------------------------------------------
 
 
+def _per_module(fn):
+    """fn, evaluated once per module object: the memo holds each module, so
+    its id names no other object while the entry lives."""
+    memo: dict[int, tuple[Module, ModuleMap]] = {}
+
+    def once(m: Module) -> ModuleMap:
+        hit = memo.get(id(m))
+        if hit is None or hit[0] is not m:
+            hit = memo[id(m)] = (m, fn(m))
+        return hit[1]
+
+    return once
+
+
 def _act_by(m: Module, terms: list, src: str, dst: str) -> Mat:
     """The matrix M_src -> M_dst of the sum of c * path over the (c, path) terms."""
     out = linalg.zeros(m.dims[dst], m.dims[src])
@@ -376,6 +399,9 @@ class RankOneBlock:
         self.pi_pull = Functor(self, (PI_PULL,), "wall")
         self.theta = Functor(self, (PI_PULL, PI_STAR), "mod")
         self.regular = direct_sum([cat.modules["P_e"], cat.modules["P_s"]])[0]
+        # (atom, dimension) -> (the P_e it was built from, its image)
+        self._images: dict[tuple[str, int], tuple[Module, Module]] = {}
+        self._composed = None
         self._solve_adjunctions()
 
     # -- the two adjunctions, solved exactly ---------------------------------
@@ -394,7 +420,7 @@ class RankOneBlock:
             mats = {v: linalg.hstack([_act_by(m, ts, "e", v) for ts in terms[v]]) for v in terms}
             return ModuleMap(self.theta.on_module(m), m, mats, check=False)
 
-        return Nat(self.theta, self.id_mod, fn)
+        return Nat(self.theta, self.id_mod, _per_module(fn))
 
     def _etap_from_z(self, z: ModuleMap, a_basis: dict, b_basis: dict) -> Nat:
         """The transformation Id -> theta of a bimodule map z: A -> Ae (x) eA:
@@ -413,7 +439,7 @@ class RankOneBlock:
             mats = {v: linalg.vstack([_act_by(m, ts, v, "e") for ts in terms[v]]) for v in terms}
             return ModuleMap(m, self.theta.on_module(m), mats, check=False)
 
-        return Nat(self.id_mod, self.theta, fn)
+        return Nat(self.id_mod, self.theta, _per_module(fn))
 
     def _wall_nat(self, vec: list, unit: bool) -> Nat:
         """The wall unit V -> W (x) V, v |-> vec (x) v, or the wall counit
@@ -430,7 +456,7 @@ class RankOneBlock:
                 check=False,
             )
 
-        return Nat(src, dst, fn)
+        return Nat(src, dst, _per_module(fn))
 
     def _solve_adjunction(self, left: Functor, right: Functor, basis: list, to_nat,
                           name: str) -> Adjunction:
@@ -528,17 +554,20 @@ class RankOneBlock:
         """coev: M -> Theta! Theta* M, the unit of the composite adjunction."""
         return self._evaluation(m, counit=False)
 
-    @cached_property
     def _composites(self) -> tuple[FunctorComplex, FunctorComplex]:
-        """Theta* Theta! and Theta! Theta*, composed once per block."""
-        star, shriek = self.theta_star(), self.theta_shriek()
-        return star.compose(shriek), shriek.compose(star)
+        """Theta* Theta! and Theta! Theta*, composed once per (eps, etap)."""
+        made = self._composed
+        if made is None or made[0] is not self.eps or made[1] is not self.etap:
+            star, shriek = self.theta_star(), self.theta_shriek()
+            made = self._composed = (self.eps, self.etap,
+                                     star.compose(shriek), shriek.compose(star))
+        return made[2:]
 
     def _evaluation(self, m: Module, counit: bool) -> ChainMap:
         """ev or coev in degree 0, where the composite is theta^2 + Id: on
         theta^2 M the composite (co)unit theta^2 M -> theta M -> M (or back),
         on the identity summand -1."""
-        applied = self._composites[0 if counit else 1].apply(m)
+        applied = self._composites()[0 if counit else 1].apply(m)
         wall = self.pi_star.on_module(m)
         if counit:
             bar = self.eps.at(m) @ self.pi_pull.on_map(self.epsp.at(wall))

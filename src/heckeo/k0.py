@@ -291,25 +291,25 @@ class K0Block:
             for i in range(1, g.rank + 1):
                 hs = self.hecke.gen(i)
                 for X in vermas:
-                    theta = self.wall_crossing(i, X, "theta")
-                    if self.hecke_act(hs, X) != theta - X * v:
+                    theta, act = self.wall_crossing(i, X, "theta"), self.hecke_act(hs, X)
+                    if act != theta - X * v:
                         return False, f"H_s vs theta_s mismatch at s_{i}"
-                    if self.wall_crossing(i, X, "pi_star_pi") != theta * LaurentPoly({-1: 1}):
+                    star = self.wall_crossing(i, X, "pi_star_pi")
+                    if star != theta * LaurentPoly({-1: 1}):
                         return False, "pi* pi_* shift bookkeeping broken"
                     if self.wall_crossing(i, X, "pi_shriek_pi") != theta * v:
                         return False, "pi! pi_* shift bookkeeping broken"
-                    lhs = self.hecke_act(hs, X)
-                    rhs = (self.wall_crossing(i, X, "pi_star_pi") - X) * v
-                    if lhs != rhs:
+                    if act != (star - X) * v:
                         return False, f"(pi*pi - id) route fails at s_{i}"
             return True, "theta, pi*pi and pi!pi routes agree with the Hecke action"
 
         def wall_quadratic():
             # the quadratic relation rederived purely from wall crossing
             for i in range(1, g.rank + 1):
+                hs = lambda Y: self.wall_crossing(i, Y, "theta") - Y * v
                 for X in vermas:
-                    hs = lambda Y: self.wall_crossing(i, Y, "theta") - Y * v
-                    if hs(hs(X)) != X + hs(X) * LaurentPoly({-1: 1, 1: -1}):
+                    once = hs(X)
+                    if hs(once) != X + once * LaurentPoly({-1: 1, 1: -1}):
                         return False, f"wall-crossing quadratic fails at s_{i}"
             return True, ""
 

@@ -457,6 +457,69 @@ def test_ev_coev_compose_the_two_composites_once(monkeypatch):
     assert len(calls) <= 2
 
 
+def _recorded_block(monkeypatch):
+    """A fresh block, with every atom image its functors return and every
+    evaluation of a memoized (co)unit recorded as (memo, module, component)."""
+    from heckeo.block import functors
+
+    images, evaluations = [], []
+    atom_module, per_module = functors.Functor._atom_module, functors._per_module
+
+    def recorded_image(self, atom, m):
+        out = atom_module(self, atom, m)
+        images.append((atom, out))
+        return out
+
+    def recorded(fn):
+        def evaluate(m):
+            out = fn(m)
+            evaluations.append((evaluate, m, out))
+            return out
+        return per_module(evaluate)
+
+    monkeypatch.setattr(functors.Functor, "_atom_module", recorded_image)
+    monkeypatch.setattr(functors, "_per_module", recorded)
+    return build_rank_one(), images, evaluations
+
+
+def test_block_checks_build_each_image_and_component_once(monkeypatch):
+    fresh, images, evaluations = _recorded_block(monkeypatch)
+    assert suite(fresh, "all").passed
+    # one image object for each atom and dimension
+    by_key = {}
+    for atom, out in images:
+        by_key.setdefault((atom, out.dimension_vector()), set()).add(id(out))
+    assert all(len(ids) == 1 for ids in by_key.values()), by_key
+    assert len(images) > 10 * len(by_key)
+    # each memoized (co)unit evaluated at most once on each module object; the
+    # record holds every module, so no two of them share an id
+    seen = [(id(memo), id(m)) for memo, m, _ in evaluations]
+    assert len(seen) == len(set(seen))
+    walls = [fresh.pi_star.on_module(m) for m in fresh.catalog.modules.values()]
+    for nat, objects in ((fresh.eps, fresh.catalog.modules.values()),
+                         (fresh.etap, fresh.catalog.modules.values()),
+                         (fresh.eta, walls), (fresh.epsp, walls)):
+        assert all(nat.at(m) is nat.at(m) for m in objects)
+
+
+def test_block_checks_leave_memoized_images_and_components_unchanged(monkeypatch):
+    fresh, _, evaluations = _recorded_block(monkeypatch)
+    assert suite(fresh, "all").passed
+    images = [(out, _module_data(out)) for _, out in fresh._images.values()]
+    components = [(out, _map_data(out)) for _, _, out in evaluations]
+    assert suite(fresh, "all").passed
+    assert all(_module_data(out) == data for out, data in images)
+    assert all(_map_data(out) == data for out, data in components)
+
+
+def test_each_sub_suite_on_a_fresh_block_matches_the_full_suite(ctx):
+    suite(ctx, "all")
+    warm = {c.name: (c.passed, c.detail) for c in suite(ctx, "all").checks}
+    for which in ("catalog", "adjunctions", "equivalence", "tilting"):
+        rows = [(c.name, c.passed, c.detail) for c in suite(build_rank_one(), which).checks]
+        assert rows and rows == [(name, *warm[name]) for name, _, _ in rows], which
+
+
 def _exact(m):
     """A matrix's shape and entries, each with its type."""
     return m.nrows, m.ncols, [[(type(x), x) for x in row] for row in m.rows]

@@ -9,6 +9,7 @@ be exactly the pinned ones; after it, the suite passes again.
 
 import json
 from contextlib import contextmanager
+from dataclasses import replace
 from unittest.mock import patch
 
 import pytest
@@ -300,6 +301,38 @@ def zero_shriek_unit(ctx):
     return patch.object(ctx, "theta_shriek", faulty)
 
 
+@contextmanager
+def doubled(ctx, attr, adj, role):
+    """ctx.<attr> is doubled, and so is the <role> of ctx.<adj>, the same Nat."""
+    nat = getattr(ctx, attr)
+    twice = Nat(nat.src, nat.dst, lambda m: nat.at(m).scale(2))
+    with patch.object(ctx, attr, twice), \
+            patch.object(ctx, adj, replace(getattr(ctx, adj), **{role: twice})):
+        yield
+
+
+# a doubled (co)unit breaks its triangle identities, the transposes across its
+# adjunction, and the composite (co)evaluation whose chain-map condition is
+# that triangle
+TRIANGLES = "both adjunctions, on catalog modules, the regular module and walls"
+DOUBLED_COUNIT = {
+    "block.triangle_identities": TRIANGLES,
+    "block.transpose_laws": "transpose of the identity is not the identity",
+    "block.derived_equivalence_ev_coev": "coev is not a chain map on Delta_e"}
+DOUBLED_UNIT = {
+    "block.triangle_identities": TRIANGLES,
+    "block.transpose_laws": "right transpose does not invert the transpose",
+    "block.derived_equivalence_ev_coev": "ev is not a chain map on Delta_e"}
+
+
+def doubled_counit(ctx):
+    return doubled(ctx, "eps", "adj1", "counit")
+
+
+def doubled_unit(ctx):
+    return doubled(ctx, "etap", "adj2", "unit")
+
+
 # check, fault on the built block, pinned {failing check: detail}
 BLOCK_FAULTS = [
     pytest.param(
@@ -314,6 +347,12 @@ BLOCK_FAULTS = [
             "Theta^shriek(Delta_e): {-1: {'L_e': 1}, 0: {'P_e': 1}} != {0: {'nabla_s': 1}}",
          "block.concentration_on_flagged": "Theta! not concentrated on Delta_e"},
         id="theta_homology_table:the unit of Theta! is zero"),
+    pytest.param(
+        "block.triangle_identities", doubled_counit, DOUBLED_COUNIT,
+        id="triangle_identities:the counit of pi_pull -| pi_star is doubled"),
+    pytest.param(
+        "block.triangle_identities", doubled_unit, DOUBLED_UNIT,
+        id="triangle_identities:the unit of pi_star -| pi_pull is doubled"),
 ]
 
 
@@ -333,3 +372,15 @@ def test_block_fault_fails_its_check(block, check, fault, pinned):
         assert check in pinned
         assert block_failures(block) == pinned
     assert block_failures(block) == {}
+
+
+@pytest.mark.parametrize("fault,pinned", [
+    pytest.param(doubled_counit, DOUBLED_COUNIT, id="counit of pi_pull -| pi_star"),
+    pytest.param(doubled_unit, DOUBLED_UNIT, id="unit of pi_star -| pi_pull"),
+])
+def test_a_doubled_unit_or_counit_fails_the_same_checks_on_a_fresh_block(fault, pinned):
+    # no image, component or composite a clean run memoized is read once the
+    # Nat it came from is replaced
+    ctx = build_rank_one()
+    with fault(ctx):
+        assert block_failures(ctx) == pinned
