@@ -138,12 +138,18 @@ class K0Block:
         raises ValueError there on one that is not unitriangular."""
         kind = BasisKind.coerce(basis)
         self.hecke.check_own(X)
-        g = self.group
         if kind is BasisKind.Verma:
             return X.coeffs()
+        g = self.group
+        return {g.element(i): s for i, s in self._coords(X._c, kind).items()}
+
+    def _coords(self, coeffs: dict[int, LaurentPoly], kind: BasisKind) -> dict[int, LaurentPoly]:
+        """`coords_in_basis` on id-keyed Verma coordinates, for a non-Verma
+        basis: id -> coordinate, in id order."""
+        g = self.group
         # projectives have their Verma flags above x, the other views below
         upward = kind is BasisKind.Projective
-        left = dict(X._c)
+        left = dict(coeffs)
         out: dict[int, LaurentPoly] = {}
         for j in range(g.order) if upward else range(g.order - 1, -1, -1):
             c = left.get(j)
@@ -151,7 +157,7 @@ class K0Block:
                 continue
             accumulate(left, self.hecke._view(_VIEW_OF[kind], j).items(), -c)
             out[j] = c
-        return {g.element(i): s for i, s in sorted(out.items())}
+        return dict(sorted(out.items()))
 
     # -- verifiers ------------------------------------------------------------
 
@@ -183,11 +189,7 @@ class K0Block:
         def verma_in_simples():
             """Simple-basis coordinates of every Verma class by id, computed
             once, inside whichever check reads them first."""
-            return [
-                {y.idx: p for y, p in self.coords_in_basis(
-                    HeckeElt._wrap(self.hecke, {z: ONE}), BasisKind.Simple).items()}
-                for z in range(g.order)
-            ]
+            return [self._coords({z: ONE}, BasisKind.Simple) for z in range(g.order)]
 
         def weyl_character():
             lw0 = view("Cprime", g._w0)

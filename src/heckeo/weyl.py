@@ -13,13 +13,14 @@ the lexicographically smallest ones, which makes every downstream output
 deterministic.
 
 `bruhat_leq` reads no table: x <= y follows the lifting property along the
-reduced word of y, and the covers of y are the y t one shorter than y, for
-the N reflections t (Bjorner-Brenti, Combinatorics of Coxeter Groups,
-Prop. 2.2.7 and sections 2.1-2.2).  Two lazy id tables serve the hecke and
-k0 check loops: w0 x for each x, and the Bruhat row masks, row y the bits
-of {x <= y}, closed downward over the covers, which the weyl suite compares
-with `bruhat_leq`.  The JSON export reads the covers as id pairs and never
-builds the masks, |W|^2/8 bytes: 203 MB at A7.
+reduced word of y (Bjorner-Brenti, Combinatorics of Coxeter Groups, Prop.
+2.2.7), and so do the covers: for the smallest left descent s of y, the
+lower covers of y are sy and the sz > z for the lower covers z of sy.
+Names are memoized strings, name(y) = "s.name(sy)".  Two lazy id tables
+serve the hecke and k0 check loops: w0 x for each x, and the Bruhat row
+masks, row y the bits of {x <= y}, closed downward over the covers, which
+the weyl suite compares with `bruhat_leq`.  The JSON export never builds
+the masks, |W|^2/8 bytes: 203 MB at A7.
 
 >>> W = build_group(CartanDatum("A", 2))
 >>> W.order, W.length(W.w0)
@@ -34,8 +35,8 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 
-# 8! = |W(A7)|: the group builds in about 0.3 s, and its `weyl --format json`
-# export, 22 MB of covers, takes about 2.5 s and 120 MB (2-vCPU VM)
+# 8! = |W(A7)|: the group builds in about 0.2 s, and its `weyl --format json`
+# export, 22 MB of covers, takes about 1.0 s and 116 MB (2-vCPU VM)
 DEFAULT_ENUMERATION_CAP = 40320
 
 _ADMISSIBLE = {
@@ -76,7 +77,7 @@ class CartanDatum:
     rank: int
 
     def __post_init__(self):
-        if self.letter not in _ADMISSIBLE or not isinstance(self.rank, int):
+        if self.letter not in _ADMISSIBLE or type(self.rank) is not int:
             raise InadmissibleDatum(f"inadmissible Cartan datum: {self.letter}{self.rank}")
         if not _ADMISSIBLE[self.letter](self.rank):
             raise InadmissibleDatum(f"inadmissible Cartan datum: {self.letter}{self.rank}")
@@ -211,18 +212,23 @@ class WeylGroup:
         # Coxeter Groups, sections 1.6-1.7 and 5.4).  |lam_j| is the height
         # of a coroot, at most N, so lam is packed into one int, digit j of
         # w bits holding lam_j + N + 1; alpha_i is column i of the matrix.
+        # Ascents only: a descent x s_i < x is set when x s_i ascends to x.
         w = (2 * npos + 1).bit_length()
         mask, zero = (1 << w) - 1, sum((npos + 1) << (w * j) for j in range(n))
         gens = [(w * i, sum(cartan[j][i] << (w * j) for j in range(n))) for i in range(n)]
         rho = zero + sum(1 << (w * j) for j in range(n))
         keys, index, lengths = [rho], {rho: 0}, [0]
         parents: list[tuple[int, int]] = [(0, -1)]
-        rmult: list[list[int]] = []
+        rmult: list[list[int]] = [[-1] * n]
         for head, lam in enumerate(keys):
-            row = []
+            row = rmult[head]
             level = lengths[head]
             for i, (shift, alpha) in enumerate(gens):
                 c = (lam >> shift & mask) - npos - 1
+                if c <= 0:
+                    if row[i] < 0:
+                        raise WeylError("a descent x s_i < x was never met as an ascent")
+                    continue
                 new = lam - c * alpha
                 j = index.get(new)
                 if j is None:
@@ -235,10 +241,12 @@ class WeylGroup:
                     keys.append(new)
                     lengths.append(level + 1)
                     parents.append((head, i))
-                if lengths[j] - level != (1 if c > 0 else -1):
-                    raise WeylError("an edge x -> x s_i does not change l(x) by the sign of lam_i")
-                row.append(j)
-            rmult.append(row)
+                    rmult.append([-1] * n)
+                elif lengths[j] != level + 1:
+                    raise WeylError("an ascent x -> x s_i does not add one to l(x)")
+                if row[i] >= 0 or rmult[j][i] >= 0:
+                    raise WeylError("an edge x -> x s_i is set twice")
+                row[i], rmult[j][i] = j, head
 
         self._lengths = lengths
         self._rmult = rmult
@@ -274,6 +282,7 @@ class WeylGroup:
                 raise WeylError("length duality l(w0 x) = l(w0) - l(x) failed")
 
         self._words: dict[int, tuple[int, ...]] = {0: ()}
+        self._names: list[str | None] = ["e"] + [None] * (self.order - 1)
 
     # -- internal helpers ----------------------------------------------
 
@@ -288,12 +297,18 @@ class WeylGroup:
             j = self._lmult[j][a - 1]
         return j
 
+    def _first(self, k: int) -> int:
+        """The smallest left descent of an id k > 0 (ids sort by length)."""
+        for i, sk in enumerate(self._lmult[k]):
+            if sk < k:
+                return i
+
     def _word(self, k: int) -> tuple[int, ...]:
         """The reduced word of id k, memoized along its left descents."""
-        lengths, lmult, words = self._lengths, self._lmult, self._words
+        lmult, words = self._lmult, self._words
         missing = []
         while k not in words:
-            i = min(i for i in range(self.rank) if lengths[lmult[k][i]] < lengths[k])
+            i = self._first(k)
             missing.append((k, i))
             k = lmult[k][i]
         for k, i in reversed(missing):
@@ -397,7 +412,13 @@ class WeylGroup:
         return self._name(x.idx)
 
     def _name(self, k: int) -> str:
-        return ".".join(map(str, self._word(k))) or "e"
+        """name(k) = "s.name(s k)" for s = `_first(k)`, memoized."""
+        name = self._names[k]
+        if name is None:
+            s = self._first(k)
+            sk = self._lmult[k][s]
+            name = self._names[k] = f"{s + 1}.{self._name(sk)}" if sk else str(s + 1)
+        return name
 
     def parse_word(self, text: str) -> WeylElt:
         """Parse 'e', 'w0', 's' (= s_1) or a dot-separated word like '1.2.1'."""
@@ -442,41 +463,45 @@ class WeylGroup:
         return [(WeylElt(self, x), WeylElt(self, y)) for x, y in self._cover_ids()]
 
     def _cover_ids(self):
-        """The id pairs of `bruhat_covers`, generated: x is covered by y iff
-        x = y t for a reflection t with l(x) = l(y) - 1.  The reflections
-        are the simple ones closed under t -> s t s."""
-        rmult, lmult, lengths = self._rmult, self._lmult, self._lengths
-        reflections, todo = set(), [rmult[0][i] for i in range(self.rank)]
-        while todo:
-            t = todo.pop()
-            if t not in reflections:
-                reflections.add(t)
-                todo.extend(lmult[rmult[t][i]][i] for i in range(self.rank))
-        words = [[i - 1 for i in self._word(t)] for t in reflections]
+        """The id pairs of `bruhat_covers`, generated from `_lower_covers`."""
+        return ((x, y) for y, below in enumerate(self._lower_covers()) for x in below)
+
+    def _lower_covers(self) -> list[list[int]]:
+        """The sorted lower covers of each id y: for s = `_first(y)`, sy and
+        the sz > z for the lower covers z of sy.  By lifting, a cover x != sy
+        has sx < x (else x <= sy, so x = sy), and sx is a lower cover of sy."""
+        lmult, out = self._lmult, [[]]
         for y in range(1, self.order):
-            below = []
-            for word in words:
-                k = y
-                for i in word:
-                    k = rmult[k][i]
-                if lengths[k] == lengths[y] - 1:
-                    below.append(k)
-            for x in sorted(below):
-                yield x, y
+            s = self._first(y)
+            sy = lmult[y][s]
+            out.append(sorted([sy] + [sz for z in out[sy] if (sz := lmult[z][s]) > z]))
+        return out
 
     # -- export ------------------------------------------------------------
 
     def to_json_dict(self) -> dict:
         names = [self._name(k) for k in range(self.order)]
-        lengths = dict(zip(names, self._lengths))
-        covers = sorted([names[a], names[b]] for a, b in self._cover_ids())
+        by_name = sorted(range(self.order), key=names.__getitem__)
+        # covers in name-pair order: each x in name order with its upper
+        # covers, gathered in name order; each list is dropped once read,
+        # which keeps the A7 peak at 116 MB rather than 120 MB
+        above = [[] for _ in range(self.order)]
+        lower = self._lower_covers()
+        for y in by_name:
+            for x in lower[y]:
+                above[x].append(y)
+            lower[y] = None
+        covers = []
+        for x in by_name:
+            covers += [[names[x], names[y]] for y in above[x]]
+            above[x] = None
         return {
             "schema": 1,
             "type": self.datum.label,
             "order": self.order,
             "positive_roots": self.n_positive_roots,
             "longest": names[self._w0],
-            "lengths": lengths,
+            "lengths": dict(zip(names, self._lengths)),
             "covers": covers,
         }
 
@@ -542,8 +567,8 @@ def weyl_suite(g: WeylGroup):
     def bruhat_order():
         # rows from bruhat_leq; with length refinement, row y = {y} + the
         # rows of the covers of y makes the order transitive, by induction
-        # on l(y), so the covers are an independent second derivation; the
-        # masks the hecke and k0 checks read must equal both
+        # on l(y).  The covers follow their own lifting recursion, a second
+        # derivation; the masks the hecke and k0 checks read must equal both
         elts = g.elements()
         rows = [sum(1 << x.idx for x in elts if g.bruhat_leq(x, y)) for y in elts]
         if any(not (rows[y] >> y) & 1 for y in range(g.order)):

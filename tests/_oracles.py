@@ -2,7 +2,8 @@
 
 Everything in here deliberately avoids the production code paths it is used
 to check: Laurent polynomials are exponent -> coefficient dicts, Bruhat
-order comes from the subword property, orders come from closed formulas,
+order comes from the subword property and its covers from their
+definition by reflections, orders come from closed formulas,
 Hecke products are re-derived by right multiplication
 along reduced words, basis coordinates and dual bases come from a
 whole-matrix inversion, the tables and products of a Weyl group come from
@@ -277,6 +278,26 @@ def bruhat_rows_by_lifting(W: WeylGroup) -> list[int]:
                 row |= 1 << W.left_multiply_gen(s, W.element(x)).idx
         rows.append(row)
     return rows
+
+
+def covers_by_reflections(W: WeylGroup) -> list[tuple[int, int]]:
+    """The Bruhat covers as id pairs (x, y), ordered by y, then x, by their
+    definition: x = y t for a reflection t with l(x) = l(y) - 1
+    (Bjorner-Brenti, sections 2.1-2.2).  The reflections are the simple
+    ones closed under t -> s t s; no descent and no lifting is used."""
+    simples = [W.simple(i) for i in range(1, W.rank + 1)]
+    reflections, todo = set(), list(simples)
+    while todo:
+        t = todo.pop()
+        if t not in reflections:
+            reflections.add(t)
+            todo.extend(W.multiply(W.multiply(s, t), s) for s in simples)
+    covers = []
+    for y in W.elements():
+        below = [x.idx for x in (W.multiply(y, t) for t in reflections)
+                 if W.length(x) == W.length(y) - 1]
+        covers += [(x, y.idx) for x in sorted(below)]
+    return covers
 
 
 def _reflect_root(cartan: list[list[int]], i: int, beta: tuple[int, ...]) -> tuple[int, ...]:

@@ -17,6 +17,7 @@ from _oracles import (
     bruhat_rows_by_lifting,
     bruhat_rows_by_subwords,
     compose_signed,
+    covers_by_reflections,
     enumerate_by_signed_perms,
     lengths_by_inversions,
     lmult_by_compose,
@@ -29,10 +30,11 @@ def W(label):
 
 # -- datum admissibility ----------------------------------------------------
 
-@pytest.mark.parametrize("bad", ["E6", "G3", "F3", "D3", "B1", "C1", "A0", "H2", "X"])
+@pytest.mark.parametrize("bad", ["E6", "G3", "F3", "D3", "B1", "C1", "A0", "H2", "X",
+                                 pytest.param(("A", True), id="A-bool")])
 def test_inadmissible_data(bad):
     with pytest.raises(InadmissibleDatum):
-        CartanDatum.parse(bad)
+        CartanDatum(*bad) if isinstance(bad, tuple) else CartanDatum.parse(bad)
 
 
 def test_cap():
@@ -279,6 +281,22 @@ def test_cached_row_masks_match_subword_and_lifting_oracles(label):
     subwords = bruhat_rows_by_subwords(g)
     assert g._leq_rows == [subwords[y] for y in range(g.order)]
     assert g._leq_rows == bruhat_rows_by_lifting(g)
+
+
+@pytest.mark.parametrize("label", ["A1", "A2", "A3", "A4", "A5", "B2", "B3", "B4", "B5",
+                                   "C3", "C4", "D4", "D5", "F4", "G2"])
+def test_covers_match_reflection_oracle_in_order(label):
+    g = W(label)
+    assert list(g._cover_ids()) == covers_by_reflections(g)
+
+
+@pytest.mark.parametrize("label", ["F4", "B4"])
+def test_names_from_a_cold_memo_match_reduced_words(label):
+    # longest first, so each name recurses down to the identity
+    g = W(label)
+    names = {x: g.name(x) for x in reversed(g.elements())}
+    for x in g.elements():
+        assert names[x] == (".".join(map(str, g.reduced_word(x))) or "e")
 
 
 @pytest.mark.parametrize("label", ["A3", "B3", "G2"])
