@@ -11,7 +11,7 @@ Grothendieck-group model for the rank-one Weyl group.
 from __future__ import annotations
 
 from ..report import VerificationReport
-from .algebra import Module, hom_dim
+from .algebra import hom_dim
 from .catalog import CATALOG_NAMES
 from .functors import RankOneBlock, identity_nat, right_transpose, transpose
 
@@ -48,10 +48,6 @@ def _test_modules(ctx: RankOneBlock):
     return mods + [ctx.regular, ctx.theta.on_module(ctx.regular)]
 
 
-def _test_walls(ctx: RankOneBlock):
-    return [Module(ctx.wall, {"w": d}) for d in (1, 2, 3)]
-
-
 def verify_catalog(ctx: RankOneBlock) -> VerificationReport:
     cat = ctx.catalog
     rep = VerificationReport("block")
@@ -84,7 +80,7 @@ def verify_catalog(ctx: RankOneBlock) -> VerificationReport:
 def verify_adjunctions(ctx: RankOneBlock) -> VerificationReport:
     rep = VerificationReport("block")
     mods = _test_modules(ctx)
-    walls = _test_walls(ctx)
+    walls = ctx._walls
     cat = ctx.catalog
 
     rep.run(

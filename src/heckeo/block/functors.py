@@ -399,6 +399,9 @@ class RankOneBlock:
         self.pi_pull = Functor(self, (PI_PULL,), "wall")
         self.theta = Functor(self, (PI_PULL, PI_STAR), "mod")
         self.regular = direct_sum([cat.modules["P_e"], cat.modules["P_s"]])[0]
+        # the wall test objects, built once: the (co)unit memos hold each
+        # module they are evaluated on
+        self._walls = [Module(self.wall, {"w": d}) for d in (1, 2, 3)]
         # (atom, dimension) -> (the P_e it was built from, its image)
         self._images: dict[tuple[str, int], tuple[Module, Module]] = {}
         self._composed = None
@@ -467,9 +470,9 @@ class RankOneBlock:
         cat = self.catalog
         unit_on_wall = left.src_kind == "wall"
         w_dim = self.pe.dims["e"]
-        line = Module(self.wall, {"w": 1})
+        line = self._walls[0]
         tests = [self.regular] + [cat.modules[n] for n in ("P_e", "Delta_s", "nabla_s", "L_e", "L_s")]
-        tests += [line, Module(self.wall, {"w": 2})]
+        tests += self._walls[:2]
 
         def adjunction(block: Nat, vec: list) -> Adjunction:
             wall = self._wall_nat(vec, unit_on_wall)

@@ -81,6 +81,9 @@ def load_config() -> dict:
             out["table_width"] = int(cfg["table_width"])
         except ValueError:
             raise UsageError("config error: table_width must be an integer")
+        if out["table_width"] <= 0:
+            raise UsageError("config error: table_width must be positive, "
+                             f"got {out['table_width']}")
     return out
 
 
@@ -204,11 +207,15 @@ def _parser(cfg: dict) -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="heckeo", description=__doc__.splitlines()[0])
     sub = top.add_subparsers(dest="command", required=True)
 
-    def common(p, formats=("json", "table"), cap=DEFAULT_ENUMERATION_CAP):
+    def common(p, formats=("json", "table"), cap=DEFAULT_ENUMERATION_CAP, timings=False):
+        """--format, plus --cap and --timings for the commands that read them
+        (cap=None: no enumeration)."""
         p.add_argument("--format", choices=formats, default=default_format
                        if default_format in formats else formats[-1])
-        p.add_argument("--cap", type=int, default=cfg.get("cap", cap))
-        p.add_argument("--timings", action="store_true")
+        if cap is not None:
+            p.add_argument("--cap", type=int, default=cfg.get("cap", cap))
+        if timings:
+            p.add_argument("--timings", action="store_true")
 
     p = sub.add_parser("weyl", help="group info / JSON export")
     p.add_argument("--type", required=True)
@@ -235,7 +242,7 @@ def _parser(cfg: dict) -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run verification suites for a type")
     p.add_argument("--type", required=True)
     p.add_argument("--suite", choices=("weyl", "hecke", "k0", "all"), default="all")
-    common(p, formats=FORMATS, cap=VERIFY_CAP)
+    common(p, formats=FORMATS, cap=VERIFY_CAP, timings=True)
     p.set_defaults(fn=_cmd_verify)
 
     p = sub.add_parser("block-check", help="rank-one categorical suites")
@@ -244,7 +251,7 @@ def _parser(cfg: dict) -> argparse.ArgumentParser:
         choices=("all", "catalog", "adjunctions", "equivalence", "tilting"),
         default="all",
     )
-    common(p, formats=FORMATS)
+    common(p, formats=FORMATS, cap=None, timings=True)
     p.set_defaults(fn=_cmd_block_check)
     return top
 

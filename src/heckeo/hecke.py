@@ -16,9 +16,9 @@ dual to {C'_y} as row x of the inverse C' matrix.  C'_x and Q_x dual to
 {C_y} are b of C_x and of Q_x dual to {C'_y}, as <b(a), b(c)> = b(<a, c>).
 `_view` checks each built element once for a unit diagonal and no entry on
 the wrong side in id order; b keeps both, so twisted views need no check.
-bar(H_x) is the d row itself.  The bar of a view row is memoized under the
-row object, which `_view` registers, and a hit stands only while each d row
-it read is still the one in the d view; the solver's C_x obeys the same rule.
+bar(H_x) is the d row itself.  Results derived from view rows (the bar of a
+row; H_w0 C_x = Q_{w0 x} and <Q_x, C'_y> = delta, shared by the hecke and k0
+suites) are kept with the rows read and reused while each is still in place.
 
 Every product comes down to one left action on coefficient dicts,
 
@@ -41,6 +41,7 @@ The two must agree exactly; `verify_kl_oracle` checks that.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from operator import is_
 from typing import Iterable
 
@@ -195,14 +196,13 @@ class HeckeAlgebra:
     def __init__(self, group: WeylGroup):
         self.group = group
         self._views: dict[str, dict[int, dict[int, LaurentPoly]]] = {name: {} for name in VIEWS}
-        # x -> (C_x by the solver, the d rows it read)
-        self._kl_solved: dict[int, tuple[dict[int, LaurentPoly], list]] = {}
         self._interned: dict[LaurentPoly, LaurentPoly] = {}
         self._twisted: dict[LaurentPoly, LaurentPoly] = {}
         self._barred: dict[LaurentPoly, LaurentPoly] = {}
-        # id(view row) -> (row, its bar or None, the d rows that bar read);
-        # holding the row keeps its id from naming any other dict
-        self._bars: dict[int, tuple] = {}
+        # id(view row) -> (view, id) where `_view` built it
+        self._placed: dict[int, tuple[str, int]] = {}
+        # key -> ((view, ids, rows) for each view read, the result derived)
+        self._derived: dict[tuple, tuple[list, object]] = {}
 
     # -- constructors ----------------------------------------------------
 
@@ -280,28 +280,27 @@ class HeckeAlgebra:
 
     def bar(self, h: HeckeElt) -> HeckeElt:
         """The ring involution d: sum_k bar(h_k) d(H_k).  d(H_x) is the d row
-        itself, and the bar of a view row is memoized while the d rows it
-        read are still in place."""
+        itself, and the bar of a view row in place is derived once."""
         self.check_own(h)
         c = h._c
         if len(c) == 1:
             (k, p), = c.items()
             if p == ONE:
                 return HeckeElt._wrap(self, self._view("d", k))
-        memo = self._bars.get(id(c))
-        if memo is not None and memo[1] is not None and self._unchanged(c, memo[2]):
-            return HeckeElt._wrap(self, memo[1])
+        place = self._placed.get(id(c))
+        if place is None or self._views[place[0]].get(place[1]) is not c:
+            return HeckeElt._wrap(self, self._bar(c, [self._view("d", k) for k in c]))
+        places = [(place[0], place[1:]), ("d", c)]
+        out = self._derive(("bar", *place), places, lambda _, rows: self._bar(c, rows))
+        return HeckeElt._wrap(self, out)
+
+    def _bar(self, c: dict[int, LaurentPoly], rows: list) -> dict[int, LaurentPoly]:
+        """sum_k bar(c_k) d(H_k), the d(H_k) given as rows in the order of c.
+        A self-dual c (C_x, C'_x) is kept as its own bar."""
         out: dict[int, LaurentPoly] = {}
-        rows = [self._view("d", k) for k in c]
         for row, p in zip(rows, c.values()):
             accumulate(out, row.items(), self._bar_coeff(p))
-        if memo is not None:
-            # a self-dual row (C_x, C'_x) is kept as its own bar
-            self._intern(out)
-            if out == c:
-                out = c
-            self._bars[id(c)] = (c, out, rows)
-        return HeckeElt._wrap(self, out)
+        return c if out == c else out
 
     def _bar_coeff(self, p: LaurentPoly) -> LaurentPoly:
         """bar(p), computed once per distinct coefficient per algebra."""
@@ -309,10 +308,6 @@ class HeckeAlgebra:
         if q is None:
             q = self._barred[p] = p.bar()
         return q
-
-    def _unchanged(self, coeffs: dict[int, LaurentPoly], rows: list) -> bool:
-        """Whether the d row at each key of `coeffs` is still the one read."""
-        return all(map(is_, rows, map(self._views["d"].get, coeffs)))
 
     def b_twist(self, h: HeckeElt) -> HeckeElt:
         """The ring involution b: v -> -v^-1 on coefficients, H_x fixed.
@@ -363,8 +358,20 @@ class HeckeAlgebra:
                     raise ValueError(f"{name} element {k} is not unitriangular")
                 self._intern(got)
             memo[k] = got
-            self._bars[id(got)] = (got, None, None)
+            self._placed[id(got)] = (name, k)
         return got
+
+    def _derive(self, key: tuple, places: list, derive):
+        """derive(rows, ...), one list of rows per (view, ids) pair of `places`:
+        kept under `key`, and reused while each row is still the one in place."""
+        hit = self._derived.get(key)
+        if hit is not None and all(all(map(is_, rows, map(self._views[name].get, ids)))
+                                   for name, ids, rows in hit[0]):
+            return hit[1]
+        reads = [(name, ids, [self._view(name, k) for k in ids]) for name, ids in places]
+        out = derive(*(rows for _, _, rows in reads))
+        self._derived[key] = (reads, out)
+        return out
 
     def _intern(self, coeffs: dict[int, LaurentPoly]) -> None:
         """Replace each coefficient by the algebra's shared equal value."""
@@ -426,18 +433,12 @@ class HeckeAlgebra:
         by a unique correction in vZ[v].  Never touches the C_s-product
         recursion.
         """
-        h_x = self.std(x)
-        got = self._kl_solved.get(x.idx)
-        if got is not None and self._unchanged(*got):
-            return HeckeElt._wrap(self, got[0])
         g = self.group
         f = {x.idx: LaurentPoly.one()}
-        defect = accumulate(dict(self.bar(h_x)._c), f.items(), -1)
-        order = sorted(
-            (k for k in range(g.order) if g._lengths[k] < g.length(x)),
-            key=lambda t: -g._lengths[t],
-        )
-        for y in order:
+        defect = accumulate(dict(self.bar(self.std(x))._c), f.items(), -1)
+        # ids sort by length, so the ids below the first of length l(x),
+        # downwards, come longest first
+        for y in range(bisect_left(g._lengths, g._lengths[x.idx]) - 1, -1, -1):
             c = defect.get(y)
             if c is None:
                 continue
@@ -448,14 +449,12 @@ class HeckeAlgebra:
             # the defect is linear in f, so update it in place
             accumulate(defect, self._view("d", y).items(), self._bar_coeff(p))
             accumulate(defect, [(y, p)], -1)
-        # f equal to the built C row has that row's memoized bar
+        # f equal to the built C row has that row's derived bar
         row = self._views["C"].get(x.idx)
         got = HeckeElt._wrap(self, row if row == f else f)
         if defect or self.bar(got) != got:
             raise ArithmeticError("bar solver failed to reach a self-dual element")
-        self._intern(f)
-        self._kl_solved[x.idx] = (f, [self._views["d"][k] for k in f])
-        return HeckeElt._wrap(self, f)
+        return got
 
     # -- bilinear form and dual bases ---------------------------------------
 
@@ -471,20 +470,31 @@ class HeckeAlgebra:
             raise ValueError(f"unknown dual-basis variant: {variant!r}")
         return {x: HeckeElt._wrap(self, self._view(variant, x.idx)) for x in self.group.elements()}
 
+    def _hw0_failures(self) -> list[int]:
+        """The ids x, in order, with H_w0 C_x != Q_{w0 x} for Q dual to {C'_y}."""
+        g, h_w0 = self.group, HeckeElt._wrap(self, {self.group._w0: ONE})
+        places = [("dual_to_bC", g._w0x), ("C", range(g.order))]
+        return self._derive(("hw0",), places, lambda duals, cs: [
+            x for x, (q, c) in enumerate(zip(duals, cs))
+            if self.mul(h_w0, HeckeElt._wrap(self, c))._c != q])
+
+    def _first_off_delta(self, variant: str, kl_variant: str) -> tuple[int, int] | None:
+        """The first (x, y) in id order with <Q_x, col_y> != delta_{x,y}, for Q
+        the dual basis `variant` and col the KL view `kl_variant`, or None."""
+        places = [(name, range(self.group.order)) for name in (variant, kl_variant)]
+        return self._derive(("pairing", variant, kl_variant), places, lambda duals, cols: next(
+            ((x, y) for x, row in enumerate(duals) for y, col in enumerate(cols)
+             if dot(row, col) != (ONE if x == y else ZERO)), None))
+
     # -- verification -----------------------------------------------------------
 
     def verify_hw0_identity(self) -> VerificationReport:
         """H_{w0} * C_x must equal the dual-basis element at w0 x, for all x."""
         g = self.group
         rep = VerificationReport("hecke")
-        h_w0 = self.std(g.w0)
 
         def check():
-            duals = [self._view("dual_to_bC", k) for k in range(g.order)]
-            bad = []
-            for x, w0x in enumerate(g._w0x):
-                if self.mul(h_w0, HeckeElt._wrap(self, self._view("C", x)))._c != duals[w0x]:
-                    bad.append(g._name(x))
+            bad = [g._name(x) for x in self._hw0_failures()]
             return not bad, ("failures at: " + ", ".join(bad)) if bad else f"all {g.order} elements"
 
         rep.run("hecke.hw0_times_C_is_dual_basis", check)
@@ -592,12 +602,9 @@ class HeckeAlgebra:
 
         def duality():
             for variant, kl_variant in (("dual_to_bC", "Cprime"), ("dual_to_C", "C")):
-                duals = [self._view(variant, k) for k in range(g.order)]
-                cols = [self._view(kl_variant, k) for k in range(g.order)]
-                for x, row in enumerate(duals):
-                    for y, col in enumerate(cols):
-                        if dot(row, col) != (ONE if x == y else ZERO):
-                            return False, f"{variant} fails at ({g._name(x)}, {g._name(y)})"
+                bad = self._first_off_delta(variant, kl_variant)
+                if bad is not None:
+                    return False, f"{variant} fails at ({g._name(bad[0])}, {g._name(bad[1])})"
             return True, f"2 * {g.order}^2 pairings"
 
         rep.run("hecke.dual_bases_orthonormal", duality)

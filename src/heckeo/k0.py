@@ -392,12 +392,9 @@ class K0Block:
         rep = VerificationReport("k0")
 
         def check():
-            hw0, view = self.hecke.std(g.w0), self.hecke._view
-            for x, w0x in enumerate(g._w0x):
-                lhs = self.hecke_act(hw0, HeckeElt._wrap(self.hecke, view("C", x)))
-                if lhs._c != view("dual_to_bC", w0x):
-                    return False, f"fails at {g._name(x)}"
-            return True, f"H_w0 [T_x] = [P_w0x] for all {g.order} elements"
+            bad = self.hecke._hw0_failures()
+            return not bad, (f"fails at {g._name(bad[0])}" if bad
+                             else f"H_w0 [T_x] = [P_w0x] for all {g.order} elements")
 
         rep.run("k0.tilting_projective_switch", check)
         return rep
@@ -439,13 +436,9 @@ class K0Block:
             return True, ""
 
         def projectives_dual_to_simples():
-            view = self.hecke._view
-            for x in range(g.order):
-                px = view("dual_to_bC", x)
-                for y in range(g.order):
-                    if dot(px, view("Cprime", y)) != (ONE if x == y else ZERO):
-                        return False, f"<[P],[L]> wrong at ({g._name(x)}, {g._name(y)})"
-            return True, f"{g.order}^2 pairings"
+            bad = self.hecke._first_off_delta("dual_to_bC", "Cprime")
+            return bad is None, (f"{g.order}^2 pairings" if bad is None
+                                 else f"<[P],[L]> wrong at ({g._name(bad[0])}, {g._name(bad[1])})")
 
         rep.run("k0.wall_action_on_simples_and_vermas", check)
         rep.run("k0.duality_fixes_simples", duality_fixes_simples)

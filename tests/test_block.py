@@ -508,6 +508,8 @@ def test_block_checks_leave_memoized_images_and_components_unchanged(monkeypatch
     images = [(out, _module_data(out)) for _, out in fresh._images.values()]
     components = [(out, _map_data(out)) for _, _, out in evaluations]
     assert suite(fresh, "all").passed
+    # the second run reads every (co)unit component the first one evaluated
+    assert len(evaluations) == len(components)
     assert all(_module_data(out) == data for out, data in images)
     assert all(_map_data(out) == data for out, data in components)
 

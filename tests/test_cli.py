@@ -77,6 +77,21 @@ def test_verify_builds_one_hecke_algebra(monkeypatch):
     assert len(inits) == 1
 
 
+@pytest.mark.parametrize("type_", ["A3", "B2"])
+def test_each_sub_suite_matches_its_rows_in_the_full_suite(type_):
+    # the hecke and k0 suites share derived results, so a detail must not
+    # depend on which suite derives a result first
+    def rows(suite):
+        code, text = run(["verify", "--type", type_, "--suite", suite, "--format", "json"])
+        assert code == 0
+        return [(c["name"], c["pass"], c["detail"]) for c in json.loads(text)["checks"]]
+
+    full = rows("all")
+    for suite in ("hecke", "k0"):
+        sub = rows(suite)
+        assert sub and sub == [r for r in full if r[0].startswith(suite + ".")], suite
+
+
 def test_usage_errors_are_distinct():
     code, text = run(["weyl", "--type", "E8"])
     assert code == 2 and "inadmissible Cartan datum" in text
@@ -134,6 +149,16 @@ def test_explicit_and_config_caps_override_command_defaults(monkeypatch, tmp_pat
     assert seen[-2:] == [("A7", 40320), ("A7", 7)]
 
 
+def test_each_command_takes_only_the_options_it_reads():
+    # block-check enumerates no group; only verify and block-check time checks
+    assert run(["block-check", "--cap", "5"])[0] == 2
+    for argv in (["weyl", "--type", "A1"], ["klpoly", "--type", "A1", "--x", "e", "--y", "e"],
+                 ["basis-change", "--type", "A1", "--from", "Verma", "--to", "Simple", "--x", "e"]):
+        assert run(argv)[0] == 0
+        assert run(argv + ["--timings"])[0] == 2
+    assert run(["verify", "--type", "A1", "--timings"])[0] == 0
+
+
 def test_block_check_csv_table():
     code, text = run(["block-check", "--format", "csv"])
     assert code == 0
@@ -171,6 +196,12 @@ def test_config_file(tmp_path, monkeypatch):
     cfg.write_text("format = csv\n", encoding="utf-8")
     code, text = run(["weyl", "--type", "A2", "--info"])
     assert code == 0 and text.startswith("type A2\n")
+    # a width the table cannot wrap to is an error, not a traceback
+    for width in ("0", "-3"):
+        cfg.write_text(f"table_width = {width}\n", encoding="utf-8")
+        for argv in (["verify", "--type", "A1"], ["block-check"]):
+            code, text = run(argv)
+            assert code == 2 and "config error" in text and "table_width" in text
 
 
 def test_missing_config_is_fine(monkeypatch, tmp_path):
