@@ -152,8 +152,10 @@ class Module:
 
     def __init__(self, algebra: PathAlgebra, dims: dict, act: dict | None = None):
         self.algebra = algebra
-        self.dims = {v: int(dims.get(v, 0)) for v in algebra.vertices}
+        self.dims = {v: dims.get(v, 0) for v in algebra.vertices}
         _known(dims, self.dims, f"not a vertex of {algebra.name}")
+        if any(type(d) is not int for d in self.dims.values()):
+            raise BlockConstructionError(f"non-integer dimension in {dims}")
         if min(self.dims.values(), default=0) < 0:
             raise BlockConstructionError(f"negative dimension in {self.dims}")
         act = act or {}

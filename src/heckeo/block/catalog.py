@@ -54,9 +54,10 @@ class Catalog:
         self.wall = wall_algebra()
         alg = self.algebra
 
-        p_e, self.pe_paths = projective(alg, "e")
-        p_s, self.ps_paths = projective(alg, "s")
-        self.projectives = {"e": (p_e, self.pe_paths), "s": (p_s, self.ps_paths)}
+        self.projectives = {v: projective(alg, v) for v in ("e", "s")}
+        (p_e, self.pe_paths), (p_s, _) = self.projectives.values()
+        # (atom, dimension) -> the atom's image, built by `functors` (pi_pull's from P_e)
+        self.images: dict[tuple[str, int], Module] = {}
 
         l_e = Module(alg, {"e": 1})
         l_s = Module(alg, {"s": 1})

@@ -16,14 +16,15 @@ over the enveloping quiver of A (x) A^op.  The first solution in a fixed
 deterministic enumeration is frozen; everything downstream must be
 invariant under that choice.
 
-Each block builds an atom image once: pi_star M = M_e depends only on
-dim M_e and pi_pull V = P_e (x) V only on dim V, so `RankOneBlock._images`
-keys them by (atom, dimension) and hits only while `ctx.pe` is the P_e
-object they were built from.  Each solved (co)unit evaluates its component
-once per module object: the Nat's memo keys by id(m), keeps m so that the
-id names no other object, and hits only on that object.  The composites
-behind ev and coev are kept while eps and etap are the objects they were
-composed from, so a replaced Nat or P_e never reads an old entry.
+Reuse follows one rule: every memo is a dict keyed by the objects it was
+built from, and `Module` and `Nat` hash by identity, so a replaced input
+misses by construction.  pi_star M = M_e depends only on dim M_e and
+pi_pull V = P_e (x) V only on dim V, so `Catalog.images` keeps each atom
+image by (atom, dimension) beside the P_e it reads; each solved (co)unit
+caches its component by module object (`functools.cache`); the composites
+behind ev and coev are keyed by (eps, etap).  Nothing points back at the
+block: a functor holds the catalog, a complex its algebra, and a (co)unit
+the functors it applies, so dropping the block frees it and every memo.
 
 A FunctorComplex is a bounded complex whose entries are direct sums of
 functor words.  Composing two of them and applying one to a complex of
@@ -38,6 +39,7 @@ functor on a map).  Chain complexes of modules live in `algebra`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 
 from . import linalg
 from .algebra import (
@@ -46,6 +48,7 @@ from .algebra import (
     ChainMap,
     Module,
     ModuleMap,
+    PathAlgebra,
     bimodule,
     block_map,
     direct_sum,
@@ -65,17 +68,18 @@ _KIND_OUT = {PI_STAR: "wall", PI_PULL: "mod"}
 
 
 class Functor:
-    """A composable word in the atoms pi_star / pi_pull (rightmost first)."""
+    """A composable word in the atoms pi_star / pi_pull (rightmost first),
+    over the fixed parts of a block: its catalog."""
 
-    __slots__ = ("ctx", "word", "src_kind", "tgt_kind")
+    __slots__ = ("catalog", "word", "src_kind", "tgt_kind")
 
-    def __init__(self, ctx: "RankOneBlock", word: tuple[str, ...], src_kind: str):
+    def __init__(self, catalog: Catalog, word: tuple[str, ...], src_kind: str):
         kind = src_kind
         for atom in reversed(word):
             if _KIND_IN[atom] != kind:
                 raise BlockConstructionError(f"non-composable functor word {word}")
             kind = _KIND_OUT[atom]
-        self.ctx = ctx
+        self.catalog = catalog
         self.word = word
         self.src_kind = src_kind
         self.tgt_kind = kind
@@ -83,11 +87,11 @@ class Functor:
     def compose(self, other: "Functor") -> "Functor":
         if other.tgt_kind != self.src_kind:
             raise BlockConstructionError("functor composition kind mismatch")
-        return Functor(self.ctx, self.word + other.word, other.src_kind)
+        return Functor(self.catalog, self.word + other.word, other.src_kind)
 
     def takes(self, m: Module) -> bool:
         """Whether m is an object of this functor's source category."""
-        src = self.ctx.algebra if self.src_kind == "mod" else self.ctx.wall
+        src = self.catalog.algebra if self.src_kind == "mod" else self.catalog.wall
         return m.algebra is src or m.algebra == src
 
     def check_source(self, m: Module) -> None:
@@ -109,29 +113,29 @@ class Functor:
         return f
 
     def _atom_module(self, atom: str, m: Module) -> Module:
-        """M_e, or P_e (x) V: built once per block for each dimension."""
-        ctx = self.ctx
+        """M_e, or P_e (x) V: built once per catalog for each dimension."""
+        cat = self.catalog
         d = m.dims["e" if atom == PI_STAR else "w"]
-        pe, hit = ctx.pe, ctx._images.get((atom, d))
-        if hit is not None and hit[0] is pe:
-            return hit[1]
-        if atom == PI_STAR:
-            out = Module(ctx.wall, {"w": d})
-        else:
-            out = Module(ctx.algebra, {v: pe.dims[v] * d for v in ctx.algebra.vertices},
-                         {label: linalg.kron(pe.act[label], linalg.eye(d))
-                          for label, _, _ in ctx.algebra.arrows})
-        ctx._images[(atom, d)] = (pe, out)
+        out = cat.images.get((atom, d))
+        if out is None:
+            if atom == PI_STAR:
+                out = Module(cat.wall, {"w": d})
+            else:
+                pe, alg = cat.modules["P_e"], cat.algebra
+                out = Module(alg, {v: pe.dims[v] * d for v in alg.vertices},
+                             {label: linalg.kron(pe.act[label], linalg.eye(d))
+                              for label, _, _ in alg.arrows})
+            cat.images[(atom, d)] = out
         return out
 
     def _atom_map(self, atom: str, f: ModuleMap) -> ModuleMap:
-        ctx = self.ctx
+        cat = self.catalog
         if atom == PI_STAR:
             mats = {"w": f.mats["e"]}
         else:
             mats = {
-                v: linalg.kron(linalg.eye(ctx.pe.dims[v]), f.mats["w"])
-                for v in ctx.algebra.vertices
+                v: linalg.kron(linalg.eye(cat.modules["P_e"].dims[v]), f.mats["w"])
+                for v in cat.algebra.vertices
             }
         return ModuleMap(
             self._atom_module(atom, f.src), self._atom_module(atom, f.dst), mats, check=False
@@ -262,9 +266,9 @@ class FunctorComplex:
     what makes composition strictly associative.
     """
 
-    def __init__(self, ctx: "RankOneBlock", entries: dict[int, list[Summand]],
+    def __init__(self, algebra: PathAlgebra, entries: dict[int, list[Summand]],
                  diffs: dict[int, dict[tuple[int, int], Nat]]):
-        self.ctx = ctx
+        self.algebra = algebra
         self.entries = {n: list(s) for n, s in entries.items()}
         self.diffs = {n: dict(d) for n, d in diffs.items()}
 
@@ -284,7 +288,7 @@ class FunctorComplex:
                 for label, i, ci, j, cj in ps]
             for n, ps in pairs.items()
         }
-        return FunctorComplex(self.ctx, entries, diffs)
+        return FunctorComplex(self.algebra, entries, diffs)
 
     def apply(self, target) -> "AppliedComplex":
         """Apply to a module (placed in degree 0) or a chain complex, which
@@ -303,7 +307,7 @@ class FunctorComplex:
             n: [s.functor.on_module(target.entry(j)) for s, j in ss] for n, ss in summands.items()
         }
         cc = ChainComplex(
-            self.ctx.algebra,
+            self.algebra,
             {n: sum_module(mods) for n, mods in parts.items()},
             {n: block_map(parts[n], parts[n + 1], bl) for n, bl in blocks.items()},
         )
@@ -360,20 +364,6 @@ class AppliedComplex:
 # -- the built rank-one context ----------------------------------------------------
 
 
-def _per_module(fn):
-    """fn, evaluated once per module object: the memo holds each module, so
-    its id names no other object while the entry lives."""
-    memo: dict[int, tuple[Module, ModuleMap]] = {}
-
-    def once(m: Module) -> ModuleMap:
-        hit = memo.get(id(m))
-        if hit is None or hit[0] is not m:
-            hit = memo[id(m)] = (m, fn(m))
-        return hit[1]
-
-    return once
-
-
 def _act_by(m: Module, terms: list, src: str, dst: str) -> Mat:
     """The matrix M_src -> M_dst of the sum of c * path over the (c, path) terms."""
     out = linalg.zeros(m.dims[dst], m.dims[src])
@@ -388,23 +378,27 @@ class RankOneBlock:
     algebra: object = field(init=False)
     wall: object = field(init=False)
 
+    # each (co)unit has one store, its adjunction
+    eps = property(lambda self: self.adj1.counit)
+    eta = property(lambda self: self.adj1.unit)
+    etap = property(lambda self: self.adj2.unit)
+    epsp = property(lambda self: self.adj2.counit)
+
     def __post_init__(self):
         cat = self.catalog
         self.algebra = cat.algebra
         self.wall = cat.wall
-        self.pe = cat.modules["P_e"]
-        self.id_mod = Functor(self, (), "mod")
-        self.id_wall = Functor(self, (), "wall")
-        self.pi_star = Functor(self, (PI_STAR,), "mod")
-        self.pi_pull = Functor(self, (PI_PULL,), "wall")
-        self.theta = Functor(self, (PI_PULL, PI_STAR), "mod")
+        self.id_mod = Functor(cat, (), "mod")
+        self.id_wall = Functor(cat, (), "wall")
+        self.pi_star = Functor(cat, (PI_STAR,), "mod")
+        self.pi_pull = Functor(cat, (PI_PULL,), "wall")
+        self.theta = Functor(cat, (PI_PULL, PI_STAR), "mod")
         self.regular = direct_sum([cat.modules["P_e"], cat.modules["P_s"]])[0]
         # the wall test objects, built once: the (co)unit memos hold each
         # module they are evaluated on
         self._walls = [Module(self.wall, {"w": d}) for d in (1, 2, 3)]
-        # (atom, dimension) -> (the P_e it was built from, its image)
-        self._images: dict[tuple[str, int], tuple[Module, Module]] = {}
-        self._composed = None
+        # (eps, etap) -> (Theta* Theta!, Theta! Theta*)
+        self._composed: dict[tuple[Nat, Nat], tuple[FunctorComplex, FunctorComplex]] = {}
         self._solve_adjunctions()
 
     # -- the two adjunctions, solved exactly ---------------------------------
@@ -412,7 +406,7 @@ class RankOneBlock:
     def _eps_from_t(self, t: ModuleMap, a_basis: dict, b_basis: dict) -> Nat:
         """The transformation theta -> Id of a bimodule map t: Ae (x) eA -> A:
         on theta M = P_e (x) M_e it sends p (x) m to t(p (x) 1_e) m."""
-        one_e = self.algebra.idempotent("e")
+        one_e, theta = self.algebra.idempotent("e"), self.theta
         terms = {}
         for v, paths in self.catalog.pe_paths.items():
             mat, basis = t.mats[(v, "e")], a_basis[(v, "e")]
@@ -421,14 +415,14 @@ class RankOneBlock:
 
         def fn(m: Module) -> ModuleMap:
             mats = {v: linalg.hstack([_act_by(m, ts, "e", v) for ts in terms[v]]) for v in terms}
-            return ModuleMap(self.theta.on_module(m), m, mats, check=False)
+            return ModuleMap(theta.on_module(m), m, mats, check=False)
 
-        return Nat(self.theta, self.id_mod, _per_module(fn))
+        return Nat(theta, self.id_mod, cache(fn))
 
     def _etap_from_z(self, z: ModuleMap, a_basis: dict, b_basis: dict) -> Nat:
         """The transformation Id -> theta of a bimodule map z: A -> Ae (x) eA:
         on M_v it sends m to the sum of c p (x) q m over the terms c p (x) q of z(1_v)."""
-        alg = self.algebra
+        alg, theta = self.algebra, self.theta
         terms = {}
         for v, paths in self.catalog.pe_paths.items():
             mat, basis = z.mats[(v, v)], b_basis[(v, v)]
@@ -440,9 +434,9 @@ class RankOneBlock:
 
         def fn(m: Module) -> ModuleMap:
             mats = {v: linalg.vstack([_act_by(m, ts, v, "e") for ts in terms[v]]) for v in terms}
-            return ModuleMap(m, self.theta.on_module(m), mats, check=False)
+            return ModuleMap(m, theta.on_module(m), mats, check=False)
 
-        return Nat(self.id_mod, self.theta, _per_module(fn))
+        return Nat(self.id_mod, theta, cache(fn))
 
     def _wall_nat(self, vec: list, unit: bool) -> Nat:
         """The wall unit V -> W (x) V, v |-> vec (x) v, or the wall counit
@@ -459,7 +453,7 @@ class RankOneBlock:
                 check=False,
             )
 
-        return Nat(src, dst, _per_module(fn))
+        return Nat(src, dst, cache(fn))
 
     def _solve_adjunction(self, left: Functor, right: Functor, basis: list, to_nat,
                           name: str) -> Adjunction:
@@ -469,7 +463,7 @@ class RankOneBlock:
         (co)unit, and then hold on every test object."""
         cat = self.catalog
         unit_on_wall = left.src_kind == "wall"
-        w_dim = self.pe.dims["e"]
+        w_dim = cat.modules["P_e"].dims["e"]
         line = self._walls[0]
         tests = [self.regular] + [cat.modules[n] for n in ("P_e", "Delta_s", "nabla_s", "L_e", "L_s")]
         tests += self._walls[:2]
@@ -524,15 +518,13 @@ class RankOneBlock:
             self.pi_star, self.pi_pull, z_basis,
             lambda z: self._etap_from_z(z, a_basis, b_basis), "pi_star -| pi_pull",
         )
-        self.eps, self.eta = self.adj1.counit, self.adj1.unit
-        self.etap, self.epsp = self.adj2.unit, self.adj2.counit
 
     # -- the two-term complexes and their (co)evaluation --------------------------
 
     def theta_star(self) -> FunctorComplex:
         """0 -> theta -> Id -> 0 with theta in degree 0."""
         return FunctorComplex(
-            self,
+            self.algebra,
             {0: [Summand((0,), self.theta)], 1: [Summand((1,), self.id_mod)]},
             {0: {(0, 0): self.eps}},
         )
@@ -540,14 +532,14 @@ class RankOneBlock:
     def theta_shriek(self) -> FunctorComplex:
         """0 -> Id -> theta -> 0 with theta in degree 0."""
         return FunctorComplex(
-            self,
+            self.algebra,
             {-1: [Summand((-1,), self.id_mod)], 0: [Summand((0,), self.theta)]},
             {-1: {(0, 0): self.etap}},
         )
 
     def identity_complex(self) -> FunctorComplex:
         """The identity functor as a one-term complex in degree 0."""
-        return FunctorComplex(self, {0: [Summand((0,), self.id_mod)]}, {})
+        return FunctorComplex(self.algebra, {0: [Summand((0,), self.id_mod)]}, {})
 
     def build_ev(self, m: Module) -> ChainMap:
         """ev: Theta* Theta! M -> M, the counit of the composite adjunction."""
@@ -559,12 +551,11 @@ class RankOneBlock:
 
     def _composites(self) -> tuple[FunctorComplex, FunctorComplex]:
         """Theta* Theta! and Theta! Theta*, composed once per (eps, etap)."""
-        made = self._composed
-        if made is None or made[0] is not self.eps or made[1] is not self.etap:
+        key = (self.eps, self.etap)
+        if key not in self._composed:
             star, shriek = self.theta_star(), self.theta_shriek()
-            made = self._composed = (self.eps, self.etap,
-                                     star.compose(shriek), shriek.compose(star))
-        return made[2:]
+            self._composed[key] = (star.compose(shriek), shriek.compose(star))
+        return self._composed[key]
 
     def _evaluation(self, m: Module, counit: bool) -> ChainMap:
         """ev or coev in degree 0, where the composite is theta^2 + Id: on
@@ -591,13 +582,13 @@ class RankOneBlock:
 
     def wall_hom_basis(self) -> list[Nat]:
         """Basis of Nat(pi_star, pi_star): right multiplications by e_e A e_e."""
-        alg = self.algebra
+        alg, pi_star = self.algebra, self.pi_star
         out = []
         for w in [p for p in alg.basis if alg.source[p] == "e" and alg.target[p] == "e"]:
             def fn(m: Module, w=w) -> ModuleMap:
-                v = self.pi_star.on_module(m)
+                v = pi_star.on_module(m)
                 return ModuleMap(v, v, {"w": m.path_action(w)}, check=False)
-            out.append(Nat(self.pi_star, self.pi_star, fn))
+            out.append(Nat(pi_star, pi_star, fn))
         return out
 
 

@@ -351,6 +351,8 @@ class WeylGroup:
         return len(self.positive_roots)
 
     def element(self, idx: int) -> WeylElt:
+        if type(idx) is not int:
+            raise WeylError(f"element id {idx!r} is not an int")
         if not 0 <= idx < self.order:
             raise WeylError(f"element id {idx} out of range")
         return WeylElt(self, idx)

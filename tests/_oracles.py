@@ -746,7 +746,7 @@ def compose_by_origins(fc: FunctorComplex, other: FunctorComplex) -> FunctorComp
                     term = -term
                 acc[(row, col)] = acc[(row, col)] + term if (row, col) in acc else term
         diffs[n] = acc
-    return FunctorComplex(fc.ctx, entries, diffs)
+    return FunctorComplex(fc.algebra, entries, diffs)
 
 
 def apply_by_positions(fc: FunctorComplex, target) -> AppliedComplex:
@@ -790,7 +790,7 @@ def apply_by_positions(fc: FunctorComplex, target) -> AppliedComplex:
                     row = pos_next[key]
                     blocks[(row, col)] = blocks.get((row, col), zero_map(f.src, f.dst)) + f
         diffs[n] = block_map_by_compositions(parts[n], parts[n + 1], blocks)
-    return AppliedComplex(ChainComplex(fc.ctx.algebra, mod_entries, diffs), entries, parts)
+    return AppliedComplex(ChainComplex(fc.algebra, mod_entries, diffs), entries, parts)
 
 
 # -- quotients by basis extension, quasi-isomorphisms on homology ---------------

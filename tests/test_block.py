@@ -1,3 +1,5 @@
+import gc
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -82,6 +84,10 @@ def test_module_rejects_bad_dimensions():
         Module(alg, {"e": 1, "w": 1})
     with pytest.raises(BlockConstructionError):
         Module(alg, {"e": -1})
+    # a dimension is an int, never coerced to one
+    for bad in (1.5, "2", True, Fraction(2)):
+        with pytest.raises(BlockConstructionError, match="non-integer dimension"):
+            Module(alg, {"e": 1, "s": bad})
     assert Module(alg, {"s": 2}).dimension_vector() == (0, 2)
 
 
@@ -438,6 +444,21 @@ def test_block_checks_compute_each_homology_once(ctx, monkeypatch):
     assert per_check["block.tilting_projective_switch"] == 4
 
 
+def test_dropped_block_is_freed_without_the_cycle_collector():
+    # functors hold the catalog, complexes their algebra and the (co)units
+    # the functors they apply, so nothing the memos keep points back at the
+    # block and its last reference going frees it and every memo
+    gc.disable()
+    try:
+        ctx = build_rank_one()
+        assert suite(ctx, "all").passed
+        refs = weakref.ref(ctx), weakref.ref(ctx.catalog)
+        del ctx
+        assert [ref() for ref in refs] == [None, None]
+    finally:
+        gc.enable()
+
+
 def test_ev_coev_compose_the_two_composites_once(monkeypatch):
     from heckeo.block.functors import FunctorComplex
 
@@ -463,7 +484,7 @@ def _recorded_block(monkeypatch):
     from heckeo.block import functors
 
     images, evaluations = [], []
-    atom_module, per_module = functors.Functor._atom_module, functors._per_module
+    atom_module, cache = functors.Functor._atom_module, functors.cache
 
     def recorded_image(self, atom, m):
         out = atom_module(self, atom, m)
@@ -475,10 +496,10 @@ def _recorded_block(monkeypatch):
             out = fn(m)
             evaluations.append((evaluate, m, out))
             return out
-        return per_module(evaluate)
+        return cache(evaluate)
 
     monkeypatch.setattr(functors.Functor, "_atom_module", recorded_image)
-    monkeypatch.setattr(functors, "_per_module", recorded)
+    monkeypatch.setattr(functors, "cache", recorded)
     return build_rank_one(), images, evaluations
 
 
@@ -505,7 +526,7 @@ def test_block_checks_build_each_image_and_component_once(monkeypatch):
 def test_block_checks_leave_memoized_images_and_components_unchanged(monkeypatch):
     fresh, _, evaluations = _recorded_block(monkeypatch)
     assert suite(fresh, "all").passed
-    images = [(out, _module_data(out)) for _, out in fresh._images.values()]
+    images = [(out, _module_data(out)) for out in fresh.catalog.images.values()]
     components = [(out, _map_data(out)) for _, _, out in evaluations]
     assert suite(fresh, "all").passed
     # the second run reads every (co)unit component the first one evaluated

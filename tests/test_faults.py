@@ -357,19 +357,17 @@ def zero_shriek_unit(ctx):
         fc = shriek()
         unit = fc.diffs[-1][(0, 0)]
         zero = Nat(unit.src, unit.dst, lambda m: zero_map(unit.at(m).src, unit.at(m).dst))
-        return FunctorComplex(ctx, fc.entries, {-1: {(0, 0): zero}})
+        return FunctorComplex(fc.algebra, fc.entries, {-1: {(0, 0): zero}})
 
     return patch.object(ctx, "theta_shriek", faulty)
 
 
-@contextmanager
-def doubled(ctx, attr, adj, role):
-    """ctx.<attr> is doubled, and so is the <role> of ctx.<adj>, the same Nat."""
-    nat = getattr(ctx, attr)
-    twice = Nat(nat.src, nat.dst, lambda m: nat.at(m).scale(2))
-    with patch.object(ctx, attr, twice), \
-            patch.object(ctx, adj, replace(getattr(ctx, adj), **{role: twice})):
-        yield
+def scaled(ctx, adj, role, c):
+    """The <role> of ctx.<adj> times c, patched in its one store: ctx.eps,
+    ctx.eta, ctx.etap and ctx.epsp read the adjunctions."""
+    nat = getattr(getattr(ctx, adj), role)
+    times_c = Nat(nat.src, nat.dst, lambda m: nat.at(m).scale(c))
+    return patch.object(ctx, adj, replace(getattr(ctx, adj), **{role: times_c}))
 
 
 # a doubled (co)unit breaks its triangle identities, the transposes across its
@@ -384,14 +382,32 @@ DOUBLED_UNIT = {
     "block.triangle_identities": TRIANGLES,
     "block.transpose_laws": "right transpose does not invert the transpose",
     "block.derived_equivalence_ev_coev": "ev is not a chain map on Delta_e"}
+# a zero counit also vanishes where the key lemma forbids it, is not onto the
+# costandards, and splits Theta* M into theta M and M[-1], so Theta* M is not
+# concentrated in one degree wherever theta M is nonzero
+ZEROED_COUNIT = {
+    "block.triangle_identities": TRIANGLES,
+    "block.keylem_nonvanishing": "counit vanishes on a module with nonzero restriction",
+    "block.unit_counit_on_flagged": "counit not surjective on nabla_e",
+    "block.transpose_laws": "transpose of the identity is not the identity",
+    "block.theta_homology_table":
+        "Theta^star(Delta_e): {0: {'P_e': 1}, 1: {'L_e': 1}} != {0: {'Delta_s': 1}}",
+    "block.concentration_on_flagged": "Theta* not concentrated on nabla_e",
+    "block.derived_equivalence_ev_coev": "ev not a quasi-isomorphism on Delta_e",
+    "block.tilting_projective_switch": "Theta*(D_e) not concentrated in degree 0",
+    "block.k0_tilting_switch_crosscheck": "categorical switch does not match"}
 
 
 def doubled_counit(ctx):
-    return doubled(ctx, "eps", "adj1", "counit")
+    return scaled(ctx, "adj1", "counit", 2)
 
 
 def doubled_unit(ctx):
-    return doubled(ctx, "etap", "adj2", "unit")
+    return scaled(ctx, "adj2", "unit", 2)
+
+
+def zeroed_counit(ctx):
+    return scaled(ctx, "adj1", "counit", 0)
 
 
 # check, fault on the built block, pinned {failing check: detail}
@@ -414,6 +430,9 @@ BLOCK_FAULTS = [
     pytest.param(
         "block.triangle_identities", doubled_unit, DOUBLED_UNIT,
         id="triangle_identities:the unit of pi_star -| pi_pull is doubled"),
+    pytest.param(
+        "block.keylem_nonvanishing", zeroed_counit, ZEROED_COUNIT,
+        id="keylem_nonvanishing:the counit of pi_pull -| pi_star is zero"),
 ]
 
 
@@ -445,3 +464,9 @@ def test_a_doubled_unit_or_counit_fails_the_same_checks_on_a_fresh_block(fault, 
     ctx = build_rank_one()
     with fault(ctx):
         assert block_failures(ctx) == pinned
+
+
+def test_a_zero_counit_fails_the_same_checks_on_a_fresh_block():
+    ctx = build_rank_one()
+    with zeroed_counit(ctx):
+        assert block_failures(ctx) == ZEROED_COUNIT

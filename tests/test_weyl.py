@@ -176,6 +176,14 @@ def test_left_multiply_gen_rejects_an_index_outside_the_rank(i):
         g.left_multiply_gen(i, g.identity)
 
 
+@pytest.mark.parametrize("idx", [1.0, True, "1", -1, 6])
+def test_element_rejects_an_id_that_is_not_an_int_in_range(idx):
+    # 1.0 was accepted, and naming the element then raised a TypeError
+    g = W("A2")
+    with pytest.raises(WeylError):
+        g.element(idx)
+
+
 # -- reduced words ----------------------------------------------------------
 
 def test_reduced_words():
