@@ -9,10 +9,12 @@ Every entry is either an ``int`` or a ``Fraction`` whose denominator is not
 1.  The rank-one block is defined over Z, so its matrices stay integral and
 their products, sums and Kronecker products are plain integer arithmetic; a
 ``Fraction`` appears only where elimination divides by a pivot that does
-not divide its row.  `_entry` is the one normalising step: it coerces the
-data callers hand to ``Mat`` and turns every integral ``Fraction`` an
-operation produces back into an ``int``.  Equality between an ``int`` and a
-``Fraction`` is exact, so no comparison depends on which type an entry has.
+not divide its row.  `_entry` is the one normalising step: it checks the
+data callers hand to ``Mat``, raising ``TypeError`` for any other type (a
+``bool``, a ``float`` or a string included), and turns every integral
+``Fraction`` an operation produces back into an ``int``.  Equality between
+an ``int`` and a ``Fraction`` is exact, so no comparison depends on which
+type an entry has.
 """
 
 from __future__ import annotations
@@ -22,11 +24,13 @@ from itertools import accumulate
 
 
 def _entry(x):
-    """x as a matrix entry: an int, or a Fraction that is not an integer."""
+    """x as a matrix entry: an int, or a Fraction that is not an integer.
+    Only an int or a Fraction is exact here: a bool is not taken for 0 or 1,
+    a float is not read at its binary value, and a string is not parsed."""
     if type(x) is int:
         return x
     if type(x) is not Fraction:
-        x = Fraction(x)
+        raise TypeError(f"matrix entry {x!r} is not an int or a Fraction")
     return x.numerator if x.denominator == 1 else x
 
 

@@ -23,6 +23,7 @@ output (timings are opt-in and never included in JSON).
 from __future__ import annotations
 
 import argparse
+import functools
 import io
 import json
 import os
@@ -202,7 +203,11 @@ def _cmd_block_check(args, cfg) -> tuple[int, str]:
     return (0 if rep.passed else 1), text
 
 
-def _parser(cfg: dict) -> argparse.ArgumentParser:
+@functools.lru_cache(maxsize=8)
+def _parser(cfg_items: tuple) -> argparse.ArgumentParser:
+    """The parser for the config with these sorted items.  Building one
+    costs about a millisecond, so it is built once per config contents."""
+    cfg = dict(cfg_items)
     default_format = cfg.get("format", "table")
     top = argparse.ArgumentParser(prog="heckeo", description=__doc__.splitlines()[0])
     sub = top.add_subparsers(dest="command", required=True)
@@ -262,7 +267,7 @@ def run(argv: list[str]) -> tuple[int, str]:
         cfg = load_config()
     except UsageError as exc:
         return 2, str(exc) + "\n"
-    parser = _parser(cfg)
+    parser = _parser(tuple(sorted(cfg.items())))
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

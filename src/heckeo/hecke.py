@@ -12,11 +12,19 @@ the bilinear form <H_x, H_y> = delta_{x,y}, and the bases dual to {C'_x}
 and {C_x} under that form.
 
 Every basis view is built per element on first use: C_x, d(H_x), and Q_x
-dual to {C'_y} as row x of the inverse C' matrix.  C'_x and Q_x dual to
-{C_y} are b of C_x and of Q_x dual to {C'_y}, as <b(a), b(c)> = b(<a, c>).
-`_view` checks each built element once for a unit diagonal and no entry on
-the wrong side in id order; b keeps both, so twisted views need no check.
-bar(H_x) is the d row itself.  Results derived from view rows (the bar of a
+dual to {C'_y} as row x of the inverse C' matrix.  Only the row of an x with
+x <= x^-1 in id order is computed; the row of x^-1 is then that row
+relabelled by iota, which commutes with d and b and keeps the form, so it
+maps d(H_x), C_x and Q_x to d(H_{x^-1}), C_{x^-1} and Q_{x^-1}.  C'_x and
+Q_x dual to {C_y} are b of C_x and of Q_x dual to {C'_y}, as
+<b(a), b(c)> = b(<a, c>).  `_view` checks each row of these three views
+once, computed or relabelled, for a unit diagonal and no entry on the wrong
+side in id order; b keeps both, so twisted views need no check.  The
+coefficients of computed rows are interned per algebra on their packed key
+(`laurent.intern`: (lo, n) narrow, (lo, n, bound) wide), and each interned
+value is given its b twin, which the twisted views read by the value's id;
+a value that is not interned is twisted by value.  bar(H_x) is the d row
+itself.  Results derived from view rows (the bar of a
 row; H_w0 C_x = Q_{w0 x} and <Q_x, C'_y> = delta, shared by the hecke and k0
 suites) are kept with the rows read and reused while each is still in place.
 
@@ -45,7 +53,7 @@ from bisect import bisect_left
 from operator import is_
 from typing import Iterable
 
-from .laurent import ONE, RULE_V_TO_NEG_VINV, ZERO, LaurentPoly, add_product, v
+from .laurent import ONE, RULE_V_TO_NEG_VINV, ZERO, LaurentPoly, add_product, intern, v
 from .report import VerificationReport
 from .weyl import MixedGroups, WeylElt, WeylGroup
 
@@ -196,7 +204,11 @@ class HeckeAlgebra:
     def __init__(self, group: WeylGroup):
         self.group = group
         self._views: dict[str, dict[int, dict[int, LaurentPoly]]] = {name: {} for name in VIEWS}
-        self._interned: dict[LaurentPoly, LaurentPoly] = {}
+        # packed key -> value (see laurent.intern); the table keeps each
+        # value alive, so the id of one names it while the algebra lives
+        self._interned: dict[tuple, LaurentPoly] = {}
+        # id(interned value) -> its b twist
+        self._twins: dict[int, LaurentPoly] = {}
         self._twisted: dict[LaurentPoly, LaurentPoly] = {}
         self._barred: dict[LaurentPoly, LaurentPoly] = {}
         # id(view row) -> (view, id) where `_view` built it
@@ -272,9 +284,7 @@ class HeckeAlgebra:
     def left_cs(self, i: int, h: HeckeElt) -> HeckeElt:
         """C_s h for C_s = H_s + v, s the i-th simple reflection."""
         self.check_own(h)
-        if not 1 <= i <= self.group.rank:
-            raise ValueError(f"no simple reflection with index {i}")
-        return HeckeElt._wrap(self, self._act(i, h._c, _C_S))
+        return HeckeElt._wrap(self, self._act(self.group._simple_index(i), h._c, _C_S))
 
     # -- involutions ---------------------------------------------------------
 
@@ -312,17 +322,23 @@ class HeckeAlgebra:
     def b_twist(self, h: HeckeElt) -> HeckeElt:
         """The ring involution b: v -> -v^-1 on coefficients, H_x fixed.
 
-        Each distinct coefficient is twisted once per algebra; the KL table
-        has few distinct polynomials, so the C' view shares them."""
+        An interned coefficient reads its twin by id; any other distinct
+        coefficient is twisted once per algebra.  The KL table has few
+        distinct polynomials, so the C' view shares them."""
         self.check_own(h)
-        twisted = self._twisted
+        twin = self._twins.get
         out = {}
         for k, p in h._c.items():
-            q = twisted.get(p)
-            if q is None:
-                q = twisted[p] = p.substitute(RULE_V_TO_NEG_VINV)
-            out[k] = q
-        return HeckeElt(self, out)
+            q = twin(id(p))
+            out[k] = self._twist(p) if q is None else q
+        return HeckeElt._wrap(self, out)
+
+    def _twist(self, p: LaurentPoly) -> LaurentPoly:
+        """b(p), computed once per distinct coefficient per algebra."""
+        q = self._twisted.get(p)
+        if q is None:
+            q = self._twisted[p] = p.substitute(RULE_V_TO_NEG_VINV)
+        return q
 
     def iota(self, h: HeckeElt) -> HeckeElt:
         """The anti-automorphism i: coefficients fixed, H_x -> H_{x^-1}."""
@@ -349,14 +365,21 @@ class HeckeAlgebra:
             if twisted is not None:
                 got = self.b_twist(HeckeElt._wrap(self, self._view(twisted, k)))._c
             else:
-                got = getattr(self, "_build_" + name)(k)
-                # checked once, when built: a unit diagonal and nothing on the
+                inverse = self.group._inverse[k]
+                if inverse < k:
+                    # the row of x^-1 relabelled: iota commutes with d and
+                    # keeps the form, so it maps d(H_x), C_x and Q_x to the
+                    # same elements at x^-1, and shares their values
+                    got = self.iota(HeckeElt._wrap(self, self._view(name, inverse)))._c
+                else:
+                    got = getattr(self, "_build_" + name)(k)
+                    self._intern(got)
+                # checked once per row: a unit diagonal and nothing on the
                 # wrong side in id order, above k for the dual rows, else below
                 if got.get(k) != LaurentPoly.one():
                     raise ValueError(f"{name} element {k} has no unit diagonal")
                 if (min(got) < k) if name in DUAL_VARIANTS else (max(got) > k):
                     raise ValueError(f"{name} element {k} is not unitriangular")
-                self._intern(got)
             memo[k] = got
             self._placed[id(got)] = (name, k)
         return got
@@ -374,10 +397,11 @@ class HeckeAlgebra:
         return out
 
     def _intern(self, coeffs: dict[int, LaurentPoly]) -> None:
-        """Replace each coefficient by the algebra's shared equal value."""
-        shared = self._interned.setdefault
-        for k, p in coeffs.items():
-            coeffs[k] = shared(p, p)
+        """Replace each coefficient by the algebra's shared equal value, and
+        give each value new to the algebra its twin under b."""
+        twins = self._twins
+        for p in intern(self._interned, coeffs):
+            twins[id(p)] = p.substitute(RULE_V_TO_NEG_VINV)
 
     def _build_d(self, k: int) -> dict[int, LaurentPoly]:
         """d(H_x) = d(H_s) d(H_{sx}) = (H_s + v - v^-1) d(H_{sx}) for s the

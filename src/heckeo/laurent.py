@@ -187,6 +187,27 @@ def add_product(a: "LaurentPoly", b: "LaurentPoly", c: "LaurentPoly") -> "Lauren
     return p
 
 
+def intern(table: dict, coeffs: dict) -> list["LaurentPoly"]:
+    """Replace each value of `coeffs`, in place, by the equal value that
+    `table` holds, and return the values new to `table`, which it keeps.
+
+    The key is the packed form, so a lookup hashes a tuple of ints, not a
+    `LaurentPoly`: (lo, n) for a narrow value, and (lo, n, bound) for a wide
+    one, whose bound is exact and so fixes its width.  A pair never equals a
+    triple, so equal digits read at the two widths never collide."""
+    new = []
+    get = table.get
+    for k, p in coeffs.items():
+        b = p._b
+        key = (p._lo, p._n) if b < BOUND_LIMIT else (p._lo, p._n, b)
+        q = get(key)
+        if q is None:
+            q = table[key] = p
+            new.append(p)
+        coeffs[k] = q
+    return new
+
+
 class LaurentPoly:
     """An element of Z[v, v^-1] in canonical packed form (see the module
     docstring): the fields are `_lo`, `_n` and the coefficient bound `_b`.

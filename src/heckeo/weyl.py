@@ -69,6 +69,15 @@ class MalformedWord(WeylError):
     pass
 
 
+def _index(i, lo: int, hi: int, what: str) -> int:
+    """i, if it is an int (a bool is not) with lo <= i <= hi; else WeylError."""
+    if type(i) is not int:
+        raise WeylError(f"{what} {i!r} is not an int")
+    if not lo <= i <= hi:
+        raise WeylError(f"{what} {i} out of range")
+    return i
+
+
 @dataclass(frozen=True)
 class CartanDatum:
     """A finite Cartan type: a letter A/B/C/D/F/G and a rank."""
@@ -351,11 +360,7 @@ class WeylGroup:
         return len(self.positive_roots)
 
     def element(self, idx: int) -> WeylElt:
-        if type(idx) is not int:
-            raise WeylError(f"element id {idx!r} is not an int")
-        if not 0 <= idx < self.order:
-            raise WeylError(f"element id {idx} out of range")
-        return WeylElt(self, idx)
+        return WeylElt(self, _index(idx, 0, self.order - 1, "element id"))
 
     def elements(self) -> list[WeylElt]:
         return [WeylElt(self, k) for k in range(self.order)]
@@ -370,9 +375,11 @@ class WeylGroup:
 
     def simple(self, i: int) -> WeylElt:
         """The simple reflection s_i, 1-based."""
-        if not 1 <= i <= self.rank:
-            raise WeylError(f"no simple reflection with index {i}")
-        return WeylElt(self, self._rmult[0][i - 1])
+        return WeylElt(self, self._rmult[0][self._simple_index(i) - 1])
+
+    def _simple_index(self, i: int) -> int:
+        """i, checked to be the 1-based index of a simple reflection."""
+        return _index(i, 1, self.rank, "simple reflection index")
 
     def length(self, x: WeylElt) -> int:
         self._check_same_group(x)
@@ -389,9 +396,7 @@ class WeylGroup:
     def left_multiply_gen(self, i: int, x: WeylElt) -> WeylElt:
         """s_i x, 1-based like `simple`."""
         self._check_same_group(x)
-        if not 1 <= i <= self.rank:
-            raise WeylError(f"no simple reflection with index {i}")
-        return WeylElt(self, self._lmult[x.idx][i - 1])
+        return WeylElt(self, self._lmult[x.idx][self._simple_index(i) - 1])
 
     # -- reduced words ---------------------------------------------------
 

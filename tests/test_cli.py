@@ -204,6 +204,27 @@ def test_config_file(tmp_path, monkeypatch):
             assert code == 2 and "config error" in text and "table_width" in text
 
 
+def test_each_config_in_one_process_gets_its_own_parser(monkeypatch, tmp_path):
+    # the parser is built once per config contents, so a second config must
+    # not read the first one's --format and --cap defaults
+    first, second = tmp_path / "first.cfg", tmp_path / "second.cfg"
+    first.write_text("format = json\ncap = 10\n", encoding="utf-8")
+    second.write_text("format = table\ncap = 100\n", encoding="utf-8")
+    for _ in range(2):
+        monkeypatch.setenv("HECKEO_CONFIG", str(first))
+        code, text = run(["weyl", "--type", "A2"])
+        assert code == 0 and json.loads(text)["order"] == 6
+        assert run(["weyl", "--type", "A3"])[0] == 2
+        monkeypatch.setenv("HECKEO_CONFIG", str(second))
+        code, text = run(["weyl", "--type", "A3"])
+        assert code == 0 and text.startswith("type A3\n")
+        # a usage error still exits 2, and leaves the parser usable
+        assert run(["weyl"]) == (2, "")
+        assert run(["weyl", "--type", "A2", "--format", "xml"]) == (2, "")
+    key = tuple(sorted(load_config().items()))
+    assert cli._parser(key) is cli._parser(key)
+
+
 def test_missing_config_is_fine(monkeypatch, tmp_path):
     monkeypatch.setenv("HECKEO_CONFIG", str(tmp_path / "nope.cfg"))
     assert load_config() == {}

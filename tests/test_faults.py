@@ -245,6 +245,14 @@ def test_a_wrong_d_row_fails_the_same_checks_on_a_fresh_block():
         assert hecke_k0_failures(blk) == WRONG_D_ROW
 
 
+def unrelabelled_inverse_row(blk, view):
+    """The row of s2 s1 in `view`, which is built as the row of its inverse
+    s1 s2 relabelled through x -> x^-1, is that row copied unrelabelled."""
+    g, alg = blk.group, blk.hecke
+    x = g.multiply(g.simple(2), g.simple(1)).idx
+    return patch.dict(alg._views[view], {x: dict(alg._view(view, g._inverse[x]))})
+
+
 # checks, fault on a built B2 block, pinned {failing check: detail}: a view row
 # replaced after a clean run, so every result derived from it must be derived
 # again, whichever check derived it first
@@ -275,6 +283,42 @@ B2_FAULTS = [
          "k0.ringel_end_dims": "dim End mismatch at 2.1.2: 2 != 5",
          "k0.tilting_projective_switch": "fails at 1"},
         id="C:v^-2 at (1, e)"),
+    pytest.param(
+        ("hecke.kl_selfdual_and_degree_bounds", "hecke.kl_recursion_matches_bar_solver"),
+        lambda blk: unrelabelled_inverse_row(blk, "C"),
+        {"hecke.kl_selfdual_and_degree_bounds": "C_2.1 leading term wrong",
+         "hecke.kl_recursion_matches_bar_solver": "recursion and solver disagree at 2.1",
+         "hecke.dual_bases_orthonormal": "dual_to_C fails at (1.2, 2.1)",
+         "hecke.hw0_times_C_is_dual_basis": "failures at: 2.1",
+         "k0.basis_changes_unitriangular": "Tilting diagonal not 1 at 4",
+         "k0.tilting_char_graded": "fails at (x,y)=(2.1, 1.2)",
+         "k0.tilting_char_v1": "fails at (x,y)=(2.1, 1.2)",
+         "k0.tilting_projective_switch": "fails at 2.1"},
+        id="C:the row of 2.1 is the row of 1.2 unrelabelled"),
+    pytest.param(
+        ("hecke.bar_is_involution", "k0.duality_intertwines_bar"),
+        lambda blk: unrelabelled_inverse_row(blk, "d"),
+        {"hecke.bar_is_involution": "12 elements",
+         "hecke.bar_is_ring_automorphism": "4^2 products",
+         "hecke.involutions_pairwise_commute": "",
+         "hecke.kl_selfdual_and_degree_bounds": "C_2.1 not self-dual",
+         "hecke.kl_recursion_matches_bar_solver":
+             "exception: ArithmeticError('bar solver failed to reach a self-dual element')",
+         "k0.duality_intertwines_bar": "duality does not intertwine the bar involution",
+         "k0.basis_changes_unitriangular": "DualVerma diagonal not 1 at 4",
+         "k0.duality_fixes_simples": "dual Verma view inconsistent"},
+        id="d:the row of 2.1 is the row of 1.2 unrelabelled"),
+    pytest.param(
+        ("hecke.dual_bases_orthonormal", "k0.projectives_dual_to_simples"),
+        lambda blk: unrelabelled_inverse_row(blk, "dual_to_bC"),
+        {"hecke.dual_bases_orthonormal": "dual_to_bC fails at (2.1, 1.2)",
+         "hecke.hw0_times_C_is_dual_basis": "failures at: 1.2",
+         "k0.basis_changes_unitriangular": "Projective diagonal not 1 at 4",
+         "k0.tilting_char_graded": "fails at (x,y)=(1.2, 1.2)",
+         "k0.bgg_reciprocity_graded": "fails at (P_2.1, D_1.2)",
+         "k0.tilting_projective_switch": "fails at 1.2",
+         "k0.projectives_dual_to_simples": "<[P],[L]> wrong at (2.1, 1.2)"},
+        id="dual_to_bC:the row of 2.1 is the row of 1.2 unrelabelled"),
 ]
 
 

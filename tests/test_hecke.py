@@ -5,7 +5,7 @@ import pytest
 
 from _oracles import dual_basis_by_inversion, invert_unitriangular, kl_by_product_recursion, mul_by_right_words
 from heckeo.hecke import _C_S, _H_S, _H_S_INV, DUAL_VARIANTS, VIEWS, HeckeAlgebra, HeckeElt
-from heckeo.laurent import LaurentPoly, v, v_pow
+from heckeo.laurent import RULE_V_TO_NEG_VINV, LaurentPoly, v, v_pow
 from heckeo.report import VerificationReport
 from heckeo.weyl import CartanDatum, MixedGroups, build_group
 
@@ -257,8 +257,9 @@ def test_left_cs_rejects_bad_input(a2):
     other = algebra("A2")
     with pytest.raises(MixedGroups):
         a2.left_cs(1, other.unit())
-    with pytest.raises(ValueError):
-        a2.left_cs(3, a2.unit())
+    for i in (3, 1.0, True):
+        with pytest.raises(ValueError):
+            a2.left_cs(i, a2.unit())
 
 
 @pytest.mark.parametrize("label", ["A3", "B3", "G2", "D4"])
@@ -287,6 +288,51 @@ def test_dropped_algebra_is_freed_without_the_cycle_collector():
         assert ref() is None
     finally:
         gc.enable()
+
+
+@pytest.mark.parametrize("label", ["B3", "D4"])
+def test_relabelled_rows_equal_the_rows_built_for_the_same_id(label):
+    # the row of x with x^-1 < x in id order is the row of x^-1 relabelled;
+    # no other row is built, and building it anyway gives the same row
+    alg = algebra(label)
+    g = alg.group
+    relabelled = [k for k in range(g.order) if g._inverse[k] < k]
+    assert relabelled
+    for name in ("C", "d", "dual_to_bC"):
+        build, built = getattr(alg, "_build_" + name), []
+        setattr(alg, "_build_" + name, lambda k, build=build: built.append(k) or build(k))
+        rows = [alg._view(name, k) for k in range(g.order)]
+        assert sorted(built) == [k for k in range(g.order) if k not in relabelled]
+        for k in relabelled:
+            assert rows[k] == build(k), (name, k)
+
+
+def test_a_row_relabelled_wrongly_fails_its_guard():
+    # every row, relabelled or built, is checked: the row of x^-1 copied
+    # unrelabelled has no entry at x
+    alg = algebra("B2")
+    alg.iota = lambda h: h
+    with pytest.raises(ValueError, match="no unit diagonal"):
+        for k in range(alg.group.order):
+            alg._view("C", k)
+
+
+def test_a_replaced_row_is_twisted_by_value_not_by_twin():
+    # C'_x reads the twin of each interned C_x coefficient by its id; a C row
+    # replaced by values the algebra never interned, equal to interned ones
+    # or not, must still give their b twists
+    alg = algebra("A3")
+    g = alg.group
+    x = g.parse_word("2.1.3.2").idx
+    row = alg._view("C", x)
+    assert 0 in row and len({len(list(p.items())) for p in row.values()}) > 1
+    fresh = {y: LaurentPoly(dict(p.items())) + (v**5 if y == 0 else 0) for y, p in row.items()}
+    alg._views["C"][x] = fresh
+    assert alg._view("Cprime", x) == {y: p.substitute(RULE_V_TO_NEG_VINV) for y, p in fresh.items()}
+    # a row built in place reads the twins
+    w0 = g.w0.idx
+    twisted = alg._view("Cprime", w0)
+    assert all(twisted[y] is alg._twins[id(p)] for y, p in alg._view("C", w0).items())
 
 
 def test_kl_table_never_calls_general_product(monkeypatch):

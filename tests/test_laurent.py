@@ -11,6 +11,7 @@ from heckeo.laurent import (
     RULE_V_TO_VINV,
     LaurentPoly,
     add_product,
+    intern,
     v,
     v_pow,
 )
@@ -357,6 +358,20 @@ def test_equal_values_agree_across_digit_widths():
     assert (narrow._lo, narrow._n) == (wide._lo, wide._n)
     assert narrow != wide and wide != narrow
     assert wide - 2**32 == 3 and narrow.coeff(1) == 1 and wide.coeff(1) == 0
+
+
+def test_intern_keeps_equal_digits_at_two_widths_apart():
+    # 1 + v and the constant 2^32 + 1 are both packed as n = 2^32 + 1, the
+    # first at width 32 and the second at width 64
+    narrow, wide = 1 + v, LaurentPoly({0: 2**32 + 1})
+    assert narrow != wide
+    table = {}
+    coeffs = {0: narrow, 1: wide, 2: LaurentPoly({0: 1, 1: 1}), 3: LaurentPoly({0: 2**32 + 1})}
+    new = intern(table, coeffs)
+    assert len(new) == len(table) == 2 and new[0] is narrow and new[1] is wide
+    assert [coeffs[k] for k in range(4)] == [narrow, wide, narrow, wide]
+    assert coeffs[2] is narrow and coeffs[3] is wide
+    assert intern(table, {0: 1 + v}) == []
 
 
 def test_supported_exponent_span():

@@ -147,6 +147,15 @@ def test_mat_normalises_entries():
     assert type(linalg.solve(linalg.mat([[2]]), linalg.mat([[4]]))[0][0]) is int
 
 
+@pytest.mark.parametrize("x", [0.1, 1.0, "1/3", True, None])
+def test_mat_rejects_an_entry_that_is_not_exact(x):
+    # 0.1 was taken at its binary value, "1/3" was parsed and True was 1
+    with pytest.raises(TypeError):
+        linalg.mat([[1, x]])
+    with pytest.raises(TypeError):
+        linalg.mscale(x, linalg.eye(1))
+
+
 def test_block_matrix_places_blocks_and_checks_their_shapes():
     a = linalg.mat([[1, 2], [3, 4]])
     b = linalg.mat([[Fraction(1, 2)]])
