@@ -168,6 +168,14 @@ def test_exchange_sanity():
                 assert d in (-1, 1)
 
 
+@pytest.mark.parametrize("i", [0, 3])
+def test_left_multiply_gen_rejects_an_index_outside_the_rank(i):
+    # neither 0 wrapping to s_2 nor 3 raising a bare IndexError
+    g = W("A2")
+    with pytest.raises(WeylError):
+        g.left_multiply_gen(i, g.identity)
+
+
 @pytest.mark.parametrize("i", [0, 3, 1.0, True, "1"])
 def test_simple_and_left_multiply_gen_reject_a_bad_index(i):
     # neither 0 wrapping to s_2, 3 raising a bare IndexError, True giving
