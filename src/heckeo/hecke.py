@@ -21,11 +21,10 @@ Q_x dual to {C_y} are b of C_x and of Q_x dual to {C'_y}, as
 once, computed or relabelled, for a unit diagonal and no entry on the wrong
 side in id order; b keeps both, so twisted views need no check.  The
 coefficients of computed rows are interned per algebra on their packed key
-(`laurent.intern`: (lo, n) narrow, (lo, n, bound) wide), and each interned
-value is given its b twin, which the twisted views read by the value's id;
-a value that is not interned is twisted by value.  bar(H_x) is the d row
-itself.  Results derived from view rows (the bar of a
-row; H_w0 C_x = Q_{w0 x} and <Q_x, C'_y> = delta, shared by the hecke and k0
+(`laurent.intern`: (lo, n) narrow, (lo, n, bound) wide), and b twists each
+distinct coefficient once, memoized on the same key.  bar(H_x) is the d
+row itself.  Results derived from view rows (the bar of a row;
+H_w0 C_x = Q_{w0 x} and <Q_x, C'_y> = delta, shared by the hecke and k0
 suites) are kept with the rows read and reused while each is still in place.
 
 Every product comes down to one left action on coefficient dicts,
@@ -53,7 +52,7 @@ from bisect import bisect_left
 from operator import is_
 from typing import Iterable
 
-from .laurent import ONE, RULE_V_TO_NEG_VINV, ZERO, LaurentPoly, add_product, intern, v
+from .laurent import ONE, RULE_V_TO_NEG_VINV, ZERO, LaurentPoly, add_product, intern, mapped, v
 from .report import VerificationReport
 from .weyl import MixedGroups, WeylElt, WeylGroup
 
@@ -70,6 +69,10 @@ DUAL_VARIANTS = ("dual_to_bC", "dual_to_C")
 VIEWS = KL_VARIANTS + DUAL_VARIANTS + ("d",)
 # the views that are b of another view, element by element
 _TWIST_OF = {"Cprime": "C", "dual_to_C": "dual_to_bC"}
+
+
+def _twist(p: LaurentPoly) -> LaurentPoly:
+    return p.substitute(RULE_V_TO_NEG_VINV)
 
 
 def accumulate(
@@ -204,12 +207,9 @@ class HeckeAlgebra:
     def __init__(self, group: WeylGroup):
         self.group = group
         self._views: dict[str, dict[int, dict[int, LaurentPoly]]] = {name: {} for name in VIEWS}
-        # packed key -> value (see laurent.intern); the table keeps each
-        # value alive, so the id of one names it while the algebra lives
+        # packed key (see laurent.intern) -> the shared value, and -> its b twist
         self._interned: dict[tuple, LaurentPoly] = {}
-        # id(interned value) -> its b twist
-        self._twins: dict[int, LaurentPoly] = {}
-        self._twisted: dict[LaurentPoly, LaurentPoly] = {}
+        self._twins: dict[tuple, LaurentPoly] = {}
         self._barred: dict[LaurentPoly, LaurentPoly] = {}
         # id(view row) -> (view, id) where `_view` built it
         self._placed: dict[int, tuple[str, int]] = {}
@@ -322,23 +322,11 @@ class HeckeAlgebra:
     def b_twist(self, h: HeckeElt) -> HeckeElt:
         """The ring involution b: v -> -v^-1 on coefficients, H_x fixed.
 
-        An interned coefficient reads its twin by id; any other distinct
-        coefficient is twisted once per algebra.  The KL table has few
-        distinct polynomials, so the C' view shares them."""
+        Each distinct coefficient is twisted once per algebra, looked up on
+        its packed key.  The KL table has few distinct polynomials, so the
+        C' view shares them."""
         self.check_own(h)
-        twin = self._twins.get
-        out = {}
-        for k, p in h._c.items():
-            q = twin(id(p))
-            out[k] = self._twist(p) if q is None else q
-        return HeckeElt._wrap(self, out)
-
-    def _twist(self, p: LaurentPoly) -> LaurentPoly:
-        """b(p), computed once per distinct coefficient per algebra."""
-        q = self._twisted.get(p)
-        if q is None:
-            q = self._twisted[p] = p.substitute(RULE_V_TO_NEG_VINV)
-        return q
+        return HeckeElt._wrap(self, mapped(self._twins, h._c, _twist))
 
     def iota(self, h: HeckeElt) -> HeckeElt:
         """The anti-automorphism i: coefficients fixed, H_x -> H_{x^-1}."""
@@ -373,7 +361,7 @@ class HeckeAlgebra:
                     got = self.iota(HeckeElt._wrap(self, self._view(name, inverse)))._c
                 else:
                     got = getattr(self, "_build_" + name)(k)
-                    self._intern(got)
+                    intern(self._interned, got)
                 # checked once per row: a unit diagonal and nothing on the
                 # wrong side in id order, above k for the dual rows, else below
                 if got.get(k) != LaurentPoly.one():
@@ -395,13 +383,6 @@ class HeckeAlgebra:
         out = derive(*(rows for _, _, rows in reads))
         self._derived[key] = (reads, out)
         return out
-
-    def _intern(self, coeffs: dict[int, LaurentPoly]) -> None:
-        """Replace each coefficient by the algebra's shared equal value, and
-        give each value new to the algebra its twin under b."""
-        twins = self._twins
-        for p in intern(self._interned, coeffs):
-            twins[id(p)] = p.substitute(RULE_V_TO_NEG_VINV)
 
     def _build_d(self, k: int) -> dict[int, LaurentPoly]:
         """d(H_x) = d(H_s) d(H_{sx}) = (H_s + v - v^-1) d(H_{sx}) for s the

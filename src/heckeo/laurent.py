@@ -187,25 +187,35 @@ def add_product(a: "LaurentPoly", b: "LaurentPoly", c: "LaurentPoly") -> "Lauren
     return p
 
 
-def intern(table: dict, coeffs: dict) -> list["LaurentPoly"]:
+def intern(table: dict, coeffs: dict) -> None:
     """Replace each value of `coeffs`, in place, by the equal value that
-    `table` holds, and return the values new to `table`, which it keeps.
+    `table` holds, and keep in `table` each value new to it.
 
     The key is the packed form, so a lookup hashes a tuple of ints, not a
     `LaurentPoly`: (lo, n) for a narrow value, and (lo, n, bound) for a wide
-    one, whose bound is exact and so fixes its width.  A pair never equals a
-    triple, so equal digits read at the two widths never collide."""
-    new = []
-    get = table.get
+    one, whose bound is exact and so fixes its width.  The width is a
+    function of the value, so equal values have equal keys; a pair never
+    equals a triple, so equal digits read at the two widths never collide."""
+    setdefault = table.setdefault
+    for k, p in coeffs.items():
+        b = p._b
+        coeffs[k] = setdefault((p._lo, p._n) if b < BOUND_LIMIT else (p._lo, p._n, b), p)
+
+
+def mapped(memo: dict, coeffs: dict, f) -> dict:
+    """{k: f(p)} for each (k, p) of `coeffs`, calling f once per distinct
+    value over all the calls that share `memo`, which is keyed on the packed
+    form as in `intern`."""
+    out = {}
+    get = memo.get
     for k, p in coeffs.items():
         b = p._b
         key = (p._lo, p._n) if b < BOUND_LIMIT else (p._lo, p._n, b)
         q = get(key)
         if q is None:
-            q = table[key] = p
-            new.append(p)
-        coeffs[k] = q
-    return new
+            q = memo[key] = f(p)
+        out[k] = q
+    return out
 
 
 class LaurentPoly:

@@ -317,10 +317,10 @@ def test_a_row_relabelled_wrongly_fails_its_guard():
             alg._view("C", k)
 
 
-def test_a_replaced_row_is_twisted_by_value_not_by_twin():
-    # C'_x reads the twin of each interned C_x coefficient by its id; a C row
-    # replaced by values the algebra never interned, equal to interned ones
-    # or not, must still give their b twists
+def test_a_replaced_row_is_twisted_by_its_values():
+    # C'_x twists each C_x coefficient through a memo keyed on its value; a
+    # C row replaced by values the algebra never interned, equal to interned
+    # ones or not, must give their b twists
     alg = algebra("A3")
     g = alg.group
     x = g.parse_word("2.1.3.2").idx
@@ -329,10 +329,10 @@ def test_a_replaced_row_is_twisted_by_value_not_by_twin():
     fresh = {y: LaurentPoly(dict(p.items())) + (v**5 if y == 0 else 0) for y, p in row.items()}
     alg._views["C"][x] = fresh
     assert alg._view("Cprime", x) == {y: p.substitute(RULE_V_TO_NEG_VINV) for y, p in fresh.items()}
-    # a row built in place reads the twins
+    # equal coefficients share one twist
     w0 = g.w0.idx
-    twisted = alg._view("Cprime", w0)
-    assert all(twisted[y] is alg._twins[id(p)] for y, p in alg._view("C", w0).items())
+    twisted, row = alg._view("Cprime", w0), alg._view("C", w0)
+    assert all(twisted[y] is twisted[z] for y in row for z in row if row[y] == row[z])
 
 
 def test_kl_table_never_calls_general_product(monkeypatch):

@@ -12,6 +12,7 @@ from heckeo.laurent import (
     LaurentPoly,
     add_product,
     intern,
+    mapped,
     v,
     v_pow,
 )
@@ -367,11 +368,28 @@ def test_intern_keeps_equal_digits_at_two_widths_apart():
     assert narrow != wide
     table = {}
     coeffs = {0: narrow, 1: wide, 2: LaurentPoly({0: 1, 1: 1}), 3: LaurentPoly({0: 2**32 + 1})}
-    new = intern(table, coeffs)
-    assert len(new) == len(table) == 2 and new[0] is narrow and new[1] is wide
+    intern(table, coeffs)
+    assert len(table) == 2
     assert [coeffs[k] for k in range(4)] == [narrow, wide, narrow, wide]
     assert coeffs[2] is narrow and coeffs[3] is wide
-    assert intern(table, {0: 1 + v}) == []
+    again = {0: 1 + v}
+    intern(table, again)
+    assert len(table) == 2 and again[0] is narrow
+
+
+def test_mapped_calls_once_per_value_and_keeps_the_two_widths_apart():
+    narrow, wide = 1 + v, LaurentPoly({0: 2**32 + 1})
+    calls = []
+
+    def neg(p):
+        calls.append(p)
+        return -p
+
+    memo = {}
+    coeffs = {0: narrow, 1: wide, 2: LaurentPoly({0: 1, 1: 1})}
+    assert mapped(memo, coeffs, neg) == {0: -narrow, 1: -wide, 2: -narrow}
+    assert mapped(memo, {5: LaurentPoly({0: 2**32 + 1})}, neg) == {5: -wide}
+    assert calls == [narrow, wide]
 
 
 def test_supported_exponent_span():
