@@ -28,9 +28,9 @@ of a Hom complex on the wall.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
+from ..frozen import Frozen, init_field
 from . import linalg
 from .linalg import Mat
 
@@ -39,18 +39,31 @@ class BlockConstructionError(RuntimeError):
     pass
 
 
-@dataclass(frozen=True)
-class PathAlgebra:
-    """A basic path algebra with monomial relations, given by its path basis."""
+class PathAlgebra(Frozen):
+    """A basic path algebra with monomial relations, given by its path basis.
 
-    name: str
-    vertices: tuple[str, ...]
-    arrows: tuple[tuple[str, str, str], ...]  # (label, source, target)
-    basis: tuple[str, ...]
-    source: dict
-    target: dict
-    arrow_word: dict  # path -> tuple of arrow labels, rightmost acts first
-    dead_words: frozenset  # forbidden adjacent arrow pairs (the relations)
+    `arrows` lists (label, source, target); `arrow_word` maps a path to its
+    arrow labels, the rightmost acting first; `dead_words` holds the
+    forbidden adjacent arrow pairs (the relations).  Algebras with equal
+    fields are equal, so `Functor.takes` accepts a module over a freshly
+    built copy of its source algebra."""
+
+    __slots__ = ("name", "vertices", "arrows", "basis", "source", "target",
+                 "arrow_word", "dead_words")
+
+    def __init__(self, name: str, vertices: tuple, arrows: tuple, basis: tuple,
+                 source: dict, target: dict, arrow_word: dict, dead_words: frozenset):
+        values = (name, vertices, arrows, basis, source, target, arrow_word, dead_words)
+        for field, value in zip(self.__slots__, values):
+            init_field(self, field, value)
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, field) for field in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not PathAlgebra:
+            return NotImplemented
+        return self._fields() == other._fields()
 
     def idempotent(self, vertex: str) -> str:
         return f"1_{vertex}"

@@ -38,9 +38,9 @@ functor on a map).  Chain complexes of modules live in `algebra`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cache
 
+from ..frozen import Frozen, init_field
 from . import linalg
 from .algebra import (
     BlockConstructionError,
@@ -198,15 +198,19 @@ def identity_nat(f: Functor) -> Nat:
     return Nat(f, f, lambda m: identity_map(f.on_module(m)))
 
 
-@dataclass(frozen=True)
-class Adjunction:
-    """left -| right with unit: Id -> right.left and counit: left.right -> Id."""
+class Adjunction(Frozen):
+    """left -| right with unit: Id -> right.left and counit: left.right -> Id.
+    Immutable: a block's (co)units are read from its adjunctions, and its
+    memos key on them."""
 
-    left: Functor
-    right: Functor
-    unit: Nat
-    counit: Nat
-    name: str
+    __slots__ = ("left", "right", "unit", "counit", "name")
+
+    def __init__(self, left: Functor, right: Functor, unit: Nat, counit: Nat, name: str):
+        init_field(self, "left", left)
+        init_field(self, "right", right)
+        init_field(self, "unit", unit)
+        init_field(self, "counit", counit)
+        init_field(self, "name", name)
 
     def triangles(self, objects) -> list[ModuleMap]:
         """The triangle composites (counit L)(L unit) at each object of L's
@@ -252,10 +256,12 @@ def right_transpose(psi: Nat, adj_f: Adjunction, adj_g: Adjunction) -> Nat:
 # -- functor complexes ---------------------------------------------------------------
 
 
-@dataclass
 class Summand:
-    label: tuple[int, ...]
-    functor: Functor
+    __slots__ = ("label", "functor")
+
+    def __init__(self, label: tuple[int, ...], functor: Functor):
+        self.label = label
+        self.functor = functor
 
 
 class FunctorComplex:
@@ -354,11 +360,14 @@ def _total_complex(outer: FunctorComplex, inner: dict, inner_diffs: dict, d_oute
     return pairs, blocks
 
 
-@dataclass
 class AppliedComplex:
-    complex: ChainComplex
-    summands: dict[int, list[tuple[Summand, int]]]
-    parts: dict[int, list[Module]]
+    __slots__ = ("complex", "summands", "parts")
+
+    def __init__(self, complex: ChainComplex, summands: dict[int, list[tuple[Summand, int]]],
+                 parts: dict[int, list[Module]]):
+        self.complex = complex
+        self.summands = summands
+        self.parts = parts
 
 
 # -- the built rank-one context ----------------------------------------------------
@@ -372,20 +381,15 @@ def _act_by(m: Module, terms: list, src: str, dst: str) -> Mat:
     return out
 
 
-@dataclass
 class RankOneBlock:
-    catalog: Catalog
-    algebra: object = field(init=False)
-    wall: object = field(init=False)
-
     # each (co)unit has one store, its adjunction
     eps = property(lambda self: self.adj1.counit)
     eta = property(lambda self: self.adj1.unit)
     etap = property(lambda self: self.adj2.unit)
     epsp = property(lambda self: self.adj2.counit)
 
-    def __post_init__(self):
-        cat = self.catalog
+    def __init__(self, catalog: Catalog):
+        self.catalog = cat = catalog
         self.algebra = cat.algebra
         self.wall = cat.wall
         self.id_mod = Functor(cat, (), "mod")

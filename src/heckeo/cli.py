@@ -25,9 +25,11 @@ from __future__ import annotations
 import argparse
 import functools
 import io
+import itertools
 import json
 import os
 import sys
+from collections.abc import Iterable, Iterator
 
 from .k0 import BasisKind, K0Block
 from .hecke import HeckeAlgebra
@@ -104,10 +106,10 @@ def _parse_word(group, text: str):
         raise UsageError(str(exc)) from None
 
 
-def _cmd_weyl(args, cfg) -> tuple[int, str]:
+def _cmd_weyl(args, cfg) -> tuple[int, str | Iterator[str]]:
     g = _build(args.type, args.cap)
     if args.format == "json":
-        return 0, json.dumps(g.to_json_dict(), separators=(",", ":")) + "\n"
+        return 0, itertools.chain(g.json_chunks(), ("\n",))
     lines = [
         f"type {g.datum.label}",
         f"order {g.order}",
@@ -261,27 +263,37 @@ def _parser(cfg_items: tuple) -> argparse.ArgumentParser:
     return top
 
 
-def run(argv: list[str]) -> tuple[int, str]:
-    """Parse and execute; returns (exit code, output text)."""
+def _execute(argv: list[str]) -> tuple[int, Iterable[str]]:
+    """Parse and execute; returns (exit code, output text chunks).  A
+    command returns its text, or an iterator of chunks made as they are
+    read: everything that can fail is done before its first chunk."""
     try:
         cfg = load_config()
     except UsageError as exc:
-        return 2, str(exc) + "\n"
+        return 2, [str(exc) + "\n"]
     parser = _parser(tuple(sorted(cfg.items())))
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
-        return (exc.code if isinstance(exc.code, int) else 2), ""
+        return (exc.code if isinstance(exc.code, int) else 2), []
     try:
-        return args.fn(args, cfg)
+        code, out = args.fn(args, cfg)
     except UsageError as exc:
-        return 2, f"error: {exc}\n"
+        return 2, [f"error: {exc}\n"]
+    return code, [out] if isinstance(out, str) else out
+
+
+def run(argv: list[str]) -> tuple[int, str]:
+    """Parse and execute; returns (exit code, output text)."""
+    code, chunks = _execute(argv)
+    return code, "".join(chunks)
 
 
 def main(argv: list[str] | None = None) -> int:
-    code, text = run(sys.argv[1:] if argv is None else argv)
+    """Run and write the output chunk by chunk, to stderr on a usage error."""
+    code, chunks = _execute(sys.argv[1:] if argv is None else argv)
     stream = sys.stdout if code != 2 else sys.stderr
-    stream.write(text)
+    stream.writelines(chunks)
     return code
 
 

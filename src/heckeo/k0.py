@@ -372,7 +372,7 @@ class K0Block:
                 for j in range(g.order):
                     col = self.hecke._view(_VIEW_OF[kind], j)
                     if col.get(j) != LaurentPoly.one():
-                        return False, f"{kind.value} diagonal not 1 at {j}"
+                        return False, f"{kind.value} diagonal not 1 at {g._name(j)}"
                     for i in col:
                         # projectives sit above x in the Bruhat order,
                         # every other view sits below
@@ -381,7 +381,8 @@ class K0Block:
                         else:
                             ok = rows[j] >> i & 1
                         if not ok:
-                            return False, f"{kind.value} not Bruhat-unitriangular"
+                            return False, (f"{kind.value} not Bruhat-unitriangular"
+                                           f" at ({g._name(i)}, {g._name(j)})")
             return True, "Simple, Projective, Tilting, DualVerma vs Verma"
 
         rep.run("k0.basis_changes_unitriangular", check)

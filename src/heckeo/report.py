@@ -7,21 +7,24 @@ import io
 import json
 import textwrap
 import time
-from dataclasses import dataclass, field
 
 
-@dataclass
 class CheckResult:
-    name: str
-    passed: bool
-    detail: str = ""
-    elapsed_ms: float = 0.0
+    __slots__ = ("name", "passed", "detail", "elapsed_ms")
+
+    def __init__(self, name: str, passed: bool, detail: str = "", elapsed_ms: float = 0.0):
+        self.name = name
+        self.passed = passed
+        self.detail = detail
+        self.elapsed_ms = elapsed_ms
 
 
-@dataclass
 class VerificationReport:
-    suite: str
-    checks: list[CheckResult] = field(default_factory=list)
+    __slots__ = ("suite", "checks")
+
+    def __init__(self, suite: str, checks: list[CheckResult] | None = None):
+        self.suite = suite
+        self.checks = [] if checks is None else checks
 
     @property
     def passed(self) -> bool:
@@ -45,9 +48,7 @@ class VerificationReport:
         self.checks.extend(other.checks)
 
     def sorted(self) -> "VerificationReport":
-        rep = VerificationReport(self.suite)
-        rep.checks = sorted(self.checks, key=lambda c: c.name)
-        return rep
+        return VerificationReport(self.suite, sorted(self.checks, key=lambda c: c.name))
 
     def failures(self) -> list[CheckResult]:
         return [c for c in self.checks if not c.passed]

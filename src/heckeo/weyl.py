@@ -32,11 +32,13 @@ the masks, |W|^2/8 bytes: 203 MB at A7.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
 
+from .frozen import Frozen, init_field
+
 # 8! = |W(A7)|: the group builds in about 0.2 s, and its `weyl --format json`
-# export, 22 MB of covers, takes about 1.0 s and 116 MB (2-vCPU VM)
+# export, 22 MB of covers written as they are made, takes about 0.7 s and
+# 44 MB (2-vCPU VM)
 DEFAULT_ENUMERATION_CAP = 40320
 
 _ADMISSIBLE = {
@@ -69,27 +71,36 @@ class MalformedWord(WeylError):
     pass
 
 
-def _index(i, lo: int, hi: int, what: str) -> int:
-    """i, if it is an int (a bool is not) with lo <= i <= hi; else WeylError."""
+def _index(i, lo: int, hi: int, what: str, error=WeylError) -> int:
+    """i, if it is an int (a bool is not) with lo <= i <= hi; else `error`."""
     if type(i) is not int:
-        raise WeylError(f"{what} {i!r} is not an int")
+        raise error(f"{what} {i!r} is not an int")
     if not lo <= i <= hi:
-        raise WeylError(f"{what} {i} out of range")
+        raise error(f"{what} {i} out of range")
     return i
 
 
-@dataclass(frozen=True)
-class CartanDatum:
+class CartanDatum(Frozen):
     """A finite Cartan type: a letter A/B/C/D/F/G and a rank."""
 
-    letter: str
-    rank: int
+    __slots__ = ("letter", "rank")
 
-    def __post_init__(self):
-        if self.letter not in _ADMISSIBLE or type(self.rank) is not int:
-            raise InadmissibleDatum(f"inadmissible Cartan datum: {self.letter}{self.rank}")
-        if not _ADMISSIBLE[self.letter](self.rank):
-            raise InadmissibleDatum(f"inadmissible Cartan datum: {self.letter}{self.rank}")
+    def __init__(self, letter: str, rank: int):
+        if letter not in _ADMISSIBLE or type(rank) is not int or not _ADMISSIBLE[letter](rank):
+            raise InadmissibleDatum(f"inadmissible Cartan datum: {letter}{rank}")
+        init_field(self, "letter", letter)
+        init_field(self, "rank", rank)
+
+    def __repr__(self) -> str:
+        return f"CartanDatum(letter={self.letter!r}, rank={self.rank!r})"
+
+    def __eq__(self, other):
+        if other.__class__ is not CartanDatum:
+            return NotImplemented
+        return self.letter == other.letter and self.rank == other.rank
+
+    def __hash__(self) -> int:
+        return hash((self.letter, self.rank))
 
     @classmethod
     def parse(cls, text: str) -> "CartanDatum":
@@ -142,12 +153,14 @@ class CartanDatum:
         return 12  # G2
 
 
-@dataclass(frozen=True)
-class WeylElt:
+class WeylElt(Frozen):
     """Opaque handle into a WeylGroup (hashable, order = BFS id order)."""
 
-    group: "WeylGroup"
-    idx: int
+    __slots__ = ("group", "idx")
+
+    def __init__(self, group: "WeylGroup", idx: int):
+        init_field(self, "group", group)
+        init_field(self, "idx", idx)
 
     def __repr__(self) -> str:
         return self.group.name(self)
@@ -408,8 +421,7 @@ class WeylGroup:
     def element_by_word(self, word: tuple[int, ...] | list[int]) -> WeylElt:
         k = 0
         for i in word:
-            if not 1 <= i <= self.rank:
-                raise MalformedWord(f"malformed word: letter {i} out of range")
+            i = _index(i, 1, self.rank, "malformed word: letter", MalformedWord)
             k = self._rmult[k][i - 1]
         return WeylElt(self, k)
 
@@ -486,31 +498,37 @@ class WeylGroup:
 
     # -- export ------------------------------------------------------------
 
-    def to_json_dict(self) -> dict:
+    def json_chunks(self):
+        """The JSON export, compact, as text chunks: the header and lengths,
+        then the covers of each x, in name-pair order.  Names are digits,
+        dots and "e", so no string needs escaping.
+
+        >>> "".join(build_group(CartanDatum("A", 1)).json_chunks())
+        '{"schema":1,"type":"A1","order":2,"positive_roots":1,"longest":"1","lengths":{"e":0,"1":1},"covers":[["e","1"]]}'
+        """
         names = [self._name(k) for k in range(self.order)]
+        yield (f'{{"schema":1,"type":"{self.datum.label}","order":{self.order},'
+               f'"positive_roots":{self.n_positive_roots},"longest":"{names[self._w0]}",'
+               '"lengths":{')
+        yield ",".join(f'"{name}":{n}' for name, n in zip(names, self._lengths))
+        yield '},"covers":['
+        # each x in name order with its upper covers, gathered in name
+        # order; each list is dropped once read
         by_name = sorted(range(self.order), key=names.__getitem__)
-        # covers in name-pair order: each x in name order with its upper
-        # covers, gathered in name order; each list is dropped once read,
-        # which keeps the A7 peak at 116 MB rather than 120 MB
         above = [[] for _ in range(self.order)]
         lower = self._lower_covers()
         for y in by_name:
             for x in lower[y]:
                 above[x].append(y)
             lower[y] = None
-        covers = []
+        sep = ""
         for x in by_name:
-            covers += [[names[x], names[y]] for y in above[x]]
+            if above[x]:
+                head = f'["{names[x]}","'
+                yield sep + ",".join([f'{head}{names[y]}"]' for y in above[x]])
+                sep = ","
             above[x] = None
-        return {
-            "schema": 1,
-            "type": self.datum.label,
-            "order": self.order,
-            "positive_roots": self.n_positive_roots,
-            "longest": names[self._w0],
-            "lengths": dict(zip(names, self._lengths)),
-            "covers": covers,
-        }
+        yield "]}"
 
     def __repr__(self) -> str:
         return f"WeylGroup({self.datum.label}, order={self.order})"

@@ -12,6 +12,7 @@ from heckeo.block import (
     dual_module,
     hom_dim,
     rank_one_algebra,
+    wall_algebra,
 )
 from heckeo.block.algebra import (
     ChainComplex,
@@ -310,6 +311,34 @@ def test_units_and_counits_are_natural(ctx):
             for g in hom_basis(v, w):
                 assert pair.on_map(g) @ ctx.eta.at(v) == ctx.eta.at(w) @ g
                 assert ctx.epsp.at(w) @ pair.on_map(g) == g @ ctx.epsp.at(v)
+
+
+def test_functors_take_modules_over_a_freshly_built_copy_of_their_algebra(ctx):
+    # algebras compare field-wise: a module need not be built over the
+    # block's own algebra objects to be taken
+    fresh_block, fresh_wall = rank_one_algebra(), wall_algebra()
+    assert fresh_block is not ctx.algebra and fresh_block == ctx.algebra
+    assert fresh_wall is not ctx.wall and fresh_wall == ctx.wall
+    assert fresh_block != fresh_wall
+    cases = (
+        (ctx.pi_pull, fresh_wall, ctx.wall, {"w": 1}, {}),
+        (ctx.pi_star, fresh_block, ctx.algebra, {"e": 1, "s": 1}, {"a": [[1]]}),
+        (ctx.theta, fresh_block, ctx.algebra, {"e": 1, "s": 1}, {"a": [[1]]}),
+    )
+    for functor, fresh, own, dims, act in cases:
+        m = Module(fresh, dims, act)
+        assert functor.takes(m)
+        got, want = functor.on_module(m), functor.on_module(Module(own, dims, act))
+        assert got.algebra == want.algebra and _module_data(got) == _module_data(want)
+
+
+def test_algebras_and_adjunctions_are_immutable(ctx):
+    for obj, field, value in ((rank_one_algebra(), "name", "other"),
+                              (ctx.adj1, "counit", ctx.adj2.counit)):
+        with pytest.raises(AttributeError):
+            setattr(obj, field, value)
+        with pytest.raises(AttributeError):
+            delattr(obj, field)
 
 
 def test_functors_reject_objects_of_the_other_category(ctx):

@@ -1,5 +1,9 @@
+import contextlib
+import io
 import json
 import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -11,6 +15,7 @@ from heckeo.weyl import WeylError
 from heckeo.report import CheckResult, VerificationReport, emit
 
 GOLDEN = Path(__file__).parent / "golden" / "v1"
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def test_weyl_info():
@@ -256,6 +261,38 @@ def test_golden_outputs(fname, argv, monkeypatch, tmp_path):
     assert code == 0
     expected = (GOLDEN / fname).read_text(encoding="utf-8")
     assert text == expected, f"golden mismatch for {fname}"
+
+
+@pytest.mark.parametrize("label,golden", [("A2", "weyl_A2.json"), ("B3", "weyl_B3.json"),
+                                          ("D4", None)])
+def test_main_streams_the_weyl_export_that_run_returns(label, golden, monkeypatch, tmp_path):
+    monkeypatch.setenv("HECKEO_CONFIG", str(tmp_path / "absent.cfg"))
+    argv = ["weyl", "--type", label, "--format", "json"]
+    code, text = run(argv)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(argv) == code == 0
+    assert out.getvalue() == text
+    if golden is not None:
+        assert text == (GOLDEN / golden).read_text(encoding="utf-8")
+
+
+def test_main_writes_a_usage_error_to_stderr_only(monkeypatch, tmp_path):
+    monkeypatch.setenv("HECKEO_CONFIG", str(tmp_path / "absent.cfg"))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        assert cli.main(["weyl", "--type", "A9", "--format", "json"]) == 2
+    assert out.getvalue() == "" and "enumeration cap exceeded" in err.getvalue()
+
+
+def test_a_cold_import_loads_neither_dataclasses_nor_inspect():
+    # which modules load, not how long they take: host load cannot flake it.
+    # -S keeps the host's site-packages .pth hooks out of the count
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import heckeo.cli, heckeo.block; "
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    res = subprocess.run([sys.executable, "-I", "-S", "-c", code, str(SRC)],
+                         capture_output=True, text=True, check=True, timeout=60)
+    assert res.stdout.strip() == "[]"
 
 
 # -- report emission -----------------------------------------------------------

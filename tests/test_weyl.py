@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -237,6 +238,28 @@ def test_names_and_parse():
         g.element_by_word([3])
 
 
+def test_cartan_data_and_elements_are_immutable_values():
+    a2, g = CartanDatum("A", 2), W("A2")
+    assert a2 == CartanDatum.parse("a2") and hash(a2) == hash(CartanDatum("A", 2))
+    assert a2 != CartanDatum("B", 2) and a2 != ("A", 2)
+    assert repr(a2) == "CartanDatum(letter='A', rank=2)"
+    x = g.element(3)
+    assert x == g.element(3) and hash(x) == hash(g.element(3)) and repr(x) == g.name(x)
+    assert x != W("A2").element(3)
+    for obj, field in ((a2, "rank"), (x, "idx"), (x, "extra")):
+        with pytest.raises(AttributeError):
+            setattr(obj, field, 1)
+        with pytest.raises(AttributeError):
+            delattr(obj, field)
+    assert (a2.rank, x.idx) == (2, 3)
+
+
+@pytest.mark.parametrize("word", [[True, 2], [1.0], ["1"], [1, None]])
+def test_element_by_word_rejects_a_letter_that_is_not_an_int(word):
+    with pytest.raises(MalformedWord, match="is not an int"):
+        W("A2").element_by_word(word)
+
+
 # -- Bruhat order ------------------------------------------------------------
 
 def test_bruhat_extremes():
@@ -326,7 +349,7 @@ def test_covers_are_the_id_pairs_as_elements(label):
 
 def test_json_export_builds_no_row_masks():
     g = W("B3")
-    g.to_json_dict()
+    "".join(g.json_chunks())
     assert "_leq_rows" not in vars(g)
     weyl_suite(g)
     assert "_leq_rows" in vars(g)
@@ -368,7 +391,7 @@ def test_covers_and_json_export():
     covers = g.bruhat_covers()
     assert (g.identity, g.simple(1)) in covers
     assert all(g.length(b) == g.length(a) + 1 for a, b in covers)
-    data = g.to_json_dict()
+    data = json.loads("".join(g.json_chunks()))
     assert data["order"] == 6
     assert data["lengths"]["1.2.1"] == 3
     assert ["e", "1"] in data["covers"]
