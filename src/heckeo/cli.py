@@ -108,7 +108,7 @@ def _parse_word(group, text: str):
 
 def _cmd_weyl(args, cfg) -> tuple[int, str | Iterator[str]]:
     g = _build(args.type, args.cap)
-    if args.format == "json":
+    if args.format == "json" and not args.info:
         return 0, itertools.chain(g.json_chunks(), ("\n",))
     lines = [
         f"type {g.datum.label}",
@@ -226,7 +226,7 @@ def _parser(cfg_items: tuple) -> argparse.ArgumentParser:
 
     p = sub.add_parser("weyl", help="group info / JSON export")
     p.add_argument("--type", required=True)
-    p.add_argument("--info", action="store_true")
+    p.add_argument("--info", action="store_true", help="print the group info whatever the format")
     common(p)
     p.set_defaults(fn=_cmd_weyl)
 

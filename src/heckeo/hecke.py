@@ -21,11 +21,12 @@ Q_x dual to {C_y} are b of C_x and of Q_x dual to {C'_y}, as
 once, computed or relabelled, for a unit diagonal and no entry on the wrong
 side in id order; b keeps both, so twisted views need no check.  The
 coefficients of computed rows are interned per algebra on their packed key
-(`laurent.intern`: (lo, n) narrow, (lo, n, bound) wide), and b twists each
-distinct coefficient once, memoized on the same key.  bar(H_x) is the d
-row itself.  Results derived from view rows (the bar of a row;
-H_w0 C_x = Q_{w0 x} and <Q_x, C'_y> = delta, shared by the hecke and k0
-suites) are kept with the rows read and reused while each is still in place.
+(`laurent.intern`: (lo, n) narrow, (lo, n, bound) wide), and `b_twist`
+and `bar` map each distinct coefficient once, memoized on the same key
+(`laurent.mapped`).  bar(H_x) is the d row itself.  Results derived from
+view rows (the bar of a row; H_w0 C_x = Q_{w0 x} and <Q_x, C'_y> = delta,
+shared by the hecke and k0 suites) are kept with the rows read and reused
+while each is still in place.
 
 Every product comes down to one left action on coefficient dicts,
 
@@ -52,7 +53,7 @@ from bisect import bisect_left
 from operator import is_
 from typing import Iterable
 
-from .laurent import ONE, RULE_V_TO_NEG_VINV, ZERO, LaurentPoly, add_product, intern, mapped, v
+from .laurent import ONE, ZERO, LaurentPoly, add_product, intern, mapped, v
 from .report import VerificationReport
 from .weyl import MixedGroups, WeylElt, WeylGroup
 
@@ -69,10 +70,6 @@ DUAL_VARIANTS = ("dual_to_bC", "dual_to_C")
 VIEWS = KL_VARIANTS + DUAL_VARIANTS + ("d",)
 # the views that are b of another view, element by element
 _TWIST_OF = {"Cprime": "C", "dual_to_C": "dual_to_bC"}
-
-
-def _twist(p: LaurentPoly) -> LaurentPoly:
-    return p.substitute(RULE_V_TO_NEG_VINV)
 
 
 def accumulate(
@@ -207,10 +204,10 @@ class HeckeAlgebra:
     def __init__(self, group: WeylGroup):
         self.group = group
         self._views: dict[str, dict[int, dict[int, LaurentPoly]]] = {name: {} for name in VIEWS}
-        # packed key (see laurent.intern) -> the shared value, and -> its b twist
+        # packed key (see laurent.intern) -> the shared value, its b twist, its bar
         self._interned: dict[tuple, LaurentPoly] = {}
         self._twins: dict[tuple, LaurentPoly] = {}
-        self._barred: dict[LaurentPoly, LaurentPoly] = {}
+        self._bars: dict[tuple, LaurentPoly] = {}
         # id(view row) -> (view, id) where `_view` built it
         self._placed: dict[int, tuple[str, int]] = {}
         # key -> ((view, ids, rows) for each view read, the result derived)
@@ -306,18 +303,12 @@ class HeckeAlgebra:
 
     def _bar(self, c: dict[int, LaurentPoly], rows: list) -> dict[int, LaurentPoly]:
         """sum_k bar(c_k) d(H_k), the d(H_k) given as rows in the order of c.
-        A self-dual c (C_x, C'_x) is kept as its own bar."""
+        Each distinct coefficient is barred once per algebra, looked up on
+        its packed key.  A self-dual c (C_x, C'_x) is kept as its own bar."""
         out: dict[int, LaurentPoly] = {}
-        for row, p in zip(rows, c.values()):
-            accumulate(out, row.items(), self._bar_coeff(p))
+        for row, p in zip(rows, mapped(self._bars, c, LaurentPoly.bar).values()):
+            accumulate(out, row.items(), p)
         return c if out == c else out
-
-    def _bar_coeff(self, p: LaurentPoly) -> LaurentPoly:
-        """bar(p), computed once per distinct coefficient per algebra."""
-        q = self._barred.get(p)
-        if q is None:
-            q = self._barred[p] = p.bar()
-        return q
 
     def b_twist(self, h: HeckeElt) -> HeckeElt:
         """The ring involution b: v -> -v^-1 on coefficients, H_x fixed.
@@ -326,7 +317,7 @@ class HeckeAlgebra:
         its packed key.  The KL table has few distinct polynomials, so the
         C' view shares them."""
         self.check_own(h)
-        return HeckeElt._wrap(self, mapped(self._twins, h._c, _twist))
+        return HeckeElt._wrap(self, mapped(self._twins, h._c, LaurentPoly.twist))
 
     def iota(self, h: HeckeElt) -> HeckeElt:
         """The anti-automorphism i: coefficients fixed, H_x -> H_{x^-1}."""
@@ -447,12 +438,13 @@ class HeckeAlgebra:
             c = defect.get(y)
             if c is None:
                 continue
-            if self._bar_coeff(c) != -c:
+            if c.bar() != -c:
                 raise ArithmeticError("bar defect is not antisymmetric; solver broken")
             p = c.positive_part()
             accumulate(f, [(y, p)])
-            # the defect is linear in f, so update it in place
-            accumulate(defect, self._view("d", y).items(), self._bar_coeff(p))
+            # the defect is linear in f, so update it in place; c has no
+            # constant term and its negative part is -bar(p), so bar(p) = p - c
+            accumulate(defect, self._view("d", y).items(), p - c)
             accumulate(defect, [(y, p)], -1)
         # f equal to the built C row has that row's derived bar
         row = self._views["C"].get(x.idx)

@@ -9,9 +9,10 @@ is stored packed, by Kronecker substitution, as two Python ints:
 so the coefficients are the balanced base-X digits of n, each of absolute
 value below X/2, and n has no zero digit at the low end.  The digit width w
 is 32.  A product is then one int product with the exponents added, a sum
-one shift-and-add, v^k moves lo, v -> v^-1 and v -> -v^-1 reverse the
-digits, the positive part (`positive_part`, the KL bar solver's step)
-shifts off the digits below v^1, and equality and hashing compare ints.
+one shift-and-add, v^k moves lo, the involutions v -> v^-1 (`bar`) and
+v -> -v^-1 (`twist`) reverse the digits, the positive part (`positive_part`,
+the KL bar solver's step) shifts off the digits below v^1, and equality and
+hashing compare ints.
 Every sum and product is one step a + b c (`add_product`).
 
 The form is dense in the exponent span: n has one digit per exponent from
@@ -26,7 +27,7 @@ does not fit in memory at all.
 Exactness guard.  The digits of n are the coefficients only while every
 |c| < 2^(w-1), and coefficients are Python ints of any size.  So each value
 carries a bound B >= sum |c|: a sum adds the bounds, a product multiplies
-them, and v^k, negation and the substitutions keep them.  A result with
+them, and v^k, negation, bar and twist keep them.  A result with
 B < 2^30 is packed at w = 32 straight away.  At 2^30 <= B < 2^31 its 32-bit
 digits are still exact, and B is recomputed from them.  From 2^31 on, the
 operands are repacked at the first multiple w of 32 with B < 2^(w-1), the
@@ -40,9 +41,9 @@ and no coefficient, however large, is ever lost or raises.
 'v^-1 + v'
 >>> str(p * p)
 'v^-2 + 2 + v^2'
->>> p.substitute("v_to_vinv") == p
+>>> p.bar() == p
 True
->>> str(v.substitute("v_to_neg_vinv"))
+>>> str(v.twist())
 '-v^-1'
 >>> ((1 + v) ** 40).coeff(20)
 137846528820
@@ -56,10 +57,6 @@ import functools
 import operator
 import struct
 from typing import Iterator, Mapping
-
-RULE_V_TO_VINV = "v_to_vinv"
-RULE_V_TO_NEG_VINV = "v_to_neg_vinv"
-SUBSTITUTION_RULES = (RULE_V_TO_VINV, RULE_V_TO_NEG_VINV)
 
 #: the digit width of a value whose coefficients fit it
 DIGIT_BITS = 32
@@ -187,25 +184,17 @@ def add_product(a: "LaurentPoly", b: "LaurentPoly", c: "LaurentPoly") -> "Lauren
     return p
 
 
-def intern(table: dict, coeffs: dict) -> None:
-    """Replace each value of `coeffs`, in place, by the equal value that
-    `table` holds, and keep in `table` each value new to it.
-
-    The key is the packed form, so a lookup hashes a tuple of ints, not a
-    `LaurentPoly`: (lo, n) for a narrow value, and (lo, n, bound) for a wide
-    one, whose bound is exact and so fixes its width.  The width is a
-    function of the value, so equal values have equal keys; a pair never
-    equals a triple, so equal digits read at the two widths never collide."""
-    setdefault = table.setdefault
-    for k, p in coeffs.items():
-        b = p._b
-        coeffs[k] = setdefault((p._lo, p._n) if b < BOUND_LIMIT else (p._lo, p._n, b), p)
-
-
 def mapped(memo: dict, coeffs: dict, f) -> dict:
     """{k: f(p)} for each (k, p) of `coeffs`, calling f once per distinct
-    value over all the calls that share `memo`, which is keyed on the packed
-    form as in `intern`."""
+    value over all the calls that share `memo`.
+
+    `memo` is keyed on the packed form, so a lookup hashes a tuple of ints,
+    not a `LaurentPoly`: (lo, n) for a narrow value, and (lo, n, bound) for a
+    wide one, whose bound is exact and so fixes its width.  The width is a
+    function of the value, so equal values have equal keys; a pair never
+    equals a triple, so equal digits read at the two widths never collide.
+    The key is made inline: a call per value would cost more than the
+    lookup."""
     out = {}
     get = memo.get
     for k, p in coeffs.items():
@@ -216,6 +205,13 @@ def mapped(memo: dict, coeffs: dict, f) -> dict:
             q = memo[key] = f(p)
         out[k] = q
     return out
+
+
+def intern(table: dict, coeffs: dict) -> None:
+    """Replace each value of `coeffs`, in place, by the equal value that
+    `table` holds, and keep in `table` each value new to it: `mapped` with
+    f the identity."""
+    coeffs.update(mapped(table, coeffs, lambda p: p))
 
 
 class LaurentPoly:
@@ -368,25 +364,26 @@ class LaurentPoly:
     def __hash__(self) -> int:
         return hash((self._lo, self._n))
 
-    # -- substitutions -------------------------------------------------
+    # -- involutions ----------------------------------------------------
 
-    def substitute(self, rule: str) -> "LaurentPoly":
-        """Apply v -> v^-1 or v -> -v^-1 to every monomial: the digits
-        reverse, and for -v^-1 each c_e also takes the sign (-1)^e."""
-        if rule not in SUBSTITUTION_RULES:
-            raise ValueError(f"unknown substitution rule: {rule!r}")
+    def bar(self) -> "LaurentPoly":
+        """The involution v -> v^-1: the digits reverse."""
+        return self._reversed(False)
+
+    def twist(self) -> "LaurentPoly":
+        """The involution v -> -v^-1: the digits reverse, and each c_e
+        takes the sign (-1)^e."""
+        return self._reversed(True)
+
+    def _reversed(self, signed: bool) -> "LaurentPoly":
         if not self._n:
             return self
         cs = self._dense()
         top = self._lo + len(cs) - 1
-        if rule == RULE_V_TO_NEG_VINV:
+        if signed:
             cs = [-c if e % 2 else c for e, c in enumerate(cs, self._lo)]
         cs.reverse()
         return _make(-top, _pack(cs, _width(self._b)), self._b)
-
-    def bar(self) -> "LaurentPoly":
-        """The involution v -> v^-1."""
-        return self.substitute(RULE_V_TO_VINV)
 
     def positive_part(self) -> "LaurentPoly":
         """The terms of positive degree.  A narrow value drops its digits

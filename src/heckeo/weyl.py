@@ -152,6 +152,19 @@ class CartanDatum(Frozen):
             return 1152
         return 12  # G2
 
+    def n_positive_roots(self) -> int:
+        """N = |Phi+| = l(w0), the sum of the d_i - 1 over the degrees d_i of
+        the basic invariants (Humphreys, Reflection Groups and Coxeter
+        Groups, 3.9)."""
+        n = self.rank
+        if self.letter == "A":
+            return n * (n + 1) // 2
+        if self.letter in ("B", "C"):
+            return n * n
+        if self.letter == "D":
+            return n * (n - 1)
+        return 24 if self.letter == "F" else 6  # G2
+
 
 class WeylElt(Frozen):
     """Opaque handle into a WeylGroup (hashable, order = BFS id order)."""
@@ -179,12 +192,6 @@ class WeylElt(Frozen):
         return self.idx < other.idx
 
 
-def _reflect(cartan: list[list[int]], i: int, vec: tuple[int, ...]) -> tuple[int, ...]:
-    out = list(vec)
-    out[i] = vec[i] - sum(cartan[i][j] * vec[j] for j in range(len(vec)))
-    return tuple(out)
-
-
 class WeylGroup:
     """A fully enumerated finite Weyl group.
 
@@ -201,32 +208,8 @@ class WeylGroup:
                 f"enumeration cap exceeded: |W({datum.label})| = {expected} > {cap}"
             )
 
-        # close the simple roots under the simple reflections
-        simples = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
-        roots: set[tuple[int, ...]] = set(simples)
-        frontier = list(simples)
-        while frontier:
-            if len(roots) > 8 * expected:
-                raise WeylError("root closure did not terminate; bad Cartan matrix")
-            nxt = []
-            for r in frontier:
-                for i in range(n):
-                    s = _reflect(cartan, i, r)
-                    if s not in roots:
-                        roots.add(s)
-                        nxt.append(s)
-            frontier = nxt
-        positives = sorted(
-            (r for r in roots if all(c >= 0 for c in r)),
-            key=lambda r: (sum(r), r),
-        )
-        for r in roots:
-            if not (all(c >= 0 for c in r) or all(c <= 0 for c in r)):
-                raise WeylError("mixed-sign root produced; bad Cartan matrix")
-        if 2 * len(positives) != len(roots):
-            raise WeylError("root system is not symmetric; bad Cartan matrix")
-        self.positive_roots = tuple(positives)
-        npos = len(positives)
+        # N, read as the packing width of the keys and as l(w0)
+        self.n_positive_roots = npos = datum.n_positive_roots()
 
         # x is keyed by lam = x^-1(rho) in fundamental-weight coordinates,
         # rho = (1, ..., 1): the key of x s_i is lam - lam_i alpha_i, and
@@ -367,10 +350,6 @@ class WeylGroup:
     @property
     def rank(self) -> int:
         return self.datum.rank
-
-    @property
-    def n_positive_roots(self) -> int:
-        return len(self.positive_roots)
 
     def element(self, idx: int) -> WeylElt:
         return WeylElt(self, _index(idx, 0, self.order - 1, "element id"))

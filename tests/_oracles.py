@@ -27,8 +27,12 @@ from heckeo.block.algebra import BlockConstructionError, ChainMap, Module, Modul
 from heckeo.block.functors import AppliedComplex, ChainComplex, FunctorComplex, Summand
 from heckeo.hecke import HeckeAlgebra, HeckeElt, accumulate, dot
 from heckeo.k0 import BasisKind, K0Block
-from heckeo.laurent import RULE_V_TO_NEG_VINV, RULE_V_TO_VINV, LaurentPoly, v
+from heckeo.laurent import LaurentPoly, v
 from heckeo.weyl import CartanDatum, WeylElt, WeylGroup
+
+
+RULE_V_TO_VINV = "v_to_vinv"
+RULE_V_TO_NEG_VINV = "v_to_neg_vinv"
 
 
 class DictLaurentPoly:
@@ -205,6 +209,10 @@ class DictLaurentPoly:
     def bar(self) -> "DictLaurentPoly":
         """The involution v -> v^-1."""
         return self.substitute(RULE_V_TO_VINV)
+
+    def twist(self) -> "DictLaurentPoly":
+        """The involution v -> -v^-1."""
+        return self.substitute(RULE_V_TO_NEG_VINV)
 
     def shifted(self, n: int) -> "DictLaurentPoly":
         """Multiply by v^n."""

@@ -24,6 +24,17 @@ def test_weyl_info():
     assert "order 12" in text and "longest_length 6" in text
 
 
+def test_weyl_info_prints_the_info_text_under_a_json_config(monkeypatch, tmp_path):
+    cfg = tmp_path / "json.cfg"
+    cfg.write_text("format = json\n", encoding="utf-8")
+    monkeypatch.setenv("HECKEO_CONFIG", str(cfg))
+    info = (GOLDEN / "weyl_A2_info.txt").read_text(encoding="utf-8")
+    assert run(["weyl", "--type", "A2", "--info"]) == (0, info)
+    assert run(["weyl", "--type", "A2", "--info", "--format", "json"]) == (0, info)
+    code, text = run(["weyl", "--type", "A2"])
+    assert code == 0 and json.loads(text)["order"] == 6
+
+
 def test_weyl_json_schema():
     code, text = run(["weyl", "--type", "A2", "--format", "json"])
     data = json.loads(text)
@@ -235,26 +246,18 @@ def test_missing_config_is_fine(monkeypatch, tmp_path):
     assert load_config() == {}
 
 
-@pytest.mark.parametrize("fname,argv", [
-    ("weyl_A2_info.txt", ["weyl", "--type", "A2", "--info"]),
-    ("weyl_A2.json", ["weyl", "--type", "A2", "--format", "json"]),
-    ("weyl_G2_info.txt", ["weyl", "--type", "G2", "--info"]),
-    ("klpoly_A1_s_e.json", ["klpoly", "--type", "A1", "--x", "s", "--y", "e", "--format", "json"]),
-    ("klpoly_A3_nontrivial.txt", ["klpoly", "--type", "A3", "--x", "2.1.3.2", "--y", "2", "--format", "table"]),
-    ("basis_change_B2.json", ["basis-change", "--type", "B2", "--from", "Tilting", "--to", "Verma", "--x", "1.2", "--format", "json"]),
-    ("verify_A1_all.json", ["verify", "--type", "A1", "--suite", "all", "--format", "json"]),
-    ("verify_A2_k0.csv", ["verify", "--type", "A2", "--suite", "k0", "--format", "csv"]),
-    ("block_check_tilting.json", ["block-check", "--suite", "tilting", "--format", "json"]),
-    ("block_check_homology.csv", ["block-check", "--format", "csv"]),
-    ("verify_B2_all.json", ["verify", "--type", "B2", "--suite", "all", "--format", "json"]),
-    ("weyl_B3.json", ["weyl", "--type", "B3", "--format", "json"]),
-    ("block_check_all.json", ["block-check", "--suite", "all", "--format", "json"]),
-    ("verify_A3_all.json", ["verify", "--type", "A3", "--suite", "all", "--format", "json"]),
-    ("basis_change_B3_projective.json", ["basis-change", "--type", "B3", "--from", "Projective", "--to", "Tilting", "--x", "e", "--format", "json"]),
-    ("basis_change_B3_dualverma.json", ["basis-change", "--type", "B3", "--from", "DualVerma", "--to", "Projective", "--x", "w0", "--format", "json"]),
-    ("verify_B3_all.json", ["verify", "--type", "B3", "--suite", "all", "--format", "json"]),
-    ("basis_change_A4_dualverma.json", ["basis-change", "--type", "A4", "--from", "DualVerma", "--to", "Verma", "--x", "w0", "--format", "json"]),
-])
+# one golden per line: the file name, then the argv; CI runs the same lines
+# through the installed console script
+GOLDEN_COMMANDS = [line.split()
+                   for line in (GOLDEN / "COMMANDS").read_text(encoding="utf-8").splitlines()]
+
+
+def test_every_golden_file_has_one_command():
+    names = [fname for fname, *_ in GOLDEN_COMMANDS]
+    assert sorted(names) == sorted(p.name for p in GOLDEN.iterdir() if p.name != "COMMANDS")
+
+
+@pytest.mark.parametrize("fname,argv", [(fname, argv) for fname, *argv in GOLDEN_COMMANDS])
 def test_golden_outputs(fname, argv, monkeypatch, tmp_path):
     monkeypatch.setenv("HECKEO_CONFIG", str(tmp_path / "absent.cfg"))
     code, text = run(argv)

@@ -7,8 +7,6 @@ from _oracles import DictLaurentPoly
 from heckeo.hecke import accumulate, dot
 from heckeo.laurent import (
     BOUND_LIMIT,
-    RULE_V_TO_NEG_VINV,
-    RULE_V_TO_VINV,
     LaurentPoly,
     add_product,
     intern,
@@ -38,17 +36,12 @@ def test_sub_cancels_to_zero():
     assert p.to_json() == {}
 
 
-def test_substitution_examples():
-    assert (v + v_pow(2)).substitute(RULE_V_TO_VINV) == v_pow(-1) + v_pow(-2)
-    assert v.substitute(RULE_V_TO_NEG_VINV) == -v_pow(-1)
+def test_bar_and_twist_examples():
+    assert (v + v_pow(2)).bar() == v_pow(-1) + v_pow(-2)
+    assert (v + v_pow(2)).twist() == -v_pow(-1) + v_pow(-2)
     one = LaurentPoly.one()
-    assert one.substitute(RULE_V_TO_VINV) == one
-    assert one.substitute(RULE_V_TO_NEG_VINV) == one
-
-
-def test_unknown_rule_and_op():
-    with pytest.raises(ValueError):
-        v.substitute("nope")
+    assert one.bar() == one and one.twist() == one
+    assert LaurentPoly.zero().bar().is_zero() and LaurentPoly.zero().twist().is_zero()
 
 
 def test_non_integers_are_rejected_not_truncated():
@@ -147,15 +140,25 @@ def test_scalar_fast_paths_match_general_product(a, b, k, n):
     assert a.shifted(n).shifted(-n) == a
 
 
-@given(polys, st.sampled_from([RULE_V_TO_VINV, RULE_V_TO_NEG_VINV]))
-def test_substitute_is_involution(p, rule):
-    assert p.substitute(rule).substitute(rule) == p
+involutions = st.sampled_from([LaurentPoly.bar, LaurentPoly.twist])
 
 
-@given(polys, polys, st.sampled_from([RULE_V_TO_VINV, RULE_V_TO_NEG_VINV]))
-def test_substitute_is_ring_hom(a, b, rule):
-    assert (a * b).substitute(rule) == a.substitute(rule) * b.substitute(rule)
-    assert (a + b).substitute(rule) == a.substitute(rule) + b.substitute(rule)
+@given(polys, involutions)
+def test_bar_and_twist_are_involutions(p, f):
+    assert f(f(p)) == p
+
+
+@given(polys, polys, involutions)
+def test_bar_and_twist_are_ring_homs(a, b, f):
+    assert f(a * b) == f(a) * f(b)
+    assert f(a + b) == f(a) + f(b)
+
+
+@given(polys)
+def test_bar_and_twist_commute(p):
+    # either way round the composite is v -> -v
+    minus_v = LaurentPoly({e: -c if e % 2 else c for e, c in p.items()})
+    assert p.bar().twist() == p.twist().bar() == minus_v
 
 
 @given(polys)
@@ -187,7 +190,6 @@ big_coeffs = st.one_of(
 exponents = st.integers(-80, 80)
 coeff_maps = st.dictionaries(exponents, big_coeffs, max_size=6)
 scalars = st.one_of(st.integers(-3, 3), st.sampled_from((2**30, -(2**31), 2**40, -(10**40))))
-RULES = (RULE_V_TO_VINV, RULE_V_TO_NEG_VINV)
 
 
 def both(m):
@@ -248,9 +250,8 @@ def test_unary_operations_match_dict_oracle(m, n, e):
     a, oa = both(m)
     assert_matches(-a, -oa)
     assert_matches(a.shifted(n), oa.shifted(n))
-    for rule in RULES:
-        assert_matches(a.substitute(rule), oa.substitute(rule))
     assert_matches(a.bar(), oa.bar())
+    assert_matches(a.twist(), oa.twist())
     assert_matches(a ** e, oa ** e)
     assert_matches(LaurentPoly.from_json(json.loads(json.dumps(a.to_json()))), oa)
 

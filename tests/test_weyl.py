@@ -15,6 +15,7 @@ from heckeo.weyl import (
 )
 
 from _oracles import (
+    _positive_roots,
     bruhat_rows_by_lifting,
     bruhat_rows_by_subwords,
     compose_signed,
@@ -56,6 +57,13 @@ def test_orders_and_longest(label, order, lw0):
     assert g.order == order
     assert g.length(g.w0) == lw0
     assert g.n_positive_roots == lw0
+
+
+@pytest.mark.parametrize("label", ["A1", "A2", "A3", "A4", "A5", "A6", "A7", "B2", "B3", "B4",
+                                   "B5", "C3", "D4", "D5", "F4", "G2"])
+def test_closed_form_n_counts_the_roots_closed_from_the_cartan_matrix(label):
+    datum = CartanDatum.parse(label)
+    assert datum.n_positive_roots() == len(_positive_roots(datum.cartan_matrix()))
 
 
 def test_lengths_match_inversion_oracle():
