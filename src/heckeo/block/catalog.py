@@ -77,11 +77,10 @@ class Catalog:
             "D_s": p_e,
         }
 
-        self._indec = [l_e, l_s, delta_s, nabla_s, p_e]
-        gram = linalg.from_rows(
-            [[hom_dim(x, y) for y in self._indec] for x in self._indec],
-            len(self._indec),
-        )
+        # the five indecomposables by name, as decompose reads them
+        self._indec = dict(zip(INDECOMPOSABLES, (l_e, l_s, delta_s, nabla_s, p_e)))
+        indec = self._indec.values()
+        gram = linalg.from_rows([[hom_dim(x, y) for y in indec] for x in indec], len(indec))
         try:
             self._gram_inv = linalg.inverse(gram)
         except ValueError:
@@ -92,7 +91,7 @@ class Catalog:
 
     def decompose(self, m: Module) -> dict[str, int]:
         """Multiplicities of the five indecomposables in m."""
-        counts = linalg.col_vec([hom_dim(i, m) for i in self._indec])
+        counts = linalg.col_vec([hom_dim(i, m) for i in self._indec.values()])
         mults = linalg.mmul(self._gram_inv, counts)
         out = {}
         for name, row in zip(INDECOMPOSABLES, mults.rows):
@@ -101,11 +100,9 @@ class Catalog:
                 raise BlockConstructionError(f"non-integral decomposition of {m}")
             if x:
                 out[name] = int(x)
-        # dimension cross-check
+        # dimension cross-check, against the modules the Gram matrix is of
         for v in self.algebra.vertices:
-            total = sum(
-                cnt * self.modules[name].dims[v] for name, cnt in out.items()
-            )
+            total = sum(cnt * self._indec[name].dims[v] for name, cnt in out.items())
             if total != m.dims[v]:
                 raise BlockConstructionError("decomposition does not add up")
         return out

@@ -35,9 +35,9 @@ Every product comes down to one left action on coefficient dicts,
 one pass over the support placing the h_{sy}, then one `accumulate` of the
 k_y h_y for each of the two k_y.  The action serves c = v (C_s, hence C_x
 and wall crossing), c = 0 (H_s, hence `mul`) and c = v - v^-1
-(H_s^-1 = d(H_s), hence d(H_x)).  `accumulate` and `dot`, the module's
-vector sums and pairings, make one `laurent.add_product` per entry: one int
-product and one shift-and-add.  `mul` walks the smaller support,
+(H_s^-1 = d(H_s), hence d(H_x)).  The vector sums and pairings are
+`laurent.accumulate` and `laurent.dot`, one loop each over the packed
+fields, which this module never reads.  `mul` walks the smaller support,
 flipping sides by iota when that is b's, and memoizes H_y b along suffixes
 of reduced words.
 
@@ -51,9 +51,8 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from operator import is_
-from typing import Iterable
 
-from .laurent import ONE, ZERO, LaurentPoly, add_product, intern, mapped, v
+from .laurent import ONE, ZERO, LaurentPoly, accumulate, dot, intern, mapped, v
 from .report import VerificationReport
 from .weyl import MixedGroups, WeylElt, WeylGroup
 
@@ -70,51 +69,6 @@ DUAL_VARIANTS = ("dual_to_bC", "dual_to_C")
 VIEWS = KL_VARIANTS + DUAL_VARIANTS + ("d",)
 # the views that are b of another view, element by element
 _TWIST_OF = {"Cprime": "C", "dual_to_C": "dual_to_bC"}
-
-
-def accumulate(
-    out: dict[int, LaurentPoly],
-    terms: Iterable[tuple[int, LaurentPoly]],
-    scal: LaurentPoly | int = 1,
-) -> dict[int, LaurentPoly]:
-    """Add each (index, coefficient) pair of `terms`, times `scal`, into the
-    sparse vector `out` in place, dropping entries that cancel.  Returns `out`.
-    Each entry it writes is one `add_product`."""
-    if scal.__class__ is not LaurentPoly:
-        scal = LaurentPoly.const(scal)
-    if not scal:
-        return out
-    unit = scal == ONE
-    get = out.get
-    for k, p in terms:
-        q = get(k)
-        if q is not None:
-            r = add_product(q, p, scal)
-            if r is ZERO:
-                del out[k]
-            else:
-                out[k] = r
-        elif unit:
-            if p:
-                out[k] = p
-        else:
-            r = add_product(ZERO, p, scal)
-            if r is not ZERO:
-                out[k] = r
-    return out
-
-
-def dot(a: dict[int, LaurentPoly], b: dict[int, LaurentPoly]) -> LaurentPoly:
-    """sum_k a_k b_k over two sparse vectors, one `add_product` per shared key."""
-    if len(a) > len(b):
-        a, b = b, a
-    get = b.get
-    out = ZERO
-    for k, p in a.items():
-        q = get(k)
-        if q is not None:
-            out = add_product(out, p, q)
-    return out
 
 
 class HeckeElt:

@@ -30,8 +30,8 @@ from __future__ import annotations
 import enum
 import functools
 
-from .hecke import HeckeAlgebra, HeckeElt, accumulate, dot
-from .laurent import ONE, ZERO, LaurentPoly, mapped, v
+from .hecke import HeckeAlgebra, HeckeElt
+from .laurent import ONE, ZERO, LaurentPoly, accumulate, dot, mapped, v
 from .report import VerificationReport
 from .weyl import WeylElt, WeylGroup
 

@@ -13,16 +13,17 @@ one shift-and-add, v^k moves lo, the involutions v -> v^-1 (`bar`) and
 v -> -v^-1 (`twist`) reverse the digits, the positive part (`positive_part`,
 the KL bar solver's step) shifts off the digits below v^1, and equality and
 hashing compare ints.
-Every sum and product is one step a + b c (`add_product`).
+Every sum and product is one step a + b c (`add_product`); the vector sums
+`accumulate` and `dot` do that step inline per entry, one loop each.
 
 The form is dense in the exponent span: n has one digit per exponent from
 min_exp to max_exp, zero or not, so its memory grows with the span, not
-with the number of terms, and building or reversing it (Horner's rule) is
-quadratic in the span.  The Hecke algebras here keep exponents within
-+-2 l(w0), a span under 500 even for E8, where a product costs
-microseconds.  A span of 4000 costs about 0.1 s with small coefficients
-and seconds with 40-digit ones, and a sparse value such as 1 + v^(10^9)
-does not fit in memory at all.
+with the number of terms, and building it (Horner's rule, which also
+reverses a wide value) is quadratic in the span.  The Hecke algebras here
+keep exponents within +-2 l(w0), a span under 500 even for E8, where a
+product costs microseconds.  A span of 4000 costs about 0.1 s with small
+coefficients and seconds with 40-digit ones, and a sparse value such as
+1 + v^(10^9) does not fit in memory at all.
 
 Exactness guard.  The digits of n are the coefficients only while every
 |c| < 2^(w-1), and coefficients are Python ints of any size.  So each value
@@ -56,7 +57,7 @@ from __future__ import annotations
 import functools
 import operator
 import struct
-from typing import Iterator, Mapping
+from typing import Iterable, Iterator, Mapping
 
 #: the digit width of a value whose coefficients fit it
 DIGIT_BITS = 32
@@ -168,8 +169,12 @@ def add_product(a: "LaurentPoly", b: "LaurentPoly", c: "LaurentPoly") -> "Lauren
             n += x << -w * d
     if w != DIGIT_BITS:
         return _from_digits(lo, _digits(n, w))
-    # the canonical narrow value: zero low digits dropped, and a bound
-    # from BOUND_RECHECK on recomputed from the digits
+    return _narrow(lo, n, bound)
+
+
+def _narrow(lo: int, n: int, bound: int) -> "LaurentPoly":
+    """The canonical value whose coefficients from v^lo up are the exact 32-bit
+    digits of n: zero low digits dropped, a bound from BOUND_RECHECK on exact."""
     if not n & DIGIT_MASK:
         if not n:
             return ZERO
@@ -177,11 +182,86 @@ def add_product(a: "LaurentPoly", b: "LaurentPoly", c: "LaurentPoly") -> "Lauren
         lo, n = lo + z, n >> (DIGIT_BITS * z)
     if bound >= BOUND_RECHECK:
         bound = sum(map(abs, _digits(n, DIGIT_BITS)))
-    p = _new(LaurentPoly)
-    p._lo = lo
-    p._n = n
-    p._b = bound
-    return p
+    return _make(lo, n, bound)
+
+
+def accumulate(out: dict, terms: Iterable, scal: LaurentPoly | int = 1) -> dict:
+    """Add each (index, coefficient) pair of `terms`, times `scal`, into the
+    sparse vector `out` in place, dropping entries that cancel; returns
+    `out`.  Each entry is `add_product`'s narrow step inline, giving the
+    value it would; an entry whose bound would reach BOUND_RECHECK is one
+    `add_product`."""
+    if scal.__class__ is not LaurentPoly:
+        scal = LaurentPoly.const(scal)
+    sl, sn, sb = scal._lo, scal._n, scal._b
+    if not sn:
+        return out
+    unit = sn == 1 and not sl
+    get = out.get
+    for k, p in terms:
+        q = get(k)
+        if q is None:
+            if unit:
+                if p._n:
+                    out[k] = p
+                continue
+            q = ZERO
+        bound = q._b + p._b * sb
+        if bound >= BOUND_RECHECK:
+            r = add_product(q, p, scal)
+            if r is ZERO:
+                out.pop(k, None)
+            else:
+                out[k] = r
+            continue
+        lo, n = p._lo + sl, p._n * sn
+        if q._n:
+            d = lo - q._lo
+            if d >= 0:
+                lo, n = q._lo, q._n + (n << DIGIT_BITS * d)
+            else:
+                n += q._n << -DIGIT_BITS * d
+        if not n & DIGIT_MASK:
+            if not n:
+                out.pop(k, None)
+                continue
+            z = ((n & -n).bit_length() - 1) // DIGIT_BITS
+            lo, n = lo + z, n >> DIGIT_BITS * z
+        r = out[k] = _new(LaurentPoly)
+        r._lo, r._n, r._b = lo, n, bound
+    return out
+
+
+def dot(a: dict, b: dict) -> LaurentPoly:
+    """sum_k a_k b_k over two sparse vectors, kept raw as one (lo, n, bound)
+    aligned to its own lowest exponent and made canonical at the end; from
+    the first entry whose bound would reach BOUND_RECHECK on, `add_product`."""
+    if len(a) > len(b):
+        a, b = b, a
+    get = b.get
+    lo = n = bound = 0
+    entries = iter(a.items())
+    for k, p in entries:
+        q = get(k)
+        if q is None:
+            continue
+        e, pb = p._lo + q._lo, p._b * q._b
+        if not n:
+            lo, bound = e, 0
+        if bound + pb >= BOUND_RECHECK:
+            out = add_product(_narrow(lo, n, bound), p, q)
+            for k, p in entries:
+                q = get(k)
+                if q is not None:
+                    out = add_product(out, p, q)
+            return out
+        m = p._n * q._n
+        if e >= lo:
+            n += m << DIGIT_BITS * (e - lo)
+        else:
+            lo, n = e, m + (n << DIGIT_BITS * (lo - e))
+        bound += pb
+    return _narrow(lo, n, bound)
 
 
 def mapped(memo: dict, coeffs: dict, f) -> dict:
@@ -376,28 +456,34 @@ class LaurentPoly:
         return self._reversed(True)
 
     def _reversed(self, signed: bool) -> "LaurentPoly":
-        if not self._n:
+        """A narrow value reverses the words u = c + 2^31 of n + offset with
+        `struct`; then us[i] is the digit of v^(lo + t - 1 - i), and the
+        sign flip maps u to 2^32 - u.  A wide value is repacked."""
+        n, lo = self._n, self._lo
+        if not n:
             return self
-        cs = self._dense()
-        top = self._lo + len(cs) - 1
+        if self._b >= BOUND_LIMIT:
+            cs = self._dense()
+            if signed:
+                cs = [-c if e % 2 else c for e, c in enumerate(cs, lo)]
+            return _from_digits(1 - lo - len(cs), cs[::-1])
+        t = _ndigits(n, DIGIT_BITS)
+        off, words = _offset(t, DIGIT_BITS), _words(t)
+        us = words.unpack((n + off).to_bytes(4 * t, "little"))[::-1]
         if signed:
-            cs = [-c if e % 2 else c for e, c in enumerate(cs, self._lo)]
-        cs.reverse()
-        return _make(-top, _pack(cs, _width(self._b)), self._b)
+            us = list(us)
+            us[(lo + t) & 1::2] = [DIGIT_MASK + 1 - u for u in us[(lo + t) & 1::2]]
+        return _make(1 - lo - t, int.from_bytes(words.pack(*us), "little") - off, self._b)
 
     def positive_part(self) -> "LaurentPoly":
         """The terms of positive degree.  A narrow value drops its digits
-        below v^1 with one add and one shift, its bound kept as a bound."""
+        below v^1 with one add and one shift."""
         d = 1 - self._lo
         if d <= 0 or not self._n:
             return self
         if self._b >= BOUND_LIMIT:
             return _from_digits(1, self._dense()[d:])
-        n = (self._n + _offset(d, DIGIT_BITS)) >> (DIGIT_BITS * d)
-        if not n:
-            return ZERO
-        z = ((n & -n).bit_length() - 1) // DIGIT_BITS
-        return _make(1 + z, n >> (DIGIT_BITS * z), self._b)
+        return _narrow(1, (self._n + _offset(d, DIGIT_BITS)) >> (DIGIT_BITS * d), self._b)
 
     def shifted(self, n: int) -> "LaurentPoly":
         """Multiply by v^n."""

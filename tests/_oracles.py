@@ -2,19 +2,19 @@
 
 Everything in here deliberately avoids the production code paths it is used
 to check: Laurent polynomials are exponent -> coefficient dicts, Bruhat
-order comes from the subword property and its covers from their
-definition by reflections, orders come from closed formulas,
-Hecke products are re-derived by right multiplication
-along reduced words, basis coordinates and dual bases come from a
-whole-matrix inversion, the tables and products of a Weyl group come from
-the signed permutations of the positive roots that the group was
-enumerated by before it keyed elements by x^-1(rho), block linear algebra
-is redone with every entry a `Fraction`, total complexes and maps of
-direct sums are rebuilt by the two separate builders and the
-composition-based assembly the block layer used before it had one builder
-for each, and quotients and quasi-isomorphisms are decided by the basis
-extension and the induced maps on homology that the block layer used
-before the complement and the cone.
+order comes from the subword property and its covers from their definition
+by reflections, orders come from closed formulas, Hecke products are
+re-derived by right multiplication along reduced words, basis coordinates
+and dual bases come from a whole-matrix inversion, the sparse vector sums
+of both go entry by entry through `LaurentPoly`'s `+` and `*`, the tables
+and products of a Weyl group come from the signed permutations of the
+positive roots that the group was enumerated by before it keyed elements by
+x^-1(rho), block linear algebra is redone with every entry a `Fraction`,
+total complexes and maps of direct sums are rebuilt by the two separate
+builders and the composition-based assembly the block layer used before it
+had one builder for each, and quotients and quasi-isomorphisms are decided
+by the basis extension and the induced maps on homology that the block
+layer used before the complement and the cone.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from typing import Iterator, Mapping
 from heckeo.block import linalg
 from heckeo.block.algebra import BlockConstructionError, ChainMap, Module, ModuleMap, kernel, zero_map
 from heckeo.block.functors import AppliedComplex, ChainComplex, FunctorComplex, Summand
-from heckeo.hecke import HeckeAlgebra, HeckeElt, accumulate, dot
+from heckeo.hecke import HeckeAlgebra, HeckeElt
 from heckeo.k0 import BasisKind, K0Block
 from heckeo.laurent import LaurentPoly, v
 from heckeo.weyl import CartanDatum, WeylElt, WeylGroup
@@ -361,15 +361,39 @@ def lengths_by_inversions(W: WeylGroup) -> dict[int, int]:
 _V_INV_MINUS_V = LaurentPoly({-1: 1, 1: -1})
 
 
+def _add_into(out: dict[int, LaurentPoly], terms, scal: LaurentPoly | int = 1) -> None:
+    """out += scal * terms, entry by entry through `LaurentPoly`'s `+` and
+    `*`, dropping entries that cancel: the sparse vector sum without the
+    production `laurent.accumulate`."""
+    unit = scal == 1
+    for k, p in terms:
+        if not unit:
+            p = p * scal
+        if k in out:
+            p = out[k] + p
+        if p.is_zero():
+            out.pop(k, None)
+        else:
+            out[k] = p
+
+
+def _pairing(a: dict[int, LaurentPoly], b: dict[int, LaurentPoly]) -> LaurentPoly:
+    """sum_k a_k b_k through `LaurentPoly`'s `+` and `*`, without the
+    production `laurent.dot`."""
+    if len(a) > len(b):
+        a, b = b, a
+    return sum((p * b[k] for k, p in a.items() if k in b), LaurentPoly.zero())
+
+
 def _times_gen(g: WeylGroup, coeffs: dict[int, LaurentPoly], i: int) -> dict[int, LaurentPoly]:
     """h H_s for s the i-th simple reflection, term by term:
     H_y H_s = H_{ys}, plus (v^-1 - v) H_y when ys < y."""
     out: dict[int, LaurentPoly] = {}
     for k, p in coeffs.items():
         ks = g._rmult[k][i - 1]
-        accumulate(out, [(ks, p)])
+        _add_into(out, [(ks, p)])
         if g._lengths[ks] < g._lengths[k]:
-            accumulate(out, [(k, p * _V_INV_MINUS_V)])
+            _add_into(out, [(k, p * _V_INV_MINUS_V)])
     return out
 
 
@@ -383,7 +407,7 @@ def mul_by_right_words(alg: HeckeAlgebra, a: HeckeElt, b: HeckeElt) -> HeckeElt:
         cur = {k: p * cy for k, p in a._c.items()}
         for i in g.reduced_word(g.element(y)):
             cur = _times_gen(g, cur, i)
-        accumulate(total, cur.items())
+        _add_into(total, cur.items())
     return HeckeElt(alg, total)
 
 
@@ -435,7 +459,7 @@ def invert_unitriangular(
         span = range(i - 1, -1, -1) if lower else range(i + 1, n)
         for j in span:
             # rows[i] has no entry at j yet, so cols[j][j] drops out of the sum
-            s = dot(rows[i], cols[j])
+            s = _pairing(rows[i], cols[j])
             if not s.is_zero():
                 rows[i][j] = -s
     return rows
@@ -471,7 +495,7 @@ def coords_by_inversion(blk: K0Block, classes: list[HeckeElt], basis) -> list[di
     for X in classes:
         coords: dict[int, LaurentPoly] = {}
         for j, p in X._c.items():
-            accumulate(coords, inv[j].items(), p)
+            _add_into(coords, inv[j].items(), p)
         out.append({g.element(i): c for i, c in sorted(coords.items())})
     return out
 

@@ -2,9 +2,10 @@
 
 Each row names one check, or a few, and one fault.  A fault is a context
 manager that patches one table entry or one method of one built group or
-K0 block, or one builder of the built rank-one block.  Inside it, the row's
-checks must report FAIL, and the failing checks, with their details, must
-be exactly the pinned ones; after it, the suite passes again.
+K0 block, one constant of the Hecke action, or one builder or catalog
+entry of the built rank-one block.  Inside it, the row's checks must report
+FAIL, and the failing checks, with their details, must be exactly the
+pinned ones; after it, the suite passes again.
 """
 
 import json
@@ -13,7 +14,7 @@ from unittest.mock import patch
 
 import pytest
 
-from heckeo import cli
+from heckeo import cli, hecke
 from heckeo.block import build_rank_one
 from heckeo.block.algebra import ChainMap, zero_map
 from heckeo.block.checks import suite
@@ -348,6 +349,54 @@ def test_a_replaced_view_row_fails_the_same_checks_on_a_fresh_block(checks, faul
     assert hecke_k0_failures(blk) == {}
 
 
+# checks, the pair (k_y for sy > y, k_y for sy < y) of one action constant
+# of `hecke._act` replaced, pinned {failing check: detail} on a B2 block
+# built inside the patch, so that every view and product uses the fault
+ACTION_FAULTS = [
+    pytest.param(
+        ("hecke.quadratic_relation", "k0.module_quadratic_relation",
+         "k0.wall_crossing_vs_hecke_action"),
+        "_H_S", (ZERO, v - v**-1),
+        {"hecke.bar_is_ring_automorphism": "4^2 products",
+         "hecke.hw0_times_C_is_dual_basis": "failures at: 1, 2, 1.2, 2.1, 1.2.1, 2.1.2, 1.2.1.2",
+         "hecke.quadratic_relation": "s_1 fails",
+         "k0.duality_fixes_simples": "dual Verma view inconsistent",
+         "k0.duality_intertwines_bar": "duality does not intertwine the bar involution",
+         "k0.module_quadratic_relation": "quadratic action fails at s_1",
+         "k0.tilting_projective_switch": "fails at 1",
+         "k0.wall_action_on_simples_and_vermas": "(H_s + v)[L_x] != 0 at (1, 1)",
+         "k0.wall_crossing_vs_hecke_action": "H_s vs theta_s mismatch at s_1"},
+        id="H_S:k_down = v - v^-1"),
+    pytest.param(
+        ("k0.wall_crossing_quadratic", "k0.wall_crossing_vs_hecke_action"),
+        "_C_S", (v, v),
+        {"hecke.dual_bases_orthonormal": "dual_to_bC fails at (2.1, 1.2.1.2)",
+         "hecke.hw0_times_C_is_dual_basis": "failures at: 1.2, 2.1, 1.2.1, 2.1.2, 1.2.1.2",
+         "hecke.kl_recursion_matches_bar_solver": "recursion and solver disagree at 1.2.1",
+         "hecke.kl_selfdual_and_degree_bounds": "C_1.2.1 not self-dual",
+         "k0.bgg_reciprocity_graded": "fails at (P_2.1, D_1.2.1.2)",
+         "k0.bott_euler_form": "fails at x=1: -2*v^-3 + v^-1 != -v^-3",
+         "k0.duality_fixes_simples": "[L_1.2.1] not duality-fixed",
+         "k0.inverse_kl_positivity": "unshifted off-diagonal term at (1, 1.2.1)",
+         "k0.projectives_dual_to_simples": "<[P],[L]> wrong at (2.1, 1.2.1.2)",
+         "k0.tilting_char_graded": "fails at (x,y)=(1.2, e)",
+         "k0.tilting_projective_switch": "fails at 1.2",
+         "k0.wall_action_on_simples_and_vermas": "(H_s + v)[L_x] != 0 at (1, 1.2.1)",
+         "k0.wall_crossing_quadratic": "wall-crossing quadratic fails at s_1",
+         "k0.wall_crossing_vs_hecke_action": "H_s vs theta_s mismatch at s_1"},
+        id="C_S:k_down = v"),
+]
+
+
+@pytest.mark.parametrize("checks,constant,faulty,pinned", ACTION_FAULTS)
+def test_a_wrong_action_constant_fails_its_checks(checks, constant, faulty, pinned):
+    with patch.object(hecke, constant, faulty):
+        blk = K0Block(build_group(CartanDatum("B", 2)))
+        assert set(checks) <= set(pinned)
+        assert hecke_k0_failures(blk) == pinned
+    assert hecke_k0_failures(K0Block(build_group(CartanDatum("B", 2)))) == {}
+
+
 def broken_coords(*args):
     raise ArithmeticError("no coordinates")
 
@@ -511,6 +560,31 @@ BLOCK_FAULTS = [
              "Theta^star(Delta_s): {0: {'L_e': 1}} != {0: {'Delta_s': 1}, 1: {'L_s': 1}}",
          "block.concentration_on_flagged": "Theta! not concentrated on Delta_s"},
         id="catalog_loewy_layers:Delta_s is nabla_s"),
+    # decompose checks its sums against its own five indecomposables, so the
+    # checks that decompose report details, and theta_on_catalog, which
+    # reads no P_e entry, passes; the functor checks that build maps into
+    # P_e raise, but for keylem_nonvanishing, which on this warm block reads
+    # (co)unit components cached before the swap (a fresh block raises there)
+    pytest.param(
+        ("block.catalog_identifications", "block.tilting_projective_switch",
+         "block.k0_tilting_switch_crosscheck"),
+        lambda ctx: swapped(ctx, "P_e", "L_e"),
+        {"block.catalog_dimensions": "P_e: 3, P_s: 2, Delta_s: 2, antidominants: 1",
+         "block.catalog_identifications":
+             "Delta_s = P_s, D_s = P_e, Delta_e = nabla_e = D_e = L_e",
+         "block.catalog_end_rings": "dim End(P_e) = 2 (local), dim End(P_s) = 1",
+         "block.catalog_bgg_reciprocity_v1": "(P_x : Delta_y) = [Delta_y : L_x]",
+         "block.theta_homology_table": "Theta^star(P_e): {0: {'Delta_s': 1}} != {0: {'P_e': 1}}",
+         "block.tilting_projective_switch": "Theta*(D_s) is not P_e",
+         "block.ringel_end_dimensions": "dim End(P_e) = 1 != 2 = dim End(D_s)",
+         "block.k0_classes_match_v1": "P_e: {e: 1, 1: 1} != {e: 1}",
+         "block.k0_theta_images_match_v1": "theta(P_e): {e: 2, 1: 2} != {e: 1, 1: 1}",
+         "block.k0_tilting_switch_crosscheck": "categorical switch does not match",
+         **{name: "exception: BlockConstructionError('map at e has the wrong shape')" for name in (
+             "block.composition_associative", "block.derived_equivalence_ev_coev",
+             "block.differentials_square_to_zero",
+             "block.transpose_laws", "block.triangle_identities")}},
+        id="catalog_identifications:P_e is L_e"),
     pytest.param(
         ("block.derived_equivalence_ev_coev",),
         lambda ctx: zero_ev_on(ctx, "nabla_s"),

@@ -1,14 +1,15 @@
 import json
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from _oracles import DictLaurentPoly
-from heckeo.hecke import accumulate, dot
 from heckeo.laurent import (
     BOUND_LIMIT,
     LaurentPoly,
+    accumulate,
     add_product,
+    dot,
     intern,
     mapped,
     v,
@@ -290,11 +291,28 @@ def vector_pair(vec):
     return packed, {k: DictLaurentPoly(m) for k, m in vec.items() if k in packed}
 
 
+# examples: a lone wide term in a dot; five terms 2^29 in a dot, whose
+# running bound reaches 2^30 at the second and whose sum would overflow a
+# 32-bit digit by the fifth; 3 * 2^29 + 2^29, which fits only at a wider
+# digit; a sum that cancels to zero and then goes on below its old lowest
+# exponent; and scal 0, 1, -1 and v^k, the first with an entry that cancels
+MIXED = ({0: {0: 1, 2: -1}, 1: {1: 3}}, {0: {0: -1, 2: 1}, 1: {-2: 5}, 4: {-1: 2}})
+
+
 @settings(max_examples=60, deadline=None)
 @given(vectors, vectors, st.one_of(scalars, coeff_maps))
+@example({3: {0: 2**30 - 2}}, {3: {0: 10**40}}, 0)
+@example({k: {0: 2**15} for k in range(5)}, {k: {0: 2**14} for k in range(5)}, 2)
+@example({0: {0: 3 * 2**29}}, {0: {0: 2**29}}, 1)
+@example({0: {1: 1}, 1: {1: 1}, 2: {3: 2}}, {0: {0: 1}, 1: {0: -1}, 2: {-5: 7}}, -1)
+@example(*MIXED, 1)
+@example(*MIXED, 0)
+@example(*MIXED, -1)
+@example(*MIXED, {5: 1})
+@example(*MIXED, {-3: 1})
 def test_vector_loops_match_dict_oracle(va, vb, scal):
-    # accumulate and dot call add_product directly, not LaurentPoly's
-    # operators
+    # accumulate and dot do add_product's narrow step inline, not through
+    # LaurentPoly's operators
     a, oa = vector_pair(va)
     b, ob = vector_pair(vb)
     s, os_ = (scal, scal) if isinstance(scal, int) else both(scal)
