@@ -28,6 +28,16 @@ view rows (the bar of a row; H_w0 C_x = Q_{w0 x} and <Q_x, C'_y> = delta,
 shared by the hecke and k0 suites) are kept with the rows read and reused
 while each is still in place.
 
+The checks inherit these symmetries (`_holds` tests each invariant once per
+table state).  On a d table that is iota-closed and b-fixed (b fixes
+d(H_s) = H_s + v - v^-1), a row that is its `_source` row mapped has that
+row's bar mapped, and the iota-equivariant bar solver skips a C_x made from
+C_{x^-1}.  On an iota-closed C', a pairing row of Q_x made from Q_{x^-1} is
+skipped, and k0 relabels the Simple coordinates of H_{x^-1}; the pairings
+against C are b of those against C'.  A row that fails its test is
+computed, and a source comes earlier in id order, so the first failure is
+always at a computed row: every verdict and detail is the computed one.
+
 Every product comes down to one left action on coefficient dicts,
 
     (H_s + c) H_y = H_{sy} + k_y H_y,   k_y = c (sy > y), c + v^-1 - v (sy < y),
@@ -252,8 +262,18 @@ class HeckeAlgebra:
         if place is None or self._views[place[0]].get(place[1]) is not c:
             return HeckeElt._wrap(self, self._bar(c, [self._view("d", k) for k in c]))
         places = [(place[0], place[1:]), ("d", c)]
-        out = self._derive(("bar", *place), places, lambda _, rows: self._bar(c, rows))
+        out = self._derive(("bar", *place), places, lambda _, rows: self._row_bar(*place, c, rows))
         return HeckeElt._wrap(self, out)
+
+    def _row_bar(self, name: str, k: int, c: dict[int, LaurentPoly], rows: list) -> dict[int, LaurentPoly]:
+        """The bar of c, row k of view `name`, with `rows` its d rows: iota or b
+        of the bar of its `_source` row where `_holds` allows, else the sum;
+        c itself when c is self-dual."""
+        if not (self._holds(name, k) and self._holds("d")):
+            return self._bar(c, rows)
+        src, j, op = self._source(name, k)
+        barred = self.bar(HeckeElt._wrap(self, self._views[src][j]))._c
+        return c if barred is self._views[src][j] else op(HeckeElt._wrap(self, barred))._c
 
     def _bar(self, c: dict[int, LaurentPoly], rows: list) -> dict[int, LaurentPoly]:
         """sum_k bar(c_k) d(H_k), the d(H_k) given as rows in the order of c.
@@ -294,19 +314,14 @@ class HeckeAlgebra:
         memo = self._views[name]
         got = memo.get(k)
         if got is None:
-            twisted = _TWIST_OF.get(name)
-            if twisted is not None:
-                got = self.b_twist(HeckeElt._wrap(self, self._view(twisted, k)))._c
+            source = self._source(name, k)
+            if source is None:
+                got = getattr(self, "_build_" + name)(k)
+                intern(self._interned, got)
             else:
-                inverse = self.group._inverse[k]
-                if inverse < k:
-                    # the row of x^-1 relabelled: iota commutes with d and
-                    # keeps the form, so it maps d(H_x), C_x and Q_x to the
-                    # same elements at x^-1, and shares their values
-                    got = self.iota(HeckeElt._wrap(self, self._view(name, inverse)))._c
-                else:
-                    got = getattr(self, "_build_" + name)(k)
-                    intern(self._interned, got)
+                src, j, op = source
+                got = op(HeckeElt._wrap(self, self._view(src, j)))._c
+            if name not in _TWIST_OF:
                 # checked once per row: a unit diagonal and nothing on the
                 # wrong side in id order, above k for the dual rows, else below
                 if got.get(k) != LaurentPoly.one():
@@ -316,6 +331,34 @@ class HeckeAlgebra:
             memo[k] = got
             self._placed[id(got)] = (name, k)
         return got
+
+    def _source(self, name: str, k: int):
+        """(view, id, b_twist or iota) of the row that row k of view `name` is
+        made from: row k of the view it twists, or the row of k^-1 < k in id
+        order relabelled; None for a row that `_build_<name>` computes."""
+        twisted = _TWIST_OF.get(name)
+        if twisted is not None:
+            return twisted, k, self.b_twist
+        inverse = self.group._inverse[k]
+        return (name, inverse, self.iota) if inverse < k else None
+
+    def _holds(self, name: str, k: int | None = None) -> bool:
+        """Whether an invariant that a derivation rests on holds, tested once
+        per table state through `_derive`.  With k: row k of view `name` has a
+        `_source` row and is that row mapped.  Without: the view is iota-closed,
+        each row on or below its diagonal in id order, and for d b-fixed."""
+        if k is not None:
+            source = self._source(name, k)
+            return source is not None and self._derive(
+                ("holds", name, k), [(name, (k,)), (source[0], source[1:2])],
+                lambda row, src: row[0] == source[2](HeckeElt._wrap(self, src[0]))._c)
+        inverse, wrap = self.group._inverse, HeckeElt._wrap
+        # the row of x^-1 > x shares the values of the row of x
+        return self._derive(("holds", name), [(name, range(self.group.order))], lambda rows: all(
+            max(row, default=x) <= x for x, row in enumerate(rows)) and all(
+            rows[inverse[x]] == self.iota(wrap(self, row))._c
+            and (name != "d" or self.b_twist(wrap(self, row))._c == row)
+            for x, row in enumerate(rows) if x <= inverse[x]))
 
     def _derive(self, key: tuple, places: list, derive):
         """derive(rows, ...), one list of rows per (view, ids) pair of `places`:
@@ -396,9 +439,9 @@ class HeckeAlgebra:
                 raise ArithmeticError("bar defect is not antisymmetric; solver broken")
             p = c.positive_part()
             accumulate(f, [(y, p)])
-            # the defect is linear in f, so update it in place; c has no
-            # constant term and its negative part is -bar(p), so bar(p) = p - c
-            accumulate(defect, self._view("d", y).items(), p - c)
+            # the defect is linear in f, so update it in place, scaling by
+            # bar(p), whose bound is exact, not by p - c, whose is not
+            accumulate(defect, self._view("d", y).items(), p.bar())
             accumulate(defect, [(y, p)], -1)
         # f equal to the built C row has that row's derived bar
         row = self._views["C"].get(x.idx)
@@ -431,11 +474,22 @@ class HeckeAlgebra:
 
     def _first_off_delta(self, variant: str, kl_variant: str) -> tuple[int, int] | None:
         """The first (x, y) in id order with <Q_x, col_y> != delta_{x,y}, for Q
-        the dual basis `variant` and col the KL view `kl_variant`, or None."""
-        places = [(name, range(self.group.order)) for name in (variant, kl_variant)]
-        return self._derive(("pairing", variant, kl_variant), places, lambda duals, cols: next(
-            ((x, y) for x, row in enumerate(duals) for y, col in enumerate(cols)
-             if dot(row, col) != (ONE if x == y else ZERO)), None))
+        the dual basis `variant` and col its KL view `kl_variant`, or None.
+        If every Q_x and C'_x is b of its twin, the C matrix is b of the C'
+        one, and b fixes delta.  In the C' matrix, on an iota-closed C', the
+        row of Q_x made from Q_{x^-1} is row x^-1, already scanned, permuted."""
+        n, twisted = self.group.order, _TWIST_OF.get(variant)
+
+        def first(duals, cols):
+            if twisted and all(self._holds(variant, x) and self._holds("Cprime", x) for x in range(n)):
+                return self._first_off_delta(twisted, "Cprime")
+            closed = not twisted and self._holds(kl_variant)
+            return next(((x, y) for x, row in enumerate(duals) if not (closed and self._holds(variant, x))
+                         for y, col in enumerate(cols) if dot(row, col) != (ONE if x == y else ZERO)),
+                        None)
+
+        places = [(name, range(n)) for name in (variant, kl_variant)]
+        return self._derive(("pairing", variant, kl_variant), places, first)
 
     # -- verification -----------------------------------------------------------
 
@@ -540,7 +594,9 @@ class HeckeAlgebra:
 
         def agree():
             for x in g.elements():
-                if self.kl_element(x, "C") != self.kl_element_by_bar_solver(x):
+                # C_x made from C_{x^-1}, already matched, matches
+                if not (self._holds("C", x.idx) and self._holds("d")) and \
+                        self.kl_element(x, "C") != self.kl_element_by_bar_solver(x):
                     return False, f"recursion and solver disagree at {g.name(x)}"
             return True, f"all {g.order} elements"
 

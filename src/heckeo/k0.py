@@ -159,6 +159,17 @@ class K0Block:
             out[j] = c
         return dict(sorted(out.items()))
 
+    def _verma_in_simples(self) -> list[dict[int, LaurentPoly]]:
+        """The Simple coordinates of every H_z, by id.  On an iota-closed C'
+        view, back-substitution commutes with iota, so those of H_z with
+        z^-1 < z in id order are those of H_{z^-1} relabelled."""
+        inverse, closed = self.group._inverse, self.hecke._holds("Cprime")
+        table: list[dict[int, LaurentPoly]] = []
+        for z, source in enumerate(inverse):
+            table.append(dict(sorted((inverse[y], p) for y, p in table[source].items()))
+                         if closed and source < z else self._coords({z: ONE}, BasisKind.Simple))
+        return table
+
     # -- verifiers ------------------------------------------------------------
 
     def verify_bott(self) -> VerificationReport:
@@ -185,11 +196,7 @@ class K0Block:
         rep = VerificationReport("k0")
         view, w0x = self.hecke._view, g._w0x
 
-        @functools.cache
-        def verma_in_simples():
-            """Simple-basis coordinates of every Verma class by id, computed
-            once, inside whichever check reads them first."""
-            return [self._coords({z: ONE}, BasisKind.Simple) for z in range(g.order)]
+        verma_in_simples = functools.cache(self._verma_in_simples)  # built by its first reader
 
         def weyl_character():
             lw0 = view("Cprime", g._w0)

@@ -37,6 +37,13 @@ at w = 32 if that is below 2^31, else at the first such w.  The width is
 thus a function of the polynomial, so (lo, n) at that width is canonical,
 and no coefficient, however large, is ever lost or raises.
 
+Bound rule.  `accumulate`'s running entries may keep a loose bound, the sum
+of their terms' bounds, and a finished sum keeps it.  A value that a later
+product reads while its sum still runs may not: products multiply bounds,
+so looseness would compound into wide-path steps for narrow results.  So
+`positive_part`, the KL bar solver's step, has an exact bound (as have
+`_from_digits` and `_narrow` from BOUND_RECHECK on), and so has its bar.
+
 >>> p = v + v**-1
 >>> str(p)
 'v^-1 + v'
@@ -476,14 +483,14 @@ class LaurentPoly:
         return _make(1 - lo - t, int.from_bytes(words.pack(*us), "little") - off, self._b)
 
     def positive_part(self) -> "LaurentPoly":
-        """The terms of positive degree.  A narrow value drops its digits
-        below v^1 with one add and one shift."""
-        d = 1 - self._lo
-        if d <= 0 or not self._n:
-            return self
+        """The terms of positive degree, with an exact bound (the module
+        docstring's bound rule).  A narrow value drops its digits below v^1
+        with one add and one shift."""
+        d = max(1 - self._lo, 0)
         if self._b >= BOUND_LIMIT:
-            return _from_digits(1, self._dense()[d:])
-        return _narrow(1, (self._n + _offset(d, DIGIT_BITS)) >> (DIGIT_BITS * d), self._b)
+            return _from_digits(self._lo + d, self._dense()[d:])
+        n = (self._n + _offset(d, DIGIT_BITS)) >> (DIGIT_BITS * d)
+        return _narrow(self._lo + d, n, BOUND_RECHECK)
 
     def shifted(self, n: int) -> "LaurentPoly":
         """Multiply by v^n."""

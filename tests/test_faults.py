@@ -253,6 +253,10 @@ def unrelabelled_inverse_row(blk, view):
     return patch.dict(alg._views[view], {x: dict(alg._view(view, g._inverse[x]))})
 
 
+def s2s1(blk):
+    return blk.group.parse_word("2.1").idx
+
+
 # checks, fault on a built B2 block, pinned {failing check: detail}: a view row
 # replaced after a clean run, so every result derived from it must be derived
 # again, whichever check derived it first
@@ -319,6 +323,27 @@ B2_FAULTS = [
          "k0.tilting_projective_switch": "fails at 1.2",
          "k0.projectives_dual_to_simples": "<[P],[L]> wrong at (2.1, 1.2)"},
         id="dual_to_bC:the row of 2.1 is the row of 1.2 unrelabelled"),
+    # v - v^-1 is fixed by b and the row stays unitriangular, so only the
+    # test that the row of 2.1 is the row of 1.2 relabelled stops each bar,
+    # and the solver run, at 2.1 from being derived from those at 1.2
+    pytest.param(
+        ("hecke.bar_is_involution", "hecke.kl_recursion_matches_bar_solver"),
+        lambda blk: add_to_built_entry(blk.hecke, "d", s2s1(blk), 0, v - v**-1),
+        {"hecke.bar_is_involution": "12 elements",
+         "hecke.bar_is_ring_automorphism": "4^2 products",
+         "hecke.involutions_pairwise_commute": "",
+         "hecke.kl_selfdual_and_degree_bounds": "C_2.1 not self-dual",
+         "hecke.kl_recursion_matches_bar_solver": "recursion and solver disagree at 2.1",
+         "k0.duality_intertwines_bar": "duality does not intertwine the bar involution",
+         "k0.duality_fixes_simples": "dual Verma view inconsistent"},
+        id="d:the row of 2.1 gains v - v^-1 at e"),
+    # the dual_to_C pairings are b of the dual_to_bC ones only where each
+    # row is the twist of its dual_to_bC row, so this row's are computed
+    pytest.param(
+        ("hecke.dual_bases_orthonormal",),
+        lambda blk: add_to_built_entry(blk.hecke, "dual_to_C", s2s1(blk), blk.group.w0.idx, v**2),
+        {"hecke.dual_bases_orthonormal": "dual_to_C fails at (2.1, 1.2.1.2)"},
+        id="dual_to_C:the row of 2.1 gains v^2 at w0"),
 ]
 
 
@@ -347,6 +372,38 @@ def test_a_replaced_view_row_fails_the_same_checks_on_a_fresh_block(checks, faul
     with fault(blk):
         assert hecke_k0_failures(blk) == pinned
     assert hecke_k0_failures(blk) == {}
+
+
+def every_result_computed(blk):
+    """`blk`, with every invariant that a derivation rests on reporting false,
+    so that each bar, solver run, pairing and Verma-in-simples entry is
+    computed and none is derived from its source."""
+    blk.hecke._holds = lambda *args: False
+    return blk
+
+
+@pytest.fixture(scope="module")
+def computed_k0_block():
+    return every_result_computed(K0Block(build_group(CartanDatum("B", 3))))
+
+
+@pytest.fixture(scope="module")
+def computed_b2_block():
+    return every_result_computed(K0Block(build_group(CartanDatum("B", 2))))
+
+
+# derivations change what is computed, never a verdict or a detail: with
+# none, the clean run passes and each fault row fails exactly as pinned
+@pytest.mark.parametrize("checks,fault,pinned", HECKE_K0_FAULTS)
+def test_hecke_k0_fault_fails_the_same_checks_with_every_result_computed(
+        computed_k0_block, checks, fault, pinned):
+    test_hecke_k0_fault_fails_its_checks(computed_k0_block, checks, fault, pinned)
+
+
+@pytest.mark.parametrize("checks,fault,pinned", B2_FAULTS)
+def test_a_replaced_view_row_fails_the_same_checks_with_every_result_computed(
+        computed_b2_block, checks, fault, pinned):
+    test_a_replaced_view_row_fails_its_checks_on_a_warm_block(computed_b2_block, checks, fault, pinned)
 
 
 # checks, the pair (k_y for sy > y, k_y for sy < y) of one action constant

@@ -4,8 +4,9 @@ import weakref
 import pytest
 
 from _oracles import dual_basis_by_inversion, invert_unitriangular, kl_by_product_recursion, mul_by_right_words
+from heckeo import hecke, laurent
 from heckeo.hecke import _C_S, _H_S, _H_S_INV, DUAL_VARIANTS, VIEWS, HeckeAlgebra, HeckeElt
-from heckeo.laurent import LaurentPoly, v, v_pow
+from heckeo.laurent import LaurentPoly, dot, v, v_pow
 from heckeo.report import VerificationReport
 from heckeo.weyl import CartanDatum, MixedGroups, build_group
 
@@ -533,6 +534,62 @@ def test_bar_of_every_view_row_matches_a_memo_free_sum():
         first, hit = alg.bar(h), alg.bar(h)
         assert first == expect and hit == expect
         assert hit._c is first._c
+
+
+@pytest.mark.parametrize("label", ["A3", "B3"])
+def test_derived_results_equal_the_directly_computed_ones(label, monkeypatch):
+    # iota and b derive a row's bar, its solver run and its pairings from
+    # those of its source row; each must equal the memo-free value, and only
+    # the rows with no source are computed
+    alg = algebra(label)
+    g = alg.group
+    n = g.order
+    rows = [(name, k) for name in VIEWS for k in range(n)]
+    built = {row: alg._view(*row) for row in rows}
+    d = [built["d", k] for k in range(n)]
+    sourceless = {(name, k) for name, k in rows if alg._source(name, k) is None}
+    assert len(sourceless) < len(rows) // 2
+    calls = {"bar": 0, "solver": 0, "dot": 0}
+    for name, method in (("bar", "_bar"), ("solver", "kl_element_by_bar_solver")):
+        f = getattr(alg, method)
+        monkeypatch.setattr(alg, method, lambda *a, name=name, f=f: calls.update({name: calls[name] + 1}) or f(*a))
+    monkeypatch.setattr(hecke, "dot", lambda a, b: calls.update(dot=calls["dot"] + 1) or dot(a, b))
+    for name, k in rows:
+        h = HeckeElt._wrap(alg, built[name, k])
+        expect = {}
+        for j, p in h._c.items():
+            for y, q in d[j].items():
+                expect[y] = expect.get(y, LaurentPoly()) + p.bar() * q
+        assert alg.bar(h)._c == {y: p for y, p in expect.items() if p}, (name, k)
+    # a row H_x alone has its d row for bar, summing nothing
+    assert calls["bar"] == sum(len(built[row]) > 1 for row in sourceless)
+    assert alg.verify_kl_oracle().passed
+    assert calls["solver"] == len({k for name, k in sourceless if name == "C"})
+    pairs = (("dual_to_bC", "Cprime"), ("dual_to_C", "C"))
+    assert [alg._first_off_delta(*pair) for pair in pairs] == [None, None]
+    # n pairings for each dual_to_bC row with no source, and none against C
+    assert calls["dot"] == n * len({k for name, k in sourceless if name == "dual_to_bC"})
+    for variant, kl_variant in pairs:
+        for x in range(n):
+            q = HeckeElt._wrap(alg, built[variant, x])
+            assert [alg.pairing(q, HeckeElt._wrap(alg, built[kl_variant, y])) for y in range(n)] \
+                == [ONE if x == y else 0 for y in range(n)]
+
+
+@pytest.mark.parametrize("label", ["B3", "A4"])
+def test_the_bar_solver_never_takes_the_wide_path_on_narrow_values(label, monkeypatch):
+    # every KL and d(H_x) coefficient here is far below 2^31, and the
+    # solver scales each d row by a value with an exact bound, so no step
+    # repacks at a wider digit
+    alg = algebra(label)
+    for x in alg.group.elements():
+        alg.kl_element(x)
+        alg.view("d", x)
+    repacks = []
+    monkeypatch.setattr(laurent, "_from_digits", lambda *a, f=laurent._from_digits: repacks.append(a) or f(*a))
+    for x in alg.group.elements():
+        assert alg.kl_element_by_bar_solver(x) == alg.kl_element(x)
+    assert repacks == []
 
 
 def test_dihedral_kl_coefficients_are_monomials():

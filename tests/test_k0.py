@@ -80,6 +80,23 @@ def test_coords_in_basis_matches_inversion_oracle(label):
                 assert list(got) == list(want)
 
 
+@pytest.mark.parametrize("label", ["A3", "B3"])
+def test_verma_in_simples_derived_by_iota_equals_the_computed_table(label, monkeypatch):
+    # the Simple coordinates of H_z with z^-1 < z are those of H_{z^-1}
+    # relabelled; each equals the computed and the inverted ones, in order
+    blk = block(label)
+    g = blk.group
+    computed = [blk._coords({z: ONE}, BasisKind.Simple) for z in range(g.order)]
+    expected = coords_by_inversion(blk, [blk.verma(x) for x in g.elements()], BasisKind.Simple)
+    coords, calls = blk._coords, []
+    monkeypatch.setattr(blk, "_coords", lambda *a: calls.append(a) or coords(*a))
+    table = blk._verma_in_simples()
+    assert len(calls) == sum(g._inverse[z] >= z for z in range(g.order)) < g.order
+    for z in range(g.order):
+        assert list(table[z].items()) == list(computed[z].items())
+        assert {g.element(y): p for y, p in table[z].items()} == expected[z]
+
+
 def _break_builder(monkeypatch, blk, builder, x, broken):
     """Make one builder of blk's Hecke algebra hand back broken(column) for
     element x, as a faulty recursion would."""

@@ -266,6 +266,17 @@ def test_positive_part_matches_dict_oracle(m, n):
     assert_matches(a.positive_part(), DictLaurentPoly({e: c for e, c in oa.items() if e > 0}))
 
 
+def test_a_positive_part_has_an_exact_bound():
+    # a running entry's bound is the sum of its terms' bounds: 2v^-1 + v
+    # here is bounded by 4 + 1, and v by 2 + 1; the positive part, which the
+    # bar solver multiplies, is bounded by its own coefficients
+    entries = accumulate({0: 3 * v**-1 + v, 1: v + v**2}, [(0, v**-1), (1, v**2)], -1)
+    assert entries == {0: 2 * v**-1 + v, 1: v}
+    assert [p._b for p in entries.values()] == [5, 3]
+    for p in entries.values():
+        assert p.positive_part() == v and p.positive_part()._b == 1
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.lists(st.tuples(coeff_maps, coeff_maps), min_size=1, max_size=8), scalars)
 def test_long_chains_match_dict_oracle(pairs, k):
