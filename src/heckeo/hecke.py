@@ -43,13 +43,15 @@ Every product comes down to one left action on coefficient dicts,
     (H_s + c) H_y = H_{sy} + k_y H_y,   k_y = c (sy > y), c + v^-1 - v (sy < y),
 
 one pass over the support placing the h_{sy}, then one `accumulate` of the
-k_y h_y for each of the two k_y.  The action serves c = v (C_s, hence C_x
-and wall crossing), c = 0 (H_s, hence `mul`) and c = v - v^-1
-(H_s^-1 = d(H_s), hence d(H_x)).  The vector sums and pairings are
-`laurent.accumulate` and `laurent.dot`, one loop each over the packed
-fields, which this module never reads.  `mul` walks the smaller support,
-flipping sides by iota when that is b's, and memoizes H_y b along suffixes
-of reduced words.
+k_y h_y for each nonzero k_y.  The action serves c = v (C_s, hence C_x and
+wall crossing), c = 0 (H_s, hence `mul`; k_y = 0 for sy > y) and
+c = v - v^-1 (H_s^-1 = d(H_s), hence d(H_x); k_y = 0 for sy < y).  The
+vector sums and pairings are `laurent.accumulate` and `laurent.dot`, one
+loop each over the packed fields, which this module never reads; an
+element sum, difference or scalar multiple is one `accumulate`.  `mul`
+walks the smaller support, flipping sides by iota when that is b's, and
+memoizes H_y b along suffixes of reduced words; for a single H_y with
+coefficient 1 the last action's dict is the product, uncopied.
 
 C_x is computed two independent ways: the recursion C_s C_{sx} minus
 integer multiples mu(y, sx) C_y, subtracted in place, and a solver that
@@ -62,7 +64,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from operator import is_
 
-from .laurent import ONE, ZERO, LaurentPoly, accumulate, dot, intern, mapped, v
+from .laurent import MINUS_ONE, ONE, ZERO, LaurentPoly, accumulate, dot, intern, mapped, v
 from .report import VerificationReport
 from .weyl import MixedGroups, WeylElt, WeylGroup
 
@@ -75,6 +77,9 @@ _H_S_INV = (v - v**-1, ZERO)  # c = v - v^-1: H_s^-1 = d(H_s)
 
 KL_VARIANTS = ("C", "Cprime")
 DUAL_VARIANTS = ("dual_to_bC", "dual_to_C")
+# the two coefficients of the n-th element of `_sample_elements`, built once
+_SAMPLE_COEFFS = [(LaurentPoly({n - 1: 1, 2: -3}), LaurentPoly({0: 2, -2: n})) for n in range(4)]
+
 # the memoized basis views: C_x, C'_x, the two dual bases, and d(H_x)
 VIEWS = KL_VARIANTS + DUAL_VARIANTS + ("d",)
 # the views that are b of another view, element by element
@@ -114,15 +119,21 @@ class HeckeElt:
     def is_zero(self) -> bool:
         return not self._c
 
-    def __add__(self, other: "HeckeElt") -> "HeckeElt":
+    def _plus(self, other, scal) -> "HeckeElt":
+        """self + scal * other, one `accumulate`; NotImplemented for a non-element."""
+        if not isinstance(other, HeckeElt):
+            return NotImplemented
         self.algebra.check_own(other)
-        return HeckeElt(self.algebra, accumulate(dict(self._c), other._c.items()))
+        return HeckeElt._wrap(self.algebra, accumulate(dict(self._c), other._c.items(), scal))
 
-    def __neg__(self) -> "HeckeElt":
-        return HeckeElt(self.algebra, {k: -p for k, p in self._c.items()})
+    def __add__(self, other: "HeckeElt") -> "HeckeElt":
+        return self._plus(other, ONE)
 
     def __sub__(self, other: "HeckeElt") -> "HeckeElt":
-        return self + (-other)
+        return self._plus(other, MINUS_ONE)
+
+    def __neg__(self) -> "HeckeElt":
+        return HeckeElt._wrap(self.algebra, {k: -p for k, p in self._c.items()})
 
     def __mul__(self, other):
         if isinstance(other, HeckeElt):
@@ -130,7 +141,7 @@ class HeckeElt:
         scal = LaurentPoly._coerce(other)
         if scal is None:
             return NotImplemented
-        return HeckeElt(self.algebra, {k: p * scal for k, p in self._c.items()})
+        return HeckeElt._wrap(self.algebra, accumulate({}, self._c.items(), scal))
 
     def __rmul__(self, other):
         return self * other
@@ -180,15 +191,15 @@ class HeckeAlgebra:
     # -- constructors ----------------------------------------------------
 
     def zero(self) -> HeckeElt:
-        return HeckeElt(self, {})
+        return HeckeElt._wrap(self, {})
 
     def unit(self) -> HeckeElt:
-        return HeckeElt(self, {0: LaurentPoly.one()})
+        return HeckeElt._wrap(self, {0: ONE})
 
     def std(self, x: WeylElt) -> HeckeElt:
         """The standard basis element H_x."""
         self.group._check_same_group(x)
-        return HeckeElt(self, {x.idx: LaurentPoly.one()})
+        return HeckeElt._wrap(self, {x.idx: ONE})
 
     def gen(self, i: int) -> HeckeElt:
         return self.std(self.group.simple(i))
@@ -205,7 +216,8 @@ class HeckeAlgebra:
         """(H_s + c) h on a coefficient dict, s the i-th simple reflection and
         c one of _C_S, _H_S, _H_S_INV: entry y of the result is
         h_{sy} + k_y h_y, one pass over the support to place the h_{sy} and
-        one `accumulate` for each of the two k_y."""
+        one `accumulate` for each nonzero k_y with terms (H_s has no k_y for
+        sy > y, H_s^-1 none for sy < y)."""
         up, down = c
         col = i - 1
         lmult, lengths = self.group._lmult, self.group._lengths
@@ -216,14 +228,19 @@ class HeckeAlgebra:
             sy = lmult[y][col]
             out[sy] = p
             (ups if lengths[sy] > lengths[y] else downs).append((y, p))
-        accumulate(out, ups, up)
-        return accumulate(out, downs, down)
+        if ups and up:
+            accumulate(out, ups, up)
+        if downs and down:
+            accumulate(out, downs, down)
+        return out
 
     def mul(self, a: HeckeElt, b: HeckeElt) -> HeckeElt:
         """sum_y a_y (H_y b) over the smaller support: if b has it,
         ab = iota(iota(b) iota(a)).  H_y b = H_s (H_{sy} b) for s the first
         letter of the reduced word of y, the rest being the word of sy, so
-        the H_y b are memoized along suffixes: at most |W| actions."""
+        the H_y b are memoized along suffixes: at most |W| actions.  For a
+        single H_y != H_e with coefficient 1, the last action's fresh dict
+        is the product itself, uncopied; b's own dict never is."""
         self.check_own(a, b)
         if len(a._c) > len(b._c):
             return self.iota(self.mul(self.iota(b), self.iota(a)))
@@ -239,6 +256,8 @@ class HeckeAlgebra:
             hy = memo[y]
             for z, s in reversed(chain):
                 hy = memo[z] = self._act(s, hy, _H_S)
+            if chain and len(a._c) == 1 and ay == ONE:
+                return HeckeElt._wrap(self, hy)
             accumulate(total, hy.items(), ay)
         return HeckeElt._wrap(self, total)
 
@@ -512,7 +531,7 @@ class HeckeAlgebra:
         def quadratic():
             for i in range(1, g.rank + 1):
                 h = self.gen(i)
-                lhs = self.mul(h + self.unit() * v, h - self.unit() * LaurentPoly({-1: 1}))
+                lhs = self.mul(h + self.unit() * v, h - self.unit() * v**-1)
                 if not lhs.is_zero():
                     return False, f"s_{i} fails"
             return True, f"{g.rank} generators"
@@ -638,16 +657,5 @@ class HeckeAlgebra:
         through the `iota` flip in `mul`."""
         g = self.group
         picks = sorted({0, g.order - 1, g.order // 2, min(1, g.order - 1)})
-        out = []
-        for n, k in enumerate(picks):
-            out.append(
-                HeckeElt(
-                    self,
-                    {
-                        k: LaurentPoly({n - 1: 1, 2: -3}),
-                        0 if k else 1: LaurentPoly({0: 2, -2: n}),
-                    },
-                )
-            )
-        return out
+        return [HeckeElt(self, {k: p, 0 if k else 1: q}) for k, (p, q) in zip(picks, _SAMPLE_COEFFS)]
 

@@ -31,7 +31,7 @@ import enum
 import functools
 
 from .hecke import HeckeAlgebra, HeckeElt
-from .laurent import ONE, ZERO, LaurentPoly, accumulate, dot, mapped, v
+from .laurent import ONE, ZERO, LaurentPoly, accumulate, dot, mapped, v, v_pow
 from .report import VerificationReport
 from .weyl import WeylElt, WeylGroup
 
@@ -54,6 +54,8 @@ class BasisKind(enum.Enum):
 
 
 WALL_VARIANTS = ("theta", "pi_star_pi", "pi_shriek_pi")
+_V_INV = v_pow(-1)
+_V_INV_MINUS_V = _V_INV - v  # H_s^2 = 1 + (v^-1 - v) H_s
 
 
 class K0Class(HeckeElt):
@@ -105,7 +107,7 @@ class K0Block:
     def shift(self, X: HeckeElt, n: int) -> HeckeElt:
         """[X<n>]: multiplies every coordinate by v^-n."""
         self.hecke.check_own(X)
-        return HeckeElt(self.hecke, {k: p.shifted(-n) for k, p in X._c.items()})
+        return HeckeElt._wrap(self.hecke, {k: p.shifted(-n) for k, p in X._c.items()})
 
     def wall_crossing(self, i: int, X: HeckeElt, variant: str = "theta") -> HeckeElt:
         """theta_s is the left action of C_s on Verma coordinates; the
@@ -182,7 +184,7 @@ class K0Block:
             lw0 = self.hecke._view("Cprime", g._w0)
             for x in range(g.order):
                 l = g._lengths[g._index_mul(x, g._w0)]
-                expect = LaurentPoly({-l: 1 if l % 2 == 0 else -1})
+                expect = v_pow(-l) if l % 2 == 0 else -v_pow(-l)
                 got = dot({x: ONE}, lw0)
                 if got != expect:
                     return False, f"fails at x={g._name(x)}: {got} != {expect}"
@@ -293,7 +295,7 @@ class K0Block:
                 for X in vermas:
                     once = self.hecke_act(hs, X)
                     twice = self.hecke_act(hs, once)
-                    if twice != X + once * LaurentPoly({-1: 1, 1: -1}):
+                    if twice != X + once * _V_INV_MINUS_V:
                         return False, f"quadratic action fails at s_{i}"
             return True, f"{g.rank} generators x {g.order} basis classes"
 
@@ -305,7 +307,7 @@ class K0Block:
                     if act != theta - X * v:
                         return False, f"H_s vs theta_s mismatch at s_{i}"
                     star = self.wall_crossing(i, X, "pi_star_pi")
-                    if star != theta * LaurentPoly({-1: 1}):
+                    if star != theta * _V_INV:
                         return False, "pi* pi_* shift bookkeeping broken"
                     if self.wall_crossing(i, X, "pi_shriek_pi") != theta * v:
                         return False, "pi! pi_* shift bookkeeping broken"
@@ -319,7 +321,7 @@ class K0Block:
                 hs = lambda Y: self.wall_crossing(i, Y, "theta") - Y * v
                 for X in vermas:
                     once = hs(X)
-                    if hs(once) != X + once * LaurentPoly({-1: 1, 1: -1}):
+                    if hs(once) != X + once * _V_INV_MINUS_V:
                         return False, f"wall-crossing quadratic fails at s_{i}"
             return True, ""
 
@@ -413,18 +415,17 @@ class K0Block:
         rep = VerificationReport("k0")
 
         def check():
+            gens = [self.hecke.gen(i) for i in range(1, g.rank + 1)]
+            c_s = [h + self.hecke.unit() * v for h in gens]
             for x in g.elements():
                 for i in range(1, g.rank + 1):
                     sx = g.left_multiply_gen(i, x)
                     if g.length(sx) < g.length(x):
-                        killed = self.hecke_act(
-                            self.hecke.gen(i) + self.hecke.unit() * v,
-                            self.class_of(x, BasisKind.Simple),
-                        )
+                        killed = self.hecke_act(c_s[i - 1], self.class_of(x, BasisKind.Simple))
                         if not killed.is_zero():
                             return False, f"(H_s + v)[L_x] != 0 at ({i}, {g.name(x)})"
                     else:
-                        moved = self.hecke_act(self.hecke.gen(i), self.verma(x))
+                        moved = self.hecke_act(gens[i - 1], self.verma(x))
                         if moved != self.verma(sx):
                             return False, f"H_s [D_x] != [D_sx] at ({i}, {g.name(x)})"
             return True, "wall operators on simples and Vermas"

@@ -454,6 +454,58 @@ def test_a_wrong_action_constant_fails_its_checks(checks, constant, faulty, pinn
     assert hecke_k0_failures(K0Block(build_group(CartanDatum("B", 2)))) == {}
 
 
+def words_read_backwards(alg):
+    """`mul` walks each reduced word from its last letter instead of its
+    first, so that it forms H_{y^-1} b for H_y b."""
+    mul = alg.mul
+
+    def faulty(a, b):
+        # a flipping product calls alg.mul again, on the sides it walks
+        return mul(a, b) if len(a._c) > len(b._c) else mul(alg.iota(a), b)
+
+    return patch.object(alg, "mul", faulty)
+
+
+def flip_without_outer_iota(alg):
+    """`mul` flips sides by iota when b has the smaller support, but drops the
+    outer iota: it gives iota(b) iota(a) for ab."""
+    mul = alg.mul
+
+    def faulty(a, b):
+        return mul(alg.iota(b), alg.iota(a)) if len(a._c) > len(b._c) else mul(a, b)
+
+    return patch.object(alg, "mul", faulty)
+
+
+# checks, fault in `HeckeAlgebra.mul` on a fresh B2 block, pinned {failing
+# check: detail}: a product of two basis elements, as in the braid check,
+# never flips, and ab X does where ab has two terms, as H_s H_s has
+MUL_FAULTS = [
+    pytest.param(
+        ("hecke.braid_relations",), words_read_backwards,
+        {"hecke.braid_relations": "H_x H_y != H_xy at (1.2, e)",
+         "hecke.bar_is_ring_automorphism": "4^2 products",
+         "hecke.iota_is_anti_automorphism": "",
+         "k0.module_associativity": "module associativity fails",
+         "k0.duality_fixes_simples": "dual Verma view inconsistent"},
+        id="braid_relations:mul reads words backwards"),
+    pytest.param(
+        ("k0.module_associativity",), flip_without_outer_iota,
+        {"hecke.bar_is_ring_automorphism": "4^2 products",
+         "k0.module_associativity": "module associativity fails"},
+        id="module_associativity:the flip drops its outer iota"),
+]
+
+
+@pytest.mark.parametrize("checks,fault,pinned", MUL_FAULTS)
+def test_a_wrong_product_fails_its_checks_on_a_fresh_block(checks, fault, pinned):
+    blk = K0Block(build_group(CartanDatum("B", 2)))
+    with fault(blk.hecke):
+        assert set(checks) <= set(pinned)
+        assert hecke_k0_failures(blk) == pinned
+    assert hecke_k0_failures(blk) == {}
+
+
 def broken_coords(*args):
     raise ArithmeticError("no coordinates")
 

@@ -3,8 +3,9 @@ import weakref
 
 import pytest
 
-from _oracles import dual_basis_by_inversion, invert_unitriangular, kl_by_product_recursion, mul_by_right_words
-from heckeo import hecke, laurent
+from _oracles import (_add_into, dual_basis_by_inversion, invert_unitriangular, kl_by_product_recursion,
+                      mul_by_right_words)
+from heckeo import cli, hecke, k0, laurent
 from heckeo.hecke import _C_S, _H_S, _H_S_INV, DUAL_VARIANTS, VIEWS, HeckeAlgebra, HeckeElt
 from heckeo.laurent import LaurentPoly, dot, v, v_pow
 from heckeo.report import VerificationReport
@@ -238,6 +239,82 @@ def test_iota_check_never_runs_through_the_mul_flip(label, monkeypatch):
     assert alg.verify_involutions().passed
     # iota(ab), iota(b) and iota(a) for each of the 4 x 4 sample pairs
     assert calls.count("hecke.iota_is_anti_automorphism") == 3 * 16
+
+
+def test_mul_by_a_single_basis_element_returns_a_fresh_dict():
+    # a single H_y != H_e with coefficient 1 returns the last action's dict
+    # uncopied; no product is ever an input's dict or a view row
+    alg = algebra("B3")
+    g = alg.group
+    rows = [alg.view(name, x) for name in VIEWS for x in g.elements()[::5]]
+    family = rows + alg._sample_elements() + [alg.zero()]
+    singles = [alg.std(x) for x in g.elements()[::7]] + [alg.std(g.w0)]
+    singles += [alg.std(x) * (v + 2) for x in g.elements()[::11]] + [alg.unit(), alg.unit() * v]
+    placed = {id(row) for view in alg._views.values() for row in view.values()}
+    for a in singles:
+        for b in family:
+            for got, x, y in ((alg.mul(a, b), a, b), (alg.mul(b, a), b, a)):
+                assert got == mul_by_right_words(alg, x, y)
+                assert got._c is not a._c and got._c is not b._c
+                assert id(got._c) not in placed
+                assert all(p for p in got._c.values())
+
+
+def zero_free_sum(*terms):
+    """sum of scal * h over (h, scal), entry by entry through `LaurentPoly`'s
+    `+` and `*`, as `_oracles` sums."""
+    out = {}
+    for h, scal in terms:
+        _add_into(out, h._c.items(), scal)
+    return out
+
+
+def test_element_sums_match_entry_by_entry_sums():
+    alg = algebra("B2")
+    g = alg.group
+    family = alg._sample_elements() + [alg.view("C", g.w0), alg.view("d", g.w0), alg.zero()]
+    family += [-h for h in family[:2]] + [h * (v - v_pow(-1)) for h in family[:2]]
+    for a in family:
+        assert (-a)._c == zero_free_sum((a, -1))
+        for scal in (0, 1, -1, 3, v, v_pow(-2), v - v_pow(-1), LaurentPoly()):
+            assert (a * scal)._c == (scal * a)._c == zero_free_sum((a, scal))
+        for b in family:
+            assert (a + b)._c == zero_free_sum((a, 1), (b, 1))
+            assert (a - b)._c == zero_free_sum((a, 1), (b, -1))
+    for a in family:
+        assert (a - a).is_zero() and (a + (-a)).is_zero()
+        for h in (-a, a * v, a * 0, a + a, a - a):
+            assert all(p for p in h._c.values())
+
+
+@pytest.mark.parametrize("op", [lambda h, c: h + c, lambda h, c: h - c,
+                                lambda h, c: c + h, lambda h, c: c - h], ids=["+", "-", "r+", "r-"])
+@pytest.mark.parametrize("other", [1, 1.5, None])
+def test_sums_with_a_non_element_raise_type_error(a1, op, other):
+    with pytest.raises(TypeError):
+        op(a1.gen(1), other)
+
+
+def test_verify_sums_only_nonzero_scalars_over_nonempty_terms(monkeypatch):
+    # every vector sum hecke and k0 make in A3 `verify --suite all`, counted
+    # where they import it: none adds nothing, and their number stays pinned
+    calls, wasted = [0], []
+    accumulate = laurent.accumulate
+
+    def counted(out, terms, scal=1):
+        terms = list(terms)
+        calls[0] += 1
+        if not terms or scal == 0:
+            wasted.append((len(terms), scal))
+        return accumulate(out, terms, scal)
+
+    monkeypatch.setattr(hecke, "accumulate", counted)
+    monkeypatch.setattr(k0, "accumulate", counted)
+    code, _ = cli.run(["verify", "--type", "A3", "--suite", "all"])
+    assert code == 0
+    assert wasted == []
+    pinned, margin = 4870, 0.02  # the count may exceed its pin by this share
+    assert calls[0] <= pinned * (1 + margin), calls[0]
 
 
 @pytest.mark.parametrize("label", ["G2", "B3"])

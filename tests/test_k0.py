@@ -200,10 +200,18 @@ def test_wall_variants_are_shifts(a2):
     assert a2.wall_crossing(1, X, "pi_shriek_pi") == th * v
 
 
-def test_shift_convention(a1):
+def test_shift_convention(a1, a2):
     X = a1.verma(a1.group.simple(1))
     assert a1.shift(X, 1) == X * v_pow(-1)
     assert a1.shift(X, -2) == X * v_pow(2)
+    # entry by entry, LaurentPoly's own product, and nothing zero kept
+    g = a2.group
+    X = a2.verma(g.simple(2)) * (v + 2) + a2.verma(g.w0) * v_pow(-3) + a2.class_of(g.w0, BasisKind.Simple)
+    for n in (-3, -1, 0, 1, 4):
+        got = a2.shift(X, n)
+        assert got._c == {k: p * v_pow(-n) for k, p in X._c.items()}
+        assert all(p for p in got._c.values())
+    assert a2.shift(X * 0, 2).is_zero()
 
 
 # -- duality -------------------------------------------------------------------
