@@ -43,6 +43,15 @@ DELTA_FLAGGED = ("Delta_e", "Delta_s", "P_e", "P_s")
 NABLA_FLAGGED = ("nabla_e", "nabla_s", "D_e", "D_s")
 
 
+def theta_homology(ctx: RankOneBlock):
+    """(variant, name, {degree: module}): the nonzero homology of Theta*
+    ("star") and Theta! ("shriek") on each catalog entry, in the order of
+    EXPECTED_HOMOLOGY, each computed when it is read."""
+    for variant, fc in (("star", ctx.theta_star()), ("shriek", ctx.theta_shriek())):
+        for name in CATALOG_NAMES:
+            yield variant, name, fc.apply(ctx.catalog.modules[name]).complex.homology_modules()
+
+
 def _test_modules(ctx: RankOneBlock):
     mods = [ctx.catalog.modules[n] for n in ("L_e", "L_s", "Delta_s", "nabla_s", "P_e")]
     return mods + [ctx.regular, ctx.theta.on_module(ctx.regular)]
@@ -55,6 +64,8 @@ def verify_catalog(ctx: RankOneBlock) -> VerificationReport:
 
     for name, (detail, predicates) in cat.facts().items():
         rep.run(name, lambda ps=predicates, d=detail: (all(holds() for _, holds in ps), d))
+    # theta M depends on dim M_e alone, so theta Delta_s = theta nabla_s; the
+    # counit tells them apart, its image in Delta_s being the socle L_e
     rep.run(
         "block.theta_on_catalog",
         lambda: (
@@ -62,7 +73,8 @@ def verify_catalog(ctx: RankOneBlock) -> VerificationReport:
             and cat.decompose(ctx.theta.on_module(mods["L_e"])) == {"P_e": 1}
             and cat.decompose(ctx.theta.on_module(mods["Delta_s"])) == {"P_e": 1}
             and cat.verma_flag_multiplicities(ctx.theta.on_module(mods["Delta_s"]))
-            == {"Delta_e": 1, "Delta_s": 1},
+            == {"Delta_e": 1, "Delta_s": 1}
+            and ctx.eps.at(mods["Delta_s"]).total_rank() == 1,
             "theta kills L_s, sends L_e and Delta_s to P_e; Verma factors each once",
         ),
     )
@@ -179,10 +191,9 @@ def verify_equivalence(ctx: RankOneBlock) -> VerificationReport:
     rep.run("block.differentials_square_to_zero", dsq)
 
     def homology_table():
-        for (variant, name), expected in EXPECTED_HOMOLOGY.items():
-            fc = ts if variant == "star" else tsh
-            applied = fc.apply(cat.modules[name]).complex
-            got = {n: cat.decompose(h) for n, h in applied.homology_modules().items()}
+        for variant, name, homology in theta_homology(ctx):
+            got = {n: cat.decompose(h) for n, h in homology.items()}
+            expected = EXPECTED_HOMOLOGY[(variant, name)]
             if got != expected:
                 return False, f"Theta^{variant}({name}): {got} != {expected}"
         return True, f"{len(EXPECTED_HOMOLOGY)} homology computations"

@@ -19,8 +19,10 @@ invariant under that choice.
 Reuse follows one rule: every memo is a dict keyed by the objects it was
 built from, and `Module` and `Nat` hash by identity, so a replaced input
 misses by construction.  pi_star M = M_e depends only on dim M_e and
-pi_pull V = P_e (x) V only on dim V, so `Catalog.images` keeps each atom
-image by (atom, dimension) beside the P_e it reads; each solved (co)unit
+pi_pull V = P_e (x) V only on dim V, for P_e the projective the catalog
+built (`Catalog.projectives`), not its replaceable `P_e` entry: theta is
+fixed by the algebra, so `Catalog.images` keeps each atom image by (atom,
+dimension) beside that P_e; each solved (co)unit
 caches its component by module object (`functools.cache`); the composites
 behind ev and coev are keyed by (eps, etap).  Nothing points back at the
 block: a functor holds the catalog, a complex its algebra, and a (co)unit
@@ -121,7 +123,7 @@ class Functor:
             if atom == PI_STAR:
                 out = Module(cat.wall, {"w": d})
             else:
-                pe, alg = cat.modules["P_e"], cat.algebra
+                pe, alg = cat.projectives["e"][0], cat.algebra
                 out = Module(alg, {v: pe.dims[v] * d for v in alg.vertices},
                              {label: linalg.kron(pe.act[label], linalg.eye(d))
                               for label, _, _ in alg.arrows})
@@ -134,7 +136,7 @@ class Functor:
             mats = {"w": f.mats["e"]}
         else:
             mats = {
-                v: linalg.kron(linalg.eye(cat.modules["P_e"].dims[v]), f.mats["w"])
+                v: linalg.kron(linalg.eye(cat.projectives["e"][0].dims[v]), f.mats["w"])
                 for v in cat.algebra.vertices
             }
         return ModuleMap(
@@ -397,7 +399,7 @@ class RankOneBlock:
         self.pi_star = Functor(cat, (PI_STAR,), "mod")
         self.pi_pull = Functor(cat, (PI_PULL,), "wall")
         self.theta = Functor(cat, (PI_PULL, PI_STAR), "mod")
-        self.regular = direct_sum([cat.modules["P_e"], cat.modules["P_s"]])[0]
+        self.regular = direct_sum([cat.projectives[v][0] for v in ("e", "s")])[0]
         # the wall test objects, built once: the (co)unit memos hold each
         # module they are evaluated on
         self._walls = [Module(self.wall, {"w": d}) for d in (1, 2, 3)]
@@ -467,7 +469,7 @@ class RankOneBlock:
         (co)unit, and then hold on every test object."""
         cat = self.catalog
         unit_on_wall = left.src_kind == "wall"
-        w_dim = cat.modules["P_e"].dims["e"]
+        w_dim = cat.projectives["e"][0].dims["e"]
         line = self._walls[0]
         tests = [self.regular] + [cat.modules[n] for n in ("P_e", "Delta_s", "nabla_s", "L_e", "L_s")]
         tests += self._walls[:2]

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import io
 import itertools
 import json
 import os
@@ -183,23 +182,15 @@ def _cmd_verify(args, cfg) -> tuple[int, str]:
 
 def _cmd_block_check(args, cfg) -> tuple[int, str]:
     from .block import build_rank_one
-    from .block.catalog import CATALOG_NAMES
-    from .block.checks import suite as block_suite
+    from .block.checks import suite as block_suite, theta_homology
 
     ctx = build_rank_one()
     if args.format == "csv":
         # homology table of the two equivalences over the whole catalog
-        buf = io.StringIO()
-        buf.write("module,degree,dimension\n")
-        rows = []
-        for variant, fc in (("Theta*", ctx.theta_star()), ("Theta!", ctx.theta_shriek())):
-            for name in CATALOG_NAMES:
-                applied = fc.apply(ctx.catalog.modules[name]).complex
-                for n, dims in sorted(applied.homology_dims().items()):
-                    rows.append((f"{variant}({name})", n, sum(dims.values())))
-        for label, degree, dim in sorted(rows):
-            buf.write(f"{label},{degree},{dim}\n")
-        return 0, buf.getvalue()
+        label = {"star": "Theta*", "shriek": "Theta!"}
+        rows = sorted((f"{label[variant]}({name})", n, h.total_dim)
+                      for variant, name, homology in theta_homology(ctx) for n, h in homology.items())
+        return 0, "module,degree,dimension\n" + "".join(f"{m},{n},{d}\n" for m, n, d in rows)
     rep = block_suite(ctx, args.suite)
     text = emit(rep, args.format, width=cfg.get("table_width", 60), timings=args.timings)
     return (0 if rep.passed else 1), text

@@ -212,14 +212,13 @@ class HeckeAlgebra:
 
     # -- multiplication ----------------------------------------------------
 
-    def _act(self, i: int, h: dict[int, LaurentPoly], c) -> dict[int, LaurentPoly]:
-        """(H_s + c) h on a coefficient dict, s the i-th simple reflection and
-        c one of _C_S, _H_S, _H_S_INV: entry y of the result is
+    def _act(self, col: int, h: dict[int, LaurentPoly], c) -> dict[int, LaurentPoly]:
+        """(H_s + c) h on a coefficient dict, s the simple reflection of 0-based
+        column col and c one of _C_S, _H_S, _H_S_INV: entry y of the result is
         h_{sy} + k_y h_y, one pass over the support to place the h_{sy} and
         one `accumulate` for each nonzero k_y with terms (H_s has no k_y for
         sy > y, H_s^-1 none for sy < y)."""
         up, down = c
-        col = i - 1
         lmult, lengths = self.group._lmult, self.group._lengths
         out: dict[int, LaurentPoly] = {}
         ups: list[tuple[int, LaurentPoly]] = []
@@ -244,15 +243,15 @@ class HeckeAlgebra:
         self.check_own(a, b)
         if len(a._c) > len(b._c):
             return self.iota(self.mul(self.iota(b), self.iota(a)))
-        g = self.group
+        firsts, lmult = self.group._firsts, self.group._lmult
         memo = {0: b._c}
         total: dict[int, LaurentPoly] = {}
         for y, ay in a._c.items():
             chain = []
             while y not in memo:
-                s = g._word(y)[0]
+                s = firsts[y]
                 chain.append((y, s))
-                y = g._lmult[y][s - 1]
+                y = lmult[y][s]
             hy = memo[y]
             for z, s in reversed(chain):
                 hy = memo[z] = self._act(s, hy, _H_S)
@@ -397,20 +396,20 @@ class HeckeAlgebra:
         g = self.group
         if k == 0:
             return {0: LaurentPoly.one()}
-        s = g._word(k)[0]
-        return self._act(s, self._view("d", g._lmult[k][s - 1]), _H_S_INV)
+        s = g._firsts[k]
+        return self._act(s, self._view("d", g._lmult[k][s]), _H_S_INV)
 
     def _build_C(self, k: int) -> dict[int, LaurentPoly]:
         g = self.group
         if k == 0:
             return {0: LaurentPoly.one()}
-        s = g._word(k)[0]
-        c_lower = self._view("C", g._lmult[k][s - 1])
+        s = g._firsts[k]
+        c_lower = self._view("C", g._lmult[k][s])
         res = self._act(s, c_lower, _C_S)
         # strip mu(y, sx) * C_y for the y below sx with sy < y, in place:
         # res is not shared yet
         for y, p in c_lower.items():
-            if g._lengths[g._lmult[y][s - 1]] < g._lengths[y]:
+            if g._lengths[g._lmult[y][s]] < g._lengths[y]:
                 mu = p.coeff(1)
                 if mu:
                     accumulate(res, self._view("C", y).items(), -mu)

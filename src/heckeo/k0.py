@@ -212,10 +212,10 @@ class K0Block:
         def tilting_vs_projective_graded():
             # Verma coefficient of [T_x] at y equals the bar of the Verma
             # coefficient of [P_{w0 x}] at w0 y, each distinct one barred once
-            barred = {}
+            # per algebra, in its bar memo
             for x in range(g.order):
                 t = view("C", x)
-                p = mapped(barred, view("dual_to_bC", w0x[x]), LaurentPoly.bar)
+                p = mapped(self.hecke._bars, view("dual_to_bC", w0x[x]), LaurentPoly.bar)
                 for y, w0y in enumerate(w0x):
                     if t.get(y, ZERO) != p.get(w0y, ZERO):
                         return False, f"fails at (x,y)=({g._name(x)}, {g._name(y)})"

@@ -10,13 +10,16 @@ F4; the keys are dropped once the id tables are built.
 Element ids are assigned in breadth-first order from the identity, so ids are
 sorted by length and are reproducible run to run.  Reduced words are always
 the lexicographically smallest ones, which makes every downstream output
-deterministic.
+deterministic.  They are not stored: one table from the enumeration,
+`_firsts`, holds the 0-based smallest left descent of each id, the first
+letter of its word, and every walk reads the word from it one letter at a
+time, y, then sy for s that letter, down to e.
 
-`bruhat_leq` reads no table: x <= y follows the lifting property along the
-reduced word of y (Bjorner-Brenti, Combinatorics of Coxeter Groups, Prop.
-2.2.7), and so do the covers: for the smallest left descent s of y, the
-lower covers of y are sy and the sz > z for the lower covers z of sy.
-Names are memoized strings, name(y) = "s.name(sy)".  Two lazy id tables
+`bruhat_leq` reads no other table: x <= y follows the lifting property
+along the reduced word of y (Bjorner-Brenti, Combinatorics of Coxeter
+Groups, Prop. 2.2.7), and so do the covers: for the smallest left descent s
+of y, the lower covers of y are sy and the sz > z for the lower covers z of
+sy.  Names are memoized strings, name(y) = "s.name(sy)".  Two lazy id tables
 serve the hecke and k0 check loops: w0 x for each x, and the Bruhat row
 masks, row y the bits of {x <= y}, closed downward over the covers, which
 the weyl suite compares with `bruhat_leq`.  The JSON export never builds
@@ -218,6 +221,7 @@ class WeylGroup:
         # of a coroot, at most N, so lam is packed into one int, digit j of
         # w bits holding lam_j + N + 1; alpha_i is column i of the matrix.
         # Ascents only: a descent x s_i < x is set when x s_i ascends to x.
+        # Descents are met in column order, so the first is the smallest.
         w = (2 * npos + 1).bit_length()
         mask, zero = (1 << w) - 1, sum((npos + 1) << (w * j) for j in range(n))
         gens = [(w * i, sum(cartan[j][i] << (w * j) for j in range(n))) for i in range(n)]
@@ -225,14 +229,18 @@ class WeylGroup:
         keys, index, lengths = [rho], {rho: 0}, [0]
         parents: list[tuple[int, int]] = [(0, -1)]
         rmult: list[list[int]] = [[-1] * n]
+        right_first: list[int] = []
         for head, lam in enumerate(keys):
             row = rmult[head]
             level = lengths[head]
+            first = -1
             for i, (shift, alpha) in enumerate(gens):
                 c = (lam >> shift & mask) - npos - 1
                 if c <= 0:
                     if row[i] < 0:
                         raise WeylError("a descent x s_i < x was never met as an ascent")
+                    if first < 0:
+                        first = i
                     continue
                 new = lam - c * alpha
                 j = index.get(new)
@@ -252,6 +260,7 @@ class WeylGroup:
                 if row[i] >= 0 or rmult[j][i] >= 0:
                     raise WeylError("an edge x -> x s_i is set twice")
                 row[i], rmult[j][i] = j, head
+            right_first.append(first)
 
         self._lengths = lengths
         self._rmult = rmult
@@ -266,6 +275,8 @@ class WeylGroup:
                 y = rmult[y][i]
             inverse.append(y)
         self._inverse = inverse
+        # the smallest left descent of x is the smallest right one of x^-1
+        self._firsts = [right_first[y] for y in inverse]
         # s x = (x^-1 s)^-1, so s x is three table lookups
         self._lmult = [
             [inverse[j] for j in rmult[inverse[k]]] for k in range(self.order)
@@ -286,39 +297,22 @@ class WeylGroup:
             if j is None or lengths[j] != npos - lengths[k]:
                 raise WeylError("length duality l(w0 x) = l(w0) - l(x) failed")
 
-        self._words: dict[int, tuple[int, ...]] = {0: ()}
         self._names: list[str | None] = ["e"] + [None] * (self.order - 1)
 
     # -- internal helpers ----------------------------------------------
 
     def _index_mul(self, i: int, j: int) -> int:
-        """x y along the shorter reduced word: y's through _rmult from x, or
-        x's reversed through _lmult from y."""
-        if self._lengths[j] <= self._lengths[i]:
-            for a in self._word(j):
-                i = self._rmult[i][a - 1]
-            return i
-        for a in reversed(self._word(i)):
-            j = self._lmult[j][a - 1]
-        return j
-
-    def _first(self, k: int) -> int:
-        """The smallest left descent of an id k > 0 (ids sort by length)."""
-        for i, sk in enumerate(self._lmult[k]):
-            if sk < k:
-                return i
-
-    def _word(self, k: int) -> tuple[int, ...]:
-        """The reduced word of id k, memoized along its left descents."""
-        lmult, words = self._lmult, self._words
-        missing = []
-        while k not in words:
-            i = self._first(k)
-            missing.append((k, i))
-            k = lmult[k][i]
-        for k, i in reversed(missing):
-            words[k] = (i + 1,) + words[lmult[k][i]]
-        return words[k]
+        """x y along the shorter reduced word: y's from x through _rmult, or
+        for l(x) < l(y), (y^-1 x^-1)^-1 along the word of x^-1."""
+        inverse = self._inverse
+        flip = self._lengths[j] > self._lengths[i]
+        if flip:
+            i, j = inverse[j], inverse[i]
+        rmult, lmult, firsts = self._rmult, self._lmult, self._firsts
+        while j:
+            s = firsts[j]
+            i, j = rmult[i][s], lmult[j][s]
+        return inverse[i] if flip else i
 
     @cached_property
     def _w0x(self) -> list[int]:
@@ -367,11 +361,11 @@ class WeylGroup:
 
     def simple(self, i: int) -> WeylElt:
         """The simple reflection s_i, 1-based."""
-        return WeylElt(self, self._rmult[0][self._simple_index(i) - 1])
+        return WeylElt(self, self._rmult[0][self._simple_index(i)])
 
     def _simple_index(self, i: int) -> int:
-        """i, checked to be the 1-based index of a simple reflection."""
-        return _index(i, 1, self.rank, "simple reflection index")
+        """The 0-based column of s_i, i checked to be a 1-based index."""
+        return _index(i, 1, self.rank, "simple reflection index") - 1
 
     def length(self, x: WeylElt) -> int:
         self._check_same_group(x)
@@ -388,14 +382,19 @@ class WeylGroup:
     def left_multiply_gen(self, i: int, x: WeylElt) -> WeylElt:
         """s_i x, 1-based like `simple`."""
         self._check_same_group(x)
-        return WeylElt(self, self._lmult[x.idx][self._simple_index(i) - 1])
+        return WeylElt(self, self._lmult[x.idx][self._simple_index(i)])
 
     # -- reduced words ---------------------------------------------------
 
     def reduced_word(self, x: WeylElt) -> tuple[int, ...]:
         """Lexicographically smallest reduced word of x (1-based letters)."""
         self._check_same_group(x)
-        return self._word(x.idx)
+        word, k = [], x.idx
+        while k:
+            s = self._firsts[k]
+            word.append(s + 1)
+            k = self._lmult[k][s]
+        return tuple(word)
 
     def element_by_word(self, word: tuple[int, ...] | list[int]) -> WeylElt:
         k = 0
@@ -410,10 +409,10 @@ class WeylGroup:
         return self._name(x.idx)
 
     def _name(self, k: int) -> str:
-        """name(k) = "s.name(s k)" for s = `_first(k)`, memoized."""
+        """name(k) = "s.name(s k)" for s the first letter of k, memoized."""
         name = self._names[k]
         if name is None:
-            s = self._first(k)
+            s = self._firsts[k]
             sk = self._lmult[k][s]
             name = self._names[k] = f"{s + 1}.{self._name(sk)}" if sk else str(s + 1)
         return name
@@ -441,14 +440,15 @@ class WeylGroup:
         x = e.  Ids are sorted by length, so the shorter of x, sx is the
         smaller id."""
         self._check_same_group(x, y)
-        k, lmult = x.idx, self._lmult
-        word = self.reduced_word(y)
-        if self._lengths[k] > len(word):
+        k, j, lmult, firsts = x.idx, y.idx, self._lmult, self._firsts
+        if self._lengths[k] > self._lengths[j]:
             return False
-        for i in word:
-            sk = lmult[k][i - 1]
+        while j:
+            s = firsts[j]
+            sk = lmult[k][s]
             if sk < k:
                 k = sk
+            j = lmult[j][s]
         return k == 0
 
     def bruhat_covers(self) -> list[tuple[WeylElt, WeylElt]]:
@@ -465,12 +465,12 @@ class WeylGroup:
         return ((x, y) for y, below in enumerate(self._lower_covers()) for x in below)
 
     def _lower_covers(self) -> list[list[int]]:
-        """The sorted lower covers of each id y: for s = `_first(y)`, sy and
+        """The sorted lower covers of each id y: for s its first letter, sy and
         the sz > z for the lower covers z of sy.  By lifting, a cover x != sy
         has sx < x (else x <= sy, so x = sy), and sx is a lower cover of sy."""
-        lmult, out = self._lmult, [[]]
+        lmult, firsts, out = self._lmult, self._firsts, [[]]
         for y in range(1, self.order):
-            s = self._first(y)
+            s = firsts[y]
             sy = lmult[y][s]
             out.append(sorted([sy] + [sz for z in out[sy] if (sz := lmult[z][s]) > z]))
         return out

@@ -21,7 +21,7 @@ from heckeo.block.checks import suite
 from heckeo.block.functors import Adjunction, FunctorComplex, Nat
 from heckeo.hecke import VIEWS, HeckeAlgebra
 from heckeo.k0 import K0Block
-from heckeo.laurent import ONE, ZERO, v
+from heckeo.laurent import ONE, ZERO, LaurentPoly, v
 from heckeo.weyl import CartanDatum, build_group, weyl_suite
 
 
@@ -506,6 +506,58 @@ def test_a_wrong_product_fails_its_checks_on_a_fresh_block(checks, fault, pinned
     assert hecke_k0_failures(blk) == {}
 
 
+twist = LaurentPoly.twist
+
+
+# checks, a replacement for `LaurentPoly.twist`, the coefficient map of
+# `HeckeAlgebra.b_twist`, pinned {failing check: detail} on a B2 block built
+# inside the patch, since an algebra keeps each twist it has made: a twist
+# times v squares to -1, and v -> v^-1 without the sign is an involution but
+# maps the quadratic relation's v^-1 - v to v - v^-1
+TWIST_FAULTS = [
+    pytest.param(
+        ("hecke.b_is_involution",), lambda p: twist(p).shifted(1),
+        {"hecke.b_is_involution": "",
+         "hecke.b_is_ring_automorphism": "",
+         "hecke.dual_bases_orthonormal": "dual_to_bC fails at (e, e)",
+         "hecke.hw0_times_C_is_dual_basis": "failures at: 1, 2, 1.2, 2.1, 1.2.1, 2.1.2, 1.2.1.2",
+         "hecke.involutions_pairwise_commute": "",
+         "hecke.kl_selfdual_and_degree_bounds": "C'_e not self-dual",
+         "k0.basis_changes_unitriangular": "Simple diagonal not 1 at e",
+         "k0.bott_euler_form": "fails at x=e: v^-3 != v^-4",
+         "k0.duality_fixes_simples": "[L_e] not duality-fixed",
+         "k0.inverse_kl_positivity": "unshifted off-diagonal term at (e, 1)",
+         "k0.projectives_dual_to_simples": "<[P],[L]> wrong at (e, e)",
+         "k0.tilting_char_graded": "fails at (x,y)=(1, e)",
+         "k0.tilting_projective_switch": "fails at 1"},
+        id="b_is_involution:the twist is shifted by v"),
+    pytest.param(
+        ("hecke.b_is_ring_automorphism",), LaurentPoly.bar,
+        {"hecke.b_is_ring_automorphism": "",
+         "hecke.hw0_times_C_is_dual_basis": "failures at: 1, 2, 1.2, 2.1, 1.2.1, 2.1.2, 1.2.1.2",
+         "hecke.involutions_pairwise_commute": "",
+         "hecke.kl_selfdual_and_degree_bounds": "C'_1 not self-dual",
+         "k0.bott_euler_form": "fails at x=1: v^-3 != -v^-3",
+         "k0.duality_fixes_simples": "[L_1] not duality-fixed",
+         "k0.inverse_kl_positivity": "negative multiplicity at (e, 1)",
+         "k0.tilting_char_graded": "fails at (x,y)=(1, e)",
+         "k0.tilting_char_v1": "fails at (x,y)=(1, e)",
+         "k0.tilting_projective_switch": "fails at 1",
+         "k0.wall_action_on_simples_and_vermas": "(H_s + v)[L_x] != 0 at (1, 1)",
+         "k0.weyl_character_formula_v1": "v=1 coefficient at 1 is 1, wanted -1"},
+        id="b_is_ring_automorphism:the twist drops its sign"),
+]
+
+
+@pytest.mark.parametrize("checks,faulty,pinned", TWIST_FAULTS)
+def test_a_wrong_twist_fails_its_checks_on_a_fresh_block(checks, faulty, pinned):
+    with patch.object(LaurentPoly, "twist", faulty):
+        blk = K0Block(build_group(CartanDatum("B", 2)))
+        assert set(checks) <= set(pinned)
+        assert hecke_k0_failures(blk) == pinned
+    assert hecke_k0_failures(K0Block(build_group(CartanDatum("B", 2)))) == {}
+
+
 def broken_coords(*args):
     raise ArithmeticError("no coordinates")
 
@@ -578,6 +630,7 @@ def scaled(ctx, adj, role, c):
 # adjunction, and the composite (co)evaluation whose chain-map condition is
 # that triangle
 TRIANGLES = "both adjunctions, on catalog modules, the regular module and walls"
+THETA_ON_CATALOG = "theta kills L_s, sends L_e and Delta_s to P_e; Verma factors each once"
 DOUBLED_COUNIT = {
     "block.triangle_identities": TRIANGLES,
     "block.transpose_laws": "transpose of the identity is not the identity",
@@ -587,9 +640,11 @@ DOUBLED_UNIT = {
     "block.transpose_laws": "right transpose does not invert the transpose",
     "block.derived_equivalence_ev_coev": "ev is not a chain map on Delta_e"}
 # a zero counit also vanishes where the key lemma forbids it, is not onto the
-# costandards, and splits Theta* M into theta M and M[-1], so Theta* M is not
-# concentrated in one degree wherever theta M is nonzero
+# costandards, has not the socle of Delta_s for its image there, and splits
+# Theta* M into theta M and M[-1], so Theta* M is not concentrated in one
+# degree wherever theta M is nonzero
 ZEROED_COUNIT = {
+    "block.theta_on_catalog": THETA_ON_CATALOG,
     "block.triangle_identities": TRIANGLES,
     "block.keylem_nonvanishing": "counit vanishes on a module with nonzero restriction",
     "block.unit_counit_on_flagged": "counit not surjective on nabla_e",
@@ -618,6 +673,27 @@ def swapped(ctx, name, other):
     """The catalog entry `name` is the module of the entry `other`."""
     mods = ctx.catalog.modules
     return patch.dict(mods, {name: mods[other]})
+
+
+def p_e_is_l_e(ctx):
+    return swapped(ctx, "P_e", "L_e")
+
+
+# decompose checks its sums against its own five indecomposables, so the
+# checks that decompose report details; theta and its (co)units read the
+# projective the catalog built, not the entry, so only the checks that read
+# the entry fail, on a warm block as on a fresh one
+P_E_IS_L_E = {
+    "block.catalog_dimensions": "P_e: 3, P_s: 2, Delta_s: 2, antidominants: 1",
+    "block.catalog_identifications": "Delta_s = P_s, D_s = P_e, Delta_e = nabla_e = D_e = L_e",
+    "block.catalog_end_rings": "dim End(P_e) = 2 (local), dim End(P_s) = 1",
+    "block.catalog_bgg_reciprocity_v1": "(P_x : Delta_y) = [Delta_y : L_x]",
+    "block.theta_homology_table": "Theta^star(P_e): {0: {'Delta_s': 1}} != {0: {'P_e': 1}}",
+    "block.tilting_projective_switch": "Theta*(D_s) is not P_e",
+    "block.ringel_end_dimensions": "dim End(P_e) = 1 != 2 = dim End(D_s)",
+    "block.k0_classes_match_v1": "P_e: {e: 1, 1: 1} != {e: 1}",
+    "block.k0_theta_images_match_v1": "theta(P_e): {e: 2, 1: 2} != {e: 1, 1: 1}",
+    "block.k0_tilting_switch_crosscheck": "categorical switch does not match"}
 
 
 # checks, fault on the built block, pinned {failing check: detail}
@@ -655,13 +731,15 @@ BLOCK_FAULTS = [
          "block.k0_theta_images_match_v1": "theta(P_s): {e: 1, 1: 1} != {e: 2, 1: 2}",
          "block.k0_tilting_switch_crosscheck": "categorical switch does not match"},
         id="catalog_end_rings:P_s is P_e"),
+    # theta nabla_s = theta Delta_s, but the counit onto nabla_s is surjective
     pytest.param(
-        ("block.catalog_loewy_layers", "block.ext_bott_rank_one"),
+        ("block.catalog_loewy_layers", "block.ext_bott_rank_one", "block.theta_on_catalog"),
         lambda ctx: swapped(ctx, "Delta_s", "nabla_s"),
         {"block.catalog_identifications":
              "Delta_s = P_s, D_s = P_e, Delta_e = nabla_e = D_e = L_e",
          "block.catalog_loewy_layers":
              "P_e: L_e/L_s/L_e; Delta_s: L_s over L_e; nabla_s: L_e over L_s",
+         "block.theta_on_catalog": THETA_ON_CATALOG,
          "block.ext_bott_rank_one":
              "Ext^i(Delta_x, L_w0) is one-dimensional exactly at i = l(x w0)",
          "block.unit_counit_on_flagged": "unit not injective on Delta_s",
@@ -669,30 +747,10 @@ BLOCK_FAULTS = [
              "Theta^star(Delta_s): {0: {'L_e': 1}} != {0: {'Delta_s': 1}, 1: {'L_s': 1}}",
          "block.concentration_on_flagged": "Theta! not concentrated on Delta_s"},
         id="catalog_loewy_layers:Delta_s is nabla_s"),
-    # decompose checks its sums against its own five indecomposables, so the
-    # checks that decompose report details, and theta_on_catalog, which
-    # reads no P_e entry, passes; the functor checks that build maps into
-    # P_e raise, but for keylem_nonvanishing, which on this warm block reads
-    # (co)unit components cached before the swap (a fresh block raises there)
     pytest.param(
         ("block.catalog_identifications", "block.tilting_projective_switch",
          "block.k0_tilting_switch_crosscheck"),
-        lambda ctx: swapped(ctx, "P_e", "L_e"),
-        {"block.catalog_dimensions": "P_e: 3, P_s: 2, Delta_s: 2, antidominants: 1",
-         "block.catalog_identifications":
-             "Delta_s = P_s, D_s = P_e, Delta_e = nabla_e = D_e = L_e",
-         "block.catalog_end_rings": "dim End(P_e) = 2 (local), dim End(P_s) = 1",
-         "block.catalog_bgg_reciprocity_v1": "(P_x : Delta_y) = [Delta_y : L_x]",
-         "block.theta_homology_table": "Theta^star(P_e): {0: {'Delta_s': 1}} != {0: {'P_e': 1}}",
-         "block.tilting_projective_switch": "Theta*(D_s) is not P_e",
-         "block.ringel_end_dimensions": "dim End(P_e) = 1 != 2 = dim End(D_s)",
-         "block.k0_classes_match_v1": "P_e: {e: 1, 1: 1} != {e: 1}",
-         "block.k0_theta_images_match_v1": "theta(P_e): {e: 2, 1: 2} != {e: 1, 1: 1}",
-         "block.k0_tilting_switch_crosscheck": "categorical switch does not match",
-         **{name: "exception: BlockConstructionError('map at e has the wrong shape')" for name in (
-             "block.composition_associative", "block.derived_equivalence_ev_coev",
-             "block.differentials_square_to_zero",
-             "block.transpose_laws", "block.triangle_identities")}},
+        p_e_is_l_e, P_E_IS_L_E,
         id="catalog_identifications:P_e is L_e"),
     pytest.param(
         ("block.derived_equivalence_ev_coev",),
@@ -758,3 +816,11 @@ def test_a_zero_counit_fails_the_same_checks_on_a_fresh_block():
     ctx = build_rank_one()
     with zeroed_counit(ctx):
         assert block_failures(ctx) == ZEROED_COUNIT
+
+
+def test_a_replaced_p_e_entry_fails_the_same_checks_on_a_fresh_block():
+    # theta is built from the algebra's projective, so no image, (co)unit
+    # component or composite depends on which module the entry names
+    ctx = build_rank_one()
+    with p_e_is_l_e(ctx):
+        assert block_failures(ctx) == P_E_IS_L_E

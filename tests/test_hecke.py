@@ -327,7 +327,7 @@ def test_generator_action_matches_right_word_oracle(label):
         for c, scalar in ((_C_S, v), (_H_S, 0), (_H_S_INV, v - v_pow(-1))):
             factor = alg.gen(i) + alg.unit() * scalar
             for h in sample:
-                got = HeckeElt(alg, alg._act(i, h._c, c))
+                got = HeckeElt(alg, alg._act(i - 1, h._c, c))
                 assert got == mul_by_right_words(alg, factor, h), (label, i, scalar)
 
 

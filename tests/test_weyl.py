@@ -232,6 +232,17 @@ def test_reduced_words_lex_minimal():
         assert g.reduced_word(x) == min(reduced)
 
 
+@pytest.mark.parametrize("label", ["A1", "A2", "A3", "A4", "B2", "B3", "C3", "D4", "G2", "F4"])
+def test_first_letters_are_the_smallest_left_descents(label):
+    # the one word table, against a scan of every s x by length
+    g = W(label)
+    for x in g.elements()[1:]:
+        descents = [i for i in range(1, g.rank + 1)
+                    if g.length(g.left_multiply_gen(i, x)) < g.length(x)]
+        assert g._firsts[x.idx] == descents[0] - 1
+        assert g.reduced_word(x)[0] == g._firsts[x.idx] + 1
+
+
 def test_names_and_parse():
     g = W("A2")
     assert g.name(g.identity) == "e"
