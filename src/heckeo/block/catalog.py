@@ -56,7 +56,8 @@ class Catalog:
 
         self.projectives = {v: projective(alg, v) for v in ("e", "s")}
         (p_e, self.pe_paths), (p_s, _) = self.projectives.values()
-        # (atom, dimension) -> the atom's image, built by `functors` (pi_pull's from P_e)
+        # (atom, dimension) -> the atom's image, built by `functors` (pi_pull's from
+        # this P_e, never from the replaceable `P_e` entry)
         self.images: dict[tuple[str, int], Module] = {}
 
         l_e = Module(alg, {"e": 1})

@@ -22,9 +22,9 @@ misses by construction.  pi_star M = M_e depends only on dim M_e and
 pi_pull V = P_e (x) V only on dim V, for P_e the projective the catalog
 built (`Catalog.projectives`), not its replaceable `P_e` entry: theta is
 fixed by the algebra, so `Catalog.images` keeps each atom image by (atom,
-dimension) beside that P_e; each solved (co)unit
-caches its component by module object (`functools.cache`); the composites
-behind ev and coev are keyed by (eps, etap).  Nothing points back at the
+dimension) beside that P_e; each solved (co)unit caches its component by
+module object (`functools.cache`); the composites behind ev and coev are
+keyed by (eps, etap).  Nothing points back at the
 block: a functor holds the catalog, a complex its algebra, and a (co)unit
 the functors it applies, so dropping the block frees it and every memo.
 

@@ -15,7 +15,7 @@ deterministic.  They are not stored: one table from the enumeration,
 letter of its word, and every walk reads the word from it one letter at a
 time, y, then sy for s that letter, down to e.
 
-`bruhat_leq` reads no other table: x <= y follows the lifting property
+`bruhat_leq` reads no Bruhat table: x <= y follows the lifting property
 along the reduced word of y (Bjorner-Brenti, Combinatorics of Coxeter
 Groups, Prop. 2.2.7), and so do the covers: for the smallest left descent s
 of y, the lower covers of y are sy and the sz > z for the lower covers z of

@@ -824,3 +824,20 @@ def test_a_replaced_p_e_entry_fails_the_same_checks_on_a_fresh_block():
     ctx = build_rank_one()
     with p_e_is_l_e(ctx):
         assert block_failures(ctx) == P_E_IS_L_E
+
+
+# negating a Nat leaves it unchanged: the composites lose the sign (-1)^i
+# of d_F . 1 + (-1)^i 1 . d_G, so d^2 != 0, and the zero that transpose_laws
+# builds as f + (-f) is 2f; on a fresh block, where no composite was built
+# before the fault, ev and coev read the unsigned composites
+UNSIGNED = {
+    "block.differentials_square_to_zero": "d^2 != 0 on Delta_e",
+    "block.transpose_laws": "transpose of zero is not zero",
+    "block.derived_equivalence_ev_coev":
+        "exception: BlockConstructionError('image does not land in the kernel')"}
+
+
+def test_a_composite_without_its_sign_fails_its_checks_on_a_fresh_block():
+    ctx = build_rank_one()
+    with patch.object(Nat, "__neg__", lambda self: self):
+        assert block_failures(ctx) == UNSIGNED
