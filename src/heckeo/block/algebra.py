@@ -20,10 +20,13 @@ A one-vertex, arrowless instance of the same class models the category of
 plain vector spaces on the wall, and `enveloping` gives the quiver whose
 modules are the bimodules over an algebra.  Every quotient (cokernels,
 homology, the generators of a projective cover) takes one elimination per
-vertex, `linalg.complement`.  Bounded chain complexes of modules, their
-homology and chain maps close the file; a chain map is a quasi-isomorphism
-when it is a chain map with an exact mapping cone, and Ext is the homology
-of a Hom complex on the wall.
+vertex, `linalg.complement`.  A question that asks only for a dimension
+is answered by a rank, with no module or map built: `hom_dim` is the
+nullity of the system `hom_basis` solves, and `homology_dims` reads
+dim C - rank d - rank d' at each vertex.  Bounded chain complexes of
+modules, their homology and chain maps close the file; a chain map is a
+quasi-isomorphism when it is a chain map with an exact mapping cone, and
+Ext is the homology of a Hom complex on the wall.
 """
 
 from __future__ import annotations
@@ -151,6 +154,14 @@ def _bad(what: str):
     raise BlockConstructionError(f"{what} has the wrong shape")
 
 
+def _same_algebra(x: "Module", y: "Module") -> None:
+    """Reject two modules over different algebras, naming both."""
+    if x.algebra is not y.algebra and x.algebra != y.algebra:
+        raise BlockConstructionError(
+            f"modules over different algebras: {x.algebra.name} and {y.algebra.name}"
+        )
+
+
 def _known(given: dict, known: dict, what: str) -> None:
     """Reject the keys of `given` that `known` lacks, naming them."""
     if not given.keys() <= known.keys():
@@ -213,6 +224,7 @@ class ModuleMap:
     __slots__ = ("src", "dst", "mats")
 
     def __init__(self, src: Module, dst: Module, mats: dict, check: bool = True):
+        _same_algebra(src, dst)
         self.src = src
         self.dst = dst
         self.mats = {
@@ -286,9 +298,12 @@ def zero_map(src: Module, dst: Module) -> ModuleMap:
 
 
 def sum_module(mods: list[Module]) -> Module:
-    """The direct sum of mods, their arrow matrices placed block-diagonally."""
+    """The direct sum of mods, their arrow matrices placed block-diagonally;
+    mods over different algebras are rejected."""
     if not mods:
         raise BlockConstructionError("empty direct sum needs an algebra")
+    for m in mods[1:]:
+        _same_algebra(mods[0], m)
     alg = mods[0].algebra
     sizes = {v: [m.dims[v] for m in mods] for v in alg.vertices}
     return Module(alg, {v: sum(ds) for v, ds in sizes.items()}, {
@@ -299,10 +314,11 @@ def sum_module(mods: list[Module]) -> Module:
     })
 
 
-def block_map(srcs: list[Module], dsts: list[Module], blocks: dict) -> ModuleMap:
-    """Assemble a map of direct sums from blocks[(r, c)] : srcs[c] -> dsts[r];
-    missing blocks are zero."""
-    src, dst = sum_module(srcs), sum_module(dsts)
+def block_map(src: Module, dst: Module, srcs: list[Module], dsts: list[Module],
+              blocks: dict) -> ModuleMap:
+    """The map src -> dst of the direct sums src of srcs and dst of dsts, built
+    by the caller, from blocks[(r, c)] : srcs[c] -> dsts[r]; missing blocks
+    are zero."""
     mats = {
         v: linalg.block_matrix(
             {rc: f.mats[v] for rc, f in blocks.items()},
@@ -315,28 +331,30 @@ def block_map(srcs: list[Module], dsts: list[Module], blocks: dict) -> ModuleMap
 
 def direct_sum(mods: list[Module]) -> tuple[Module, list[ModuleMap], list[ModuleMap]]:
     """Direct sum with injections and projections."""
+    total = sum_module(mods)
     return (
-        sum_module(mods),
-        [block_map([m], mods, {(k, 0): identity_map(m)}) for k, m in enumerate(mods)],
-        [block_map(mods, [m], {(0, k): identity_map(m)}) for k, m in enumerate(mods)],
+        total,
+        [block_map(m, total, [m], mods, {(k, 0): identity_map(m)}) for k, m in enumerate(mods)],
+        [block_map(total, m, mods, [m], {(0, k): identity_map(m)}) for k, m in enumerate(mods)],
     )
 
 
 # -- hom spaces ----------------------------------------------------------------
 
-def hom_basis(x: Module, y: Module) -> list[ModuleMap]:
-    """A basis of Hom(x, y), by solving the intertwining equations."""
+def _intertwining(x: Module, y: Module) -> tuple[dict, Mat]:
+    """The linear system whose solutions are the maps x -> y, with the offset
+    of each vertex's block of unknowns: entry (i, j) of the matrix at v is
+    unknown offsets[v] + i * x.dims[v] + j, and each row is one entry of
+    y.act[a] f[src a] - f[tgt a] x.act[a] = 0."""
+    _same_algebra(x, y)
     alg = x.algebra
     offsets = {}
     n = 0
     for v in alg.vertices:
         offsets[v] = n
         n += y.dims[v] * x.dims[v]
-    if n == 0:
-        return []
     rows: list[list[int | Fraction]] = []
     for label, src_v, tgt_v in alg.arrows:
-        # y.act[label] @ f[src_v] - f[tgt_v] @ x.act[label] = 0
         for i in range(y.dims[tgt_v]):
             for j in range(x.dims[src_v]):
                 row = [0] * n
@@ -345,11 +363,20 @@ def hom_basis(x: Module, y: Module) -> list[ModuleMap]:
                 for l in range(x.dims[tgt_v]):
                     row[offsets[tgt_v] + i * x.dims[tgt_v] + l] -= x.act[label].rows[l][j]
                 rows.append(row)
-    null = linalg.nullspace_basis(linalg.from_rows(rows, n)) if rows else linalg.eye(n)
+    return offsets, linalg.from_rows(rows, n)
+
+
+def hom_basis(x: Module, y: Module) -> list[ModuleMap]:
+    """A basis of Hom(x, y): the nullspace of the intertwining system, each
+    vector a checked map."""
+    offsets, system = _intertwining(x, y)
+    if system.ncols == 0:
+        return []
+    null = linalg.nullspace_basis(system) if system.nrows else linalg.eye(system.ncols)
     out = []
     for c in range(null.ncols):
         mats = {}
-        for v in alg.vertices:
+        for v in x.algebra.vertices:
             m = linalg.zeros(y.dims[v], x.dims[v])
             for i in range(y.dims[v]):
                 for j in range(x.dims[v]):
@@ -360,7 +387,12 @@ def hom_basis(x: Module, y: Module) -> list[ModuleMap]:
 
 
 def hom_dim(x: Module, y: Module) -> int:
-    return len(hom_basis(x, y))
+    """dim Hom(x, y), the nullity of the intertwining system that `hom_basis`
+    solves: its number of unknowns minus its rank, with no map built."""
+    _, system = _intertwining(x, y)
+    if system.nrows == 0 or system.ncols == 0:
+        return system.ncols
+    return system.ncols - linalg.rank(system)
 
 
 # -- submodule / quotient constructions ------------------------------------------
@@ -585,15 +617,42 @@ class ChainComplex:
     def homology_modules(self) -> dict[int, Module]:
         """The nonzero homology modules by degree, each computed once."""
         out = {}
-        lo, hi = (min(self.entries), max(self.entries)) if self.entries else (0, -1)
-        for n in range(lo, hi + 1):
+        for n in self._span():
             h = self.homology(n)
             if h.total_dim:
                 out[n] = h
         return out
 
     def homology_dims(self) -> dict[int, dict[str, int]]:
-        return {n: dict(h.dims) for n, h in self.homology_modules().items()}
+        """The dimension vectors of the nonzero homology by degree, over the
+        degrees of `homology_modules`, from ranks alone: at each vertex v,
+        dim H^n_v = dim C^n_v - rank d^n_v - rank d^(n-1)_v.  That needs
+        d^n d^(n-1) = 0; where it fails, this raises what `homology` raises,
+        at the same first degree."""
+        vertices = self.algebra.vertices
+        out = {}
+        span = self._span()
+        below = self._ranks(span.start - 1)
+        for n in span:
+            d, d_prev = self.diffs.get(n), self.diffs.get(n - 1)
+            if d is not None and d_prev is not None and not (d @ d_prev).is_zero():
+                raise BlockConstructionError("image does not land in the kernel")
+            here, entry = self._ranks(n), self.entries.get(n)
+            dims = {v: (entry.dims[v] if entry is not None else 0) - here[v] - below[v]
+                    for v in vertices}
+            if any(dims.values()):
+                out[n] = dims
+            below = here
+        return out
+
+    def _span(self) -> range:
+        """Every degree from the lowest entry to the highest."""
+        return range(min(self.entries), max(self.entries) + 1) if self.entries else range(0)
+
+    def _ranks(self, n: int) -> dict[str, int]:
+        """The rank of d^n at each vertex."""
+        d = self.diffs.get(n)
+        return {v: 0 if d is None else linalg.rank(d.mats[v]) for v in self.algebra.vertices}
 
 
 class ChainMap:
@@ -622,21 +681,22 @@ class ChainMap:
         src^(n+1) (+) dst^n, with the differential (a, b) |-> (-d a, f a + d b)."""
         src, dst = self.src, self.dst
         degrees = {n - 1 for n in src.entries} | set(dst.entries)
-        entries, diffs = {}, {}
-        for n in degrees:
-            here = [src.entry(n + 1), dst.entry(n)]
-            entries[n] = sum_module(here)
-            if n + 1 in degrees:
-                diffs[n] = block_map(here, [src.entry(n + 2), dst.entry(n + 1)], {
-                    (0, 0): -src.diff(n + 1), (1, 0): self.comp(n + 1), (1, 1): dst.diff(n),
-                })
+        parts = {n: [src.entry(n + 1), dst.entry(n)] for n in degrees}
+        entries = {n: sum_module(ps) for n, ps in parts.items()}
+        diffs = {
+            n: block_map(entries[n], entries[n + 1], parts[n], parts[n + 1], {
+                (0, 0): -src.diff(n + 1), (1, 0): self.comp(n + 1), (1, 1): dst.diff(n),
+            })
+            for n in degrees if n + 1 in degrees
+        }
         return ChainComplex(src.algebra, entries, diffs)
 
     def is_quasi_iso(self) -> bool:
         """A chain map whose mapping cone is exact: f induces isomorphisms
         on all homology iff its cone is acyclic (Weibel, An Introduction to
-        Homological Algebra, Cor. 1.5.4)."""
-        return self.is_chain_map() and not self.cone().homology_modules()
+        Homological Algebra, Cor. 1.5.4).  Exactness is read from the cone's
+        `homology_dims`, by ranks, so a cone with d^2 != 0 raises."""
+        return self.is_chain_map() and not self.cone().homology_dims()
 
 
 def module_as_complex(m: Module, degree: int = 0) -> ChainComplex:

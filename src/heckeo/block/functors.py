@@ -35,7 +35,11 @@ sorted by label, which makes composition strictly associative, and the
 differential d_F . 1 + (-1)^i . 1 . d_G.  The two differ only in how a
 differential meets the inner summand (whiskering, or evaluation at a
 module) and how a functor meets an inner differential (whiskering, or the
-functor on a map).  Chain complexes of modules live in `algebra`.
+functor on a map).  Chain complexes of modules live in `algebra`.  An
+applied complex builds each entry's direct sum once, and the ends of its
+differential n are its entries n and n + 1 themselves, as in a mapping cone;
+ev and coev in degree 0 run between the applied complex's degree-0 entry
+and the module.
 """
 
 from __future__ import annotations
@@ -314,11 +318,11 @@ class FunctorComplex:
         parts = {
             n: [s.functor.on_module(target.entry(j)) for s, j in ss] for n, ss in summands.items()
         }
-        cc = ChainComplex(
-            self.algebra,
-            {n: sum_module(mods) for n, mods in parts.items()},
-            {n: block_map(parts[n], parts[n + 1], bl) for n, bl in blocks.items()},
-        )
+        sums = {n: sum_module(mods) for n, mods in parts.items()}
+        cc = ChainComplex(self.algebra, sums, {
+            n: block_map(sums[n], sums[n + 1], parts[n], parts[n + 1], bl)
+            for n, bl in blocks.items()
+        })
         return AppliedComplex(cc, summands, parts)
 
 
@@ -579,10 +583,10 @@ class RankOneBlock:
                 raise BlockConstructionError(f"unexpected summand {s.label}")
             f = bar if s.label == (0, 0) else -identity_map(m)
             blocks[(0, pos) if counit else (pos, 0)] = f
-        parts, one = applied.parts[0], module_as_complex(m)
+        parts, one, deg0 = applied.parts[0], module_as_complex(m), applied.complex.entry(0)
         if counit:
-            return ChainMap(applied.complex, one, {0: block_map(parts, [m], blocks)})
-        return ChainMap(one, applied.complex, {0: block_map([m], parts, blocks)})
+            return ChainMap(applied.complex, one, {0: block_map(deg0, m, parts, [m], blocks)})
+        return ChainMap(one, applied.complex, {0: block_map(m, deg0, [m], parts, blocks)})
 
     # -- natural transformations of the wall functor -----------------------------
 

@@ -188,8 +188,9 @@ def _cmd_block_check(args, cfg) -> tuple[int, str]:
     if args.format == "csv":
         # homology table of the two equivalences over the whole catalog
         label = {"star": "Theta*", "shriek": "Theta!"}
-        rows = sorted((f"{label[variant]}({name})", n, h.total_dim)
-                      for variant, name, homology in theta_homology(ctx) for n, h in homology.items())
+        rows = sorted((f"{label[variant]}({name})", n, sum(dims.values()))
+                      for variant, name, applied in theta_homology(ctx)
+                      for n, dims in applied.homology_dims().items())
         return 0, "module,degree,dimension\n" + "".join(f"{m},{n},{d}\n" for m, n, d in rows)
     rep = block_suite(ctx, args.suite)
     text = emit(rep, args.format, width=cfg.get("table_width", 60), timings=args.timings)

@@ -10,11 +10,12 @@ of both go entry by entry through `LaurentPoly`'s `+` and `*`, the tables
 and products of a Weyl group come from the signed permutations of the
 positive roots that the group was enumerated by before it keyed elements by
 x^-1(rho), block linear algebra is redone with every entry a `Fraction`,
-total complexes and maps of direct sums are rebuilt by the two separate
-builders and the composition-based assembly the block layer used before it
-had one builder for each, and quotients and quasi-isomorphisms are decided
-by the basis extension and the induced maps on homology that the block
-layer used before the complement and the cone.
+hom dimensions are counted from the residuals of elementary maps, total
+complexes and maps of direct sums are rebuilt by the two separate builders
+and the composition-based assembly the block layer used before it had one
+builder for each, and quotients and quasi-isomorphisms are decided by the
+basis extension and the induced maps on homology that the block layer used
+before the complement and the cone.
 """
 
 from __future__ import annotations
@@ -678,6 +679,35 @@ def frac_inverse(a: FracMat) -> FracMat:
     if inv is None or len(frac_rref(a)[1]) != a.nrows:
         raise ValueError("matrix is singular")
     return inv
+
+
+def hom_dim_by_elementary_maps(x: Module, y: Module) -> int:
+    """dim Hom(x, y): the nullity, by `frac_nullspace_basis`, of the map
+    f |-> (y.act[a] f[src a] - f[tgt a] x.act[a]) over the arrows a, built
+    one column at a time as the residual of each elementary f = E_ij at one
+    vertex."""
+    alg = x.algebra
+    unknowns = [(v, i, j) for v in alg.vertices for i in range(y.dims[v]) for j in range(x.dims[v])]
+    acts = {label: (FracMat(y.dims[t], y.dims[s], y.act[label].rows),
+                    FracMat(x.dims[t], x.dims[s], x.act[label].rows))
+            for label, s, t in alg.arrows}
+    cols = []
+    for v, i, j in unknowns:
+        def f(u):
+            e = FracMat(y.dims[u], x.dims[u])
+            if u == v:
+                e.rows[i][j] = Fraction(1)
+            return e
+        col = []
+        for label, s, t in alg.arrows:
+            ya, xa = acts[label]
+            left, right = frac_mmul(ya, f(s)), frac_mmul(f(t), xa)
+            col += [p - q for lrow, rrow in zip(left.rows, right.rows) for p, q in zip(lrow, rrow)]
+        cols.append(col)
+    if not cols:
+        return 0
+    system = FracMat(len(cols[0]), len(cols), [list(row) for row in zip(*cols)])
+    return frac_nullspace_basis(system).ncols
 
 
 # -- total complexes and maps of direct sums, built the earlier way ------------

@@ -15,7 +15,7 @@ from unittest.mock import patch
 import pytest
 
 from heckeo import cli, hecke
-from heckeo.block import build_rank_one
+from heckeo.block import build_rank_one, functors
 from heckeo.block.algebra import ChainMap, zero_map
 from heckeo.block.checks import suite
 from heckeo.block.functors import Adjunction, FunctorComplex, Nat
@@ -841,3 +841,29 @@ def test_a_composite_without_its_sign_fails_its_checks_on_a_fresh_block():
     ctx = build_rank_one()
     with patch.object(Nat, "__neg__", lambda self: self):
         assert block_failures(ctx) == UNSIGNED
+
+
+def unsorted_summands(total_complex):
+    """`_total_complex` with each entry's summands left in the order they are
+    paired up, by (i, j, ci, cj), instead of sorted by label."""
+    def faulty(outer, inner, inner_diffs, d_outer, d_inner):
+        pairs, blocks = total_complex(outer, inner, inner_diffs, d_outer, d_inner)
+        order = {n: sorted(range(len(ps)), key=lambda k, ps=ps: (ps[k][1], ps[k][3], ps[k][2], ps[k][4]))
+                 for n, ps in pairs.items()}
+        at = {n: {old: new for new, old in enumerate(o)} for n, o in order.items()}
+        return ({n: [ps[k] for k in order[n]] for n, ps in pairs.items()},
+                {n: {(at[n + 1][r], at[n][c]): d for (r, c), d in bl.items()}
+                 for n, bl in blocks.items()})
+    return faulty
+
+
+# three two-term complexes pair up in label order unsorted, so the triple
+# composites still agree; the fourfold ones do not, and no other check reads
+# the order of a composite's summands
+UNSORTED = {"block.composition_associative": "differential support differs in degree -1"}
+
+
+def test_a_composition_that_stops_sorting_its_summands_fails_associativity_on_a_fresh_block():
+    with patch.object(functors, "_total_complex", unsorted_summands(functors._total_complex)):
+        ctx = build_rank_one()
+        assert block_failures(ctx) == UNSORTED
