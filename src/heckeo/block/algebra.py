@@ -243,21 +243,18 @@ class ModuleMap:
                 return False
         return True
 
-    # -- algebra of maps -------------------------------------------------
+    # -- algebra of maps: the shapes hold by construction -------------------
 
     def __matmul__(self, other: "ModuleMap") -> "ModuleMap":
         if other.dst.dims != self.src.dims:
             raise BlockConstructionError("composition shape mismatch")
-        return ModuleMap(
-            other.src,
-            self.dst,
-            {v: linalg.mmul(self.mats[v], other.mats[v]) for v in self.mats},
-            check=False,
-        )
+        _same_algebra(other.src, self.dst)
+        return _wrap(other.src, self.dst,
+                     {v: linalg.mmul(m, other.mats[v]) for v, m in self.mats.items()})
 
     def _parallel(self, mats: dict) -> "ModuleMap":
         """The map src -> dst with the given matrices."""
-        return ModuleMap(self.src, self.dst, mats, check=False)
+        return _wrap(self.src, self.dst, mats)
 
     def __add__(self, other: "ModuleMap") -> "ModuleMap":
         return self._parallel({v: linalg.madd(m, other.mats[v]) for v, m in self.mats.items()})
@@ -287,6 +284,14 @@ class ModuleMap:
 
     def is_surjective(self) -> bool:
         return self.total_rank() == self.dst.total_dim
+
+
+def _wrap(src: Module, dst: Module, mats: dict) -> ModuleMap:
+    """A ModuleMap around one exactly shaped matrix per vertex (no checks,
+    no copy), as `linalg._wrap` is for a Mat."""
+    f = ModuleMap.__new__(ModuleMap)
+    f.src, f.dst, f.mats = src, dst, mats
+    return f
 
 
 def identity_map(m: Module) -> ModuleMap:
@@ -583,19 +588,25 @@ def flatten(f: ModuleMap) -> list[int | Fraction]:
 
 
 class ChainComplex:
-    """A bounded complex of modules with differentials of degree +1."""
+    """A bounded complex of modules with differentials of degree +1.  Every
+    missing degree reads as the same zero module, built once per complex
+    when first read, so the zero maps at and into missing degrees (and a
+    chain map's missing components) share it."""
 
     def __init__(self, algebra, entries: dict[int, Module], diffs: dict[int, ModuleMap]):
         self.algebra = algebra
         self.entries = dict(entries)
         self.diffs = dict(diffs)
+        self._zero: Module | None = None
 
     def degrees(self) -> list[int]:
         return sorted(self.entries)
 
     def entry(self, n: int) -> Module:
         got = self.entries.get(n)
-        return got if got is not None else Module(self.algebra, {})
+        if got is None:
+            got = self._zero = self._zero or Module(self.algebra, {})
+        return got
 
     def diff(self, n: int) -> ModuleMap:
         got = self.diffs.get(n)

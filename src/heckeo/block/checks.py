@@ -202,7 +202,7 @@ def verify_equivalence(ctx: RankOneBlock) -> VerificationReport:
     ts, tsh = ctx.theta_star(), ctx.theta_shriek()
 
     def dsq():
-        for fc in (ts, tsh, ts.compose(tsh), tsh.compose(ts), ts.compose(ts)):
+        for fc in (ts, tsh, *ctx._composites(), ts.compose(ts)):
             for name in CATALOG_NAMES:
                 if not fc.apply(cat.modules[name]).complex.check_dsq():
                     return False, f"d^2 != 0 on {name}"
@@ -230,8 +230,7 @@ def verify_equivalence(ctx: RankOneBlock) -> VerificationReport:
     rep.run("block.concentration_on_flagged", concentration)
 
     def composite_shape():
-        comp = ts.compose(tsh)
-        deg0 = comp.words(0)
+        deg0 = ctx._composites()[0].words(0)
         ok = sorted(deg0) == sorted(
             [("pi_pull", "pi_star", "pi_pull", "pi_star"), ()]
         )
@@ -241,12 +240,12 @@ def verify_equivalence(ctx: RankOneBlock) -> VerificationReport:
 
     def associativity():
         mods = _test_modules(ctx)
-        st = ts.compose(tsh)
+        st, hs = ctx._composites()
         left = st.compose(ts)
         # three two-term complexes pair up their summands in label order even
         # unsorted, four do not: the fourfold composites are compared on
         # their entries and differential support, where that order shows
-        failure = (_first_difference(left, ts.compose(tsh.compose(ts)), mods)
+        failure = (_first_difference(left, ts.compose(hs), mods)
                    or _first_difference(left.compose(tsh), st.compose(st), ()))
         if failure:
             return False, failure

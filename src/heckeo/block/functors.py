@@ -23,10 +23,14 @@ pi_pull V = P_e (x) V only on dim V, for P_e the projective the catalog
 built (`Catalog.projectives`), not its replaceable `P_e` entry: theta is
 fixed by the algebra, so `Catalog.images` keeps each atom image by (atom,
 dimension) beside that P_e; each solved (co)unit caches its component by
-module object (`functools.cache`); the composites behind ev and coev are
-keyed by (eps, etap).  Nothing points back at the
-block: a functor holds the catalog, a complex its algebra, and a (co)unit
-the functors it applies, so dropping the block frees it and every memo.
+module object (`functools.cache`); Theta* and Theta! are kept by the
+(co)unit object that is their differential, eps or etap, and the composites
+behind ev and coev by the pair of those two complexes; and each functor
+complex keeps its applied complexes by module object (`FunctorComplex.apply`;
+a chain complex is applied afresh).  Nothing points back at the block: a
+functor holds the catalog, a complex its algebra and its applied complexes,
+and a (co)unit the functors it applies, so dropping the block frees it and
+every memo.
 
 A FunctorComplex is a bounded complex whose entries are direct sums of
 functor words.  Composing two of them and applying one to a complex of
@@ -283,6 +287,8 @@ class FunctorComplex:
         self.algebra = algebra
         self.entries = {n: list(s) for n, s in entries.items()}
         self.diffs = {n: dict(d) for n, d in diffs.items()}
+        # module object -> this complex applied to it
+        self._applied: dict[Module, AppliedComplex] = {}
 
     def degrees(self) -> list[int]:
         return sorted(self.entries)
@@ -303,10 +309,17 @@ class FunctorComplex:
         return FunctorComplex(self.algebra, entries, diffs)
 
     def apply(self, target) -> "AppliedComplex":
-        """Apply to a module (placed in degree 0) or a chain complex, which
-        enters the total complex with one summand per degree, labelled (j,)."""
-        if isinstance(target, Module):
-            target = module_as_complex(target)
+        """Apply to a module (placed in degree 0), built once per module
+        object, or to a chain complex, built on each call; the target enters
+        the total complex with one summand per degree, labelled (j,)."""
+        if not isinstance(target, Module):
+            return self._apply(target)
+        got = self._applied.get(target)
+        if got is None:
+            got = self._applied[target] = self._apply(module_as_complex(target))
+        return got
+
+    def _apply(self, target: ChainComplex) -> "AppliedComplex":
         pairs, blocks = _total_complex(
             self, {j: [((j,), target.entry(j))] for j in target.degrees()},
             {j: {(0, 0): target.diff(j)} for j in target.degrees() if j + 1 in target.entries},
@@ -407,8 +420,10 @@ class RankOneBlock:
         # the wall test objects, built once: the (co)unit memos hold each
         # module they are evaluated on
         self._walls = [Module(self.wall, {"w": d}) for d in (1, 2, 3)]
-        # (eps, etap) -> (Theta* Theta!, Theta! Theta*)
-        self._composed: dict[tuple[Nat, Nat], tuple[FunctorComplex, FunctorComplex]] = {}
+        # eps -> Theta* and etap -> Theta!; (Theta*, Theta!) -> their composites
+        self._complexes: dict[Nat, FunctorComplex] = {}
+        self._composed: dict[tuple[FunctorComplex, FunctorComplex],
+                             tuple[FunctorComplex, FunctorComplex]] = {}
         self._solve_adjunctions()
 
     # -- the two adjunctions, solved exactly ---------------------------------
@@ -532,20 +547,23 @@ class RankOneBlock:
     # -- the two-term complexes and their (co)evaluation --------------------------
 
     def theta_star(self) -> FunctorComplex:
-        """0 -> theta -> Id -> 0 with theta in degree 0."""
-        return FunctorComplex(
-            self.algebra,
-            {0: [Summand((0,), self.theta)], 1: [Summand((1,), self.id_mod)]},
-            {0: {(0, 0): self.eps}},
-        )
+        """0 -> theta -> Id -> 0 with theta in degree 0, one per counit eps."""
+        return self._two_term(self.eps, 0)
 
     def theta_shriek(self) -> FunctorComplex:
-        """0 -> Id -> theta -> 0 with theta in degree 0."""
-        return FunctorComplex(
-            self.algebra,
-            {-1: [Summand((-1,), self.id_mod)], 0: [Summand((0,), self.theta)]},
-            {-1: {(0, 0): self.etap}},
-        )
+        """0 -> Id -> theta -> 0 with theta in degree 0, one per unit etap."""
+        return self._two_term(self.etap, -1)
+
+    def _two_term(self, d: Nat, n: int) -> FunctorComplex:
+        """The complex d: d.src -> d.dst in degrees n and n + 1, built once per d."""
+        got = self._complexes.get(d)
+        if got is None:
+            got = self._complexes[d] = FunctorComplex(
+                self.algebra,
+                {n: [Summand((n,), d.src)], n + 1: [Summand((n + 1,), d.dst)]},
+                {n: {(0, 0): d}},
+            )
+        return got
 
     def identity_complex(self) -> FunctorComplex:
         """The identity functor as a one-term complex in degree 0."""
@@ -560,12 +578,13 @@ class RankOneBlock:
         return self._evaluation(m, counit=False)
 
     def _composites(self) -> tuple[FunctorComplex, FunctorComplex]:
-        """Theta* Theta! and Theta! Theta*, composed once per (eps, etap)."""
-        key = (self.eps, self.etap)
-        if key not in self._composed:
-            star, shriek = self.theta_star(), self.theta_shriek()
-            self._composed[key] = (star.compose(shriek), shriek.compose(star))
-        return self._composed[key]
+        """Theta* Theta! and Theta! Theta*, composed once per pair of the
+        complexes they compose."""
+        star, shriek = self.theta_star(), self.theta_shriek()
+        got = self._composed.get((star, shriek))
+        if got is None:
+            got = self._composed[star, shriek] = (star.compose(shriek), shriek.compose(star))
+        return got
 
     def _evaluation(self, m: Module, counit: bool) -> ChainMap:
         """ev or coev in degree 0, where the composite is theta^2 + Id: on

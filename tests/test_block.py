@@ -1,6 +1,7 @@
 import gc
 import weakref
 from fractions import Fraction
+from unittest.mock import patch
 
 import pytest
 
@@ -19,6 +20,7 @@ from heckeo.block.algebra import (
     ChainComplex,
     ChainMap,
     ModuleMap,
+    PathAlgebra,
     block_map,
     cokernel,
     direct_sum,
@@ -533,9 +535,12 @@ def test_each_differential_maps_entry_to_entry(monkeypatch):
 
 def test_block_check_module_and_elimination_counts_stay_pinned(monkeypatch):
     # one `block-check --suite all` and one `--format csv`, counting every
-    # Module built and every rref, each within a one-sided margin of its pin
-    counts = {"Module": 0, "rref": 0}
-    init, rref = Module.__init__, linalg.rref
+    # Module built, every rref and every applied complex built, each within a
+    # one-sided margin of its pin
+    from heckeo.block.functors import AppliedComplex
+
+    counts = {"Module": 0, "rref": 0, "applied": 0}
+    init, rref, applied = Module.__init__, linalg.rref, AppliedComplex.__init__
 
     def counted_init(self, *args, **kwargs):
         counts["Module"] += 1
@@ -545,14 +550,21 @@ def test_block_check_module_and_elimination_counts_stay_pinned(monkeypatch):
         counts["rref"] += 1
         return rref(a)
 
+    def counted_applied(self, *args):
+        counts["applied"] += 1
+        applied(self, *args)
+
     monkeypatch.setattr(Module, "__init__", counted_init)
     monkeypatch.setattr(linalg, "rref", counted_rref)
+    monkeypatch.setattr(AppliedComplex, "__init__", counted_applied)
     got = {}
     for run in (["--suite", "all"], ["--format", "csv"]):
-        counts.update(Module=0, rref=0)
+        counts.update(Module=0, rref=0, applied=0)
         assert cli.run(["block-check", *run])[0] == 0
         got[run[-1]] = dict(counts)
-    pinned, margin = {"all": {"Module": 1024, "rref": 797}, "csv": {"Module": 71, "rref": 177}}, 0.02
+    pinned = {"all": {"Module": 386, "rref": 797, "applied": 45},
+              "csv": {"Module": 67, "rref": 177, "applied": 18}}
+    margin = 0.02
     for run, pins in pinned.items():
         for what, pin in pins.items():
             assert got[run][what] <= pin * (1 + margin), (run, what, got[run][what])
@@ -642,11 +654,112 @@ def test_block_checks_leave_memoized_images_and_components_unchanged(monkeypatch
     assert suite(fresh, "all").passed
     images = [(out, _module_data(out)) for out in fresh.catalog.images.values()]
     components = [(out, _map_data(out)) for _, _, out in evaluations]
+    applied = [(out, _complex_data(out.complex)) for _, _, out in _memoized_applied(fresh)]
+    # Theta*, Theta! and their two composites, each on the nine module objects
+    # of the catalog
+    assert len(applied) == 4 * 9
     assert suite(fresh, "all").passed
-    # the second run reads every (co)unit component the first one evaluated
+    # the second run reads every (co)unit component and applied complex the
+    # first one built
     assert len(evaluations) == len(components)
+    assert [out for _, _, out in _memoized_applied(fresh)] == [out for out, _ in applied]
     assert all(_module_data(out) == data for out, data in images)
     assert all(_map_data(out) == data for out, data in components)
+    assert all(_complex_data(out.complex) == data for out, data in applied)
+
+
+def _memoized_applied(ctx):
+    """(complex, module, applied complex) for every complex the block keeps,
+    Theta*, Theta! and their composites, and every module it was applied to."""
+    kept = list(ctx._complexes.values())
+    kept += [fc for pair in ctx._composed.values() for fc in pair]
+    return [(fc, m, out) for fc in kept for m, out in fc._applied.items()]
+
+
+def test_each_memoized_applied_complex_matches_the_two_builder_oracle():
+    fresh = build_rank_one()
+    assert suite(fresh, "all").passed
+    applied = _memoized_applied(fresh)
+    assert len(applied) == 4 * 9
+    for fc, m, got in applied:
+        _assert_same_applied(got, apply_by_positions(fc, m))
+
+
+def test_apply_builds_one_complex_per_module_object(ctx):
+    ts, tsh = ctx.theta_star(), ctx.theta_shriek()
+    assert ts is ctx.theta_star() and tsh is ctx.theta_shriek()
+    assert ctx._composites() is ctx._composites()
+    mods = ctx.catalog.modules
+    for fc in (ts, tsh, *ctx._composites()):
+        for name in CATALOG_NAMES:
+            assert fc.apply(mods[name]) is fc.apply(mods[name])
+        # D_s is the module object of P_e; an equal module is another key
+        assert fc.apply(mods["D_s"]) is fc.apply(mods["P_e"])
+        assert fc.apply(mods["D_e"]) is not fc.apply(mods["L_e"])
+        # a chain complex is applied afresh on each call
+        target = module_as_complex(mods["L_e"])
+        assert fc.apply(target) is not fc.apply(target)
+
+
+def test_replaced_units_and_entries_miss_the_complex_memos(ctx):
+    mods = ctx.catalog.modules
+    ts, tsh = ctx.theta_star(), ctx.theta_shriek()
+    composites = ctx._composites()
+    old = {name: ts.apply(mods[name]) for name in CATALOG_NAMES}
+    # the counit of adj1 is the differential of Theta*, the unit of adj2 that of Theta!
+    for adj, role, build, kept in (("adj1", "counit", ctx.theta_star, ts),
+                                   ("adj2", "unit", ctx.theta_shriek, tsh)):
+        a = getattr(ctx, adj)
+        nat = getattr(a, role)
+        doubled = Nat(nat.src, nat.dst, lambda m, nat=nat: nat.at(m).scale(2))
+        unit, counit = (doubled, a.counit) if role == "unit" else (a.unit, doubled)
+        with patch.object(ctx, adj, Adjunction(a.left, a.right, unit, counit, a.name)):
+            new = build()
+            assert new is not kept and new._applied == {}
+            assert new.diffs[new.degrees()[0]][(0, 0)] is doubled
+            assert ctx._composites() is not composites
+            assert all(fc._applied == {} for fc in ctx._composites())
+        assert ctx.theta_star() is ts and ctx.theta_shriek() is tsh
+        assert ctx._composites() is composites
+    # a swapped entry names another module object, so apply reads that
+    # object's complex, never the one memoized for the entry's old module
+    with patch.dict(mods, {"P_s": mods["L_s"]}):
+        got = ts.apply(mods["P_s"])
+        assert got is old["L_s"] and got is not old["P_s"]
+        _assert_same_applied(got, apply_by_positions(ts, mods["L_s"]))
+    assert ts.apply(mods["P_s"]) is old["P_s"]
+
+
+def test_map_algebra_results_equal_checked_maps(ctx):
+    mods = ctx.catalog.modules
+    x, y, z = mods["Delta_s"], mods["P_e"], mods["nabla_s"]
+    fs, gs = hom_basis(x, y), hom_basis(y, z)
+    assert fs and gs
+    for f in fs:
+        for g in gs:
+            got = g @ f
+            want = ModuleMap(x, z, {v: linalg.mmul(g.mats[v], f.mats[v]) for v in f.mats})
+            assert type(got) is ModuleMap and got.src is x and got.dst is z
+            assert _map_data(got) == _map_data(want)
+        for other in fs:
+            got, want = f + other, ModuleMap(x, y, {
+                v: linalg.madd(m, other.mats[v]) for v, m in f.mats.items()})
+            assert (got.src, got.dst) == (x, y) and _map_data(got) == _map_data(want)
+        got, want = -f, ModuleMap(x, y, {v: linalg.mneg(m) for v, m in f.mats.items()})
+        assert (got.src, got.dst) == (x, y) and _map_data(got) == _map_data(want)
+        for c in (0, 3, Fraction(-2, 3)):
+            got = f.scale(c)
+            want = ModuleMap(x, y, {v: linalg.mscale(c, m) for v, m in f.mats.items()})
+            assert (got.src, got.dst) == (x, y) and _map_data(got) == _map_data(want)
+    # composition keeps its shape and algebra tests
+    with pytest.raises(BlockConstructionError, match="composition shape mismatch"):
+        fs[0] @ fs[0]
+    alg = rank_one_algebra()
+    renamed = PathAlgebra("renamed", alg.vertices, alg.arrows, alg.basis, alg.source,
+                          alg.target, alg.arrow_word, alg.dead_words)
+    stranger = Module(renamed, {"e": 1})
+    with pytest.raises(BlockConstructionError, match="different algebras"):
+        identity_map(stranger) @ identity_map(mods["L_e"])
 
 
 def test_each_sub_suite_on_a_fresh_block_matches_the_full_suite(ctx):
@@ -700,21 +813,25 @@ def test_compose_matches_the_two_builder_oracle(ctx):
                     assert _map_data(got.diffs[n][key].at(m)) == _map_data(nat.at(m)), (n, key)
 
 
+def _complex_data(cx):
+    return ({n: _module_data(m) for n, m in cx.entries.items()},
+            {n: _map_data(f) for n, f in cx.diffs.items()})
+
+
+def _assert_same_applied(got, want):
+    assert ({n: [(s.label, j) for s, j in ss] for n, ss in got.summands.items()}
+            == {n: [(s.label, j) for s, j in ss] for n, ss in want.summands.items()})
+    assert ({n: [p.dims for p in ps] for n, ps in got.parts.items()}
+            == {n: [p.dims for p in ps] for n, ps in want.parts.items()})
+    assert got.complex.degrees() == want.complex.degrees()
+    assert _complex_data(got.complex) == _complex_data(want.complex)
+
+
 def test_apply_matches_the_two_builder_oracle(ctx):
     targets = [ctx.catalog.modules[name] for name in CATALOG_NAMES] + [_two_term_complex(ctx)]
     for got_fc, want_fc in _composites(ctx)[:8]:
         for target in targets:
-            got, want = got_fc.apply(target), apply_by_positions(want_fc, target)
-            assert ({n: [(s.label, j) for s, j in ss] for n, ss in got.summands.items()}
-                    == {n: [(s.label, j) for s, j in ss] for n, ss in want.summands.items()})
-            assert ({n: [p.dims for p in ps] for n, ps in got.parts.items()}
-                    == {n: [p.dims for p in ps] for n, ps in want.parts.items()})
-            gc, wc = got.complex, want.complex
-            assert gc.degrees() == wc.degrees()
-            assert {n: _module_data(m) for n, m in gc.entries.items()} == {
-                n: _module_data(m) for n, m in wc.entries.items()}
-            assert {n: _map_data(f) for n, f in gc.diffs.items()} == {
-                n: _map_data(f) for n, f in wc.diffs.items()}
+            _assert_same_applied(got_fc.apply(target), apply_by_positions(want_fc, target))
 
 
 def test_direct_sum_and_block_map_match_the_composition_oracle(ctx):

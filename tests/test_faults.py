@@ -602,6 +602,17 @@ def zero_ev_on(ctx, name):
     return patch.object(ctx, "build_ev", faulty)
 
 
+# a zero unit of Theta! splits Theta! M into M[1] and theta M, and ev, read
+# from the composite built with that Theta!, is no longer a chain map; the
+# composites are keyed by the complexes they compose, so a warm block fails
+# as a fresh one does
+ZERO_SHRIEK_UNIT = {
+    "block.theta_homology_table":
+        "Theta^shriek(Delta_e): {-1: {'L_e': 1}, 0: {'P_e': 1}} != {0: {'nabla_s': 1}}",
+    "block.concentration_on_flagged": "Theta! not concentrated on Delta_e",
+    "block.derived_equivalence_ev_coev": "ev is not a chain map on Delta_e"}
+
+
 def zero_shriek_unit(ctx):
     """Theta! = (Id -> theta) with the zero map for its unit."""
     shriek = ctx.theta_shriek
@@ -758,11 +769,7 @@ BLOCK_FAULTS = [
         {"block.derived_equivalence_ev_coev": "ev not a quasi-isomorphism on nabla_s"},
         id="derived_equivalence_ev_coev:ev on nabla_s is zero"),
     pytest.param(
-        ("block.theta_homology_table",),
-        zero_shriek_unit,
-        {"block.theta_homology_table":
-            "Theta^shriek(Delta_e): {-1: {'L_e': 1}, 0: {'P_e': 1}} != {0: {'nabla_s': 1}}",
-         "block.concentration_on_flagged": "Theta! not concentrated on Delta_e"},
+        ("block.theta_homology_table",), zero_shriek_unit, ZERO_SHRIEK_UNIT,
         id="theta_homology_table:the unit of Theta! is zero"),
     pytest.param(
         ("block.triangle_identities",), doubled_counit, DOUBLED_COUNIT,
@@ -818,6 +825,12 @@ def test_a_zero_counit_fails_the_same_checks_on_a_fresh_block():
         assert block_failures(ctx) == ZEROED_COUNIT
 
 
+def test_a_zero_shriek_unit_fails_the_same_checks_on_a_fresh_block():
+    ctx = build_rank_one()
+    with zero_shriek_unit(ctx):
+        assert block_failures(ctx) == ZERO_SHRIEK_UNIT
+
+
 def test_a_replaced_p_e_entry_fails_the_same_checks_on_a_fresh_block():
     # theta is built from the algebra's projective, so no image, (co)unit
     # component or composite depends on which module the entry names
@@ -867,3 +880,32 @@ def test_a_composition_that_stops_sorting_its_summands_fails_associativity_on_a_
     with patch.object(functors, "_total_complex", unsorted_summands(functors._total_complex)):
         ctx = build_rank_one()
         assert block_failures(ctx) == UNSORTED
+
+
+def outer_word_only(self, other):
+    """`Functor.compose` that keeps the word of the outer functor alone."""
+    return functors.Functor(self.catalog, self.word, other.src_kind)
+
+
+# Theta* Theta! then holds theta + Id in degree 0, not theta^2 + Id; its
+# entries no longer match the differentials evaluated on them, and the two
+# triple composites whisker by truncated words, so their differentials differ
+OUTER_WORD_ONLY = {
+    "block.differentials_square_to_zero": "exception: ValueError('block (0, 0) has shape (4, 2)')",
+    "block.composite_degree_zero_shape": "degree 0 of Theta*Theta! is Id + theta^2",
+    "block.composition_associative": "differential entries differ at (2, 0) in degree -1",
+    "block.derived_equivalence_ev_coev": "exception: ValueError('block (0, 0) has shape (4, 2)')"}
+
+
+def test_a_composition_that_keeps_one_word_fails_the_shape_check_on_a_fresh_block():
+    ctx = build_rank_one()
+    with patch.object(functors.Functor, "compose", outer_word_only):
+        assert block_failures(ctx) == OUTER_WORD_ONLY
+
+
+def test_every_block_check_has_a_pinned_fault(block):
+    pinned = [row.values[2] for row in BLOCK_FAULTS]
+    pinned += [UNSIGNED, UNSORTED, OUTER_WORD_ONLY]
+    names = {c.name for c in suite(block, "all").checks}
+    assert len(names) == 22
+    assert names <= {name for failures in pinned for name in failures}
