@@ -591,13 +591,15 @@ class ChainComplex:
     """A bounded complex of modules with differentials of degree +1.  Every
     missing degree reads as the same zero module, built once per complex
     when first read, so the zero maps at and into missing degrees (and a
-    chain map's missing components) share it."""
+    chain map's missing components) share it; each missing differential is
+    one zero map, built once per degree when first read."""
 
     def __init__(self, algebra, entries: dict[int, Module], diffs: dict[int, ModuleMap]):
         self.algebra = algebra
         self.entries = dict(entries)
         self.diffs = dict(diffs)
         self._zero: Module | None = None
+        self._zero_diffs: dict[int, ModuleMap] = {}
 
     def degrees(self) -> list[int]:
         return sorted(self.entries)
@@ -609,8 +611,10 @@ class ChainComplex:
         return got
 
     def diff(self, n: int) -> ModuleMap:
-        got = self.diffs.get(n)
-        return got if got is not None else zero_map(self.entry(n), self.entry(n + 1))
+        got = self.diffs.get(n) or self._zero_diffs.get(n)
+        if got is None:
+            got = self._zero_diffs[n] = zero_map(self.entry(n), self.entry(n + 1))
+        return got
 
     def check_dsq(self) -> bool:
         return all((self.diff(n + 1) @ self.diff(n)).is_zero() for n in self.degrees())
@@ -667,16 +671,20 @@ class ChainComplex:
 
 
 class ChainMap:
-    """A degreewise map of chain complexes (missing degrees are zero)."""
+    """A degreewise map of chain complexes (missing degrees are zero, one
+    zero map per degree, built when first read)."""
 
     def __init__(self, src: ChainComplex, dst: ChainComplex, comps: dict[int, ModuleMap]):
         self.src = src
         self.dst = dst
         self.comps = dict(comps)
+        self._zero_comps: dict[int, ModuleMap] = {}
 
     def comp(self, n: int) -> ModuleMap:
-        got = self.comps.get(n)
-        return got if got is not None else zero_map(self.src.entry(n), self.dst.entry(n))
+        got = self.comps.get(n) or self._zero_comps.get(n)
+        if got is None:
+            got = self._zero_comps[n] = zero_map(self.src.entry(n), self.dst.entry(n))
+        return got
 
     def is_chain_map(self) -> bool:
         degrees = set(self.src.entries) | set(self.dst.entries)

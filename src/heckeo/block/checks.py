@@ -202,7 +202,7 @@ def verify_equivalence(ctx: RankOneBlock) -> VerificationReport:
     ts, tsh = ctx.theta_star(), ctx.theta_shriek()
 
     def dsq():
-        for fc in (ts, tsh, *ctx._composites(), ts.compose(ts)):
+        for fc in (ts, tsh, *ctx._composites(), ctx._star_squared()):
             for name in CATALOG_NAMES:
                 if not fc.apply(cat.modules[name]).complex.check_dsq():
                     return False, f"d^2 != 0 on {name}"

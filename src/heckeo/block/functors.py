@@ -420,10 +420,11 @@ class RankOneBlock:
         # the wall test objects, built once: the (co)unit memos hold each
         # module they are evaluated on
         self._walls = [Module(self.wall, {"w": d}) for d in (1, 2, 3)]
-        # eps -> Theta* and etap -> Theta!; (Theta*, Theta!) -> their composites
+        # eps -> Theta* and etap -> Theta!; (Theta*, Theta!) -> their two
+        # composites, and (Theta*, Theta*) -> Theta*Theta* alone
         self._complexes: dict[Nat, FunctorComplex] = {}
         self._composed: dict[tuple[FunctorComplex, FunctorComplex],
-                             tuple[FunctorComplex, FunctorComplex]] = {}
+                             tuple[FunctorComplex, ...]] = {}
         self._solve_adjunctions()
 
     # -- the two adjunctions, solved exactly ---------------------------------
@@ -585,6 +586,14 @@ class RankOneBlock:
         if got is None:
             got = self._composed[star, shriek] = (star.compose(shriek), shriek.compose(star))
         return got
+
+    def _star_squared(self) -> FunctorComplex:
+        """Theta* Theta*, composed once per Theta* complex."""
+        star = self.theta_star()
+        got = self._composed.get((star, star))
+        if got is None:
+            got = self._composed[star, star] = (star.compose(star),)
+        return got[0]
 
     def _evaluation(self, m: Module, counit: bool) -> ChainMap:
         """ev or coev in degree 0, where the composite is theta^2 + Id: on

@@ -457,8 +457,7 @@ class HeckeAlgebra:
                 raise ArithmeticError("bar defect is not antisymmetric; solver broken")
             p = c.positive_part()
             accumulate(f, [(y, p)])
-            # the defect is linear in f, so update it in place, scaling by
-            # bar(p), whose bound is exact, not by p - c, whose is not
+            # the defect is linear in f, so update it in place
             accumulate(defect, self._view("d", y).items(), p.bar())
             accumulate(defect, [(y, p)], -1)
         # f equal to the built C row has that row's derived bar

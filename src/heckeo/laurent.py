@@ -28,21 +28,20 @@ coefficients and seconds with 40-digit ones, and a sparse value such as
 Exactness guard.  The digits of n are the coefficients only while every
 |c| < 2^(w-1), and coefficients are Python ints of any size.  So each value
 carries a bound B >= sum |c|: a sum adds the bounds, a product multiplies
-them, and v^k, negation, bar and twist keep them.  A result with
-B < 2^30 is packed at w = 32 straight away.  At 2^30 <= B < 2^31 its 32-bit
-digits are still exact, and B is recomputed from them.  From 2^31 on, the
-operands are repacked at the first multiple w of 32 with B < 2^(w-1), the
-operation is done there, and the result is repacked by its exact sum |c|:
-at w = 32 if that is below 2^31, else at the first such w.  The width is
-thus a function of the polynomial, so (lo, n) at that width is canonical,
-and no coefficient, however large, is ever lost or raises.
+them, and v^k, negation, bar, twist and the positive part keep them.  A
+result with B < 2^31 is packed at w = 32.  From 2^31 on, the operands are
+repacked at the first multiple w of 32 with B < 2^(w-1), the operation is
+done there, and the result is repacked by its exact sum |c|: at w = 32 if
+that is below 2^31, else at the first such w.  The width is thus a function
+of the polynomial, so (lo, n) at that width is canonical, and no
+coefficient, however large, is ever lost or raises.
 
-Bound rule.  `accumulate`'s running entries may keep a loose bound, the sum
-of their terms' bounds, and a finished sum keeps it.  A value that a later
-product reads while its sum still runs may not: products multiply bounds,
-so looseness would compound into wide-path steps for narrow results.  So
-`positive_part`, the KL bar solver's step, has an exact bound (as have
-`_from_digits` and `_narrow` from BOUND_RECHECK on), and so has its bar.
+Bound rule.  A narrow value's bound may be loose.  Only `add_product`
+tightens one: when a + b c would reach 2^31 with all three operands narrow,
+it first sets each operand's bound to the exact sum |c| of its 32-bit
+digits, and only a bound that still reaches 2^31 takes the wide path.  This
+changes no answer: a narrow bound is in no `==`, hash or `mapped` key (lo,
+n), and exact <= loose < 2^31 keeps the value narrow.
 
 >>> p = v + v**-1
 >>> str(p)
@@ -71,8 +70,6 @@ DIGIT_BITS = 32
 DIGIT_MASK = (1 << DIGIT_BITS) - 1
 #: a value with a bound below this has exact DIGIT_BITS-bit digits
 BOUND_LIMIT = 1 << (DIGIT_BITS - 1)
-#: a bound this large is recomputed from the digits
-BOUND_RECHECK = 1 << (DIGIT_BITS - 2)
 
 _new = object.__new__
 
@@ -150,15 +147,20 @@ def _from_digits(lo: int, cs: list[int]) -> "LaurentPoly":
 def add_product(a: "LaurentPoly", b: "LaurentPoly", c: "LaurentPoly") -> "LaurentPoly":
     """a + b c, the one arithmetic step every sum and product is made of:
     one int product and one shift-and-add on the packed fields.  When the
-    bound of the result reaches BOUND_LIMIT, the operands are repacked at
-    the wider digit that bound gives, the step is done there, and the
-    result is repacked canonically (the module docstring's guard).  A zero
-    result is ZERO itself, so callers may test it by identity.
+    bound of the result reaches BOUND_LIMIT, three narrow operands first
+    take their exact bounds (the module docstring's bound rule); a bound
+    that still reaches it repacks the operands at the wider digit it gives,
+    does the step there, and repacks the result canonically (the guard).  A
+    zero result is ZERO itself, so callers may test it by identity.
 
     >>> str(add_product(v, 1 + v, 1 - v))
     '1 + v - v^2'
     """
     bound = a._b + b._b * c._b
+    if bound >= BOUND_LIMIT and max(a._b, b._b, c._b) < BOUND_LIMIT:
+        for p in (a, b, c):
+            p._b = sum(map(abs, _digits(p._n, DIGIT_BITS)))
+        bound = a._b + b._b * c._b
     if bound < BOUND_LIMIT:
         w, x, n = DIGIT_BITS, a._n, b._n * c._n
     else:
@@ -181,14 +183,12 @@ def add_product(a: "LaurentPoly", b: "LaurentPoly", c: "LaurentPoly") -> "Lauren
 
 def _narrow(lo: int, n: int, bound: int) -> "LaurentPoly":
     """The canonical value whose coefficients from v^lo up are the exact 32-bit
-    digits of n: zero low digits dropped, a bound from BOUND_RECHECK on exact."""
+    digits of n, under this bound: zero low digits dropped."""
     if not n & DIGIT_MASK:
         if not n:
             return ZERO
         z = ((n & -n).bit_length() - 1) // DIGIT_BITS
         lo, n = lo + z, n >> (DIGIT_BITS * z)
-    if bound >= BOUND_RECHECK:
-        bound = sum(map(abs, _digits(n, DIGIT_BITS)))
     return _make(lo, n, bound)
 
 
@@ -196,8 +196,8 @@ def accumulate(out: dict, terms: Iterable, scal: LaurentPoly | int = 1) -> dict:
     """Add each (index, coefficient) pair of `terms`, times `scal`, into the
     sparse vector `out` in place, dropping entries that cancel; returns
     `out`.  Each entry is `add_product`'s narrow step inline, giving the
-    value it would; an entry whose bound would reach BOUND_RECHECK is one
-    `add_product`."""
+    value it would; an entry whose bound would reach BOUND_LIMIT is one
+    `add_product`, which may tighten `scal`'s bound."""
     if scal.__class__ is not LaurentPoly:
         scal = LaurentPoly.const(scal)
     sl, sn, sb = scal._lo, scal._n, scal._b
@@ -214,8 +214,9 @@ def accumulate(out: dict, terms: Iterable, scal: LaurentPoly | int = 1) -> dict:
                 continue
             q = ZERO
         bound = q._b + p._b * sb
-        if bound >= BOUND_RECHECK:
+        if bound >= BOUND_LIMIT:
             r = add_product(q, p, scal)
+            sb = scal._b
             if r is ZERO:
                 out.pop(k, None)
             else:
@@ -242,7 +243,7 @@ def accumulate(out: dict, terms: Iterable, scal: LaurentPoly | int = 1) -> dict:
 def dot(a: dict, b: dict) -> LaurentPoly:
     """sum_k a_k b_k over two sparse vectors, kept raw as one (lo, n, bound)
     aligned to its own lowest exponent and made canonical at the end; from
-    the first entry whose bound would reach BOUND_RECHECK on, `add_product`."""
+    the first entry whose bound would reach BOUND_LIMIT on, `add_product`."""
     if len(a) > len(b):
         a, b = b, a
     get = b.get
@@ -255,7 +256,7 @@ def dot(a: dict, b: dict) -> LaurentPoly:
         e, pb = p._lo + q._lo, p._b * q._b
         if not n:
             lo, bound = e, 0
-        if bound + pb >= BOUND_RECHECK:
+        if bound + pb >= BOUND_LIMIT:
             out = add_product(_narrow(lo, n, bound), p, q)
             for k, p in entries:
                 q = get(k)
@@ -483,14 +484,13 @@ class LaurentPoly:
         return _make(1 - lo - t, int.from_bytes(words.pack(*us), "little") - off, self._b)
 
     def positive_part(self) -> "LaurentPoly":
-        """The terms of positive degree, with an exact bound (the module
-        docstring's bound rule).  A narrow value drops its digits below v^1
-        with one add and one shift."""
+        """The terms of positive degree, under this value's bound.  A narrow
+        value drops its digits below v^1 with one add and one shift."""
         d = max(1 - self._lo, 0)
         if self._b >= BOUND_LIMIT:
             return _from_digits(self._lo + d, self._dense()[d:])
         n = (self._n + _offset(d, DIGIT_BITS)) >> (DIGIT_BITS * d)
-        return _narrow(self._lo + d, n, BOUND_RECHECK)
+        return _narrow(self._lo + d, n, self._b)
 
     def shifted(self, n: int) -> "LaurentPoly":
         """Multiply by v^n."""

@@ -35,7 +35,6 @@ the masks, |W|^2/8 bytes: 203 MB at A7.
 from __future__ import annotations
 
 import math
-from functools import cached_property
 
 from .frozen import Frozen, init_field
 
@@ -195,6 +194,24 @@ class WeylElt(Frozen):
         return self.idx < other.idx
 
 
+class _lazy_table:
+    """A table built by the decorated method on first read and then set with
+    `setattr` as a plain attribute, which hides this descriptor.  Unlike a
+    `functools.cached_property`, which writes through the instance
+    `__dict__`, it keeps the instance's attribute storage as it is: on
+    CPython 3.11 that write slows every later attribute read."""
+
+    def __init__(self, build):
+        self.build, self.name = build, build.__name__
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = self.build(obj)
+        setattr(obj, self.name, value)
+        return value
+
+
 class WeylGroup:
     """A fully enumerated finite Weyl group.
 
@@ -314,7 +331,7 @@ class WeylGroup:
             i, j = rmult[i][s], lmult[j][s]
         return inverse[i] if flip else i
 
-    @cached_property
+    @_lazy_table
     def _w0x(self) -> list[int]:
         """w0 x for each id x: w0 (x s) = (w0 x) s, in id order."""
         rmult, out = self._rmult, [self._w0] + [-1] * (self.order - 1)
@@ -324,7 +341,7 @@ class WeylGroup:
                     out[xs] = rmult[out[x]][i]
         return out
 
-    @cached_property
+    @_lazy_table
     def _leq_rows(self) -> list[int]:
         """Row y, the bitmask of {x : x <= y}: y and the rows of its covers.
         Covers come ordered by y and sit below it in id order, so each row

@@ -535,12 +535,14 @@ def test_each_differential_maps_entry_to_entry(monkeypatch):
 
 def test_block_check_module_and_elimination_counts_stay_pinned(monkeypatch):
     # one `block-check --suite all` and one `--format csv`, counting every
-    # Module built, every rref and every applied complex built, each within a
-    # one-sided margin of its pin
+    # Module built, every rref, every applied complex built and every zero
+    # map, each within a one-sided margin of its pin
+    from heckeo.block import algebra
     from heckeo.block.functors import AppliedComplex
 
-    counts = {"Module": 0, "rref": 0, "applied": 0}
+    counts = {"Module": 0, "rref": 0, "applied": 0, "zero_map": 0}
     init, rref, applied = Module.__init__, linalg.rref, AppliedComplex.__init__
+    zero = algebra.zero_map
 
     def counted_init(self, *args, **kwargs):
         counts["Module"] += 1
@@ -554,20 +556,38 @@ def test_block_check_module_and_elimination_counts_stay_pinned(monkeypatch):
         counts["applied"] += 1
         applied(self, *args)
 
+    def counted_zero(src, dst):
+        counts["zero_map"] += 1
+        return zero(src, dst)
+
     monkeypatch.setattr(Module, "__init__", counted_init)
     monkeypatch.setattr(linalg, "rref", counted_rref)
     monkeypatch.setattr(AppliedComplex, "__init__", counted_applied)
+    monkeypatch.setattr(algebra, "zero_map", counted_zero)
     got = {}
     for run in (["--suite", "all"], ["--format", "csv"]):
-        counts.update(Module=0, rref=0, applied=0)
+        counts.update(Module=0, rref=0, applied=0, zero_map=0)
         assert cli.run(["block-check", *run])[0] == 0
         got[run[-1]] = dict(counts)
-    pinned = {"all": {"Module": 386, "rref": 797, "applied": 45},
-              "csv": {"Module": 67, "rref": 177, "applied": 18}}
+    pinned = {"all": {"Module": 386, "rref": 797, "applied": 45, "zero_map": 240},
+              "csv": {"Module": 67, "rref": 177, "applied": 18, "zero_map": 0}}
     margin = 0.02
     for run, pins in pinned.items():
         for what, pin in pins.items():
             assert got[run][what] <= pin * (1 + margin), (run, what, got[run][what])
+
+
+def test_a_second_suite_on_one_block_builds_no_applied_complex(monkeypatch):
+    # Theta*, Theta!, Theta*Theta!, Theta!Theta* and Theta*Theta* each keep
+    # their applied complexes, so the first suite builds every one it reads
+    from heckeo.block.functors import AppliedComplex
+
+    fresh = build_rank_one()
+    assert suite(fresh, "all").passed
+    built, init = [], AppliedComplex.__init__
+    monkeypatch.setattr(AppliedComplex, "__init__", lambda self, *args: built.append(self) or init(self, *args))
+    assert suite(fresh, "all").passed
+    assert built == []
 
 
 def test_dropped_block_is_freed_without_the_cycle_collector():
@@ -655,9 +675,9 @@ def test_block_checks_leave_memoized_images_and_components_unchanged(monkeypatch
     images = [(out, _module_data(out)) for out in fresh.catalog.images.values()]
     components = [(out, _map_data(out)) for _, _, out in evaluations]
     applied = [(out, _complex_data(out.complex)) for _, _, out in _memoized_applied(fresh)]
-    # Theta*, Theta! and their two composites, each on the nine module objects
-    # of the catalog
-    assert len(applied) == 4 * 9
+    # Theta*, Theta!, their two composites and Theta*Theta*, each on the
+    # nine module objects of the catalog
+    assert len(applied) == 5 * 9
     assert suite(fresh, "all").passed
     # the second run reads every (co)unit component and applied complex the
     # first one built
@@ -672,7 +692,7 @@ def _memoized_applied(ctx):
     """(complex, module, applied complex) for every complex the block keeps,
     Theta*, Theta! and their composites, and every module it was applied to."""
     kept = list(ctx._complexes.values())
-    kept += [fc for pair in ctx._composed.values() for fc in pair]
+    kept += [fc for composed in ctx._composed.values() for fc in composed]
     return [(fc, m, out) for fc in kept for m, out in fc._applied.items()]
 
 
@@ -680,7 +700,7 @@ def test_each_memoized_applied_complex_matches_the_two_builder_oracle():
     fresh = build_rank_one()
     assert suite(fresh, "all").passed
     applied = _memoized_applied(fresh)
-    assert len(applied) == 4 * 9
+    assert len(applied) == 5 * 9
     for fc, m, got in applied:
         _assert_same_applied(got, apply_by_positions(fc, m))
 

@@ -655,8 +655,8 @@ def test_derived_results_equal_the_directly_computed_ones(label, monkeypatch):
 
 @pytest.mark.parametrize("label", ["B3", "A4"])
 def test_the_bar_solver_never_takes_the_wide_path_on_narrow_values(label, monkeypatch):
-    # every KL and d(H_x) coefficient here is far below 2^31, and the
-    # solver scales each d row by a value with an exact bound, so no step
+    # every KL and d(H_x) coefficient here is far below 2^31, and a step
+    # whose loose bounds reach it takes exact bounds first, so no step
     # repacks at a wider digit
     alg = algebra(label)
     for x in alg.group.elements():
@@ -666,6 +666,17 @@ def test_the_bar_solver_never_takes_the_wide_path_on_narrow_values(label, monkey
     monkeypatch.setattr(laurent, "_from_digits", lambda *a, f=laurent._from_digits: repacks.append(a) or f(*a))
     for x in alg.group.elements():
         assert alg.kl_element_by_bar_solver(x) == alg.kl_element(x)
+    assert repacks == []
+
+
+def test_d4_involution_checks_never_take_the_wide_path(monkeypatch):
+    # the bars of the sample products multiply values whose loose bounds
+    # reach 2^31 while every coefficient stays small; add_product tightens
+    # those bounds, so no step repacks at a wider digit
+    alg = algebra("D4")
+    repacks = []
+    monkeypatch.setattr(laurent, "_from_digits", lambda *a, f=laurent._from_digits: repacks.append(a) or f(*a))
+    assert alg.verify_involutions().passed
     assert repacks == []
 
 

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from _oracles import DictLaurentPoly
+from heckeo import laurent
 from heckeo.laurent import (
     BOUND_LIMIT,
     LaurentPoly,
@@ -179,9 +180,9 @@ def test_module_doctests():
 
 # -- the packed form against the dict oracle ---------------------------------
 
-# coefficients at and around the digit bounds: 2^30 (where a bound is
-# rechecked), 2^31 (past which 32-bit digits are not exact), 2^62 (past
-# which a 64-bit digit is not), and far beyond
+# coefficients at and around the digit bounds: 2^30 (two of which sum to
+# the digit limit), 2^31 (past which 32-bit digits are not exact), 2^62
+# (past which a 64-bit digit is not), and far beyond
 EDGES = (2**30, 2**31, 2**62, 10**40)
 big_coeffs = st.one_of(
     st.integers(-9, 9),
@@ -266,22 +267,51 @@ def test_positive_part_matches_dict_oracle(m, n):
     assert_matches(a.positive_part(), DictLaurentPoly({e: c for e, c in oa.items() if e > 0}))
 
 
-def test_a_positive_part_has_an_exact_bound():
+def test_add_product_tightens_narrow_bounds_before_widening(monkeypatch):
     # a running entry's bound is the sum of its terms' bounds: 2v^-1 + v
-    # here is bounded by 4 + 1, and v by 2 + 1; the positive part, which the
-    # bar solver multiplies, is bounded by its own coefficients
+    # here is bounded by 4 + 1, and v by 2 + 1, and its positive part keeps
+    # that bound
     entries = accumulate({0: 3 * v**-1 + v, 1: v + v**2}, [(0, v**-1), (1, v**2)], -1)
     assert entries == {0: 2 * v**-1 + v, 1: v}
     assert [p._b for p in entries.values()] == [5, 3]
     for p in entries.values():
-        assert p.positive_part() == v and p.positive_part()._b == 1
+        assert p.positive_part() == v and p.positive_part()._b == p._b
+
+    def loose(m):
+        # the value of m, its bound raised past 2^16 by a cancelled constant
+        return LaurentPoly(m) + 2**15 - 2**15, DictLaurentPoly(m)
+
+    (a, oa), (b, ob), (c, oc) = loose({0: 1}), loose({-1: 3, 2: -1}), loose({1: 2, 4: 5})
+    wide_b, wide_c = loose({0: 2**16, 1: 1}), loose({1: 2**15})
+    assert a._b > 2**16 and a._b + b._b * c._b >= BOUND_LIMIT
+    table = {}
+    intern(table, {0: b})
+    key_hash = hash(b)
+    # every wide-path step ends in one _from_digits call
+    repacks = []
+    monkeypatch.setattr(laurent, "_from_digits", lambda *a, f=laurent._from_digits: repacks.append(a) or f(*a))
+    got = add_product(a, b, c)
+    assert repacks == []
+    assert_matches(got, oa + ob * oc)
+    # each operand now carries its exact bound, and reads as before
+    assert [p._b for p in (a, b, c)] == [1, 4, 7]
+    assert hash(b) == key_hash and b == LaurentPoly({-1: 3, 2: -1})
+    again = {0: LaurentPoly({-1: 3, 2: -1})}
+    intern(table, again)
+    assert again[0] is b and len(table) == 1
+    # exact bounds that still reach BOUND_LIMIT take the wide path
+    (b, ob), (c, oc) = wide_b, wide_c
+    repacks.clear()
+    got = add_product(a, b, c)
+    assert len(repacks) == 1 and b._b == 2**16 + 1 and c._b == 2**15
+    assert_matches(got, oa + ob * oc)
 
 
 @settings(max_examples=40, deadline=None)
 @given(st.lists(st.tuples(coeff_maps, coeff_maps), min_size=1, max_size=8), scalars)
 def test_long_chains_match_dict_oracle(pairs, k):
-    # sums of products, so that bounds grow past the recheck and the digit
-    # limit and come back down through cancellation
+    # sums of products, so that bounds grow past the digit limit and come
+    # back down through cancellation
     acc, oacc = LaurentPoly(), DictLaurentPoly()
     for ma, mb in pairs:
         a, oa = both(ma)
@@ -303,8 +333,7 @@ def vector_pair(vec):
 
 
 # examples: a lone wide term in a dot; five terms 2^29 in a dot, whose
-# running bound reaches 2^30 at the second and whose sum would overflow a
-# 32-bit digit by the fifth; 3 * 2^29 + 2^29, which fits only at a wider
+# sum would overflow a 32-bit digit by the fifth; 3 * 2^29 + 2^29, which fits only at a wider
 # digit; a sum that cancels to zero and then goes on below its old lowest
 # exponent; and scal 0, 1, -1 and v^k, the first with an entry that cancels
 MIXED = ({0: {0: 1, 2: -1}, 1: {1: 3}}, {0: {0: -1, 2: 1}, 1: {-2: 5}, 4: {-1: 2}})
