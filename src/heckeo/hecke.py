@@ -11,52 +11,51 @@ the sign twist b (v -> -v^-1, H_x -> H_x), the anti-automorphism iota
 the bilinear form <H_x, H_y> = delta_{x,y}, and the bases dual to {C'_x}
 and {C_x} under that form.
 
-Every basis view is built per element on first use: C_x, d(H_x), and Q_x
-dual to {C'_y} as row x of the inverse C' matrix.  Only the row of an x with
-x <= x^-1 in id order is computed; the row of x^-1 is then that row
-relabelled by iota, which commutes with d and b and keeps the form, so it
-maps d(H_x), C_x and Q_x to d(H_{x^-1}), C_{x^-1} and Q_{x^-1}.  C'_x and
-Q_x dual to {C_y} are b of C_x and of Q_x dual to {C'_y}, as
-<b(a), b(c)> = b(<a, c>).  `_view` checks each row of these three views
-once, computed or relabelled, for a unit diagonal and no entry on the wrong
-side in id order; b keeps both, so twisted views need no check.  The
-coefficients of computed rows are interned per algebra on their packed key
-(`laurent.intern`: (lo, n) narrow, (lo, n, bound) wide), and `b_twist`
-and `bar` map each distinct coefficient once, memoized on the same key
-(`laurent.mapped`).  bar(H_x) is the d row itself.  Results derived from
-view rows (the bar of a row; H_w0 C_x = Q_{w0 x} and <Q_x, C'_y> = delta,
-shared by the hecke and k0 suites) are kept with the rows read and reused
-while each is still in place.
+Every basis view is built per element on first use: C_x and d(H_x) upward,
+one action each, and Q_x dual to {C'_y} downward by the W-graph (below).
+Only the row of an x with x <= x^-1 in id order is computed; the row of
+x^-1 is then that row relabelled by iota, which commutes with d and b and
+keeps the form.  C'_x and Q_x dual to {C_y} are b of C_x and of Q_x dual to
+{C'_y}, as <b(a), b(c)> = b(<a, c>).  `_view` checks each row of these
+three views once, computed or relabelled, for a unit diagonal and no entry
+on the wrong side in id order; b keeps both.  The coefficients of computed
+rows are interned per algebra on their packed key (`laurent.intern`), and
+`b_twist` and `bar` map each distinct coefficient once, memoized on the
+same key (`laurent.mapped`).  bar(H_x) is the d row itself.  Results
+derived from view rows (the bar of a row; H_w0 C_x = Q_{w0 x} and
+<Q_x, C'_y> = delta, shared by the hecke and k0 suites) are kept with the
+rows read and reused while each is still in place.
 
 The checks inherit these symmetries (`_holds` tests each invariant once per
-table state).  On a d table that is iota-closed and b-fixed (b fixes
-d(H_s) = H_s + v - v^-1), a row that is its `_source` row mapped has that
-row's bar mapped, and the iota-equivariant bar solver skips a C_x made from
-C_{x^-1}.  On an iota-closed C', a pairing row of Q_x made from Q_{x^-1} is
-skipped, and k0 relabels the Simple coordinates of H_{x^-1}; the pairings
-against C are b of those against C'.  A row that fails its test is
-computed, and a source comes earlier in id order, so the first failure is
-always at a computed row: every verdict and detail is the computed one.
+table state).  On a d table that is iota-closed and b-fixed, a row that is
+its `_source` row mapped has that row's bar mapped, and the iota-equivariant
+bar solver skips a C_x made from C_{x^-1}.  On an iota-closed C', a pairing
+row of Q_x made from Q_{x^-1} is skipped; the pairings against C are b of
+those against C'.  A row that fails its test is computed, and a source comes
+earlier in id order, so the first failure is always at a computed row.
 
 Every product comes down to one left action on coefficient dicts,
 
     (H_s + c) H_y = H_{sy} + k_y H_y,   k_y = c (sy > y), c + v^-1 - v (sy < y),
 
-one pass over the support placing the h_{sy}, then one `accumulate` of the
-k_y h_y for each nonzero k_y.  The action serves c = v (C_s, hence C_x and
-wall crossing), c = 0 (H_s, hence `mul`; k_y = 0 for sy > y) and
-c = v - v^-1 (H_s^-1 = d(H_s), hence d(H_x); k_y = 0 for sy < y).  The
-vector sums and pairings are `laurent.accumulate` and `laurent.dot`, one
-loop each over the packed fields, which this module never reads; an
-element sum, difference or scalar multiple is one `accumulate`.  `mul`
-walks the smaller support, flipping sides by iota when that is b's, and
-memoizes H_y b along suffixes of reduced words; for a single H_y with
-coefficient 1 the last action's dict is the product, uncopied.
+one pass placing the h_{sy}, then one `accumulate` per nonzero k_y.  It
+serves c = v (C_s: C_x, Q_x and wall crossing), c = 0 (H_s: `mul`) and
+c = v - v^-1 (H_s^-1 = d(H_s): d(H_x)).  Vector sums and pairings are
+`laurent.accumulate` and `laurent.dot`, whose packed fields this module
+never reads.  `mul` walks the smaller support, flipping sides by iota when
+that is b's, and memoizes H_y b along suffixes of reduced words; for a
+single H_y with coefficient 1 the last action's dict is the product.
 
-C_x is computed two independent ways: the recursion C_s C_{sx} minus
-integer multiples mu(y, sx) C_y, subtracted in place, and a solver that
-enforces self-duality coefficient by coefficient down the length order.
-The two must agree exactly; `verify_kl_oracle` checks that.
+mu(z, y), the v-coefficient of the C_y entry at z (`_mu`), is the W-graph:
+C_s C_y = C_{sy} + sum of mu(z, y) C_z over the z with sz < z for sy > y,
+and (v + v^-1) C_y for sy < y.  `_build_C` strips the mu terms from
+C_s C_{sx} in place.  C_s is self-adjoint, as the matrix of H_s is
+symmetric, so <C_s Q_{sx}, C'_y> = delta_{x,y} + mu(sx, y) [sy > y] when
+sx > x: `_build_dual_to_bC` subtracts those mu(sx, y) Q_y from C_s Q_{sx},
+downward from Q_w0 = H_w0, and k0 builds the Simple coordinates of each H_z
+upward by the same mu.  A solver that enforces self-duality coefficient by
+coefficient down the length order is C_x's independent oracle;
+`verify_kl_oracle` checks that the two agree exactly.
 """
 
 from __future__ import annotations
@@ -409,21 +408,28 @@ class HeckeAlgebra:
         # strip mu(y, sx) * C_y for the y below sx with sy < y, in place:
         # res is not shared yet
         for y, p in c_lower.items():
-            if g._lengths[g._lmult[y][s]] < g._lengths[y]:
-                mu = p.coeff(1)
-                if mu:
-                    accumulate(res, self._view("C", y).items(), -mu)
+            if g._lengths[g._lmult[y][s]] < g._lengths[y] and (mu := p.coeff(1)):
+                accumulate(res, self._view("C", y).items(), -mu)
         return res
 
+    def _mu(self, z: int, y: int) -> int:
+        """mu(z, y), the v-coefficient of the C_y entry at z."""
+        return self._view("C", y).get(z, ZERO).coeff(1)
+
     def _build_dual_to_bC(self, k: int) -> dict[int, LaurentPoly]:
-        """Q_x with <Q_x, C'_y> = delta, row x of the inverse of the matrix of
-        the C'_y: entry j > x, in id order, is -<row, C'_j> so far."""
-        row = {k: LaurentPoly.one()}
-        for j in range(k + 1, self.group.order):
-            # row has no entry at j yet, so the diagonal of C'_j drops out
-            s = dot(row, self._view("Cprime", j))
-            if s:
-                row[j] = -s
+        """Q_x with <Q_x, C'_y> = delta: H_w0 for x = w0, else, for s the
+        first left ascent of x, C_s Q_{sx} less mu(sx, y) Q_y for each y with
+        sy > y, mu read off row y of C where l(y) - l(sx) is odd."""
+        g, lmult, lengths = self.group, self.group._lmult, self.group._lengths
+        s = next((t for t, u in enumerate(lmult[k]) if lengths[u] > lengths[k]), None)
+        if s is None:
+            return {k: LaurentPoly.one()}
+        sx = lmult[k][s]
+        row = self._act(s, self._view("dual_to_bC", sx), _C_S)
+        for y in range(bisect_left(lengths, lengths[sx] + 1), g.order):
+            if (lengths[y] - lengths[sx]) & 1 and lengths[lmult[y][s]] > lengths[y] \
+                    and (mu := self._mu(sx, y)):
+                accumulate(row, self._view("dual_to_bC", y).items(), -mu)
         return row
 
     # -- Kazhdan-Lusztig elements ---------------------------------------------
@@ -636,14 +642,8 @@ class HeckeAlgebra:
 
     def suite(self) -> VerificationReport:
         rep = VerificationReport("hecke")
-        for sub in (
-            self.verify_relations(),
-            self.verify_involutions(),
-            self.verify_kl(),
-            self.verify_kl_oracle(),
-            self.verify_dual_basis(),
-            self.verify_hw0_identity(),
-        ):
+        for sub in (self.verify_relations(), self.verify_involutions(), self.verify_kl(),
+                    self.verify_kl_oracle(), self.verify_dual_basis(), self.verify_hw0_identity()):
             rep.extend(sub)
         return rep
 

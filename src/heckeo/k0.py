@@ -56,6 +56,7 @@ class BasisKind(enum.Enum):
 WALL_VARIANTS = ("theta", "pi_star_pi", "pi_shriek_pi")
 _V_INV = v_pow(-1)
 _V_INV_MINUS_V = _V_INV - v  # H_s^2 = 1 + (v^-1 - v) H_s
+_MINUS_V = -v
 
 
 class K0Class(HeckeElt):
@@ -142,34 +143,44 @@ class K0Block:
         self.hecke.check_own(X)
         if kind is BasisKind.Verma:
             return X.coeffs()
-        g = self.group
-        return {g.element(i): s for i, s in self._coords(X._c, kind).items()}
-
-    def _coords(self, coeffs: dict[int, LaurentPoly], kind: BasisKind) -> dict[int, LaurentPoly]:
-        """`coords_in_basis` on id-keyed Verma coordinates, for a non-Verma
-        basis: id -> coordinate, in id order."""
-        g = self.group
-        # projectives have their Verma flags above x, the other views below
-        upward = kind is BasisKind.Projective
-        left = dict(coeffs)
-        out: dict[int, LaurentPoly] = {}
-        for j in range(g.order) if upward else range(g.order - 1, -1, -1):
+        g, left, out = self.group, dict(X._c), {}
+        for j in range(g.order) if kind is BasisKind.Projective else range(g.order - 1, -1, -1):
             c = left.get(j)
-            if c is None:
-                continue
-            accumulate(left, self.hecke._view(_VIEW_OF[kind], j).items(), -c)
-            out[j] = c
-        return dict(sorted(out.items()))
+            if c is not None:
+                accumulate(left, self.hecke._view(_VIEW_OF[kind], j).items(), -c)
+                out[j] = c
+        return {g.element(i): s for i, s in sorted(out.items())}
 
     def _verma_in_simples(self) -> list[dict[int, LaurentPoly]]:
-        """The Simple coordinates of every H_z, by id.  On an iota-closed C'
-        view, back-substitution commutes with iota, so those of H_z with
-        z^-1 < z in id order are those of H_{z^-1} relabelled."""
-        inverse, closed = self.group._inverse, self.hecke._holds("Cprime")
-        table: list[dict[int, LaurentPoly]] = []
-        for z, source in enumerate(inverse):
-            table.append(dict(sorted((inverse[y], p) for y, p in table[source].items()))
-                         if closed and source < z else self._coords({z: ONE}, BasisKind.Simple))
+        """The Simple coordinates of every H_z, by id, upward from H_e = C'_e
+        through H_z = (C'_s + v^-1) H_{sz}, s the first letter of z, and the
+        W-graph: C'_s C'_y is C'_{sy} + sum of mu(w, y) C'_w over the w with
+        sw < w for sy > y, -(v + v^-1) C'_y for sy < y.  The nonzero
+        mu(w, y) are read off row y of C once each."""
+        g, mu = self.group, self.hecke._mu
+        lmult, lengths = g._lmult, g._lengths
+        edges: dict[int, list[tuple[int, int]]] = {}
+        table: list[dict[int, LaurentPoly]] = [{0: ONE}]
+        for z in range(1, g.order):
+            s, out, ups, downs = g._firsts[z], {}, [], []
+            terms = {_V_INV: ups, _MINUS_V: downs}  # scalar -> its (id, coefficient) terms
+            for y, p in table[lmult[z][s]].items():
+                sy = lmult[y][s]
+                if lengths[sy] < lengths[y]:
+                    downs.append((y, p))
+                    continue
+                out[sy] = p
+                ups.append((y, p))
+                if y not in edges:
+                    edges[y] = [(w, m) for w in self.hecke._view("C", y)
+                                if (lengths[y] - lengths[w]) & 1 and (m := mu(w, y))]
+                for w, m in edges[y]:
+                    if lengths[lmult[w][s]] < lengths[w]:
+                        terms.setdefault(m, []).append((w, p))
+            for scal, ts in terms.items():
+                if ts:
+                    accumulate(out, ts, scal)
+            table.append(dict(sorted(out.items())))
         return table
 
     # -- verifiers ------------------------------------------------------------
@@ -264,8 +275,7 @@ class K0Block:
         def ringel_dims():
             # dim End(P_x) = dim End(T_{w0 x}) through the v=1 Euler form,
             # and the two total sums coincide
-            tot_p = 0
-            tot_t = 0
+            tot_p = tot_t = 0
             for x in range(g.order):
                 qx, cx = view("dual_to_bC", x), view("C", w0x[x])
                 dp = dot(qx, qx).eval_at_one()
@@ -386,11 +396,7 @@ class K0Block:
                     for i in col:
                         # projectives sit above x in the Bruhat order,
                         # every other view sits below
-                        if kind is BasisKind.Projective:
-                            ok = rows[i] >> j & 1
-                        else:
-                            ok = rows[j] >> i & 1
-                        if not ok:
+                        if not (rows[i] >> j if kind is BasisKind.Projective else rows[j] >> i) & 1:
                             return False, (f"{kind.value} not Bruhat-unitriangular"
                                            f" at ({g._name(i)}, {g._name(j)})")
             return True, "Simple, Projective, Tilting, DualVerma vs Verma"
@@ -457,13 +463,7 @@ class K0Block:
 
     def suite(self) -> VerificationReport:
         rep = VerificationReport("k0")
-        for sub in (
-            self.verify_module_axioms(),
-            self.verify_unitriangularity(),
-            self.verify_bott(),
-            self.verify_characters(),
-            self.verify_tilting_switch(),
-            self.verify_simple_ops(),
-        ):
+        for sub in (self.verify_module_axioms(), self.verify_unitriangularity(), self.verify_bott(),
+                    self.verify_characters(), self.verify_tilting_switch(), self.verify_simple_ops()):
             rep.extend(sub)
         return rep

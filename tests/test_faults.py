@@ -21,7 +21,7 @@ from heckeo.block.checks import suite
 from heckeo.block.functors import Adjunction, FunctorComplex, Nat
 from heckeo.hecke import VIEWS, HeckeAlgebra
 from heckeo.k0 import K0Block
-from heckeo.laurent import ONE, ZERO, LaurentPoly, v
+from heckeo.laurent import ZERO, LaurentPoly, v
 from heckeo.weyl import CartanDatum, build_group, weyl_suite
 
 
@@ -133,18 +133,24 @@ def rebuilt_dual_rows(alg):
         yield
 
 
-def drop_diagonal_coordinate(blk, x):
-    """`_coords`, the id-keyed core of coords_in_basis that the k0 checks
-    read, leaves out the coordinate of [D_x] at x itself."""
-    coords = blk._coords
+def mu_off_by(alg, z, y, d):
+    """`_mu`, which both W-graph recursions read, gives mu(z, y) + d for the
+    elements named z and y, and every other mu unchanged."""
+    g, mu = alg.group, alg._mu
+    pair = g.parse_word(z).idx, g.parse_word(y).idx
+    return patch.object(alg, "_mu", lambda *a: mu(*a) + d if a == pair else mu(*a))
 
-    def faulty(coeffs, kind):
-        out = coords(coeffs, kind)
-        if coeffs == {x.idx: ONE}:
-            del out[x.idx]
-        return out
 
-    return patch.object(blk, "_coords", faulty)
+@contextmanager
+def dual_rows_rebuilt_with_mu_off_by(alg, z, y, d):
+    """The dual rows are built again, reading mu(z, y) + d; once they are
+    built, the Verma-in-simples recursion reads the right mu."""
+    with patch.dict(alg._views["dual_to_bC"], clear=True), \
+            patch.dict(alg._views["dual_to_C"], clear=True):
+        with mu_off_by(alg, z, y, d):
+            for k in range(alg.group.order):
+                alg._view("dual_to_bC", k)
+        yield
 
 
 def cleared_mask_bit(g, x, y):
@@ -197,13 +203,15 @@ HECKE_K0_FAULTS = [
             "k0.bgg_reciprocity_graded", "k0.ringel_end_dims",
             "k0.tilting_projective_switch", "k0.projectives_dual_to_simples")},
         id="dual_to_bC:row 1 built with an entry below its diagonal"),
+    # the dual rows are built, so only the Verma-in-simples recursion reads
+    # mu, and it loses the W-graph edge from 2.1 to 1
     pytest.param(
         ("k0.bgg_reciprocity_graded", "k0.inverse_kl_positivity"),
-        lambda blk: drop_diagonal_coordinate(blk, blk.group.element(1)),
-        {"k0.tilting_char_v1": "fails at (x,y)=(2.1.3.2.1.3.2.3, 2.1.3.2.1.3.2.3)",
-         "k0.bgg_reciprocity_graded": "fails at (P_1, D_1)",
-         "k0.inverse_kl_positivity": "diagonal at 1 is not 1"},
-        id="coords_in_basis:[D_1] loses its coordinate at 1"),
+        lambda blk: mu_off_by(blk.hecke, "1", "2.1", -1),
+        {"k0.tilting_char_v1": "fails at (x,y)=(3.2.1.3.2.3, e)",
+         "k0.bgg_reciprocity_graded": "fails at (P_1, D_1.2.1)",
+         "k0.inverse_kl_positivity": "negative multiplicity at (1, 1.2.1)"},
+        id="verma_in_simples:mu(1, 2.1) read as 0"),
     pytest.param(
         tuple(WRONG_D_ROW), wrong_d_row, WRONG_D_ROW, id="d:v^2 at (1.3, e)"),
     pytest.param(
@@ -259,8 +267,28 @@ def s2s1(blk):
 
 # checks, fault on a built B2 block, pinned {failing check: detail}: a view row
 # replaced after a clean run, so every result derived from it must be derived
-# again, whichever check derived it first
+# again, whichever check derived it first; or one mu off by one in one of the
+# two W-graph recursions, the dual rows' or, with those built, the
+# Verma-in-simples table's
 B2_FAULTS = [
+    pytest.param(
+        ("hecke.dual_bases_orthonormal",),
+        lambda blk: dual_rows_rebuilt_with_mu_off_by(blk.hecke, "1", "2.1", 1),
+        {"hecke.dual_bases_orthonormal": "dual_to_bC fails at (e, 2.1)",
+         "hecke.hw0_times_C_is_dual_basis": "failures at: 1.2.1.2",
+         "k0.tilting_char_graded": "fails at (x,y)=(1.2.1.2, e)",
+         "k0.bgg_reciprocity_graded": "fails at (P_e, D_2.1)",
+         "k0.ringel_end_dims": "dim End mismatch at e: 4 != 8",
+         "k0.tilting_projective_switch": "fails at 1.2.1.2",
+         "k0.projectives_dual_to_simples": "<[P],[L]> wrong at (e, 2.1)"},
+        id="dual_to_bC:the recursion reads mu(1, 2.1) as 2"),
+    pytest.param(
+        ("k0.bgg_reciprocity_graded",),
+        lambda blk: mu_off_by(blk.hecke, "1", "2.1", 1),
+        {"k0.tilting_char_v1": "fails at (x,y)=(2.1.2, e)",
+         "k0.bgg_reciprocity_graded": "fails at (P_1, D_1.2.1)",
+         "k0.inverse_kl_positivity": "unshifted off-diagonal term at (1, 1.2.1)"},
+        id="verma_in_simples:the recursion reads mu(1, 2.1) as 2"),
     pytest.param(
         ("hecke.dual_bases_orthonormal", "k0.projectives_dual_to_simples"),
         lambda blk: add_to_built_entry(blk.hecke, "Cprime", blk.group.w0.idx, 1, v**-2),
@@ -268,9 +296,6 @@ B2_FAULTS = [
          "hecke.dual_bases_orthonormal": "dual_to_bC fails at (e, 1.2.1.2)",
          "k0.bott_euler_form": "fails at x=1: -v^-3 + v^-2 != -v^-3",
          "k0.weyl_character_formula_v1": "v=1 coefficient at 1 is 0, wanted -1",
-         "k0.tilting_char_v1": "fails at (x,y)=(2.1.2, e)",
-         "k0.bgg_reciprocity_graded": "fails at (P_e, D_1.2.1.2)",
-         "k0.inverse_kl_positivity": "negative multiplicity at (e, 1.2.1.2)",
          "k0.wall_action_on_simples_and_vermas": "(H_s + v)[L_x] != 0 at (1, 1.2.1.2)",
          "k0.duality_fixes_simples": "[L_1.2.1.2] not duality-fixed",
          "k0.projectives_dual_to_simples": "<[P],[L]> wrong at (e, 1.2.1.2)"},
@@ -376,8 +401,8 @@ def test_a_replaced_view_row_fails_the_same_checks_on_a_fresh_block(checks, faul
 
 def every_result_computed(blk):
     """`blk`, with every invariant that a derivation rests on reporting false,
-    so that each bar, solver run, pairing and Verma-in-simples entry is
-    computed and none is derived from its source."""
+    so that each bar, solver run and pairing is computed and none is
+    derived from its source."""
     blk.hecke._holds = lambda *args: False
     return blk
 
@@ -427,17 +452,16 @@ ACTION_FAULTS = [
     pytest.param(
         ("k0.wall_crossing_quadratic", "k0.wall_crossing_vs_hecke_action"),
         "_C_S", (v, v),
-        {"hecke.dual_bases_orthonormal": "dual_to_bC fails at (2.1, 1.2.1.2)",
-         "hecke.hw0_times_C_is_dual_basis": "failures at: 1.2, 2.1, 1.2.1, 2.1.2, 1.2.1.2",
+        {"hecke.dual_bases_orthonormal": "dual_to_bC fails at (e, 1)",
+         "hecke.hw0_times_C_is_dual_basis": "failures at: 1, 2, 1.2, 2.1, 1.2.1, 2.1.2, 1.2.1.2",
          "hecke.kl_recursion_matches_bar_solver": "recursion and solver disagree at 1.2.1",
          "hecke.kl_selfdual_and_degree_bounds": "C_1.2.1 not self-dual",
-         "k0.bgg_reciprocity_graded": "fails at (P_2.1, D_1.2.1.2)",
+         "k0.bgg_reciprocity_graded": "fails at (P_e, D_1)",
          "k0.bott_euler_form": "fails at x=1: -2*v^-3 + v^-1 != -v^-3",
          "k0.duality_fixes_simples": "[L_1.2.1] not duality-fixed",
-         "k0.inverse_kl_positivity": "unshifted off-diagonal term at (1, 1.2.1)",
-         "k0.projectives_dual_to_simples": "<[P],[L]> wrong at (2.1, 1.2.1.2)",
-         "k0.tilting_char_graded": "fails at (x,y)=(1.2, e)",
-         "k0.tilting_projective_switch": "fails at 1.2",
+         "k0.projectives_dual_to_simples": "<[P],[L]> wrong at (e, 1)",
+         "k0.tilting_char_graded": "fails at (x,y)=(1, e)",
+         "k0.tilting_projective_switch": "fails at 1",
          "k0.wall_action_on_simples_and_vermas": "(H_s + v)[L_x] != 0 at (1, 1.2.1)",
          "k0.wall_crossing_quadratic": "wall-crossing quadratic fails at s_1",
          "k0.wall_crossing_vs_hecke_action": "H_s vs theta_s mismatch at s_1"},
@@ -520,29 +544,22 @@ TWIST_FAULTS = [
         {"hecke.b_is_involution": "",
          "hecke.b_is_ring_automorphism": "",
          "hecke.dual_bases_orthonormal": "dual_to_bC fails at (e, e)",
-         "hecke.hw0_times_C_is_dual_basis": "failures at: 1, 2, 1.2, 2.1, 1.2.1, 2.1.2, 1.2.1.2",
          "hecke.involutions_pairwise_commute": "",
          "hecke.kl_selfdual_and_degree_bounds": "C'_e not self-dual",
          "k0.basis_changes_unitriangular": "Simple diagonal not 1 at e",
          "k0.bott_euler_form": "fails at x=e: v^-3 != v^-4",
          "k0.duality_fixes_simples": "[L_e] not duality-fixed",
-         "k0.inverse_kl_positivity": "unshifted off-diagonal term at (e, 1)",
-         "k0.projectives_dual_to_simples": "<[P],[L]> wrong at (e, e)",
-         "k0.tilting_char_graded": "fails at (x,y)=(1, e)",
-         "k0.tilting_projective_switch": "fails at 1"},
+         "k0.projectives_dual_to_simples": "<[P],[L]> wrong at (e, e)"},
         id="b_is_involution:the twist is shifted by v"),
     pytest.param(
         ("hecke.b_is_ring_automorphism",), LaurentPoly.bar,
         {"hecke.b_is_ring_automorphism": "",
-         "hecke.hw0_times_C_is_dual_basis": "failures at: 1, 2, 1.2, 2.1, 1.2.1, 2.1.2, 1.2.1.2",
+         "hecke.dual_bases_orthonormal": "dual_to_bC fails at (e, 1)",
          "hecke.involutions_pairwise_commute": "",
          "hecke.kl_selfdual_and_degree_bounds": "C'_1 not self-dual",
          "k0.bott_euler_form": "fails at x=1: v^-3 != -v^-3",
          "k0.duality_fixes_simples": "[L_1] not duality-fixed",
-         "k0.inverse_kl_positivity": "negative multiplicity at (e, 1)",
-         "k0.tilting_char_graded": "fails at (x,y)=(1, e)",
-         "k0.tilting_char_v1": "fails at (x,y)=(1, e)",
-         "k0.tilting_projective_switch": "fails at 1",
+         "k0.projectives_dual_to_simples": "<[P],[L]> wrong at (e, 1)",
          "k0.wall_action_on_simples_and_vermas": "(H_s + v)[L_x] != 0 at (1, 1)",
          "k0.weyl_character_formula_v1": "v=1 coefficient at 1 is 1, wanted -1"},
         id="b_is_ring_automorphism:the twist drops its sign"),
@@ -558,8 +575,8 @@ def test_a_wrong_twist_fails_its_checks_on_a_fresh_block(checks, faulty, pinned)
     assert hecke_k0_failures(K0Block(build_group(CartanDatum("B", 2)))) == {}
 
 
-def broken_coords(*args):
-    raise ArithmeticError("no coordinates")
+def broken_mu(*args):
+    raise ArithmeticError("no mu")
 
 
 # a table that fails to build fails the checks that read it, and verify says so
@@ -569,11 +586,15 @@ def broken_coords(*args):
         {"hecke.dual_bases_orthonormal": UNITRIANGULAR,
          "hecke.hw0_times_C_is_dual_basis": UNITRIANGULAR},
         id="hecke:a dual row below its diagonal"),
+    # both W-graph recursions read mu: every check that reads the dual rows
+    # or the Verma-in-simples table fails
     pytest.param(
-        "k0", K0Block, "_coords", broken_coords,
-        {name: "exception: ArithmeticError('no coordinates')" for name in (
-            "k0.tilting_char_v1", "k0.bgg_reciprocity_graded", "k0.inverse_kl_positivity")},
-        id="k0:coords_in_basis raises"),
+        "k0", HeckeAlgebra, "_mu", broken_mu,
+        {name: "exception: ArithmeticError('no mu')" for name in (
+            "k0.basis_changes_unitriangular", "k0.tilting_char_graded", "k0.tilting_char_v1",
+            "k0.bgg_reciprocity_graded", "k0.inverse_kl_positivity", "k0.ringel_end_dims",
+            "k0.tilting_projective_switch", "k0.projectives_dual_to_simples")},
+        id="k0:mu raises"),
 ])
 def test_verify_reports_a_failed_table_build(suite_name, owner, name, fault, failing):
     with patch.object(owner, name, fault):

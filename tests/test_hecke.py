@@ -313,7 +313,7 @@ def test_verify_sums_only_nonzero_scalars_over_nonempty_terms(monkeypatch):
     code, _ = cli.run(["verify", "--type", "A3", "--suite", "all"])
     assert code == 0
     assert wasted == []
-    pinned, margin = 4870, 0.02  # the count may exceed its pin by this share
+    pinned, margin = 4795, 0.02  # the count may exceed its pin by this share
     assert calls[0] <= pinned * (1 + margin), calls[0]
 
 
@@ -507,7 +507,7 @@ def test_dual_basis_defining_property(b2):
                 assert b2.pairing(duals[x], b2.kl_element(y, kl_variant)) == expect
 
 
-@pytest.mark.parametrize("label", ["G2", "A3", "B3"])
+@pytest.mark.parametrize("label", ["G2", "A3", "B3", "D4"])
 def test_dual_views_match_inversion_oracle(label):
     # each dual view against the rows of its own inverted KL matrix: the dual
     # to C is compared with the inverse of the C columns, not with b of the

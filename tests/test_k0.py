@@ -80,21 +80,18 @@ def test_coords_in_basis_matches_inversion_oracle(label):
                 assert list(got) == list(want)
 
 
-@pytest.mark.parametrize("label", ["A3", "B3"])
-def test_verma_in_simples_derived_by_iota_equals_the_computed_table(label, monkeypatch):
-    # the Simple coordinates of H_z with z^-1 < z are those of H_{z^-1}
-    # relabelled; each equals the computed and the inverted ones, in order
+@pytest.mark.parametrize("label", ["A3", "B3", "D4"])
+def test_verma_in_simples_recursion_equals_back_substitution_and_inversion(label):
+    # the W-graph recursion against coords_in_basis, which back-substitutes
+    # against the C' columns, and against the whole inverted C' matrix
     blk = block(label)
     g = blk.group
-    computed = [blk._coords({z: ONE}, BasisKind.Simple) for z in range(g.order)]
-    expected = coords_by_inversion(blk, [blk.verma(x) for x in g.elements()], BasisKind.Simple)
-    coords, calls = blk._coords, []
-    monkeypatch.setattr(blk, "_coords", lambda *a: calls.append(a) or coords(*a))
     table = blk._verma_in_simples()
-    assert len(calls) == sum(g._inverse[z] >= z for z in range(g.order)) < g.order
-    for z in range(g.order):
-        assert list(table[z].items()) == list(computed[z].items())
-        assert {g.element(y): p for y, p in table[z].items()} == expected[z]
+    expected = coords_by_inversion(blk, [blk.verma(x) for x in g.elements()], BasisKind.Simple)
+    for x, want in zip(g.elements(), expected):
+        got = {g.element(y): p for y, p in table[x.idx].items()}
+        assert list(got.items()) == list(blk.coords_in_basis(blk.verma(x), BasisKind.Simple).items())
+        assert list(got.items()) == list(want.items()), g.name(x)
 
 
 def _break_builder(monkeypatch, blk, builder, x, broken):
@@ -142,11 +139,12 @@ def test_coords_in_basis_rejects_a_column_on_the_wrong_side(monkeypatch):
 
 
 def test_basis_change_query_never_inverts_a_matrix(monkeypatch):
-    # a dual row is built per element: a cold projective class fills one
-    # row of the memo, not the whole inverse matrix
+    # a dual row is built per element by the downward recursion: a cold
+    # projective class fills the rows its recursion reads, not the whole
+    # inverse matrix
     blk = block("A3")
     blk.class_of(blk.group.identity, BasisKind.Projective)
-    assert len(blk.hecke._views["dual_to_bC"]) == 1
+    assert len(blk.hecke._views["dual_to_bC"]) == 11 < blk.group.order
     assert blk.hecke._views["dual_to_C"] == {}
     # the same holds for cold CLI queries, counted at the row builder
     rows = []
@@ -157,12 +155,12 @@ def test_basis_change_query_never_inverts_a_matrix(monkeypatch):
         return build(self, k)
 
     monkeypatch.setattr(hecke.HeckeAlgebra, "_build_dual_to_bC", counted)
-    for src, dst, want in (("Verma", "Simple", 0), ("Projective", "Tilting", 1)):
+    for src, dst, want in (("Verma", "Simple", 0), ("Projective", "Tilting", 50)):
         rows.clear()
         code, _ = cli.run(["basis-change", "--type", "D4", "--from", src, "--to", dst,
                            "--x", "e", "--format", "json"])
         assert code == 0
-        assert len(rows) == want, (src, dst)
+        assert len(rows) == want < 192, (src, dst)
 
 
 # -- Hecke action and wall crossing ----------------------------------------------
