@@ -718,5 +718,5 @@ class ChainMap:
         return self.is_chain_map() and not self.cone().homology_dims()
 
 
-def module_as_complex(m: Module, degree: int = 0) -> ChainComplex:
-    return ChainComplex(m.algebra, {degree: m}, {})
+def module_as_complex(m: Module) -> ChainComplex:
+    return ChainComplex(m.algebra, {0: m}, {})

@@ -202,7 +202,8 @@ def verify_equivalence(ctx: RankOneBlock) -> VerificationReport:
     ts, tsh = ctx.theta_star(), ctx.theta_shriek()
 
     def dsq():
-        for fc in (ts, tsh, *ctx._composites(), ctx._star_squared()):
+        for fc in (ts, tsh, ctx._composite(ts, tsh), ctx._composite(tsh, ts),
+                   ctx._composite(ts, ts)):
             for name in CATALOG_NAMES:
                 if not fc.apply(cat.modules[name]).complex.check_dsq():
                     return False, f"d^2 != 0 on {name}"
@@ -230,7 +231,7 @@ def verify_equivalence(ctx: RankOneBlock) -> VerificationReport:
     rep.run("block.concentration_on_flagged", concentration)
 
     def composite_shape():
-        deg0 = ctx._composites()[0].words(0)
+        deg0 = ctx._composite(ts, tsh).words(0)
         ok = sorted(deg0) == sorted(
             [("pi_pull", "pi_star", "pi_pull", "pi_star"), ()]
         )
@@ -240,7 +241,7 @@ def verify_equivalence(ctx: RankOneBlock) -> VerificationReport:
 
     def associativity():
         mods = _test_modules(ctx)
-        st, hs = ctx._composites()
+        st, hs = ctx._composite(ts, tsh), ctx._composite(tsh, ts)
         left = st.compose(ts)
         # three two-term complexes pair up their summands in label order even
         # unsorted, four do not: the fourfold composites are compared on

@@ -17,20 +17,20 @@ deterministic enumeration is frozen; everything downstream must be
 invariant under that choice.
 
 Reuse follows one rule: every memo is a dict keyed by the objects it was
-built from, and `Module` and `Nat` hash by identity, so a replaced input
-misses by construction.  pi_star M = M_e depends only on dim M_e and
-pi_pull V = P_e (x) V only on dim V, for P_e the projective the catalog
-built (`Catalog.projectives`), not its replaceable `P_e` entry: theta is
-fixed by the algebra, so `Catalog.images` keeps each atom image by (atom,
-dimension) beside that P_e; each solved (co)unit caches its component by
-module object (`functools.cache`); Theta* and Theta! are kept by the
-(co)unit object that is their differential, eps or etap, and the composites
-behind ev and coev by the pair of those two complexes; and each functor
-complex keeps its applied complexes by module object (`FunctorComplex.apply`;
-a chain complex is applied afresh).  Nothing points back at the block: a
-functor holds the catalog, a complex its algebra and its applied complexes,
-and a (co)unit the functors it applies, so dropping the block frees it and
-every memo.
+built from, and `Module`, `Nat` and `FunctorComplex` hash by identity, so a
+replaced input misses by construction.  pi_star M = M_e depends only on
+dim M_e and pi_pull V = P_e (x) V only on dim V, for P_e the projective the
+catalog built (`Catalog.projectives`), not its replaceable `P_e` entry:
+theta is fixed by the algebra, so `Catalog.images` keeps each atom image by
+(atom, dimension) beside that P_e; each solved (co)unit caches its component
+by module object (`functools.cache`); the block keeps every complex in one
+dict, Theta* and Theta! by their differential, eps or etap, and each
+composite a b by the pair (a, b) (on the block: a complex keeping its own
+square would hold itself); and each functor complex keeps its applied
+complexes by module object (`FunctorComplex.apply`; a chain complex is
+applied afresh).  Nothing points back at the block: a functor holds the
+catalog, a complex its algebra and its applied complexes, and a (co)unit
+the functors it applies, so dropping the block frees it and every memo.
 
 A FunctorComplex is a bounded complex whose entries are direct sums of
 functor words.  Composing two of them and applying one to a complex of
@@ -61,7 +61,6 @@ from .algebra import (
     PathAlgebra,
     bimodule,
     block_map,
-    direct_sum,
     flatten,
     hom_basis,
     identity_map,
@@ -416,15 +415,13 @@ class RankOneBlock:
         self.pi_star = Functor(cat, (PI_STAR,), "mod")
         self.pi_pull = Functor(cat, (PI_PULL,), "wall")
         self.theta = Functor(cat, (PI_PULL, PI_STAR), "mod")
-        self.regular = direct_sum([cat.projectives[v][0] for v in ("e", "s")])[0]
+        self.regular = sum_module([cat.projectives[v][0] for v in ("e", "s")])
         # the wall test objects, built once: the (co)unit memos hold each
         # module they are evaluated on
         self._walls = [Module(self.wall, {"w": d}) for d in (1, 2, 3)]
-        # eps -> Theta* and etap -> Theta!; (Theta*, Theta!) -> their two
-        # composites, and (Theta*, Theta*) -> Theta*Theta* alone
-        self._complexes: dict[Nat, FunctorComplex] = {}
-        self._composed: dict[tuple[FunctorComplex, FunctorComplex],
-                             tuple[FunctorComplex, ...]] = {}
+        # eps -> Theta*, etap -> Theta!, and (a, b) -> a b: every complex the
+        # block keeps, by what it is built from
+        self._complexes: dict[Nat | tuple[FunctorComplex, FunctorComplex], FunctorComplex] = {}
         self._solve_adjunctions()
 
     # -- the two adjunctions, solved exactly ---------------------------------
@@ -578,28 +575,19 @@ class RankOneBlock:
         """coev: M -> Theta! Theta* M, the unit of the composite adjunction."""
         return self._evaluation(m, counit=False)
 
-    def _composites(self) -> tuple[FunctorComplex, FunctorComplex]:
-        """Theta* Theta! and Theta! Theta*, composed once per pair of the
-        complexes they compose."""
-        star, shriek = self.theta_star(), self.theta_shriek()
-        got = self._composed.get((star, shriek))
+    def _composite(self, a: FunctorComplex, b: FunctorComplex) -> FunctorComplex:
+        """a b, composed once per pair of complex objects."""
+        got = self._complexes.get((a, b))
         if got is None:
-            got = self._composed[star, shriek] = (star.compose(shriek), shriek.compose(star))
+            got = self._complexes[a, b] = a.compose(b)
         return got
-
-    def _star_squared(self) -> FunctorComplex:
-        """Theta* Theta*, composed once per Theta* complex."""
-        star = self.theta_star()
-        got = self._composed.get((star, star))
-        if got is None:
-            got = self._composed[star, star] = (star.compose(star),)
-        return got[0]
 
     def _evaluation(self, m: Module, counit: bool) -> ChainMap:
         """ev or coev in degree 0, where the composite is theta^2 + Id: on
         theta^2 M the composite (co)unit theta^2 M -> theta M -> M (or back),
         on the identity summand -1."""
-        applied = self._composites()[0 if counit else 1].apply(m)
+        ts, tsh = self.theta_star(), self.theta_shriek()
+        applied = (self._composite(ts, tsh) if counit else self._composite(tsh, ts)).apply(m)
         wall = self.pi_star.on_module(m)
         if counit:
             bar = self.eps.at(m) @ self.pi_pull.on_map(self.epsp.at(wall))

@@ -59,15 +59,10 @@ _V_INV_MINUS_V = _V_INV - v  # H_s^2 = 1 + (v^-1 - v) H_s
 _MINUS_V = -v
 
 
-class K0Class(HeckeElt):
+def K0Class(block: "K0Block", coords: dict[int, LaurentPoly]) -> HeckeElt:
     """The class with the given Verma coordinates (index -> coefficient):
-    the Hecke element of block.hecke with those coefficients.  A constructor
-    only; every operation is HeckeElt's."""
-
-    __slots__ = ()
-
-    def __init__(self, block: "K0Block", coords: dict[int, LaurentPoly]):
-        super().__init__(block.hecke, coords)
+    the Hecke element of block.hecke with those coefficients."""
+    return HeckeElt(block.hecke, coords)
 
 
 # the Hecke-algebra view behind each non-Verma basis

@@ -690,10 +690,9 @@ def test_block_checks_leave_memoized_images_and_components_unchanged(monkeypatch
 
 def _memoized_applied(ctx):
     """(complex, module, applied complex) for every complex the block keeps,
-    Theta*, Theta! and their composites, and every module it was applied to."""
-    kept = list(ctx._complexes.values())
-    kept += [fc for composed in ctx._composed.values() for fc in composed]
-    return [(fc, m, out) for fc in kept for m, out in fc._applied.items()]
+    Theta*, Theta! and the composites it formed, and every module it was
+    applied to."""
+    return [(fc, m, out) for fc in ctx._complexes.values() for m, out in fc._applied.items()]
 
 
 def test_each_memoized_applied_complex_matches_the_two_builder_oracle():
@@ -705,12 +704,18 @@ def test_each_memoized_applied_complex_matches_the_two_builder_oracle():
         _assert_same_applied(got, apply_by_positions(fc, m))
 
 
+def _kept_products(ctx):
+    """Theta*Theta!, Theta!Theta* and Theta*Theta*, each with the pair of
+    complexes it is built from, read from the block's memo."""
+    ts, tsh = ctx.theta_star(), ctx.theta_shriek()
+    return [(ctx._composite(a, b), (a, b)) for a, b in ((ts, tsh), (tsh, ts), (ts, ts))]
+
+
 def test_apply_builds_one_complex_per_module_object(ctx):
     ts, tsh = ctx.theta_star(), ctx.theta_shriek()
     assert ts is ctx.theta_star() and tsh is ctx.theta_shriek()
-    assert ctx._composites() is ctx._composites()
     mods = ctx.catalog.modules
-    for fc in (ts, tsh, *ctx._composites()):
+    for fc in (ts, tsh, *(fc for fc, _ in _kept_products(ctx))):
         for name in CATALOG_NAMES:
             assert fc.apply(mods[name]) is fc.apply(mods[name])
         # D_s is the module object of P_e; an equal module is another key
@@ -721,10 +726,22 @@ def test_apply_builds_one_complex_per_module_object(ctx):
         assert fc.apply(target) is not fc.apply(target)
 
 
+def test_one_suite_keeps_five_complexes_in_one_memo():
+    fresh = build_rank_one()
+    assert suite(fresh, "all").passed
+    products = _kept_products(fresh)
+    assert len(fresh._complexes) == 5
+    assert set(fresh._complexes) == {fresh.eps, fresh.etap, *(pair for _, pair in products)}
+    for fc, (a, b) in products:
+        assert fresh._composite(a, b) is fc and fresh._complexes[a, b] is fc
+    assert suite(fresh, "all").passed
+    assert len(fresh._complexes) == 5
+
+
 def test_replaced_units_and_entries_miss_the_complex_memos(ctx):
     mods = ctx.catalog.modules
     ts, tsh = ctx.theta_star(), ctx.theta_shriek()
-    composites = ctx._composites()
+    products = _kept_products(ctx)
     old = {name: ts.apply(mods[name]) for name in CATALOG_NAMES}
     # the counit of adj1 is the differential of Theta*, the unit of adj2 that of Theta!
     for adj, role, build, kept in (("adj1", "counit", ctx.theta_star, ts),
@@ -737,10 +754,17 @@ def test_replaced_units_and_entries_miss_the_complex_memos(ctx):
             new = build()
             assert new is not kept and new._applied == {}
             assert new.diffs[new.degrees()[0]][(0, 0)] is doubled
-            assert ctx._composites() is not composites
-            assert all(fc._applied == {} for fc in ctx._composites())
+            assert ctx._complexes[doubled] is new
+            # a composite with the replaced complex as a factor is new and
+            # unapplied; one without it, Theta*Theta* beside a new Theta!, hits
+            for (got, pair), (prev, prev_pair) in zip(_kept_products(ctx), products):
+                if kept in prev_pair:
+                    assert got is not prev and got._applied == {} and new in pair
+                else:
+                    assert got is prev and pair == prev_pair
+        # the old keys hit again once the unit is restored
         assert ctx.theta_star() is ts and ctx.theta_shriek() is tsh
-        assert ctx._composites() is composites
+        assert all(got is prev for (got, _), (prev, _) in zip(_kept_products(ctx), products))
     # a swapped entry names another module object, so apply reads that
     # object's complex, never the one memoized for the entry's old module
     with patch.dict(mods, {"P_s": mods["L_s"]}):
@@ -803,7 +827,7 @@ def _map_data(f):
     return f.src.dims, f.dst.dims, {v: _exact(m) for v, m in f.mats.items()}
 
 
-def _composites(ctx):
+def _compose_pairs(ctx):
     """(the complex built by `compose`, the one built by the oracle), for the
     theta complexes, the identity, and the 2- and 3-fold composites the
     block checks form."""
@@ -820,7 +844,7 @@ def _composites(ctx):
 
 def test_compose_matches_the_two_builder_oracle(ctx):
     objects = _sample_mods(ctx)
-    for got, want in _composites(ctx):
+    for got, want in _compose_pairs(ctx):
         assert got.degrees() == want.degrees()
         for n in want.degrees():
             assert ([(s.label, s.functor.word) for s in got.entries[n]]
@@ -849,7 +873,7 @@ def _assert_same_applied(got, want):
 
 def test_apply_matches_the_two_builder_oracle(ctx):
     targets = [ctx.catalog.modules[name] for name in CATALOG_NAMES] + [_two_term_complex(ctx)]
-    for got_fc, want_fc in _composites(ctx)[:8]:
+    for got_fc, want_fc in _compose_pairs(ctx)[:8]:
         for target in targets:
             _assert_same_applied(got_fc.apply(target), apply_by_positions(want_fc, target))
 

@@ -341,6 +341,8 @@ def test_k0class_from_verma_coordinates(a2):
     g = a2.group
     e, s1, w0 = g.identity, g.simple(1), g.w0
     X = K0Class(a2, {s1.idx: ONE, w0.idx: v, e.idx: ZERO})
+    # one vector type: a class is the Hecke element of the block's own algebra
+    assert type(X) is hecke.HeckeElt and X.algebra is a2.hecke
     assert X == a2.verma(s1) + a2.verma(w0) * v
     assert hash(X) == hash(a2.verma(s1) + a2.verma(w0) * v)
     assert X.coeffs() == {s1: ONE, w0: v}
