@@ -27,13 +27,13 @@ from .algebra import (
     BlockConstructionError,
     Module,
     PathAlgebra,
-    direct_sum,
     dual_module,
     ext_dims,
     hom_dim,
     projective,
     rank_one_algebra,
     socle_dims,
+    sum_module,
     top_dims,
     wall_algebra,
 )
@@ -196,5 +196,5 @@ class Catalog:
              == [{x: 1} for x in INDECOMPOSABLES], "indecomposable separation")
 
         # direct sums decompose correctly
-        total, _, _ = direct_sum([mods["P_e"], mods["L_s"], mods["L_s"]])
+        total = sum_module([mods["P_e"], mods["L_s"], mods["L_s"]])
         need(self.decompose(total) == {"P_e": 1, "L_s": 2}, "Krull-Schmidt bookkeeping")

@@ -337,19 +337,18 @@ class K0Block:
 
         def associativity():
             gens = [self.hecke.gen(i) for i in range(1, g.rank + 1)]
-            for a in gens:
-                for b in gens:
-                    ab = self.hecke.mul(a, b)
-                    for X in vermas:
-                        if self.hecke_act(ab, X) != self.hecke_act(a, self.hecke_act(b, X)):
-                            return False, "module associativity fails"
             dense = [self.hecke.std(g.w0), self.hecke._sample_elements()[0]]
-            for a in gens + dense:
-                for b in dense:
-                    ab = self.hecke.mul(a, b)
-                    for X in spot:
-                        if self.hecke_act(ab, X) != self.hecke_act(a, self.hecke_act(b, X)):
-                            return False, "module associativity fails on a dense sample"
+            for lefts, rights, classes, fails in (
+                    (gens, gens, vermas, "module associativity fails"),
+                    (gens + dense, dense, spot, "module associativity fails on a dense sample")):
+                # each b X once, for every a
+                acted = [[self.hecke_act(b, X) for X in classes] for b in rights]
+                for a in lefts:
+                    for b, bX in zip(rights, acted):
+                        ab = self.hecke.mul(a, b)
+                        for X, bx in zip(classes, bX):
+                            if self.hecke_act(ab, X) != self.hecke_act(a, bx):
+                                return False, fails
             return True, (
                 f"{g.rank}^2 generator products on {g.order} classes, "
                 f"dense samples on {len(spot)}"

@@ -412,6 +412,31 @@ def mul_by_right_words(alg: HeckeAlgebra, a: HeckeElt, b: HeckeElt) -> HeckeElt:
     return HeckeElt(alg, total)
 
 
+def d_rows_by_right_words(g: WeylGroup) -> list[dict[int, LaurentPoly]]:
+    """d(H_x) = H_{x^-1}^-1 for every x, one right factor at a time:
+    d(H_x) = d(H_{xs}) d(H_s) = d(H_{xs}) (H_s + v - v^-1) for s the first
+    right descent of x.  It reads only the group's right multiplication
+    table, never the algebra's left action or its d rows."""
+    rows: list[dict[int, LaurentPoly]] = [{0: LaurentPoly.one()}]
+    for x in range(1, g.order):
+        i = next(i for i, y in enumerate(g._rmult[x]) if g._lengths[y] < g._lengths[x])
+        lower = rows[g._rmult[x][i]]
+        row = _times_gen(g, lower, i + 1)
+        _add_into(row, lower.items(), -_V_INV_MINUS_V)
+        rows.append(row)
+    return rows
+
+
+def bar_by_row_sum(alg: HeckeAlgebra, h: HeckeElt, d_rows: list[dict[int, LaurentPoly]]) -> HeckeElt:
+    """d(h) = sum_k bar(h_k) d(H_k), the d(H_k) given as `d_rows` (such as
+    `d_rows_by_right_words`), summed entry by entry through `LaurentPoly`'s
+    `+` and `*`: the row sum without `laurent.accumulate` or Horner's rule."""
+    out: dict[int, LaurentPoly] = {}
+    for k, p in h._c.items():
+        _add_into(out, d_rows[k].items(), p.bar())
+    return HeckeElt(alg, out)
+
+
 def kl_by_product_recursion(alg: HeckeAlgebra) -> dict[int, HeckeElt]:
     """C_x for every x by the classical recursion with full Hecke products:
     C_x = C_s * C_{sx} - sum of mu(y, sx) C_y over y < sx with sy < y,
