@@ -11,8 +11,9 @@ the sign twist b (v -> -v^-1, H_x -> H_x), the anti-automorphism iota
 the bilinear form <H_x, H_y> = delta_{x,y}, and the bases dual to {C'_x}
 and {C_x} under that form.
 
-Every basis view is built per element on first use: C_x and d(H_x) upward,
-one action each, and Q_x dual to {C'_y} downward by the W-graph (below).
+Every basis view is built per element on first use: C_x upward on its
+s-lower half (below), d(H_x) upward by one action each, and Q_x dual to
+{C'_y} downward by the W-graph.
 Only the row of an x with x <= x^-1 in id order is computed; the row of
 x^-1 is then that row relabelled by iota, which commutes with d and b and
 keeps the form.  C'_x and Q_x dual to {C_y} are b of C_x and of Q_x dual to
@@ -20,16 +21,17 @@ keeps the form.  C'_x and Q_x dual to {C_y} are b of C_x and of Q_x dual to
 three views once, computed or relabelled, for a unit diagonal and no entry
 on the wrong side in id order; b keeps both.  The coefficients of computed
 rows are interned per algebra on their packed key (`laurent.intern`), and
-`b_twist` and `bar` map each distinct coefficient once, memoized on the
-same key (`laurent.mapped`).  bar(H_x) is the d row itself.  The bar of
-any other element with fewer than _HORNER_FROM support elements is the row
-sum of bar(c_k) d(H_k) over the d rows; from that size on, where the two
-break even on A3, B3 and D4, it is Horner's rule over the right weak order
-(Kazhdan-Lusztig 1979): d(H_u) = d(H_{ut}) d(H_t) for l(u) = l(ut) + 1, so
-with the support hung on the tree whose parent of u is ut, t the first right
-descent of u, bar(h) = R_e, where R_u = bar(c_u) + sum of d(H_t) R_{ut} over
-the children ut of u, one action by d(H_s) = H_s + v - v^-1 per edge.  A
-dense bar then costs about sum of l(x) entry steps, not sum of |[e, x]|.
+`b_twist`, `bar` and the v^-1 shift of `_build_C` map each distinct
+coefficient once, memoized on the same key (`laurent.mapped`).  bar(H_x) is
+the d row itself.  The bar of any other element with fewer than _HORNER_FROM
+support elements is the row sum of bar(c_k) d(H_k) over the d rows; from
+that size on, where the two break even on A3, B3 and D4, it is Horner's rule
+over the right weak order (Kazhdan-Lusztig 1979): d(H_u) = d(H_{ut}) d(H_t)
+for l(u) = l(ut) + 1, so with the support hung on the tree whose parent of u
+is ut, t the first right descent of u, bar(h) = R_e, where R_u = bar(c_u) +
+sum of d(H_t) R_{ut} over the children ut of u, one action by d(H_s) = H_s +
+v - v^-1 per edge.  A dense bar then costs about sum of l(x) entry steps,
+not sum of |[e, x]|.
 Results derived from view rows (the bar of a row; H_w0 C_x = Q_{w0 x} and
 <Q_x, C'_y> = delta, shared by the hecke and k0 suites) are kept with the
 rows read and reused while each is still in place.
@@ -47,7 +49,7 @@ Every product comes down to one left action on coefficient dicts,
     (H_s + c) H_y = H_{sy} + k_y H_y,   k_y = c (sy > y), c + v^-1 - v (sy < y),
 
 one pass placing the h_{sy}, then one `accumulate` per nonzero k_y.  It
-serves c = v (C_s: C_x, Q_x and wall crossing), c = 0 (H_s: `mul`) and
+serves c = v (C_s: Q_x and wall crossing), c = 0 (H_s: `mul`) and
 c = v - v^-1 (H_s^-1 = d(H_s): d(H_x) and the steps of Horner's rule).
 Vector sums and pairings are `laurent.accumulate` and `laurent.dot`, whose
 packed fields this module never reads.  `mul` walks the smaller support,
@@ -57,8 +59,11 @@ dict is the product.
 
 mu(z, y), the v-coefficient of the C_y entry at z (`_mu`), is the W-graph:
 C_s C_y = C_{sy} + sum of mu(z, y) C_z over the z with sz < z for sy > y,
-and (v + v^-1) C_y for sy < y.  `_build_C` strips the mu terms from
-C_s C_{sx} in place.  C_s is self-adjoint, as the matrix of H_s is
+and (v + v^-1) C_y for sy < y.  For s a left descent of x, H_s C_x =
+v^-1 C_x, so h_{sz,x} = v^-1 h_{z,x} for every z with sz > z (Kazhdan-Lusztig
+1979, section 2): `_build_C` computes C_s C_{sx} less the mu terms only at
+those z, the s-lower half, with s the first letter of x, and shifts that half
+by v^-1 to get the other.  C_s is self-adjoint, as the matrix of H_s is
 symmetric, so <C_s Q_{sx}, C'_y> = delta_{x,y} + mu(sx, y) [sy > y] when
 sx > x: `_build_dual_to_bC` subtracts those mu(sx, y) Q_y from C_s Q_{sx},
 downward from Q_w0 = H_w0, and k0 builds the Simple coordinates of each H_z
@@ -191,10 +196,12 @@ class HeckeAlgebra:
     def __init__(self, group: WeylGroup):
         self.group = group
         self._views: dict[str, dict[int, dict[int, LaurentPoly]]] = {name: {} for name in VIEWS}
-        # packed key (see laurent.intern) -> the shared value, its b twist, its bar
+        # packed key (see laurent.intern) -> the shared value, its b twist, its
+        # bar, and the value times v^-1
         self._interned: dict[tuple, LaurentPoly] = {}
         self._twins: dict[tuple, LaurentPoly] = {}
         self._bars: dict[tuple, LaurentPoly] = {}
+        self._lowered: dict[tuple, LaurentPoly] = {}
         # id(view row) -> (view, id) where `_view` built it
         self._placed: dict[int, tuple[str, int]] = {}
         # key -> ((view, ids, rows) for each view read, the result derived)
@@ -460,18 +467,38 @@ class HeckeAlgebra:
         return self._act(s, self._view("d", g._lmult[k][s]), _H_S_INV)
 
     def _build_C(self, k: int) -> dict[int, LaurentPoly]:
+        """C_x = C_s C_{sx} - sum of mu(y, sx) C_y over the y with sy < y, for
+        s the first letter of the reduced word of x, computed on its s-lower
+        half only.  As H_s C_x = v^-1 C_x for sx < x, h_{sz,x} = v^-1 h_{z,x}
+        for every z with sz > z (Kazhdan-Lusztig 1979, section 2): entry z of
+        the half is h_{sz,sx} + v h_{z,sx} less the mu terms at z, and the
+        other half is that half times v^-1, each distinct value shifted once
+        per algebra."""
         g = self.group
         if k == 0:
             return {0: LaurentPoly.one()}
-        s = g._firsts[k]
-        c_lower = self._view("C", g._lmult[k][s])
-        res = self._act(s, c_lower, _C_S)
-        # strip mu(y, sx) * C_y for the y below sx with sy < y, in place:
-        # res is not shared yet
-        for y, p in c_lower.items():
-            if g._lengths[g._lmult[y][s]] < g._lengths[y] and (mu := p.coeff(1)):
-                accumulate(res, self._view("C", y).items(), -mu)
-        return res
+        lmult, s = g._lmult, g._firsts[k]
+        # ids sort by length and l(sz) = l(z) +- 1, so sz > z in id order
+        # exactly when sz > z in the Bruhat order.  One pass over C_{sx}: the
+        # h_{sy} of its descents y placed at sy, its ascents kept for
+        # v h_{z,sx}, and the nonzero mu(y, sx) of its descents
+        half: dict[int, LaurentPoly] = {}
+        ups: list[tuple[int, LaurentPoly]] = []
+        strips: list[tuple[int, int]] = []
+        for y, p in self._view("C", lmult[k][s]).items():
+            sy = lmult[y][s]
+            if sy > y:
+                ups.append((y, p))
+            else:
+                half[sy] = p
+                if mu := p.coeff(1):
+                    strips.append((y, mu))
+        accumulate(half, ups, _C_S[0])
+        for y, mu in strips:
+            accumulate(half, [(z, p) for z, p in self._view("C", y).items() if lmult[z][s] > z], -mu)
+        lowered = mapped(self._lowered, half, lambda p: p.shifted(-1)).values()
+        half.update(zip([lmult[z][s] for z in half], lowered))
+        return half
 
     def _mu(self, z: int, y: int) -> int:
         """mu(z, y), the v-coefficient of the C_y entry at z."""
