@@ -32,9 +32,10 @@ is ut, t the first right descent of u, bar(h) = R_e, where R_u = bar(c_u) +
 sum of d(H_t) R_{ut} over the children ut of u, one action by d(H_s) = H_s +
 v - v^-1 per edge.  A dense bar then costs about sum of l(x) entry steps,
 not sum of |[e, x]|.
-Results derived from view rows (the bar of a row; H_w0 C_x = Q_{w0 x} and
-<Q_x, C'_y> = delta, shared by the hecke and k0 suites) are kept with the
-rows read and reused while each is still in place.
+Results derived from view rows (the bar of a row; the columns of the d
+table; H_w0 C_x = Q_{w0 x} and <Q_x, C'_y> = delta, shared by the hecke and
+k0 suites) are kept with the rows read and reused while each is still in
+place.
 
 The checks inherit these symmetries (`_holds` tests each invariant once per
 table state).  On a d table that is iota-closed and b-fixed, a row that is
@@ -48,9 +49,12 @@ Every product comes down to one left action on coefficient dicts,
 
     (H_s + c) H_y = H_{sy} + k_y H_y,   k_y = c (sy > y), c + v^-1 - v (sy < y),
 
-one pass placing the h_{sy}, then one `accumulate` per nonzero k_y.  It
-serves c = v (C_s: Q_x and wall crossing), c = 0 (H_s: `mul`) and
-c = v - v^-1 (H_s^-1 = d(H_s): d(H_x) and the steps of Horner's rule).
+one pass placing the h_{sy} and gathering the terms of each side whose k_y
+is nonzero, then one `accumulate` per nonzero k_y.  It serves c = v (C_s:
+Q_x and wall crossing), c = 0 (H_s: `mul`) and c = v - v^-1 (H_s^-1 =
+d(H_s): d(H_x) and the steps of Horner's rule).  H_s has no k_y for sy > y
+and H_s^-1 none for sy < y, so each gathers one side only; ids sort by
+length, so sy > y is one comparison of ids.
 Vector sums and pairings are `laurent.accumulate` and `laurent.dot`, whose
 packed fields this module never reads.  `mul` walks the smaller support,
 flipping sides by iota when that is b's, and memoizes H_y b along suffixes
@@ -69,7 +73,10 @@ sx > x: `_build_dual_to_bC` subtracts those mu(sx, y) Q_y from C_s Q_{sx},
 downward from Q_w0 = H_w0, and k0 builds the Simple coordinates of each H_z
 upward by the same mu.  A solver that enforces self-duality coefficient by
 coefficient down the length order is C_x's independent oracle;
-`verify_kl_oracle` checks that the two agree exactly.
+`verify_kl_oracle` checks that the two agree exactly.  It pulls the defect
+d(f) - f at each y of [e, x], by descending id, as one `dot` of the barred
+coefficients set so far with column y of the d table, {z: d(H_z)_y}, a
+result derived from the d rows and kept with them (Kazhdan-Lusztig 1979).
 """
 
 from __future__ import annotations
@@ -84,7 +91,7 @@ from .weyl import MixedGroups, WeylElt, WeylGroup
 
 # (H_s + c) H_y = H_{sy} + k_y H_y, where k_y = c when sy > y and
 # k_y = c + v^-1 - v when sy < y.  Each c in use is given by its two k_y,
-# (sy > y, sy < y).
+# (sy > y, sy < y); `_act` skips a side whose k_y is ZERO itself.
 _C_S = (v, v**-1)  # c = v: C_s
 _H_S = (ZERO, v**-1 - v)  # c = 0: H_s
 _H_S_INV = (v - v**-1, ZERO)  # c = v - v^-1: H_s^-1 = d(H_s)
@@ -235,21 +242,41 @@ class HeckeAlgebra:
         """(H_s + c) h on a coefficient dict, s the simple reflection of 0-based
         column col and c one of _C_S, _H_S, _H_S_INV: entry y of the result is
         h_{sy} + k_y h_y, one pass over the support to place the h_{sy} and
-        one `accumulate` for each nonzero k_y with terms (H_s has no k_y for
-        sy > y, H_s^-1 none for sy < y)."""
+        gather the terms of each side whose k_y is not ZERO, then one
+        `accumulate` for each such k_y with terms.  H_s has no k_y for
+        sy > y and H_s^-1 none for sy < y, so each takes a one-sided pass.
+        Ids sort by length and l(sy) = l(y) +- 1, so sy > y in id order
+        exactly when sy > y in the Bruhat order."""
         up, down = c
-        lmult, lengths = self.group._lmult, self.group._lengths
+        lmult = self.group._lmult
         out: dict[int, LaurentPoly] = {}
-        ups: list[tuple[int, LaurentPoly]] = []
-        downs: list[tuple[int, LaurentPoly]] = []
-        for y, p in h.items():
-            sy = lmult[y][col]
-            out[sy] = p
-            (ups if lengths[sy] > lengths[y] else downs).append((y, p))
-        if ups and up:
-            accumulate(out, ups, up)
-        if downs and down:
-            accumulate(out, downs, down)
+        if up is not ZERO and down is not ZERO:
+            ups: list[tuple[int, LaurentPoly]] = []
+            downs: list[tuple[int, LaurentPoly]] = []
+            for y, p in h.items():
+                sy = lmult[y][col]
+                out[sy] = p
+                (ups if sy > y else downs).append((y, p))
+            if ups:
+                accumulate(out, ups, up)
+            if downs:
+                accumulate(out, downs, down)
+            return out
+        scal, side = (up if up is not ZERO else down), []
+        if up is not ZERO:
+            for y, p in h.items():
+                sy = lmult[y][col]
+                out[sy] = p
+                if sy > y:
+                    side.append((y, p))
+        else:
+            for y, p in h.items():
+                sy = lmult[y][col]
+                out[sy] = p
+                if sy < y:
+                    side.append((y, p))
+        if side and scal is not ZERO:
+            accumulate(out, side, scal)
         return out
 
     def mul(self, a: HeckeElt, b: HeckeElt) -> HeckeElt:
@@ -533,33 +560,44 @@ class HeckeAlgebra:
         """Independent oracle for C_x: starting from H_x, restore bar
         self-duality one basis coefficient at a time, longest first.
 
-        At each step the defect d(f) - f is supported below the current
-        element; its coefficient there is bar-antisymmetric, so it is killed
-        by a unique correction in vZ[v].  Never touches the C_s-product
-        recursion.
+        The coefficient f_y is set at each y of [e, x], the support of
+        d(H_x), by descending id.  Every f_z with z > y in id order is then
+        set, and d(H_z) has no entry at y for z < y, so the defect
+        d(f) - f at y is final: <bar f, column y of the d table>, one `dot`
+        of the barred coefficients with {z: d(H_z)_y}.  It is
+        bar-antisymmetric, so it is killed by a unique correction in vZ[v].
+        The columns are derived from the d rows (`_d_columns`), and the
+        C_s-product recursion is never read.
         """
-        g = self.group
-        f = {x.idx: LaurentPoly.one()}
-        defect = accumulate(dict(self.bar(self.std(x))._c), f.items(), -1)
-        # ids sort by length, so the ids below the first of length l(x),
-        # downwards, come longest first
-        for y in range(bisect_left(g._lengths, g._lengths[x.idx]) - 1, -1, -1):
-            c = defect.get(y)
-            if c is None:
+        self.group._check_same_group(x)
+        k, columns = x.idx, self._d_columns()
+        f, barred = {k: ONE}, {k: ONE}
+        for y in sorted(self._view("d", k).keys() - {k}, reverse=True):
+            c = dot(barred, columns[y])
+            if not c:
                 continue
             if c.bar() != -c:
                 raise ArithmeticError("bar defect is not antisymmetric; solver broken")
             p = c.positive_part()
-            accumulate(f, [(y, p)])
-            # the defect is linear in f, so update it in place
-            accumulate(defect, self._view("d", y).items(), p.bar())
-            accumulate(defect, [(y, p)], -1)
+            f[y], barred[y] = p, p.bar()
         # f equal to the built C row has that row's derived bar
-        row = self._views["C"].get(x.idx)
+        row = self._views["C"].get(k)
         got = HeckeElt._wrap(self, row if row == f else f)
-        if defect or self.bar(got) != got:
+        if self.bar(got) != got:
             raise ArithmeticError("bar solver failed to reach a self-dual element")
         return got
+
+    def _d_columns(self) -> list[dict[int, LaurentPoly]]:
+        """The columns of the d table, {z: d(H_z)_y} for each id y, derived
+        from every d row and kept while each is still the row in place."""
+        def columns(rows):
+            out: list[dict[int, LaurentPoly]] = [{} for _ in rows]
+            for z, row in enumerate(rows):
+                for y, p in row.items():
+                    out[y][z] = p
+            return out
+
+        return self._derive(("d columns",), [("d", range(self.group.order))], columns)
 
     # -- bilinear form and dual bases ---------------------------------------
 

@@ -294,10 +294,9 @@ class WeylGroup:
         self._inverse = inverse
         # the smallest left descent of x is the smallest right one of x^-1
         self._firsts = [right_first[y] for y in inverse]
-        # s x = (x^-1 s)^-1, so s x is three table lookups
-        self._lmult = [
-            [inverse[j] for j in rmult[inverse[k]]] for k in range(self.order)
-        ]
+        # s x = (x^-1 s)^-1: the row of x^-1 mapped through inverse
+        get = inverse.__getitem__
+        self._lmult = [list(map(get, rmult[k])) for k in inverse]
 
         # construction self-checks
         if self.order != expected:
@@ -308,9 +307,9 @@ class WeylGroup:
         if len(tops) != 1 or lengths.count(0) != 1:
             raise WeylError("longest/identity element not unique")
         self._w0 = tops[0]
-        # w0 rho = -rho, so w0 x has the key -lam
-        for k, lam in enumerate(keys):
-            j = index.get(2 * zero - lam)
+        # w0 rho = -rho, so w0 x has the key -lam: the id of w0 x for each id x
+        self._w0x = w0x = [index.get(2 * zero - lam) for lam in keys]
+        for k, j in enumerate(w0x):
             if j is None or lengths[j] != npos - lengths[k]:
                 raise WeylError("length duality l(w0 x) = l(w0) - l(x) failed")
 
@@ -330,16 +329,6 @@ class WeylGroup:
             s = firsts[j]
             i, j = rmult[i][s], lmult[j][s]
         return inverse[i] if flip else i
-
-    @_lazy_table
-    def _w0x(self) -> list[int]:
-        """w0 x for each id x: w0 (x s) = (w0 x) s, in id order."""
-        rmult, out = self._rmult, [self._w0] + [-1] * (self.order - 1)
-        for x in range(self.order):
-            for i, xs in enumerate(rmult[x]):
-                if out[xs] < 0:
-                    out[xs] = rmult[out[x]][i]
-        return out
 
     @_lazy_table
     def _leq_rows(self) -> list[int]:

@@ -300,6 +300,17 @@ def s2s1(blk):
     return blk.group.parse_word("2.1").idx
 
 
+def d_column_entry_off_by_v(blk, y, z):
+    """Entry z of column y of the d table, which the bar solver derives from
+    the d rows and reads, gains v; the d rows stay as built."""
+    alg, g = blk.hecke, blk.group
+    y, z = g.parse_word(y).idx, g.parse_word(z).idx
+    columns, key = alg._d_columns(), ("d columns",)
+    faulty = list(columns)
+    faulty[y] = {**columns[y], z: columns[y].get(z, ZERO) + v}
+    return patch.dict(alg._derived, {key: (alg._derived[key][0], faulty)})
+
+
 # checks, fault on a built B2 block, pinned {failing check: detail}: a view row
 # replaced after a clean run, so every result derived from it must be derived
 # again, whichever check derived it first; one mu off by one in one of the
@@ -379,6 +390,8 @@ B2_FAULTS = [
          "k0.tilting_char_v1": "fails at (x,y)=(2.1, 1.2)",
          "k0.tilting_projective_switch": "fails at 2.1"},
         id="C:the row of 2.1 is the row of 1.2 unrelabelled"),
+    # the solver for 2.1 walks the support of its d row, which now has 1.2
+    # above 2.1 in id order, and pulls a defect of 1 there
     pytest.param(
         ("hecke.bar_is_involution", "k0.duality_intertwines_bar"),
         lambda blk: unrelabelled_inverse_row(blk, "d"),
@@ -387,11 +400,20 @@ B2_FAULTS = [
          "hecke.involutions_pairwise_commute": "",
          "hecke.kl_selfdual_and_degree_bounds": "C_2.1 not self-dual",
          "hecke.kl_recursion_matches_bar_solver":
-             "exception: ArithmeticError('bar solver failed to reach a self-dual element')",
+             "exception: ArithmeticError('bar defect is not antisymmetric; solver broken')",
          "k0.duality_intertwines_bar": "duality does not intertwine the bar involution",
          "k0.basis_changes_unitriangular": "DualVerma diagonal not 1 at 2.1",
          "k0.duality_fixes_simples": "dual Verma view inconsistent"},
         id="d:the row of 2.1 is the row of 1.2 unrelabelled"),
+    # only the bar solver reads the d columns: d(H_1)_e = v - v^-1 read as
+    # 2v - v^-1 makes the first defect it pulls, at e for x = 1, not
+    # bar-antisymmetric
+    pytest.param(
+        ("hecke.kl_recursion_matches_bar_solver",),
+        lambda blk: d_column_entry_off_by_v(blk, "e", "1"),
+        {"hecke.kl_recursion_matches_bar_solver":
+             "exception: ArithmeticError('bar defect is not antisymmetric; solver broken')"},
+        id="d columns:d(H_1) at e gains v"),
     pytest.param(
         ("hecke.dual_bases_orthonormal", "k0.projectives_dual_to_simples"),
         lambda blk: unrelabelled_inverse_row(blk, "dual_to_bC"),

@@ -314,7 +314,7 @@ def test_verify_sums_only_nonzero_scalars_over_nonempty_terms(monkeypatch):
     code, _ = cli.run(["verify", "--type", "A3", "--suite", "all"])
     assert code == 0
     assert wasted == []
-    pinned, margin = 4721, 0.02  # the count may exceed its pin by this share
+    pinned, margin = 4314, 0.02  # the count may exceed its pin by this share
     assert calls[0] <= pinned * (1 + margin), calls[0]
 
 
@@ -337,9 +337,10 @@ def test_cold_d4_kl_table_sums_a_pinned_number_of_terms(monkeypatch):
     assert terms[0] <= pinned * (1 + margin), terms[0]
 
 
-@pytest.mark.parametrize("label", ["G2", "B3"])
+@pytest.mark.parametrize("label", ["G2", "A3", "B3", "D4"])
 def test_generator_action_matches_right_word_oracle(label):
-    # (H_s + c) h for the three c the action serves: v, 0 and v - v^-1
+    # (H_s + c) h for the three c the action serves: v, 0 and v - v^-1, the
+    # first through the two-sided pass and the others through one-sided ones
     alg = algebra(label)
     g = alg.group
     sample = alg._sample_elements() + [alg.kl_element(g.w0, "Cprime"), alg.std(g.w0) * (v + 2)]
@@ -366,6 +367,18 @@ def test_kl_table_matches_product_recursion_oracle(label):
     oracle = kl_by_product_recursion(alg)
     for x in alg.group.elements():
         assert alg.kl_element(x, "C") == oracle[x.idx], (label, x)
+
+
+@pytest.mark.parametrize("label", ["G2", "A3", "B3", "D4"])
+def test_bar_solver_matches_product_recursion_oracle(label):
+    # the solver pulls each defect from the columns of the d table, on an
+    # algebra that never builds a C row
+    alg = algebra(label)
+    alg._build_C = None
+    oracle = kl_by_product_recursion(alg)
+    for x in alg.group.elements():
+        assert alg.kl_element_by_bar_solver(x) == oracle[x.idx], (label, x)
+    assert alg._views["C"] == {}
 
 
 @pytest.mark.parametrize("label", ["G2", "A3", "B3", "D4"])
@@ -658,9 +671,10 @@ def test_bar_of_every_view_row_matches_a_memo_free_sum():
 
 @pytest.mark.parametrize("label", ["G2", "A3", "B3", "D4"])
 def test_bar_and_horners_rule_match_the_row_sum_oracle(label):
-    # three families: every view row, the 16 sample products, and dense
+    # three families: the view rows, the 16 sample products, and dense
     # elements; Horner's rule is also called directly, below the support
-    # size from which `_bar` uses it
+    # size from which `_bar` uses it.  Every view row up to B3, and on D4 a
+    # seeded sample of 24 rows per view
     alg = algebra(label)
     g = alg.group
     rng = random.Random(label)
@@ -669,7 +683,9 @@ def test_bar_and_horners_rule_match_the_row_sum_oracle(label):
     dense = [alg.std(g.w0) * (v + 2), HeckeElt(alg, {k: ONE for k in range(g.order)})]
     dense += [HeckeElt(alg, {k: v_pow(rng.randint(-3, 3)) * rng.randint(-4, 4) for k in range(g.order)})
               for _ in range(2)]
-    for family in ([alg.view(name, x) for name in VIEWS for x in g.elements()],
+    rows = g.elements()
+    for family in ([alg.view(name, x) for name in VIEWS
+                    for x in (rows if label != "D4" else sorted(rng.sample(rows, 24)))],
                    [alg.mul(a, b) for a in sample for b in sample], dense):
         for h in family:
             expect = bar_by_row_sum(alg, h, d)
@@ -702,6 +718,8 @@ def test_derived_results_equal_the_directly_computed_ones(label, monkeypatch):
     assert calls["bar"] == sum(len(built[row]) > 1 for row in sourceless)
     assert alg.verify_kl_oracle().passed
     assert calls["solver"] == len({k for name, k in sourceless if name == "C"})
+    # the solver pulls each defect with a `dot`; only the pairings count below
+    calls["dot"] = 0
     pairs = (("dual_to_bC", "Cprime"), ("dual_to_C", "C"))
     assert [alg._first_off_delta(*pair) for pair in pairs] == [None, None]
     # n pairings for each dual_to_bC row with no source, and none against C

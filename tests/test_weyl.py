@@ -151,6 +151,13 @@ def test_left_multiplication_table_matches_compose_oracle(label):
     assert g._lmult == lmult_by_compose(g)
 
 
+@pytest.mark.parametrize("label", ["G2", "A3", "B3", "D4", "F4"])
+def test_w0x_table_is_w0_times_x(label):
+    # read off the keys, -lam for the key lam of x, in the length-duality check
+    g = W(label)
+    assert g._w0x == [g._index_mul(g._w0, x) for x in range(g.order)]
+
+
 def test_inverse_and_w0_involution():
     for label in ("A2", "B2", "G2"):
         g = W(label)
