@@ -19,23 +19,26 @@ x^-1 is then that row relabelled by iota, which commutes with d and b and
 keeps the form.  C'_x and Q_x dual to {C_y} are b of C_x and of Q_x dual to
 {C'_y}, as <b(a), b(c)> = b(<a, c>).  `_view` checks each row of these
 three views once, computed or relabelled, for a unit diagonal and no entry
-on the wrong side in id order; b keeps both.  The coefficients of computed
-rows are interned per algebra on their packed key (`laurent.intern`), and
-`b_twist`, `bar` and the v^-1 shift of `_build_C` map each distinct
-coefficient once, memoized on the same key (`laurent.mapped`).  bar(H_x) is
-the d row itself.  The bar of any other element with fewer than _HORNER_FROM
-support elements is the row sum of bar(c_k) d(H_k) over the d rows; from
-that size on, where the two break even on A3, B3 and D4, it is Horner's rule
-over the right weak order (Kazhdan-Lusztig 1979): d(H_u) = d(H_{ut}) d(H_t)
-for l(u) = l(ut) + 1, so with the support hung on the tree whose parent of u
-is ut, t the first right descent of u, bar(h) = R_e, where R_u = bar(c_u) +
-sum of d(H_t) R_{ut} over the children ut of u, one action by d(H_s) = H_s +
-v - v^-1 per edge.  A dense bar then costs about sum of l(x) entry steps,
-not sum of |[e, x]|.
+on the wrong side in id order; b keeps both.  Each builder interns the row
+it computes, per algebra on the packed key of its coefficients
+(`laurent.intern`, one lookup per entry): `_build_C` interns the s-lower
+half it computes, and maps each distinct half value once to the interned
+value of that value times v^-1, keyed by the id of the interned half value,
+so the other half enters the row interned and no C row is scanned twice.
+`b_twist` and `bar` map each distinct coefficient once, memoized on the
+packed key (`laurent.mapped`).  bar(H_x) is the d row itself.  The bar of
+any other element with fewer than _HORNER_FROM support elements is the row
+sum of bar(c_k) d(H_k) over the d rows; from that size on, where the two
+break even on A3, B3 and D4, it is Horner's rule over the right weak order
+(Kazhdan-Lusztig 1979): d(H_u) = d(H_{ut}) d(H_t) for l(u) = l(ut) + 1, so
+with the support hung on the tree whose parent of u is ut, t the first right
+descent of u, bar(h) = R_e, where R_u = bar(c_u) + sum of d(H_t) R_{ut}
+over the children ut of u, one action by d(H_s) = H_s + v - v^-1 per edge.
+A dense bar then costs about sum of l(x) entry steps, not sum of |[e, x]|.
 Results derived from view rows (the bar of a row; the columns of the d
-table; H_w0 C_x = Q_{w0 x} and <Q_x, C'_y> = delta, shared by the hecke and
-k0 suites) are kept with the rows read and reused while each is still in
-place.
+table, until the loop of `verify_kl_oracle` ends; H_w0 C_x = Q_{w0 x} and
+<Q_x, C'_y> = delta, shared by the hecke and k0 suites) are kept with the
+rows read and reused while each is still in place.
 
 The checks inherit these symmetries (`_holds` tests each invariant once per
 table state).  On a d table that is iota-closed and b-fixed, a row that is
@@ -195,20 +198,22 @@ class HeckeAlgebra:
     All tables are write-once per group and hold coefficient dicts, never
     elements, so an algebra is freed with its last reference; every public
     operation is pure, and raises MixedGroups for an element of another
-    group.  The coefficients of the memoized tables are interned
-    per algebra: the KL table of A6 has 3.55M nonzero entries but 737
-    distinct polynomials, so an entry is one reference to a shared value.
+    group.  Each `_build_<view>` interns the coefficients of the row it
+    computes, per algebra, and a relabelled row keeps its source's values:
+    the KL table of A6 has 3.55M nonzero entries but 737 distinct
+    polynomials, so an entry is one reference to a shared value.
     """
 
     def __init__(self, group: WeylGroup):
         self.group = group
         self._views: dict[str, dict[int, dict[int, LaurentPoly]]] = {name: {} for name in VIEWS}
-        # packed key (see laurent.intern) -> the shared value, its b twist, its
-        # bar, and the value times v^-1
+        # packed key (see laurent.mapped) -> the shared value that every built
+        # C, d and dual_to_bC row holds, its b twist, and its bar
         self._interned: dict[tuple, LaurentPoly] = {}
         self._twins: dict[tuple, LaurentPoly] = {}
         self._bars: dict[tuple, LaurentPoly] = {}
-        self._lowered: dict[tuple, LaurentPoly] = {}
+        # id of a shared value -> the shared value of that value times v^-1
+        self._lowered: dict[int, LaurentPoly] = {}
         # id(view row) -> (view, id) where `_view` built it
         self._placed: dict[int, tuple[str, int]] = {}
         # key -> ((view, ids, rows) for each view read, the result derived)
@@ -429,7 +434,6 @@ class HeckeAlgebra:
             source = self._source(name, k)
             if source is None:
                 got = getattr(self, "_build_" + name)(k)
-                intern(self._interned, got)
             else:
                 src, j, op = source
                 got = op(HeckeElt._wrap(self, self._view(src, j)))._c
@@ -484,14 +488,20 @@ class HeckeAlgebra:
         self._derived[key] = (reads, out)
         return out
 
+    def _intern(self, row: dict[int, LaurentPoly]) -> dict[int, LaurentPoly]:
+        """row, its values replaced in place by the algebra's shared ones
+        (`laurent.intern`)."""
+        intern(self._interned, row)
+        return row
+
     def _build_d(self, k: int) -> dict[int, LaurentPoly]:
         """d(H_x) = d(H_s) d(H_{sx}) = (H_s + v - v^-1) d(H_{sx}) for s the
         first letter of the reduced word of x."""
         g = self.group
         if k == 0:
-            return {0: LaurentPoly.one()}
+            return self._intern({0: LaurentPoly.one()})
         s = g._firsts[k]
-        return self._act(s, self._view("d", g._lmult[k][s]), _H_S_INV)
+        return self._intern(self._act(s, self._view("d", g._lmult[k][s]), _H_S_INV))
 
     def _build_C(self, k: int) -> dict[int, LaurentPoly]:
         """C_x = C_s C_{sx} - sum of mu(y, sx) C_y over the y with sy < y, for
@@ -499,11 +509,11 @@ class HeckeAlgebra:
         half only.  As H_s C_x = v^-1 C_x for sx < x, h_{sz,x} = v^-1 h_{z,x}
         for every z with sz > z (Kazhdan-Lusztig 1979, section 2): entry z of
         the half is h_{sz,sx} + v h_{z,sx} less the mu terms at z, and the
-        other half is that half times v^-1, each distinct value shifted once
-        per algebra."""
+        other half is that half times v^-1.  The half is interned, and each
+        distinct value is shifted once per algebra, to an interned value."""
         g = self.group
         if k == 0:
-            return {0: LaurentPoly.one()}
+            return self._intern({0: LaurentPoly.one()})
         lmult, s = g._lmult, g._firsts[k]
         # ids sort by length and l(sz) = l(z) +- 1, so sz > z in id order
         # exactly when sz > z in the Bruhat order.  One pass over C_{sx}: the
@@ -523,8 +533,16 @@ class HeckeAlgebra:
         accumulate(half, ups, _C_S[0])
         for y, mu in strips:
             accumulate(half, [(z, p) for z, p in self._view("C", y).items() if lmult[z][s] > z], -mu)
-        lowered = mapped(self._lowered, half, lambda p: p.shifted(-1)).values()
-        half.update(zip([lmult[z][s] for z in half], lowered))
+        # interned, the half holds objects that the algebra keeps alive, so
+        # `_lowered` keys each by its id: one int lookup per entry
+        self._intern(half)
+        lowered, shifts = self._lowered, []
+        for z, p in half.items():
+            q = lowered.get(id(p))
+            if q is None:
+                q = lowered[id(p)] = self._intern({0: p.shifted(-1)})[0]
+            shifts.append((lmult[z][s], q))
+        half.update(shifts)
         return half
 
     def _mu(self, z: int, y: int) -> int:
@@ -538,14 +556,14 @@ class HeckeAlgebra:
         g, lmult, lengths = self.group, self.group._lmult, self.group._lengths
         s = next((t for t, u in enumerate(lmult[k]) if lengths[u] > lengths[k]), None)
         if s is None:
-            return {k: LaurentPoly.one()}
+            return self._intern({k: LaurentPoly.one()})
         sx = lmult[k][s]
         row = self._act(s, self._view("dual_to_bC", sx), _C_S)
         for y in range(bisect_left(lengths, lengths[sx] + 1), g.order):
             if (lengths[y] - lengths[sx]) & 1 and lengths[lmult[y][s]] > lengths[y] \
                     and (mu := self._mu(sx, y)):
                 accumulate(row, self._view("dual_to_bC", y).items(), -mu)
-        return row
+        return self._intern(row)
 
     # -- Kazhdan-Lusztig elements ---------------------------------------------
 
@@ -747,12 +765,17 @@ class HeckeAlgebra:
         rep = VerificationReport("hecke")
 
         def agree():
-            for x in g.elements():
-                # C_x made from C_{x^-1}, already matched, matches
-                if not (self._holds("C", x.idx) and self._holds("d")) and \
-                        self.kl_element(x, "C") != self.kl_element_by_bar_solver(x):
-                    return False, f"recursion and solver disagree at {g.name(x)}"
-            return True, f"all {g.order} elements"
+            try:
+                for x in g.elements():
+                    # C_x made from C_{x^-1}, already matched, matches
+                    if not (self._holds("C", x.idx) and self._holds("d")) and \
+                            self.kl_element(x, "C") != self.kl_element_by_bar_solver(x):
+                        return False, f"recursion and solver disagree at {g.name(x)}"
+                return True, f"all {g.order} elements"
+            finally:
+                # the columns copy the d table's structure, 15 MB at F4, and
+                # nothing after this loop reads them
+                self._derived.pop(("d columns",), None)
 
         rep.run("hecke.kl_recursion_matches_bar_solver", agree)
         return rep

@@ -297,9 +297,16 @@ def mapped(memo: dict, coeffs: dict, f) -> dict:
 
 def intern(table: dict, coeffs: dict) -> None:
     """Replace each value of `coeffs`, in place, by the equal value that
-    `table` holds, and keep in `table` each value new to it: `mapped` with
-    f the identity."""
-    coeffs.update(mapped(table, coeffs, lambda p: p))
+    `table` holds, and keep in `table` each value new to it, under the
+    packed key of `mapped`: one lookup per entry, no dict built, and a
+    value written back only where an equal one already in `table` replaces
+    it.  The keys of `coeffs` and their order are kept."""
+    held = table.setdefault
+    for k, p in coeffs.items():
+        b = p._b
+        q = held((p._lo, p._n) if b < BOUND_LIMIT else (p._lo, p._n, b), p)
+        if q is not p:
+            coeffs[k] = q
 
 
 class LaurentPoly:

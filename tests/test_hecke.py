@@ -470,6 +470,31 @@ def test_a_replaced_row_is_twisted_by_its_values():
     assert all(twisted[y] is twisted[z] for y in row for z in row if row[y] == row[z])
 
 
+@pytest.mark.parametrize("label", ["A3", "B3", "D4"])
+def test_every_built_row_holds_the_interned_values(label):
+    # each builder interns its own row, and the C build its s-lower half
+    # and the shifts of that half: every C, d and dual_to_bC value is the
+    # object the algebra holds for its packed key, and the table holds
+    # nothing else
+    alg = algebra(label)
+    for name in VIEWS:
+        for k in range(alg.group.order):
+            alg._view(name, k)
+
+    def key(p):
+        return (p._lo, p._n) if p._b < laurent.BOUND_LIMIT else (p._lo, p._n, p._b)
+
+    interned = alg._interned
+    values = [p for name in ("C", "d", "dual_to_bC")
+              for row in alg._views[name].values() for p in row.values()]
+    assert all(interned[key(p)] is p for p in values)
+    # `_lowered` is keyed by the ids of interned values, which the algebra
+    # keeps alive, and maps each to an interned value
+    held = {id(p) for p in interned.values()}
+    assert alg._lowered and all(k in held and id(p) in held for k, p in alg._lowered.items())
+    assert len(interned) == len({id(p) for p in values})
+
+
 def test_kl_table_never_calls_general_product(monkeypatch):
     # building C_x must stay on the left C_s action; a silent fallback to
     # HeckeAlgebra.mul would still give the right table, only slowly

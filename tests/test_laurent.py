@@ -436,6 +436,24 @@ def test_intern_keeps_equal_digits_at_two_widths_apart():
     assert len(table) == 2 and again[0] is narrow
 
 
+def test_intern_works_in_place():
+    # the caller's dict is changed, with its keys in their order; a value
+    # new to the table stays in place and is what the table now holds, and
+    # a value equal to one the table holds is replaced by that one
+    held, new = 2 + v**3, LaurentPoly({-1: 4, 2: -1})
+    table = {}
+    intern(table, {0: held})
+    equal = LaurentPoly(dict(held.items()))
+    assert equal == held and equal is not held
+    coeffs = {7: new, 3: equal, 5: new, 1: held}
+    assert intern(table, coeffs) is None
+    assert list(coeffs) == [7, 3, 5, 1]
+    assert [coeffs[k] for k in (7, 3, 5, 1)] == [new, held, new, held]
+    assert coeffs[7] is new and coeffs[5] is new and coeffs[3] is held and coeffs[1] is held
+    assert len(table) == 2
+    assert any(q is new for q in table.values()) and not any(q is equal for q in table.values())
+
+
 def test_mapped_calls_once_per_value_and_keeps_the_two_widths_apart():
     narrow, wide = 1 + v, LaurentPoly({0: 2**32 + 1})
     calls = []
