@@ -8,7 +8,10 @@ matrix.  This gives one uniform code path for all types, including G2 and
 F4; the keys are dropped once the id tables are built.
 
 Element ids are assigned in breadth-first order from the identity, so ids are
-sorted by length and are reproducible run to run.  Reduced words are always
+sorted by length and are reproducible run to run.  The enumeration gives x s
+for every x and simple s; s x and x^-1 follow in one pass in id order from
+the smallest right descent t of each x != e: p = x t is shorter than x, so
+its rows are done, and s x = (s p) t, x^-1 = t p^-1.  Reduced words are always
 the lexicographically smallest ones, which makes every downstream output
 deterministic.  They are not stored: one table from the enumeration,
 `_firsts`, holds the 0-based smallest left descent of each id, the first
@@ -19,8 +22,9 @@ time, y, then sy for s that letter, down to e.
 along the reduced word of y (Bjorner-Brenti, Combinatorics of Coxeter
 Groups, Prop. 2.2.7), and so do the covers: for the smallest left descent s
 of y, the lower covers of y are sy and the sz > z for the lower covers z of
-sy.  Names are memoized strings, name(y) = "s.name(sy)".  Two lazy id tables
-serve the hecke and k0 check loops: w0 x for each x, and the Bruhat row
+sy.  Names are memoized strings, name(y) = "s.name(sy)".  Two id tables
+serve the hecke and k0 check loops: w0 x for each x, built with the group
+by the length-duality self-check from the keys, and the lazy Bruhat row
 masks, row y the bits of {x <= y}, closed downward over the covers, which
 the weyl suite compares with `bruhat_leq`.  The JSON export never builds
 the masks, |W|^2/8 bytes: 203 MB at A7.
@@ -38,9 +42,9 @@ import math
 
 from .frozen import Frozen, init_field
 
-# 8! = |W(A7)|: the group builds in about 0.2 s, and its `weyl --format json`
-# export, 22 MB of covers written as they are made, takes about 0.7 s and
-# 44 MB (2-vCPU VM)
+# 8! = |W(A7)|: the group builds in about 0.15 s, and its `weyl --format json`
+# export, 22 MB of covers written as they are made, takes about 0.35 s and
+# 45 MB (2-vCPU VM)
 DEFAULT_ENUMERATION_CAP = 40320
 
 _ADMISSIBLE = {
@@ -239,40 +243,40 @@ class WeylGroup:
         # w bits holding lam_j + N + 1; alpha_i is column i of the matrix.
         # Ascents only: a descent x s_i < x is set when x s_i ascends to x.
         # Descents are met in column order, so the first is the smallest.
+        # lam_i > 0 iff its digit exceeds top, the digit of 0.
         w = (2 * npos + 1).bit_length()
-        mask, zero = (1 << w) - 1, sum((npos + 1) << (w * j) for j in range(n))
-        gens = [(w * i, sum(cartan[j][i] << (w * j) for j in range(n))) for i in range(n)]
+        top = npos + 1
+        mask, zero = (1 << w) - 1, sum(top << (w * j) for j in range(n))
+        gens = [(i, w * i, sum(cartan[j][i] << (w * j) for j in range(n))) for i in range(n)]
         rho = zero + sum(1 << (w * j) for j in range(n))
         keys, index, lengths = [rho], {rho: 0}, [0]
-        parents: list[tuple[int, int]] = [(0, -1)]
-        rmult: list[list[int]] = [[-1] * n]
+        find = index.get
+        rmult = [[-1] * n for _ in range(expected)]
         right_first: list[int] = []
         for head, lam in enumerate(keys):
             row = rmult[head]
-            level = lengths[head]
+            level = lengths[head] + 1
             first = -1
-            for i, (shift, alpha) in enumerate(gens):
-                c = (lam >> shift & mask) - npos - 1
-                if c <= 0:
+            for i, shift, alpha in gens:
+                d = lam >> shift & mask
+                if d <= top:
                     if row[i] < 0:
                         raise WeylError("a descent x s_i < x was never met as an ascent")
                     if first < 0:
                         first = i
                     continue
-                new = lam - c * alpha
-                j = index.get(new)
+                new = lam - (d - top) * alpha
+                j = find(new)
                 if j is None:
                     j = len(keys)
-                    if j >= cap:
-                        raise EnumerationCapExceeded(
-                            f"enumeration cap exceeded while building {datum.label}"
+                    if j == expected:
+                        raise WeylError(
+                            f"{datum.label} has more than its expected {expected} elements"
                         )
                     index[new] = j
                     keys.append(new)
-                    lengths.append(level + 1)
-                    parents.append((head, i))
-                    rmult.append([-1] * n)
-                elif lengths[j] != level + 1:
+                    lengths.append(level)
+                elif lengths[j] != level:
                     raise WeylError("an ascent x -> x s_i does not add one to l(x)")
                 if row[i] >= 0 or rmult[j][i] >= 0:
                     raise WeylError("an edge x -> x s_i is set twice")
@@ -281,27 +285,26 @@ class WeylGroup:
 
         self._lengths = lengths
         self._rmult = rmult
-        self.order = len(keys)
+        self.order = order = len(keys)
 
-        # x = s_i1 ... s_ik along its parent word, so x^-1 walks it reversed
-        inverse = []
-        for x in range(self.order):
-            y = 0
-            while x:
-                x, i = parents[x]
-                y = rmult[y][i]
-            inverse.append(y)
+        # In id order: x = p s_j for j its smallest right descent and p =
+        # x s_j, shorter than x, so p and p^-1 have smaller ids and their rows
+        # are built.  Then s_i x = (s_i p) s_j and x^-1 = s_j p^-1.
+        lmult, inverse = [rmult[0][:]], [0]
+        for x in range(1, order):
+            j = right_first[x]
+            p = rmult[x][j]
+            lmult.append([rmult[y][j] for y in lmult[p]])
+            inverse.append(lmult[inverse[p]][j])
+        self._lmult = lmult
         self._inverse = inverse
         # the smallest left descent of x is the smallest right one of x^-1
         self._firsts = [right_first[y] for y in inverse]
-        # s x = (x^-1 s)^-1: the row of x^-1 mapped through inverse
-        get = inverse.__getitem__
-        self._lmult = [list(map(get, rmult[k])) for k in inverse]
 
         # construction self-checks
-        if self.order != expected:
+        if order != expected:
             raise WeylError(
-                f"enumerated order {self.order} != expected {expected} for {datum.label}"
+                f"enumerated order {order} != expected {expected} for {datum.label}"
             )
         tops = [k for k, l in enumerate(lengths) if l == npos]
         if len(tops) != 1 or lengths.count(0) != 1:

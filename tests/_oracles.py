@@ -540,8 +540,10 @@ def enumerate_by_signed_perms(datum: CartanDatum) -> dict:
     those of `build_group`: `lengths` are levels, `rmult` composes with the
     generator perms, `inverse` inverts each perm, `lmult` composes the
     generator perms on the left, and `w0` is the one element of length N,
-    the one that negates every positive root.  `perms` and `index`
-    (perm -> id) are returned for `compose_signed`.
+    the one that negates every positive root.  `firsts` holds the smallest
+    left descent of each id, the smallest s with l(sx) < l(x) (-1 at e),
+    and `w0x` the id of w0 x, composed from the two perms.  `perms` and
+    `index` (perm -> id) are returned for `compose_signed`.
     """
     cartan = datum.cartan_matrix()
     n = len(cartan)
@@ -580,8 +582,11 @@ def enumerate_by_signed_perms(datum: CartanDatum) -> dict:
         inverse.append(index[tuple(inv)])
     lmult = [[index[compose_signed(g, p)] for g in gen_perms] for p in perms]
     (w0,) = [k for k, p in enumerate(perms) if max(p) < 0]
+    firsts = [next((i for i, y in enumerate(row) if lengths[y] < lengths[x]), -1)
+              for x, row in enumerate(lmult)]
+    w0x = [index[compose_signed(perms[w0], p)] for p in perms]
     return {"lengths": lengths, "rmult": rmult, "inverse": inverse, "lmult": lmult,
-            "w0": w0, "perms": perms, "index": index}
+            "w0": w0, "firsts": firsts, "w0x": w0x, "perms": perms, "index": index}
 
 
 def lmult_by_compose(W: WeylGroup) -> list[list[int]]:

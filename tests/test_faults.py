@@ -31,6 +31,13 @@ def answer(g, name, args, result):
     return patch.object(g, name, lambda *a: result if a == args else method(*a))
 
 
+def lmult_entry(g, x, i, y):
+    """Entry i of row x of the `_lmult` table itself, s_{i+1} x, is id y."""
+    table = list(g._lmult)
+    table[x] = [y if k == i else z for k, z in enumerate(table[x])]
+    return patch.object(g, "_lmult", table)
+
+
 def drop_last_cover(g):
     covers = g.bruhat_covers()[:-1]
     return patch.object(g, "bruhat_covers", lambda: list(covers))
@@ -58,6 +65,13 @@ WEYL_FAULTS = [
         lambda g: answer(g, "left_multiply_gen", (1, g.identity), g.identity),
         {"weyl.exchange_condition": "l(s x) = l(x) +- 1"},
         id="exchange_condition:s1 e = e"),
+    # the table the enumeration derives: the covers of s1 s2 read s1 e there
+    pytest.param(
+        "weyl.exchange_condition",
+        lambda g: lmult_entry(g, 0, 0, 0),
+        {"weyl.exchange_condition": "l(s x) = l(x) +- 1",
+         "weyl.bruhat_partial_order": "not transitive"},
+        id="exchange_condition:s1 e = e in the _lmult table"),
     pytest.param(
         "weyl.reduced_words",
         lambda g: answer(g, "element_by_word", (g.reduced_word(g.w0),), g.identity),

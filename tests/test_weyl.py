@@ -1,5 +1,6 @@
 import json
 import random
+from unittest.mock import patch
 
 import pytest
 
@@ -76,7 +77,8 @@ def test_lengths_match_inversion_oracle():
 
 @pytest.mark.parametrize(
     "label",
-    ["A1", "A2", "A3", "A4", "A5", "B2", "B3", "B4", "C3", "D4", "G2", "F4", "B5", "A6"],
+    ["A1", "A2", "A3", "A4", "A5", "B2", "B3", "B4", "C3", "C4", "D4", "D5", "G2", "F4", "B5",
+     "A6"],
 )
 def test_tables_match_signed_perm_oracle(label):
     g = W(label)
@@ -86,6 +88,49 @@ def test_tables_match_signed_perm_oracle(label):
     assert g._inverse == oracle["inverse"]
     assert g._lmult == oracle["lmult"]
     assert g._w0 == oracle["w0"]
+    assert g._firsts == oracle["firsts"]
+    assert g._w0x == oracle["w0x"]
+
+
+# -- construction self-checks ---------------------------------------------------
+
+# B3 with its double bond made triple: the diagram of affine G2, whose group
+# is infinite
+B3_TRIPLE_BOND = [[2, -1, 0], [-1, 2, -1], [0, -3, 2]]
+AFFINE_A3 = [[2, -1, 0, -1], [-1, 2, -1, 0], [0, -1, 2, -1], [-1, 0, -1, 2]]
+
+
+@pytest.mark.parametrize("label,methods,message", [
+    pytest.param("B3", {"expected_order": 47}, "B3 has more than its expected 47 elements",
+                 id="order below the true one: fails at the first extra element"),
+    pytest.param("B3", {"expected_order": 49}, "enumerated order 48 != expected 49 for B3",
+                 id="order above the true one"),
+    pytest.param("B3", {"n_positive_roots": 8}, "longest/identity element not unique",
+                 id="N - 1: many elements of length N"),
+    pytest.param("B3", {"n_positive_roots": 10}, "longest/identity element not unique",
+                 id="N + 1: no element of length N"),
+    pytest.param("B3", {"cartan_matrix": B3_TRIPLE_BOND}, "an edge x -> x s_i is set twice",
+                 id="B3 with a -3 entry"),
+    pytest.param("A4", {"cartan_matrix": AFFINE_A3}, "A4 has more than its expected 120 elements",
+                 id="affine A3"),
+    # coroot heights up to 5 overflow the key digits sized by the N = 3 of A2
+    pytest.param("A2", {"cartan_matrix": [[2, -3], [-1, 2]]},
+                 "a descent x s_i < x was never met as an ascent", id="G2 matrix with the N of A2"),
+    # a 0 on the diagonal: s_1 fixes every key, so x s_1 = x
+    pytest.param("A2", {"cartan_matrix": [[0, -1], [0, 2]]},
+                 "an ascent x -> x s_i does not add one to l(x)", id="0 on the diagonal"),
+    # a 3 on the diagonal gives 8 keys and one of length 4, but that key is not -rho
+    pytest.param("A2", {"cartan_matrix": [[3, -1], [-3, 2]], "expected_order": 8,
+                        "n_positive_roots": 4},
+                 "length duality l(w0 x) = l(w0) - l(x) failed", id="3 on the diagonal"),
+])
+def test_construction_self_checks(label, methods, message):
+    with patch.multiple(CartanDatum, **{name: lambda self, value=value: value
+                                        for name, value in methods.items()}):
+        with pytest.raises(WeylError) as raised:
+            W(label)
+    assert raised.type is WeylError
+    assert str(raised.value) == message
 
 
 # -- multiplication ---------------------------------------------------------
