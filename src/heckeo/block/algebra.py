@@ -27,6 +27,10 @@ dim C - rank d - rank d' at each vertex.  Bounded chain complexes of
 modules, their homology and chain maps close the file; a chain map is a
 quasi-isomorphism when it is a chain map with an exact mapping cone, and
 Ext is the homology of a Hom complex on the wall.
+
+Maps follow the rule of `Mat` and `HeckeElt`: the public `ModuleMap`
+constructor runs every check and builds what elimination produces; `_wrap`
+builds, unchecked, a map that holds by construction.
 """
 
 from __future__ import annotations
@@ -223,7 +227,7 @@ class ModuleMap:
 
     __slots__ = ("src", "dst", "mats")
 
-    def __init__(self, src: Module, dst: Module, mats: dict, check: bool = True):
+    def __init__(self, src: Module, dst: Module, mats: dict):
         _same_algebra(src, dst)
         self.src = src
         self.dst = dst
@@ -232,7 +236,7 @@ class ModuleMap:
             for v in src.algebra.vertices
         }
         _known(mats, self.mats, f"not a vertex of {src.algebra.name}")
-        if check and not self.commutes():
+        if not self.commutes():
             raise BlockConstructionError("matrices do not commute with the arrows")
 
     def commutes(self) -> bool:
@@ -252,18 +256,15 @@ class ModuleMap:
         return _wrap(other.src, self.dst,
                      {v: linalg.mmul(m, other.mats[v]) for v, m in self.mats.items()})
 
-    def _parallel(self, mats: dict) -> "ModuleMap":
-        """The map src -> dst with the given matrices."""
-        return _wrap(self.src, self.dst, mats)
-
     def __add__(self, other: "ModuleMap") -> "ModuleMap":
-        return self._parallel({v: linalg.madd(m, other.mats[v]) for v, m in self.mats.items()})
+        return _wrap(self.src, self.dst,
+                     {v: linalg.madd(m, other.mats[v]) for v, m in self.mats.items()})
 
     def __neg__(self) -> "ModuleMap":
-        return self._parallel({v: linalg.mneg(m) for v, m in self.mats.items()})
+        return _wrap(self.src, self.dst, {v: linalg.mneg(m) for v, m in self.mats.items()})
 
     def scale(self, c) -> "ModuleMap":
-        return self._parallel({v: linalg.mscale(c, m) for v, m in self.mats.items()})
+        return _wrap(self.src, self.dst, {v: linalg.mscale(c, m) for v, m in self.mats.items()})
 
     def __eq__(self, other) -> bool:
         return (
@@ -287,19 +288,20 @@ class ModuleMap:
 
 
 def _wrap(src: Module, dst: Module, mats: dict) -> ModuleMap:
-    """A ModuleMap around one exactly shaped matrix per vertex (no checks,
-    no copy), as `linalg._wrap` is for a Mat."""
+    """A ModuleMap around one exactly shaped, commuting matrix per vertex
+    (no checks, no copy), as `linalg._wrap` is for a Mat: only for a map
+    that holds by construction."""
     f = ModuleMap.__new__(ModuleMap)
     f.src, f.dst, f.mats = src, dst, mats
     return f
 
 
 def identity_map(m: Module) -> ModuleMap:
-    return ModuleMap(m, m, {v: linalg.eye(m.dims[v]) for v in m.dims}, check=False)
+    return _wrap(m, m, {v: linalg.eye(m.dims[v]) for v in m.dims})
 
 
 def zero_map(src: Module, dst: Module) -> ModuleMap:
-    return ModuleMap(src, dst, {}, check=False)
+    return _wrap(src, dst, {v: linalg.zeros(dst.dims[v], src.dims[v]) for v in src.dims})
 
 
 def sum_module(mods: list[Module]) -> Module:
@@ -331,7 +333,7 @@ def block_map(src: Module, dst: Module, srcs: list[Module], dsts: list[Module],
         )
         for v in dst.algebra.vertices
     }
-    return ModuleMap(src, dst, mats, check=False)
+    return _wrap(src, dst, mats)
 
 
 def direct_sum(mods: list[Module]) -> tuple[Module, list[ModuleMap], list[ModuleMap]]:

@@ -59,6 +59,7 @@ from .algebra import (
     Module,
     ModuleMap,
     PathAlgebra,
+    _wrap,
     bimodule,
     block_map,
     flatten,
@@ -146,9 +147,7 @@ class Functor:
                 v: linalg.kron(linalg.eye(cat.projectives["e"][0].dims[v]), f.mats["w"])
                 for v in cat.algebra.vertices
             }
-        return ModuleMap(
-            self._atom_module(atom, f.src), self._atom_module(atom, f.dst), mats, check=False
-        )
+        return _wrap(self._atom_module(atom, f.src), self._atom_module(atom, f.dst), mats)
 
     def __repr__(self) -> str:
         if not self.word:
@@ -438,7 +437,7 @@ class RankOneBlock:
 
         def fn(m: Module) -> ModuleMap:
             mats = {v: linalg.hstack([_act_by(m, ts, "e", v) for ts in terms[v]]) for v in terms}
-            return ModuleMap(theta.on_module(m), m, mats, check=False)
+            return _wrap(theta.on_module(m), m, mats)
 
         return Nat(theta, self.id_mod, cache(fn))
 
@@ -457,7 +456,7 @@ class RankOneBlock:
 
         def fn(m: Module) -> ModuleMap:
             mats = {v: linalg.vstack([_act_by(m, ts, v, "e") for ts in terms[v]]) for v in terms}
-            return ModuleMap(m, theta.on_module(m), mats, check=False)
+            return _wrap(m, theta.on_module(m), mats)
 
         return Nat(self.id_mod, theta, cache(fn))
 
@@ -469,12 +468,8 @@ class RankOneBlock:
         k = linalg.col_vec(vec) if unit else linalg.row_vec(vec)
 
         def fn(v_mod: Module) -> ModuleMap:
-            return ModuleMap(
-                src.on_module(v_mod),
-                dst.on_module(v_mod),
-                {"w": linalg.kron(k, linalg.eye(v_mod.dims["w"]))},
-                check=False,
-            )
+            return _wrap(src.on_module(v_mod), dst.on_module(v_mod),
+                         {"w": linalg.kron(k, linalg.eye(v_mod.dims["w"]))})
 
         return Nat(src, dst, cache(fn))
 
@@ -613,7 +608,7 @@ class RankOneBlock:
         for w in [p for p in alg.basis if alg.source[p] == "e" and alg.target[p] == "e"]:
             def fn(m: Module, w=w) -> ModuleMap:
                 v = pi_star.on_module(m)
-                return ModuleMap(v, v, {"w": m.path_action(w)}, check=False)
+                return _wrap(v, v, {"w": m.path_action(w)})
             out.append(Nat(pi_star, pi_star, fn))
         return out
 

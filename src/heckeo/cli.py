@@ -13,8 +13,8 @@ Optional key=value config file (enumeration cap, default format, table
 width): ./heckeo.cfg, overridden by the HECKEO_CONFIG environment variable;
 flags override the file.  Without either, each command has its own cap, so
 that a request too large to finish exits 2 at once instead of running for
-hours: verify, which takes about 12 seconds at A5 (720) and 2 minutes at
-F4, admits F4 (1152); klpoly and basis-change, whose tables grow with the
+hours: verify, which takes about 10 seconds at A5 (720) and 70-90 seconds
+at F4, admits F4 (1152); klpoly and basis-change, whose tables grow with the
 KL nonzeros, admit A6 (5040); weyl admits A7 (40320).  All output is
 UTF-8 and deterministic: identical invocations produce byte-identical
 output (timings are opt-in and never included in JSON).

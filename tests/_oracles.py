@@ -780,8 +780,8 @@ def direct_sum_by_entries(mods: list[Module]) -> tuple[Module, list[ModuleMap], 
                 mp[i][offs[v] + i] = 1
             inj[v] = mi
             proj[v] = mp
-        injections.append(ModuleMap(m, total, inj, check=False))
-        projections.append(ModuleMap(total, m, proj, check=False))
+        injections.append(ModuleMap(m, total, inj))
+        projections.append(ModuleMap(total, m, proj))
         for v in alg.vertices:
             offs[v] += m.dims[v]
     return total, injections, projections

@@ -109,7 +109,14 @@ def test_module_map_rejects_unknown_vertices():
     with pytest.raises(BlockConstructionError, match="not a vertex of rank-one block: x"):
         ModuleMap(m, m, {"e": [[1]], "x": [[5]]})
     with pytest.raises(BlockConstructionError, match="x"):
-        ModuleMap(m, m, {"x": [[5]]}, check=False)
+        ModuleMap(m, m, {"x": [[5]]})
+
+
+def test_module_map_rejects_matrices_that_do_not_commute(ctx):
+    # on Delta_s, b . f_s = 0 but f_e . b = 1
+    delta_s = ctx.catalog.modules["Delta_s"]
+    with pytest.raises(BlockConstructionError, match="matrices do not commute with the arrows"):
+        ModuleMap(delta_s, delta_s, {"e": [[1]], "s": [[0]]})
 
 
 def test_catalog_composition_series(ctx):
@@ -535,18 +542,24 @@ def test_each_differential_maps_entry_to_entry(monkeypatch):
 
 def test_block_check_module_and_elimination_counts_stay_pinned(monkeypatch):
     # one `block-check --suite all` and one `--format csv`, counting every
-    # Module built, every rref, every applied complex built and every zero
-    # map, each within a one-sided margin of its pin
+    # Module built, every rref, every applied complex built, every zero map
+    # and every map built through the checked `ModuleMap` constructor (the
+    # results of elimination; a map that holds by construction is wrapped),
+    # each within a one-sided margin of its pin
     from heckeo.block import algebra
     from heckeo.block.functors import AppliedComplex
 
-    counts = {"Module": 0, "rref": 0, "applied": 0, "zero_map": 0}
+    counts = {"Module": 0, "rref": 0, "applied": 0, "zero_map": 0, "ModuleMap": 0}
     init, rref, applied = Module.__init__, linalg.rref, AppliedComplex.__init__
-    zero = algebra.zero_map
+    zero, map_init = algebra.zero_map, ModuleMap.__init__
 
     def counted_init(self, *args, **kwargs):
         counts["Module"] += 1
         init(self, *args, **kwargs)
+
+    def counted_map_init(self, *args, **kwargs):
+        counts["ModuleMap"] += 1
+        map_init(self, *args, **kwargs)
 
     def counted_rref(a):
         counts["rref"] += 1
@@ -564,17 +577,46 @@ def test_block_check_module_and_elimination_counts_stay_pinned(monkeypatch):
     monkeypatch.setattr(linalg, "rref", counted_rref)
     monkeypatch.setattr(AppliedComplex, "__init__", counted_applied)
     monkeypatch.setattr(algebra, "zero_map", counted_zero)
+    monkeypatch.setattr(ModuleMap, "__init__", counted_map_init)
     got = {}
     for run in (["--suite", "all"], ["--format", "csv"]):
-        counts.update(Module=0, rref=0, applied=0, zero_map=0)
+        counts.update(dict.fromkeys(counts, 0))
         assert cli.run(["block-check", *run])[0] == 0
         got[run[-1]] = dict(counts)
-    pinned = {"all": {"Module": 386, "rref": 797, "applied": 45, "zero_map": 240},
-              "csv": {"Module": 67, "rref": 177, "applied": 18, "zero_map": 0}}
+    pinned = {"all": {"Module": 386, "rref": 797, "applied": 45, "zero_map": 240, "ModuleMap": 107},
+              "csv": {"Module": 67, "rref": 177, "applied": 18, "zero_map": 0, "ModuleMap": 4}}
     margin = 0.02
     for run, pins in pinned.items():
         for what, pin in pins.items():
             assert got[run][what] <= pin * (1 + margin), (run, what, got[run][what])
+
+
+def test_every_map_wrapped_without_checks_is_well_formed(monkeypatch):
+    # `_wrap` runs none of the public constructor's checks, so every map it
+    # builds in one `block-check --suite all` and one `--format csv` is
+    # checked here: one exactly shaped Mat per vertex, both modules over one
+    # algebra, and the matrices commuting with the arrows
+    from heckeo.block import algebra, functors
+
+    wrap, built, bad = algebra._wrap, [0], []
+
+    def checked_wrap(src, dst, mats):
+        f = wrap(src, dst, mats)
+        built[0] += 1
+        shaped = mats.keys() == set(src.algebra.vertices) and all(
+            type(m) is linalg.Mat and (m.nrows, m.ncols) == (dst.dims[v], src.dims[v])
+            and len(m.rows) == m.nrows and all(len(row) == m.ncols for row in m.rows)
+            for v, m in mats.items()
+        )
+        if not (src.algebra == dst.algebra and shaped and f.commutes()):
+            bad.append((src, dst, {v: linalg.shape(m) for v, m in mats.items()}))
+        return f
+
+    monkeypatch.setattr(algebra, "_wrap", checked_wrap)
+    monkeypatch.setattr(functors, "_wrap", checked_wrap)
+    codes = [cli.run(["block-check", *run])[0] for run in (["--suite", "all"], ["--format", "csv"])]
+    assert built[0] > 0 and bad == [], bad[:3]
+    assert codes == [0, 0]
 
 
 def test_a_second_suite_on_one_block_builds_no_applied_complex(monkeypatch):
